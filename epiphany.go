@@ -4,7 +4,7 @@
 // Network-on-chip Coprocessor" (Varghese, Edwards, Mitra, Rendell; IPDPS
 // Workshops 2014, arXiv:1410.8772).
 //
-// The package offers four levels of use:
+// The package offers three levels of use:
 //
 //   - Workload level: experiments implement the Workload interface
 //     (Name, Validate, Run) and report the common Metrics (GFLOPS, % of
@@ -21,10 +21,6 @@
 //     programming surface (direct remote stores, DMA descriptors with
 //     chaining and 2D strides, event timers, barriers, hardware mutex)
 //     for writing new device kernels against the simulated chip.
-//
-//   - Application level (deprecated): System.RunStencil, System.RunMatmul
-//     and System.RunStreamStencil are thin shims over the workload level,
-//     kept so existing callers compile.
 //
 //   - Experiment level: the Experiments list regenerates every table and
 //     figure from the paper's evaluation, and Sweep runs declarative

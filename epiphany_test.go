@@ -1,6 +1,7 @@
 package epiphany
 
 import (
+	"context"
 	"testing"
 )
 
@@ -10,10 +11,11 @@ func TestPublicStencilAPI(t *testing.T) {
 		GroupRows: 2, GroupCols: 2,
 		Comm: true, Tuned: true, Seed: 1,
 	}
-	res, err := NewSystem().RunStencil(cfg)
+	out, err := Run(context.Background(), &StencilWorkload{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.(*StencilResult)
 	if res.GFLOPS <= 0 || res.PctPeak <= 0 || res.Elapsed == 0 {
 		t.Fatalf("degenerate result: %+v", res)
 	}
@@ -29,26 +31,25 @@ func TestPublicStencilAPI(t *testing.T) {
 
 func TestPublicMatmulAPI(t *testing.T) {
 	cfg := MatmulConfig{M: 64, N: 64, K: 64, G: 4, Tuned: true, Verify: true, Seed: 2}
-	res, err := NewSystem().RunMatmul(cfg)
+	out, err := Run(context.Background(), &MatmulWorkload{Config: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := out.(*MatmulResult)
 	if d := MaxAbsDiff(res.C, MatmulReference(cfg)); d != 0 {
 		t.Fatalf("diff vs reference: %g", d)
 	}
 }
 
 func TestSystemIsSingleUse(t *testing.T) {
+	ctx := context.Background()
 	sys := NewSystem()
-	cfg := StencilConfig{Rows: 20, Cols: 20, Iters: 1, GroupRows: 1, GroupCols: 1, Tuned: true}
-	if _, err := sys.RunStencil(cfg); err != nil {
+	w := &StencilWorkload{Config: StencilConfig{Rows: 20, Cols: 20, Iters: 1, GroupRows: 1, GroupCols: 1, Tuned: true}}
+	if _, err := w.Run(ctx, sys); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.RunStencil(cfg); err == nil {
+	if _, err := w.Run(ctx, sys); err == nil {
 		t.Fatal("second run on the same System must be refused")
-	}
-	if _, err := sys.RunMatmul(MatmulConfig{M: 8, N: 8, K: 8, G: 1, Tuned: true}); err == nil {
-		t.Fatal("matmul after stencil on the same System must be refused")
 	}
 }
 
@@ -71,13 +72,14 @@ func TestSystemSize(t *testing.T) {
 
 func TestDeterminismAcrossSystems(t *testing.T) {
 	run := func() (Time, float64) {
-		res, err := NewSystem().RunMatmul(MatmulConfig{
+		res, err := Run(context.Background(), &MatmulWorkload{Config: MatmulConfig{
 			M: 64, N: 64, K: 64, G: 2, Tuned: true, Seed: 9,
-		})
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.Elapsed, res.GFLOPS
+		m := res.Metrics()
+		return m.Elapsed, m.GFLOPS
 	}
 	t1, g1 := run()
 	t2, g2 := run()

@@ -48,18 +48,19 @@ func ExampleRunner_RunBatch() {
 	// runs agree: true
 }
 
-// ExampleSystem_RunStencil runs the paper's §VI heat stencil on a 2x2
-// workgroup and verifies it against the host reference.
-func ExampleSystem_RunStencil() {
+// ExampleStencilWorkload runs the paper's §VI heat stencil on a 2x2
+// workgroup and verifies its gathered grid against the host reference.
+func ExampleStencilWorkload() {
 	cfg := epiphany.StencilConfig{
 		Rows: 20, Cols: 20, Iters: 10,
 		GroupRows: 2, GroupCols: 2,
 		Comm: true, Tuned: true, Seed: 1,
 	}
-	res, err := epiphany.NewSystem().RunStencil(cfg)
+	out, err := epiphany.Run(context.Background(), &epiphany.StencilWorkload{Config: cfg})
 	if err != nil {
 		panic(err)
 	}
+	res := out.(*epiphany.StencilResult)
 	ref := epiphany.StencilReference(cfg)
 	exact := true
 	for r := range ref {
@@ -76,36 +77,38 @@ func ExampleSystem_RunStencil() {
 	// simulated time: 45.1467us
 }
 
-// ExampleSystem_RunMatmul multiplies 64x64 matrices over 16 cores with
+// ExampleMatmulWorkload multiplies 64x64 matrices over 16 cores with
 // Cannon's algorithm and checks the product.
-func ExampleSystem_RunMatmul() {
+func ExampleMatmulWorkload() {
 	cfg := epiphany.MatmulConfig{
 		M: 64, N: 64, K: 64, G: 4,
 		Tuned: true, Verify: true, Seed: 2,
 	}
-	res, err := epiphany.NewSystem().RunMatmul(cfg)
+	out, err := epiphany.Run(context.Background(), &epiphany.MatmulWorkload{Config: cfg})
 	if err != nil {
 		panic(err)
 	}
+	res := out.(*epiphany.MatmulResult)
 	fmt.Printf("max |diff| vs reference: %v\n",
 		epiphany.MaxAbsDiff(res.C, epiphany.MatmulReference(cfg)))
 	// Output:
 	// max |diff| vs reference: 0
 }
 
-// ExampleSystem_RunStreamStencil pages a grid through the chip with
+// ExampleStreamStencilWorkload pages a grid through the chip with
 // temporal blocking (the paper's §IX proposal).
-func ExampleSystem_RunStreamStencil() {
+func ExampleStreamStencilWorkload() {
 	cfg := epiphany.StreamStencilConfig{
 		GlobalRows: 64, GlobalCols: 64,
 		BlockRows: 16, BlockCols: 16,
 		Iters: 6, TBlock: 3,
 		GroupRows: 2, GroupCols: 2, Seed: 3,
 	}
-	res, err := epiphany.NewSystem().RunStreamStencil(cfg)
+	out, err := epiphany.Run(context.Background(), &epiphany.StreamStencilWorkload{Config: cfg})
 	if err != nil {
 		panic(err)
 	}
+	res := out.(*epiphany.StreamStencilResult)
 	ref := epiphany.StreamStencilReference(cfg)
 	exact := true
 	for r := range ref {

@@ -209,32 +209,12 @@ func (e *Engine) RunUntil(limit Time) error {
 	if e.workers > 1 && len(e.shards) > 1 {
 		return e.runParallel(limit)
 	}
-	if len(e.shards) == 1 {
-		return e.runSingle(limit)
-	}
 	return e.runSequential(limit)
 }
 
-// runSingle is the classic sequential loop over the lone shard.
-func (e *Engine) runSingle(limit Time) error {
-	s := e.shards[0]
-	for e.err == nil {
-		if len(s.heap) == 0 {
-			if s.blocked > 0 && !e.stopped.Load() {
-				return e.deadlockError()
-			}
-			return e.err
-		}
-		if s.heap[0].t > limit {
-			return e.err
-		}
-		s.dispatch(heap.Pop(&s.heap).(*event))
-	}
-	return e.err
-}
-
 // runSequential merges the shard heaps in global key order - the
-// canonical schedule the parallel mode reproduces.
+// canonical schedule the parallel mode reproduces. A single-shard
+// engine is the one-heap case of the same merge.
 func (e *Engine) runSequential(limit Time) error {
 	for e.err == nil {
 		var next *Shard

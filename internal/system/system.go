@@ -9,7 +9,6 @@ package system
 import (
 	"fmt"
 
-	"epiphany/internal/core"
 	"epiphany/internal/ecore"
 	"epiphany/internal/host"
 	"epiphany/internal/mem"
@@ -96,8 +95,8 @@ func (s *System) NewWorkgroup(originRow, originCol, rows, cols int) (*sdk.Workgr
 // the same workload produces byte-identical Metrics either way (the
 // conformance harness pins this). Reset refuses a board whose engine is
 // not quiescent (a run that deadlocked, was stopped mid-flight, or
-// panicked); such a System must be discarded. Runner.RunBatch uses
-// Reset to pool one board per worker.
+// panicked); such a System must be discarded. The workload Runner uses
+// Reset to pool boards across jobs.
 func (s *System) Reset() error {
 	if err := s.eng.Reset(); err != nil {
 		return fmt.Errorf("epiphany: System not recyclable: %w", err)
@@ -118,50 +117,4 @@ func (s *System) Acquire() error {
 	}
 	s.used = true
 	return nil
-}
-
-// RunStencil executes a full host-orchestrated stencil experiment.
-//
-// Deprecated: wrap the config in a StencilWorkload and execute it with
-// epiphany.Run or Runner.RunBatch - for example
-// epiphany.Run(ctx, &epiphany.StencilWorkload{Config: cfg}). The
-// workload path is where every newer capability lives: topology and
-// mesh-size selection, seed rebasing, trace capture, energy accounting
-// (WithPowerModel) and System pooling. This shim runs on the default
-// board only and is kept so pre-workload callers compile.
-func (s *System) RunStencil(cfg core.StencilConfig) (*core.StencilResult, error) {
-	if err := s.Acquire(); err != nil {
-		return nil, err
-	}
-	return core.RunStencil(s.host, cfg)
-}
-
-// RunMatmul executes a full host-orchestrated matrix multiplication.
-//
-// Deprecated: wrap the config in a MatmulWorkload and execute it with
-// epiphany.Run or Runner.RunBatch - for example
-// epiphany.Run(ctx, &epiphany.MatmulWorkload{Config: cfg}). See
-// RunStencil's deprecation note: the workload path carries the
-// topology, seed, trace and energy options this shim lacks.
-func (s *System) RunMatmul(cfg core.MatmulConfig) (*core.MatmulResult, error) {
-	if err := s.Acquire(); err != nil {
-		return nil, err
-	}
-	return core.RunMatmul(s.host, cfg)
-}
-
-// RunStreamStencil executes the streaming stencil with temporal
-// blocking: the grid lives in shared DRAM and blocks page through the
-// chip, with TBlock iterations applied per residency.
-//
-// Deprecated: wrap the config in a StreamStencilWorkload and execute it
-// with epiphany.Run or Runner.RunBatch - for example
-// epiphany.Run(ctx, &epiphany.StreamStencilWorkload{Config: cfg}). See
-// RunStencil's deprecation note: the workload path carries the
-// topology, seed, trace and energy options this shim lacks.
-func (s *System) RunStreamStencil(cfg core.StreamStencilConfig) (*core.StreamStencilResult, error) {
-	if err := s.Acquire(); err != nil {
-		return nil, err
-	}
-	return core.RunStreamStencil(s.host, cfg)
 }

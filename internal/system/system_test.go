@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"epiphany/internal/core"
+	"epiphany/internal/host"
 )
 
 func tinyStencil() core.StencilConfig {
@@ -28,69 +29,14 @@ func TestAcquireRefusesReuse(t *testing.T) {
 	}
 }
 
-func TestDeprecatedShimsDelegateAndAcquire(t *testing.T) {
-	// Each shim must produce the exact result the workload path produces
-	// on a fresh board, and must consume the System.
-	direct, err := core.RunStencil(New().Host(), tinyStencil())
-	if err != nil {
+// acquired claims sys for one experiment, the way a workload does before
+// driving the board, and returns its host for a core.RunX driver.
+func acquired(t *testing.T, sys *System) *host.Host {
+	t.Helper()
+	if err := sys.Acquire(); err != nil {
 		t.Fatal(err)
 	}
-	sys := New()
-	shim, err := sys.RunStencil(tinyStencil())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shim.Elapsed != direct.Elapsed || shim.GFLOPS != direct.GFLOPS {
-		t.Fatalf("shim result %v/%v differs from core.RunStencil %v/%v",
-			shim.Elapsed, shim.GFLOPS, direct.Elapsed, direct.GFLOPS)
-	}
-	if _, err := sys.RunStencil(tinyStencil()); err == nil {
-		t.Fatal("second run on a used System succeeded")
-	}
-
-	mcfg := core.MatmulConfig{M: 16, N: 16, K: 16, G: 2, Verify: true, Seed: 3}
-	mdirect, err := core.RunMatmul(New().Host(), mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msys := New()
-	mshim, err := msys.RunMatmul(mcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mshim.Elapsed != mdirect.Elapsed {
-		t.Fatalf("matmul shim elapsed %v, want %v", mshim.Elapsed, mdirect.Elapsed)
-	}
-	if _, err := msys.RunMatmul(mcfg); err == nil {
-		t.Fatal("matmul shim reused a System")
-	}
-
-	scfg := core.StreamStencilConfig{
-		GlobalRows: 32, GlobalCols: 32, BlockRows: 8, BlockCols: 8,
-		Iters: 2, TBlock: 1, GroupRows: 2, GroupCols: 2, Seed: 5,
-	}
-	sdirect, err := core.RunStreamStencil(New().Host(), scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ssys := New()
-	sshim, err := ssys.RunStreamStencil(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sshim.Elapsed != sdirect.Elapsed {
-		t.Fatalf("stream shim elapsed %v, want %v", sshim.Elapsed, sdirect.Elapsed)
-	}
-	if _, err := ssys.RunStreamStencil(scfg); err == nil {
-		t.Fatal("stream shim reused a System")
-	}
-}
-
-func TestShimsRefuseInvalidConfigs(t *testing.T) {
-	s := New()
-	if _, err := s.RunStencil(core.StencilConfig{}); err == nil {
-		t.Fatal("zero stencil config accepted")
-	}
+	return sys.Host()
 }
 
 func TestNewTopologyGeometry(t *testing.T) {
@@ -155,13 +101,13 @@ func TestNewWorkgroupSpansChips(t *testing.T) {
 // from a fresh one, so the same experiment replays byte-identically -
 // results, statistics and all.
 func TestResetRecyclesBitIdentically(t *testing.T) {
-	fresh, err := New().RunStencil(tinyStencil())
+	fresh, err := core.RunStencil(acquired(t, New()), tinyStencil())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sys := New()
-	if _, err := sys.RunStencil(tinyStencil()); err != nil {
+	if _, err := core.RunStencil(acquired(t, sys), tinyStencil()); err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Reset(); err != nil {
@@ -170,7 +116,7 @@ func TestResetRecyclesBitIdentically(t *testing.T) {
 	if now := sys.Engine().Now(); now != 0 {
 		t.Fatalf("recycled engine starts at t=%v", now)
 	}
-	again, err := sys.RunStencil(tinyStencil())
+	again, err := core.RunStencil(acquired(t, sys), tinyStencil())
 	if err != nil {
 		t.Fatalf("run on recycled System: %v", err)
 	}
@@ -181,14 +127,14 @@ func TestResetRecyclesBitIdentically(t *testing.T) {
 
 	// A different experiment on the recycled board also matches fresh.
 	mcfg := core.MatmulConfig{M: 16, N: 16, K: 16, G: 2, Verify: true, Seed: 3}
-	mfresh, err := New().RunMatmul(mcfg)
+	mfresh, err := core.RunMatmul(acquired(t, New()), mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sys.Reset(); err != nil {
 		t.Fatal(err)
 	}
-	magain, err := sys.RunMatmul(mcfg)
+	magain, err := core.RunMatmul(acquired(t, sys), mcfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +174,7 @@ func TestNewTopologyAppliesC2COverrides(t *testing.T) {
 	}
 
 	// Overrides are board identity: distinct values compare unequal (the
-	// Runner's per-worker pool keys on this), and String surfaces them.
+	// Runner's board pool keys on this), and String surfaces them.
 	if slow == Cluster2x2 {
 		t.Fatal("overridden topology compares equal to the preset")
 	}
@@ -255,7 +201,7 @@ func TestClusterC2COverrideChangesCrossingCosts(t *testing.T) {
 		Iters: 2, TBlock: 1, GroupRows: 4, GroupCols: 4, Seed: 7,
 	}
 	run := func(topo Topology) core.Metrics {
-		res, err := NewTopology(topo).RunStreamStencil(cfg)
+		res, err := core.RunStreamStencil(acquired(t, NewTopology(topo)), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

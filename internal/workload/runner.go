@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"epiphany/internal/system"
@@ -55,13 +56,12 @@ func (b *BatchResult) Err() error {
 }
 
 // Runner executes batches of workloads concurrently. Every job gets its
-// own pristine System - built fresh, or recycled from the worker's
-// previous job through System.Reset when the topology matches (a System
-// is single-use between resets; sharing a live one across jobs would
-// blend virtual clocks and statistics). Either way each simulation
-// stays bit-deterministic: a batch produces byte-identical Metrics to
-// running the same jobs sequentially, in any interleaving, on fresh
-// boards.
+// own pristine System - built fresh, or recycled through System.Reset
+// from an earlier job of the same topology (a System is single-use
+// between resets; sharing a live one across jobs would blend virtual
+// clocks and statistics). Either way each simulation stays
+// bit-deterministic: a batch produces byte-identical Metrics to running
+// the same jobs sequentially, in any interleaving, on fresh boards.
 type Runner struct {
 	// Workers caps the number of concurrent simulations; <= 0 means
 	// GOMAXPROCS.
@@ -69,12 +69,19 @@ type Runner struct {
 	// Options are applied to every job, before the job's own options.
 	Options []Option
 
-	// idle recycles boards across RunJob calls, so a long-lived caller
-	// (the epiphany-serve daemon) gets the same board-pooling win
-	// RunBatch gives its batch workers. Guarded by idleMu; RunBatch does
-	// not touch it (its pools are per-worker and unsynchronized).
-	idleMu sync.Mutex
-	idle   []*sysPool
+	// idle is the board pool RunBatch workers and RunJob calls share,
+	// oldest first. A board is in it only while no job holds it, and
+	// only after System.Reset certified it pristine. The match is
+	// whole-Topology equality, so every board-identity axis (C2C
+	// overrides, power model and DVFS point, shard layout) pools
+	// separately.
+	mu   sync.Mutex
+	idle []idleBoard
+}
+
+type idleBoard struct {
+	topo system.Topology
+	sys  *system.System
 }
 
 // RunBatch executes jobs across the worker pool and returns the
@@ -89,10 +96,7 @@ func (r *Runner) RunBatch(ctx context.Context, jobs []Job) (*BatchResult, error)
 		ctx = context.Background()
 	}
 	br := &BatchResult{Results: make([]JobResult, len(jobs))}
-	workers := r.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := r.workers()
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}
@@ -102,9 +106,8 @@ func (r *Runner) RunBatch(ctx context.Context, jobs []Job) (*BatchResult, error)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var pool sysPool
 			for i := range idx {
-				br.Results[i] = r.runJob(ctx, jobs[i], &pool)
+				br.Results[i] = r.runJob(ctx, jobs[i])
 			}
 		}()
 	}
@@ -136,50 +139,26 @@ func safeName(w Workload) (name string) {
 	return w.Name()
 }
 
-// RunJob executes one job outside a batch. Unlike a one-job RunBatch,
-// consecutive calls recycle simulated boards through a shared idle
-// pool (each concurrent call checks out its own pool, so RunJob is
-// safe for concurrent use and two in-flight jobs never share a
-// System): a long-lived daemon submitting jobs one at a time keeps the
-// construction-amortizing behaviour of a batch. The result is
-// bit-identical to Run or RunBatch on the same job - recycled boards
-// are certified pristine by System.Reset before reuse.
+// RunJob executes one job outside a batch, drawing its board from the
+// same pool RunBatch uses, so a long-lived caller submitting jobs one at
+// a time (the epiphany-serve daemon) keeps the construction-amortizing
+// behaviour of a batch. RunJob is safe for concurrent use; two in-flight
+// jobs never share a System. The result is bit-identical to Run or
+// RunBatch on the same job - recycled boards are certified pristine by
+// System.Reset before reuse.
 func (r *Runner) RunJob(ctx context.Context, job Job) JobResult {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	pool := r.checkout()
-	jr := r.runJob(ctx, job, pool)
-	r.checkin(pool)
-	return jr
+	return r.runJob(ctx, job)
 }
 
-// checkout takes an idle board pool for one RunJob, or a fresh empty
-// one when all are busy (or none exist yet).
-func (r *Runner) checkout() *sysPool {
-	r.idleMu.Lock()
-	defer r.idleMu.Unlock()
-	if n := len(r.idle); n > 0 {
-		p := r.idle[n-1]
-		r.idle[n-1] = nil
-		r.idle = r.idle[:n-1]
-		return p
+// workers resolves Workers: GOMAXPROCS when unset.
+func (r *Runner) workers() int {
+	if r.Workers <= 0 {
+		return runtime.GOMAXPROCS(0)
 	}
-	return new(sysPool)
-}
-
-// checkin returns a pool after its job, keeping at most one idle pool
-// per worker slot - beyond that the boards would only hold memory.
-func (r *Runner) checkin(p *sysPool) {
-	limit := r.Workers
-	if limit <= 0 {
-		limit = runtime.GOMAXPROCS(0)
-	}
-	r.idleMu.Lock()
-	defer r.idleMu.Unlock()
-	if len(r.idle) < limit {
-		r.idle = append(r.idle, p)
-	}
+	return r.Workers
 }
 
 // RunWorkloads is RunBatch over bare workloads with no per-job options.
@@ -191,39 +170,42 @@ func (r *Runner) RunWorkloads(ctx context.Context, ws ...Workload) (*BatchResult
 	return r.RunBatch(ctx, jobs)
 }
 
-// sysPool recycles at most one System per worker goroutine. get hands
-// out the cached board when the requested topology matches; put takes a
-// board back only after System.Reset has certified it pristine, so a
-// pooled System is always indistinguishable from a fresh one. Pools are
-// per-worker and therefore unsynchronized. The match is whole-Topology
-// equality, so every experiment-axis identity pools separately: the C2C
-// timing overrides and the power model / DVFS point ride in the
-// Topology value.
-type sysPool struct {
-	topo system.Topology
-	sys  *system.System
-}
-
-func (p *sysPool) get(topo system.Topology) *system.System {
-	if p.sys != nil && p.topo == topo {
-		sys := p.sys
-		p.sys = nil
-		return sys
+// get takes the most recently pooled board of topology topo, or builds
+// a fresh one.
+func (r *Runner) get(topo system.Topology) *system.System {
+	r.mu.Lock()
+	for i := len(r.idle) - 1; i >= 0; i-- {
+		if r.idle[i].topo == topo {
+			sys := r.idle[i].sys
+			r.idle = slices.Delete(r.idle, i, i+1)
+			r.mu.Unlock()
+			return sys
+		}
 	}
-	p.sys = nil
+	r.mu.Unlock()
 	return system.NewTopology(topo)
 }
 
-func (p *sysPool) put(topo system.Topology, sys *system.System) {
-	if sys.Reset() == nil {
-		p.topo, p.sys = topo, sys
+// put returns a board after its job, keeping it only if System.Reset
+// certifies it pristine. At most one board per worker slot stays idle;
+// beyond that the oldest is evicted, as it would only hold memory.
+func (r *Runner) put(topo system.Topology, sys *system.System) {
+	if sys.Reset() != nil {
+		return
+	}
+	limit := r.workers()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.idle = append(r.idle, idleBoard{topo, sys})
+	if n := len(r.idle) - limit; n > 0 {
+		r.idle = slices.Delete(r.idle, 0, n)
 	}
 }
 
-// runJob executes one job on a pristine System from the worker's pool,
+// runJob executes one job on a pristine System from the pool,
 // converting panics (for example from a malformed Initial field) into
 // per-job errors. A System a panic escaped from is never pooled.
-func (r *Runner) runJob(ctx context.Context, job Job, pool *sysPool) (jr JobResult) {
+func (r *Runner) runJob(ctx context.Context, job Job) (jr JobResult) {
 	defer func() {
 		if p := recover(); p != nil {
 			jr.Result = nil
@@ -247,11 +229,11 @@ func (r *Runner) runJob(ctx context.Context, job Job, pool *sysPool) (jr JobResu
 		jr.Err = err
 		return jr
 	}
-	sys := pool.get(rc.topo)
+	sys := r.get(rc.topo)
 	jr.Result, jr.Err = runOn(ctx, w, sys, &rc)
 	// Reset certifies the board is recyclable even after a run error
 	// (a deadlocked or stopped board fails certification and is
 	// dropped).
-	pool.put(rc.topo, sys)
+	r.put(rc.topo, sys)
 	return jr
 }

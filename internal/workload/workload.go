@@ -247,14 +247,8 @@ func runOn(ctx context.Context, w Workload, sys *system.System, rc *runConfig) (
 	if err != nil {
 		return nil, err
 	}
-	if rc.topo.Power != "" {
-		res, err = attachEnergy(res, sys, rc.topo)
-		if err != nil {
-			return nil, fmt.Errorf("epiphany: energy accounting for %q: %w", w.Name(), err)
-		}
-	}
-	if rc.engineStats {
-		res = attachEngineStats(res, sys)
+	if res, err = decorate(res, sys, rc); err != nil {
+		return nil, fmt.Errorf("epiphany: energy accounting for %q: %w", w.Name(), err)
 	}
 	if rc.trace != nil {
 		if _, err := io.WriteString(rc.trace, trace.Take(sys.Chip()).String()); err != nil {

@@ -6,9 +6,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"epiphany/internal/core"
+	"epiphany/internal/sim"
 	"epiphany/internal/system"
 )
 
@@ -350,7 +352,7 @@ func TestRunBatchPanickingName(t *testing.T) {
 	if jr.Result != nil {
 		t.Fatal("panicking job carries a result")
 	}
-	// The panic neither kills the batch nor poisons the worker's pool.
+	// The panic neither kills the batch nor poisons the board pool.
 	if jr := br.Results[1]; jr.Err != nil || jr.Name != "after-panicker" {
 		t.Fatalf("job after panicker: %+v", jr)
 	}
@@ -385,37 +387,45 @@ func TestRunBatchPanickingNameAfterCancel(t *testing.T) {
 	}
 }
 
-// sysRecorder records the *system.System pointer each run received.
+// sysRecorder records the *system.System pointer each run received, then
+// runs inner on it (or just Acquires the board when inner is nil).
 type sysRecorder struct {
-	name string
-	seen *[]*system.System
+	name  string
+	seen  *[]*system.System
+	inner Workload
 }
 
 func (s *sysRecorder) Name() string    { return s.name }
 func (s *sysRecorder) Validate() error { return nil }
 func (s *sysRecorder) Run(ctx context.Context, sys *system.System) (Result, error) {
+	*s.seen = append(*s.seen, sys)
+	if s.inner != nil {
+		return s.inner.Run(ctx, sys)
+	}
 	if err := sys.Acquire(); err != nil {
 		return nil, err
 	}
-	*s.seen = append(*s.seen, sys)
 	return fixedResult{}, nil
 }
 
-// TestRunnerPoolsSystemsPerWorker proves the recycling path is actually
-// taken: consecutive same-topology jobs on a one-worker batch run on
-// the same board (recycled through Reset), and a topology change forces
-// a rebuild.
-func TestRunnerPoolsSystemsPerWorker(t *testing.T) {
+// TestRunnerPoolsSystems proves the recycling path is actually taken,
+// and that RunBatch workers and RunJob calls share one pool.
+func TestRunnerPoolsSystems(t *testing.T) {
+	ctx := context.Background()
 	var seen []*system.System
 	w := &sysRecorder{name: "sys-recorder", seen: &seen}
+	e16 := []Option{WithTopology(system.E16)}
+
+	// Consecutive same-topology jobs on a one-worker batch run on the
+	// same board (recycled through Reset), and a topology change forces
+	// a rebuild.
 	r := &Runner{Workers: 1}
-	jobs := []Job{
+	br, err := r.RunBatch(ctx, []Job{
 		{Workload: w},
 		{Workload: w},
-		{Workload: w, Options: []Option{WithTopology(system.E16)}},
+		{Workload: w, Options: e16},
 		{Workload: w},
-	}
-	br, err := r.RunBatch(context.Background(), jobs)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,13 +436,168 @@ func TestRunnerPoolsSystemsPerWorker(t *testing.T) {
 		t.Fatalf("recorded %d systems, want 4", len(seen))
 	}
 	if seen[0] != seen[1] {
-		t.Error("consecutive same-topology jobs did not recycle the worker's System")
+		t.Error("consecutive same-topology jobs did not recycle the pooled System")
 	}
 	if seen[1] == seen[2] {
 		t.Error("topology change reused the cached System")
 	}
 	if seen[2] == seen[3] {
 		t.Error("default-topology job reused the E16 board")
+	}
+
+	// A RunJob after a batch reuses the batch's board.
+	if jr := r.RunJob(ctx, Job{Workload: w}); jr.Err != nil {
+		t.Fatal(jr.Err)
+	}
+	if seen[4] != seen[3] {
+		t.Error("RunJob after RunBatch built a fresh board instead of reusing the batch's")
+	}
+
+	// With two idle slots, alternating topologies each find their own
+	// board: job 3 reuses job 1's E16, job 4 reuses job 2's E64.
+	seen = seen[:0]
+	r = &Runner{Workers: 2}
+	for _, opts := range [][]Option{e16, nil, e16, nil} {
+		if jr := r.RunJob(ctx, Job{Workload: w, Options: opts}); jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+	}
+	if seen[0] == seen[1] {
+		t.Fatal("E16 and E64 jobs shared a board")
+	}
+	if seen[2] != seen[0] {
+		t.Error("third job (E16) did not reuse the first job's board")
+	}
+	if seen[3] != seen[1] {
+		t.Error("fourth job (E64) did not reuse the second job's board")
+	}
+}
+
+// TestRunnerPoolSharedConcurrently drives one Runner's pool from batch
+// workers and RunJob callers at once. A board handed to two jobs at the
+// same time would fail the second job's Acquire; -race checks the
+// pool's locking.
+func TestRunnerPoolSharedConcurrently(t *testing.T) {
+	ctx := context.Background()
+	r := &Runner{Workers: 2}
+	e16 := []Option{WithTopology(system.E16)}
+	jobs := make([]Job, 6)
+	for i := range jobs {
+		jobs[i] = Job{Workload: &probe{name: fmt.Sprintf("batch-%d", i)}}
+		if i%2 == 1 {
+			jobs[i].Options = e16
+		}
+	}
+	const callers, calls = 2, 3
+	errs := make(chan error, callers*calls)
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				job := Job{Workload: &probe{name: "solo"}}
+				if (g+i)%2 == 1 {
+					job.Options = e16
+				}
+				errs <- r.RunJob(ctx, job).Err
+			}
+		}()
+	}
+	br, err := r.RunBatch(ctx, jobs)
+	wg.Wait()
+	close(errs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := br.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := len(r.idle); n > r.Workers {
+		t.Fatalf("%d idle boards pooled, want at most Workers=%d", n, r.Workers)
+	}
+}
+
+// deadlocker parks a proc on a condition nobody signals, so its run ends
+// in a deadlock and leaves a board System.Reset refuses.
+type deadlocker struct {
+	seen *[]*system.System
+}
+
+func (d *deadlocker) Name() string    { return "deadlocker" }
+func (d *deadlocker) Validate() error { return nil }
+func (d *deadlocker) Run(ctx context.Context, sys *system.System) (Result, error) {
+	if err := sys.Acquire(); err != nil {
+		return nil, err
+	}
+	*d.seen = append(*d.seen, sys)
+	never := sim.NewCond(sys.Engine(), "never")
+	sys.Engine().Spawn("stuck", func(p *sim.Proc) { p.WaitCond(never) })
+	return fixedResult{}, sys.Engine().Run()
+}
+
+// TestRunnerNeverPoolsFailedBoards: a board whose run deadlocked fails
+// Reset and is dropped, so the next same-topology job gets a different
+// System and reproduces a fresh run exactly.
+func TestRunnerNeverPoolsFailedBoards(t *testing.T) {
+	ctx := context.Background()
+	st, ok := ByName("stencil-tuned")
+	if !ok {
+		t.Fatal("stencil-tuned not registered")
+	}
+	fresh, err := Run(ctx, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen []*system.System
+	r := &Runner{Workers: 1}
+	jr := r.RunJob(ctx, Job{Workload: &deadlocker{seen: &seen}})
+	if jr.Err == nil || !strings.Contains(jr.Err.Error(), "deadlock") {
+		t.Fatalf("deadlocking job reported %v, want a deadlock error", jr.Err)
+	}
+	jr = r.RunJob(ctx, Job{Workload: &sysRecorder{name: "after-deadlock", seen: &seen, inner: st}})
+	if jr.Err != nil {
+		t.Fatal(jr.Err)
+	}
+	if seen[0] == seen[1] {
+		t.Fatal("the deadlocked board was pooled and handed to the next job")
+	}
+	if got, want := jr.Result.Metrics(), fresh.Metrics(); got != want {
+		t.Fatalf("job after a failed board drifted:\n got  %+v\n want %+v", got, want)
+	}
+}
+
+// TestDecoratorCarriesEnergyAndEngineStats: a run metered and observed at
+// once is wrapped exactly once, carrying both derived domains.
+func TestDecoratorCarriesEnergyAndEngineStats(t *testing.T) {
+	w := &Stencil{Config: core.StencilConfig{
+		Rows: 4, Cols: 4, Iters: 1, GroupRows: 1, GroupCols: 1, Seed: 1}}
+	res, err := Run(context.Background(), w,
+		WithPowerModel("epiphany-iv-28nm", ""), WithEngineStats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics()
+	if m.EnergyJ <= 0 || m.Energy.Total() <= 0 {
+		t.Errorf("energy domain missing: EnergyJ=%v breakdown %+v", m.EnergyJ, m.Energy)
+	}
+	if m.Engine == nil {
+		t.Error("Metrics.Engine is nil under WithEngineStats")
+	}
+	u, ok := res.(interface{ Unwrap() Result })
+	if !ok {
+		t.Fatalf("decorated result %T has no Unwrap", res)
+	}
+	if _, ok := u.Unwrap().(*core.StencilResult); !ok {
+		t.Fatalf("one Unwrap step gave %T, want *core.StencilResult", u.Unwrap())
+	}
+	if _, ok := Unwrap(res).(*core.StencilResult); !ok {
+		t.Fatalf("Unwrap gave %T, want *core.StencilResult", Unwrap(res))
 	}
 }
 

@@ -53,9 +53,10 @@ func ParseDVFSPoint(s string) (OperatingPoint, error) { return power.ParsePoint(
 // override.
 func WithPowerModel(model, dvfs string) Option { return workload.WithPowerModel(model, dvfs) }
 
-// UnwrapResult peels the energy decoration off a Result, returning the
+// UnwrapResult peels the decoration off a Result, returning the
 // workload's own concrete result for type assertions (a run executed
-// with WithPowerModel reports its Metrics through a wrapper).
+// with WithPowerModel or WithEngineStats reports its Metrics through a
+// wrapper).
 func UnwrapResult(res Result) Result { return workload.Unwrap(res) }
 
 // PowerComparison reproduces the paper's Table VII with every row - the
