@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"epiphany/internal/dma"
 	"epiphany/internal/ecore"
@@ -73,20 +74,46 @@ func (ca *cannon) await(slot int, v uint32) {
 // model's cycles.
 func (ca *cannon) blockCompute() {
 	start := ca.c.Now()
-	sram := ca.c.Local()
-	a, b, c := ca.aBase(), ca.bBase(), ca.plan.c
-	for i := 0; i < ca.m; i++ {
-		for l := 0; l < ca.n; l++ {
-			av := sram.LoadF32(a + mem.Addr(4*(i*ca.n+l)))
-			for j := 0; j < ca.k; j++ {
-				off := c + mem.Addr(4*(i*ca.k+j))
-				sram.StoreF32(off, sram.LoadF32(off)+av*sram.LoadF32(b+mem.Addr(4*(l*ca.k+j))))
-			}
-		}
-	}
+	mulBlock(ca.c.Local(), ca.aBase(), ca.bBase(), ca.plan.c, ca.m, ca.n, ca.k)
 	cycles, flops := MatmulBlockModel(ca.m, ca.n, ca.k, ca.tuned)
 	ca.c.Compute(cycles, flops)
 	ca.compute += ca.c.Now() - start
+}
+
+// mulScratch recycles mulBlock's operand buffers across blocks, cores
+// and runs.
+var mulScratch = sync.Pool{New: func() any { return new([]float32) }}
+
+// mulBlock performs C += A*B on the row-major float32 blocks at a (m x n),
+// b (n x k) and c (m x k) in sram. It decodes the three blocks once, runs
+// the multiply-adds in the modelled kernel's i, l, j order with its float
+// expression, and stores C once - so the result is bit-identical to the
+// word-by-word loop - then charges the SRAM traffic that loop makes
+// beyond the bulk decode and store: a C load, a B load and a C store per
+// multiply-add against one pass over B and two over C.
+func mulBlock(sram *mem.SRAM, a, b, c mem.Addr, m, n, k int) {
+	buf := mulScratch.Get().(*[]float32)
+	need := m*n + n*k + m*k
+	if cap(*buf) < need {
+		*buf = make([]float32, need)
+	}
+	av, bv, cv := (*buf)[:m*n], (*buf)[m*n:m*n+n*k], (*buf)[m*n+n*k:need]
+	sram.LoadF32s(a, av)
+	sram.LoadF32s(b, bv)
+	sram.LoadF32s(c, cv)
+	for i := 0; i < m; i++ {
+		ci := cv[i*k : (i+1)*k]
+		for l := 0; l < n; l++ {
+			x := av[i*n+l]
+			bl := bv[l*k : (l+1)*k]
+			for j := range ci {
+				ci[j] = ci[j] + x*bl[j]
+			}
+		}
+	}
+	sram.StoreF32s(c, cv)
+	sram.Charge(12*m*n*k - 4*n*k - 8*m*k)
+	mulScratch.Put(buf)
 }
 
 // zeroC clears the product block (doubleword stores: 2 floats/cycle).

@@ -172,16 +172,7 @@ func (s *summa) broadcastB(l int) mem.Addr {
 // panelCompute performs C += Apanel * Bpanel with the modelled schedule.
 func (s *summa) panelCompute(aBase, bBase mem.Addr) {
 	start := s.c.Now()
-	sram := s.c.Local()
-	for i := 0; i < s.m; i++ {
-		for l := 0; l < s.n; l++ {
-			av := sram.LoadF32(aBase + mem.Addr(4*(i*s.n+l)))
-			for j := 0; j < s.k; j++ {
-				off := s.plan.c + mem.Addr(4*(i*s.k+j))
-				sram.StoreF32(off, sram.LoadF32(off)+av*sram.LoadF32(bBase+mem.Addr(4*(l*s.k+j))))
-			}
-		}
-	}
+	mulBlock(s.c.Local(), aBase, bBase, s.plan.c, s.m, s.n, s.k)
 	cycles, flops := MatmulBlockModel(s.m, s.n, s.k, s.tuned)
 	s.c.Compute(cycles, flops)
 	s.compute += s.c.Now() - start

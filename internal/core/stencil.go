@@ -236,8 +236,11 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 	}
 
 	sram := c.Local()
-	prev := make([]float32, pitch) // rolling copy of the pre-update row above
-	cur := make([]float32, pitch)
+	// The sweep's row buffers, from one allocation: prev is the rolling
+	// copy of the pre-update row above, cur the pre-update row, next the
+	// inputs read from the row below and out the updated row.
+	rowBuf := make([]float32, 4*pitch)
+	prev, cur, next, out := rowBuf[:pitch], rowBuf[pitch:2*pitch], rowBuf[2*pitch:3*pitch], rowBuf[3*pitch:]
 	signal := func(base mem.Addr, iter uint32) {
 		for d := 0; d < numDirs; d++ {
 			if has[d] {
@@ -259,30 +262,35 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 		// Jacobi semantics (all five inputs are pre-update values; the
 		// already-updated row above survives in registers), so the sweep
 		// keeps a one-row rolling buffer of pre-update values.
-		for col := 0; col < pitch; col++ {
-			prev[col] = sram.LoadF32(gridAt(0, col))
-		}
+		// Rows move through the bulk accessors, which charge what the
+		// per-point loads and stores of the modelled kernel cost.
+		sram.LoadF32s(gridAt(0, 0), prev)
 		for r := 1; r <= rows; r++ {
-			for col := 0; col < pitch; col++ {
-				cur[col] = sram.LoadF32(gridAt(r, col))
-			}
-			for col := 1; col <= cfg.Cols; col++ {
-				var v float32
-				if cfg.Shape == Cross {
-					v = cfg.Coefs[0]*prev[col-1] +
+			sram.LoadF32s(gridAt(r, 0), cur)
+			if cfg.Shape == Cross {
+				// Each point loads its lower-left and lower-right
+				// neighbours: two reads of the row below, which land on
+				// the same values where they overlap.
+				sram.LoadF32s(gridAt(r+1, 0), next[:cfg.Cols])
+				sram.LoadF32s(gridAt(r+1, 2), next[2:cfg.Cols+2])
+				for col := 1; col <= cfg.Cols; col++ {
+					out[col] = cfg.Coefs[0]*prev[col-1] +
 						cfg.Coefs[1]*prev[col+1] +
 						cfg.Coefs[2]*cur[col] +
-						cfg.Coefs[3]*sram.LoadF32(gridAt(r+1, col-1)) +
-						cfg.Coefs[4]*sram.LoadF32(gridAt(r+1, col+1))
-				} else {
-					v = cfg.Coefs[0]*prev[col] +
+						cfg.Coefs[3]*next[col-1] +
+						cfg.Coefs[4]*next[col+1]
+				}
+			} else {
+				sram.LoadF32s(gridAt(r+1, 1), next[1:cfg.Cols+1])
+				for col := 1; col <= cfg.Cols; col++ {
+					out[col] = cfg.Coefs[0]*prev[col] +
 						cfg.Coefs[1]*cur[col-1] +
 						cfg.Coefs[2]*cur[col] +
 						cfg.Coefs[3]*cur[col+1] +
-						cfg.Coefs[4]*sram.LoadF32(gridAt(r+1, col))
+						cfg.Coefs[4]*next[col]
 				}
-				sram.StoreF32(gridAt(r, col), v)
 			}
+			sram.StoreF32s(gridAt(r, 1), out[1:cfg.Cols+1])
 			prev, cur = cur, prev
 		}
 		c.Compute(cycles, flops)

@@ -195,8 +195,10 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 	superC := cfg.GlobalCols / (cfg.GroupCols * cfg.BlockCols)
 	sram := c.Local()
 	maxExt := cfg.BlockCols + 2*cfg.TBlock
-	prev := make([]float32, maxExt)
-	cur := make([]float32, maxExt)
+	// Row buffers, from one allocation: the pre-update rows above and at
+	// r, the inputs read from row r+1 and the updated row r.
+	rowBuf := make([]float32, 4*maxExt)
+	prev, cur, next, out := rowBuf[:maxExt], rowBuf[maxExt:2*maxExt], rowBuf[2*maxExt:3*maxExt], rowBuf[3*maxExt:]
 
 	for done := 0; done < cfg.Iters; done += cfg.TBlock {
 		T := cfg.TBlock
@@ -221,7 +223,7 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 			// Page the window in (2D doubleword DMA over the eLink).
 			c.DMAStart(dma.DMA0, c.DMASetDesc(tileDesc(
 				mem.DRAMBase+srcOff+mem.Addr(4*(wr0*pitch+wc0)), c.Global(stencilGridOff),
-				rows, cols, pitch, cols, true)))
+				rows, cols, pitch, cols)))
 			c.DMAWait(dma.DMA0)
 			stats.dramBytes += uint64(4 * rows * cols)
 
@@ -242,21 +244,18 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 				c0 := wc0 + maxInt(edge(wc0, 0, k), 1)
 				c1 := wc1 - maxInt(edge(wc1, cfg.GlobalCols+2, k), 1)
 				r0, r1, c0, c1 = r0-wr0, r1-wr0, c0-wc0, c1-wc0
-				for col := c0 - 1; col <= c1; col++ {
-					prev[col] = sram.LoadF32(at(r0-1, col))
-				}
+				sram.LoadF32s(at(r0-1, c0-1), prev[c0-1:c1+1])
 				for r := r0; r < r1; r++ {
-					for col := c0 - 1; col <= c1; col++ {
-						cur[col] = sram.LoadF32(at(r, col))
-					}
+					sram.LoadF32s(at(r, c0-1), cur[c0-1:c1+1])
+					sram.LoadF32s(at(r+1, c0), next[c0:c1])
 					for col := c0; col < c1; col++ {
-						v := cfg.Coefs[0]*prev[col] +
+						out[col] = cfg.Coefs[0]*prev[col] +
 							cfg.Coefs[1]*cur[col-1] +
 							cfg.Coefs[2]*cur[col] +
 							cfg.Coefs[3]*cur[col+1] +
-							cfg.Coefs[4]*sram.LoadF32(at(r+1, col))
-						sram.StoreF32(at(r, col), v)
+							cfg.Coefs[4]*next[col]
 					}
+					sram.StoreF32s(at(r, c0), out[c0:c1])
 					prev, cur = cur, prev
 					points += c1 - c0
 				}
@@ -268,7 +267,7 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 			ir, ic := br0-wr0, bc0-wc0
 			c.DMAStart(dma.DMA0, c.DMASetDesc(tileDesc(
 				c.Global(at(ir, ic)), mem.DRAMBase+dstOff+mem.Addr(4*(br0*pitch+bc0)),
-				cfg.BlockRows, cfg.BlockCols, cols, pitch, false)))
+				cfg.BlockRows, cfg.BlockCols, cols, pitch)))
 			c.DMAWait(dma.DMA0)
 			stats.dramBytes += uint64(4 * cfg.BlockRows * cfg.BlockCols)
 		}
@@ -278,15 +277,13 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 }
 
 // tileDesc builds a 2D descriptor moving rows x cols float32 between a
-// strided source and destination. srcIn selects whether src (true) or dst
-// carries the DRAM-side pitch.
-func tileDesc(src, dst mem.Addr, rows, cols, srcPitch, dstPitch int, srcIn bool) *dma.Desc {
+// strided source and destination.
+func tileDesc(src, dst mem.Addr, rows, cols, srcPitch, dstPitch int) *dma.Desc {
 	beat := 8
 	inner := cols * 4 / beat
 	if cols*4%beat != 0 {
 		beat, inner = 4, cols
 	}
-	_ = srcIn
 	return &dma.Desc{
 		Beat:           beat,
 		InnerCount:     inner,

@@ -440,22 +440,45 @@ func (e *Engine) writeBeat(t mem.Target, off mem.Addr, beat int, v uint64) {
 	}
 }
 
+// window returns the n bytes of t's memory at off, charged as the beats
+// covering them would be.
+func (e *Engine) window(t mem.Target, off mem.Addr, n int) []byte {
+	if t.Kind == mem.KindDRAM {
+		return e.fab.DRAM.Bytes(off, n)
+	}
+	return e.fab.SRAMs[t.Core].Bytes(off, n)
+}
+
 // copyDesc performs the functional data movement for one descriptor.
 // On a sharded board it runs either in the shard owning both endpoints
 // or on the sys shard (which may touch any memory: its rounds are
 // mutually exclusive with every chip round).
+//
+// A row whose beats are contiguous on both sides moves as one range:
+// the memory windows charge the byte counters (and advance the DRAM
+// dirty watermark) exactly as its beats do. The exception is a row
+// copied forward onto itself within one memory - the destination
+// starting inside the source range - where each beat reads bytes an
+// earlier beat wrote; that row keeps beat order, which a memmove would
+// not reproduce.
 func (e *Engine) copyDesc(d *Desc, src, dst mem.Target) {
+	n := d.Beat * d.InnerCount
+	contiguous := d.SrcInnerStride == d.Beat && d.DstInnerStride == d.Beat
+	sameMem := src.Kind == dst.Kind && src.Core == dst.Core
 	so, do := src.Off, dst.Off
 	for row := 0; row < d.OuterCount; row++ {
-		rs, rd := so, do
-		for i := 0; i < d.InnerCount; i++ {
-			e.writeBeat(dst, rd, d.Beat, e.readBeat(src, rs, d.Beat))
-			if i < d.InnerCount-1 {
+		if contiguous && !(sameMem && so < do && do < so+mem.Addr(n)) {
+			copy(e.window(dst, do, n), e.window(src, so, n))
+		} else {
+			rs, rd := so, do
+			for i := 0; i < d.InnerCount; i++ {
+				e.writeBeat(dst, rd, d.Beat, e.readBeat(src, rs, d.Beat))
 				rs += mem.Addr(d.SrcInnerStride)
 				rd += mem.Addr(d.DstInnerStride)
 			}
 		}
-		so = rs + mem.Addr(d.SrcOuterStride)
-		do = rd + mem.Addr(d.DstOuterStride)
+		// The outer stride replaces the inner one after a row's last beat.
+		so += mem.Addr((d.InnerCount-1)*d.SrcInnerStride + d.SrcOuterStride)
+		do += mem.Addr((d.InnerCount-1)*d.DstInnerStride + d.DstOuterStride)
 	}
 }

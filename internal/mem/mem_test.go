@@ -1,6 +1,9 @@
 package mem
 
 import (
+	"bytes"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -148,6 +151,69 @@ func TestSRAMBoundsPanic(t *testing.T) {
 		}
 	}()
 	s.Store32(SRAMSize-2, 1)
+}
+
+// TestSRAMBulkF32MatchesPerElement: a LoadF32s/StoreF32s round trip
+// leaves the same bytes and the same AccessedBytes as the per-element
+// accessors over the same range.
+func TestSRAMBulkF32MatchesPerElement(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for _, tc := range []struct {
+		off Addr
+		n   int
+	}{{0, 1}, {0x104, 7}, {0x2000, 256}, {SRAMSize - 4*33, 33}} {
+		src := make([]float32, tc.n)
+		for i := range src {
+			src[i] = math.Float32frombits(rng.Uint32())
+		}
+		bulk, elem := NewSRAM(), NewSRAM()
+		bulk.StoreF32s(tc.off, src)
+		got := make([]float32, tc.n)
+		bulk.LoadF32s(tc.off, got)
+		for i, v := range src {
+			elem.StoreF32(tc.off+Addr(4*i), v)
+		}
+		for i := range src {
+			if w := elem.LoadF32(tc.off + Addr(4*i)); math.Float32bits(got[i]) != math.Float32bits(w) {
+				t.Fatalf("off %#x n %d: element %d bulk %#x, per-element %#x",
+					tc.off, tc.n, i, math.Float32bits(got[i]), math.Float32bits(w))
+			}
+		}
+		if !bytes.Equal(bulk.data[:], elem.data[:]) {
+			t.Fatalf("off %#x n %d: scratchpad bytes differ", tc.off, tc.n)
+		}
+		if b, e := bulk.AccessedBytes(), elem.AccessedBytes(); b != e || b != uint64(8*tc.n) {
+			t.Fatalf("off %#x n %d: AccessedBytes bulk %d, per-element %d, want %d", tc.off, tc.n, b, e, 8*tc.n)
+		}
+	}
+}
+
+func TestSRAMBulkF32BoundsPanic(t *testing.T) {
+	for name, f := range map[string]func(s *SRAM){
+		"LoadF32s":  func(s *SRAM) { s.LoadF32s(SRAMSize-8, make([]float32, 3)) },
+		"StoreF32s": func(s *SRAM) { s.StoreF32s(SRAMSize-8, make([]float32, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("out-of-range %s should panic", name)
+				}
+			}()
+			f(NewSRAM())
+		}()
+	}
+}
+
+func TestSRAMChargeCountsWithoutMoving(t *testing.T) {
+	s := NewSRAM()
+	s.Charge(12)
+	s.Store32(0, 1)
+	if got := s.AccessedBytes(); got != 16 {
+		t.Fatalf("AccessedBytes = %d, want 16", got)
+	}
+	if s.Load32(0) != 1 || s.Load32(4) != 0 {
+		t.Fatal("Charge changed scratchpad contents")
+	}
 }
 
 func TestCopyBetweenSRAMs(t *testing.T) {

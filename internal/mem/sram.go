@@ -51,15 +51,24 @@ func (s *SRAM) AccessedBytes() uint64 { return s.accessed }
 
 // Bounds are enforced by the compiler's intrinsic slice checks inside
 // each accessor: an out-of-range access panics with the runtime's
-// index-out-of-range error, which carries the offending index. The
-// bespoke pre-check with a formatted message was retired when the
-// accessors took on the energy counter - without the extra call they
-// fit the inlining budget, so the per-element load/store hot path
-// (3 loads + 1 store per multiply-add in the matmul kernels) compiles
-// to straight-line code; BENCH_5.json pins the result.
+// index-out-of-range error, which carries the offending index.
+//
+// The kernels' arithmetic goes through the bulk accessors LoadF32s and
+// StoreF32s: a stencil row or matmul block is decoded once, computed on
+// as []float32 and stored once. Each bulk call charges what the same
+// range costs word by word, and a kernel whose modelled schedule touches
+// SRAM more often than it decodes (a multiply-add loads C and B and
+// stores C per element) charges the difference through Charge, so
+// AccessedBytes - the energy model's SRAM term - is what the per-word
+// schedule moves.
 
 // count charges an access to the energy model's byte counter.
 func (s *SRAM) count(n int) { s.accessed += uint64(n) }
+
+// Charge adds n bytes of modelled traffic to the access counter without
+// moving data: a bulk kernel that reuses decoded values charges here the
+// accesses its per-word schedule would have made.
+func (s *SRAM) Charge(n int) { s.count(n) }
 
 // Bytes returns a slice aliasing n bytes of SRAM at off. The caller must
 // not grow it; writes through it are visible to subsequent reads.
@@ -103,6 +112,24 @@ func (s *SRAM) LoadF32(off Addr) float32 { return math.Float32frombits(s.Load32(
 
 // StoreF32 writes a single-precision float.
 func (s *SRAM) StoreF32(off Addr, v float32) { s.Store32(off, math.Float32bits(v)) }
+
+// LoadF32s decodes len(dst) consecutive single-precision floats starting
+// at off, charging 4 bytes per float as LoadF32 does.
+func (s *SRAM) LoadF32s(off Addr, dst []float32) {
+	src := s.Bytes(off, 4*len(dst))
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// StoreF32s encodes src as consecutive single-precision floats starting
+// at off, charging 4 bytes per float as StoreF32 does.
+func (s *SRAM) StoreF32s(off Addr, src []float32) {
+	dst := s.Bytes(off, 4*len(src))
+	for i, v := range src {
+		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
+	}
+}
 
 // Copy copies n bytes within or between scratchpads (dst and src may be
 // the same SRAM; overlapping ranges copy as Go's copy does).

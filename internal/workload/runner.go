@@ -188,7 +188,11 @@ func (r *Runner) get(topo system.Topology) *system.System {
 
 // put returns a board after its job, keeping it only if System.Reset
 // certifies it pristine. At most one board per worker slot stays idle;
-// beyond that the oldest is evicted, as it would only hold memory.
+// beyond that one is evicted, as it would only hold memory: the oldest
+// whose topology a newer idle board shares, else the oldest. Keeping
+// distinct topologies means a mixed stream (a daemon serving several
+// board shapes) rebuilds fewer boards when concurrent jobs happen to
+// return two of the same shape.
 func (r *Runner) put(topo system.Topology, sys *system.System) {
 	if sys.Reset() != nil {
 		return
@@ -197,9 +201,23 @@ func (r *Runner) put(topo system.Topology, sys *system.System) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.idle = append(r.idle, idleBoard{topo, sys})
-	if n := len(r.idle) - limit; n > 0 {
-		r.idle = slices.Delete(r.idle, 0, n)
+	for len(r.idle) > limit {
+		i := r.evictable()
+		r.idle = slices.Delete(r.idle, i, i+1)
 	}
+}
+
+// evictable returns the index of the idle board put should evict. The
+// caller holds r.mu.
+func (r *Runner) evictable() int {
+	for i, b := range r.idle {
+		for _, newer := range r.idle[i+1:] {
+			if newer.topo == b.topo {
+				return i
+			}
+		}
+	}
+	return 0
 }
 
 // runJob executes one job on a pristine System from the pool,

@@ -473,6 +473,23 @@ func TestRunnerPoolsSystems(t *testing.T) {
 	}
 }
 
+// TestRunnerPoolEvictsDuplicateTopologyFirst: when concurrent jobs
+// return two boards of one topology to a full pool, the older duplicate
+// is evicted rather than the only board of another topology.
+func TestRunnerPoolEvictsDuplicateTopologyFirst(t *testing.T) {
+	r := &Runner{Workers: 2}
+	e64, e16a, e16b := system.NewTopology(system.E64), system.NewTopology(system.E16), system.NewTopology(system.E16)
+	r.put(system.E64, e64)
+	r.put(system.E16, e16a)
+	r.put(system.E16, e16b)
+	if got := r.get(system.E64); got != e64 {
+		t.Error("the only idle E64 board was evicted in favour of a second E16")
+	}
+	if got := r.get(system.E16); got != e16b {
+		t.Error("the newer E16 board was not the one kept")
+	}
+}
+
 // TestRunnerPoolSharedConcurrently drives one Runner's pool from batch
 // workers and RunJob callers at once. A board handed to two jobs at the
 // same time would fail the second job's Acquire; -race checks the
