@@ -79,8 +79,12 @@ func TestAPISmokeWorkloadFile(t *testing.T) {
 	if trace.Len() == 0 {
 		t.Error("WithTrace wrote nothing")
 	}
-	if _, err := epiphany.Run(context.Background(), st, epiphany.WithMeshSize(4, 4)); err != nil {
-		t.Errorf("WithMeshSize(4,4): %v", err)
+	mesh, err := epiphany.ParseTopology("4x4/shards=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := epiphany.Run(context.Background(), st, epiphany.WithTopology(mesh)); err != nil {
+		t.Errorf("WithTopology(4x4/shards=1): %v", err)
 	}
 }
 
@@ -113,9 +117,13 @@ func TestAPISmokeRunnerFile(t *testing.T) {
 // kernel-level types, the application shims' configs, the host-side
 // reference computations, and the experiment registry.
 func TestAPISmokeEpiphanyFile(t *testing.T) {
-	var sys *epiphany.System = epiphany.NewSystemSize(2, 2)
+	mesh, err := epiphany.ParseTopology("2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sys *epiphany.System = epiphany.NewSystemTopology(mesh)
 	if sys.Chip().NumCores() != 4 {
-		t.Fatal("NewSystemSize(2,2) not 4 cores")
+		t.Fatal("NewSystemTopology(2x2) not 4 cores")
 	}
 	if epiphany.NewSystem().Chip().NumCores() != 64 {
 		t.Fatal("NewSystem not the 64-core default")
@@ -228,15 +236,10 @@ func TestAPISmokePowerFile(t *testing.T) {
 	}
 }
 
-// TestAPISmokeSweepFile covers sweep.go: plan aliases, the topology
-// spelling parser, the exported fingerprints, and a one-cell sweep.
+// TestAPISmokeSweepFile covers sweep.go: plan aliases, the exported
+// fingerprints, and a one-cell sweep.
 func TestAPISmokeSweepFile(t *testing.T) {
-	var topo epiphany.SweepTopo
-	topo, err := epiphany.ParseSweepTopo("e16")
-	if err != nil || topo.Preset != "e16" {
-		t.Fatalf("ParseSweepTopo: %v, %v", topo, err)
-	}
-	plan := epiphany.SweepPlan{Workloads: []string{"stencil-tuned"}, Topos: []epiphany.SweepTopo{topo}}
+	plan := epiphany.SweepPlan{Workloads: []string{"stencil-tuned"}, Topos: []string{"e16"}}
 
 	// The content-addressing surface rides the aliases.
 	fp, err := plan.Fingerprint()

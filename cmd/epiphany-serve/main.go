@@ -11,7 +11,9 @@
 //	curl -s -X POST localhost:8080/v1/jobs \
 //	    -d '{"workload":"stencil-tuned","topo":"grid=4x4/chip=8x8"}'
 //	curl -s -X POST 'localhost:8080/v1/sweeps?format=ndjson' \
-//	    -d '{"workloads":["stencil-tuned"],"topos":[{"preset":"e16"},{"spec":"grid=2x2/chip=8x8"}]}'
+//	    -d '{"workloads":["stencil-tuned"],"topos":["e16","grid=2x2/chip=8x8"]}'
+//	curl -s -X POST localhost:8080/v1/jobs \
+//	    -d '{"workload":"stencil-tuned","topo":"cluster-2x2/shards=1"}'
 //	curl -s localhost:8080/v1/plans
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/metrics
@@ -46,7 +48,6 @@ func main() {
 		dir     = flag.String("cache-dir", "", "persist cached results here (empty = memory only)")
 		timeout = flag.Duration("timeout", 0, "per-request simulation budget (0 = 2m)")
 		grace   = flag.Duration("grace", 30*time.Second, "shutdown drain budget")
-		shards  = flag.Int("shards", 0, "event-engine partition per board: 0 = one shard per chip, 1 = single heap (results are bit-identical either way)")
 		simwork = flag.Int("sim-workers", 1, "goroutines driving each board's shards (composes with -workers)")
 		access  = flag.Bool("access-log", true, "log one structured line per request (route, status, stage times, result fingerprint)")
 	)
@@ -67,7 +68,6 @@ func main() {
 		CacheEntries:   *entries,
 		CacheDir:       *dir,
 		RequestTimeout: *timeout,
-		Shards:         *shards,
 		SimWorkers:     *simwork,
 		Logger:         logger,
 	})

@@ -16,6 +16,7 @@
 //	epiphany-sweep -topos e16,4x8,e64           # ad-hoc single-chip meshes mix in
 //	epiphany-sweep -topos e64,grid=4x4/chip=8x8 # parameterized chip grids (1024 cores)
 //	epiphany-sweep -topos cluster-2x2,cluster-2x2/c2c=40:600   # sweep the c2c link speed
+//	epiphany-sweep -topos grid=4x4/chip=8x8/shards=1           # pin the single-heap engine
 //	epiphany-sweep -seeds 1,2,3 -baseline e64   # seed axis, speedup vs the e64 cells
 //	epiphany-sweep -format csv -o sweep.csv     # machine-grade golden output
 //	epiphany-sweep -power epiphany-iv-28nm      # energy columns on every cell
@@ -36,9 +37,9 @@ import (
 
 func main() {
 	workloads := flag.String("workloads", "all", `workloads to sweep: "all" or a comma-separated name list`)
-	topos := flag.String("topos", "", `topology axis: comma-separated presets ("e16"), meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), optional "/c2c=BYTE:HOP" overrides; empty = all presets`)
+	topos := flag.String("topos", "", `topology axis: comma-separated presets ("e16"), meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), each with an optional "/c2c=BYTE:HOP" override and then an optional "/shards=N" engine partition; empty = all presets`)
 	seeds := flag.String("seeds", "", "seed axis: comma-separated uint64s; empty = each workload's default seed")
-	baseline := flag.String("baseline", "", "topology key the speedup/efficiency columns compare against (default: smallest on the axis)")
+	baseline := flag.String("baseline", "", "topology the speedup/efficiency columns compare against, in any spelling of a -topos value (default: smallest on the axis)")
 	powerModel := flag.String("power", "", `power-model preset for energy columns (e.g. "epiphany-iv-28nm"); empty = no energy accounting (defaults to epiphany-iv-28nm when -dvfs is given)`)
 	dvfs := flag.String("dvfs", "", `DVFS operating-point axis: comma-separated "FREQ[MHz]@VOLT[V]" points (e.g. "300@0.8,600@1.0"); empty with -power = the model's nominal point`)
 	workers := flag.Int("workers", 0, "concurrent simulations (0 = GOMAXPROCS); never affects the output bytes")
@@ -53,7 +54,7 @@ func main() {
 		for _, w := range epiphany.Workloads() {
 			fmt.Printf("  %s\n", w.Name())
 		}
-		fmt.Println("topology presets (the grammar also accepts ad-hoc meshes like 4x8, chip grids like grid=4x4/chip=8x8, cluster-4x4 or e64x16, and /c2c=BYTE:HOP overrides):")
+		fmt.Println("topology presets (the grammar also accepts ad-hoc meshes like 4x8, chip grids like grid=4x4/chip=8x8, cluster-4x4 or e64x16, /c2c=BYTE:HOP overrides and /shards=N partitions):")
 		for _, t := range epiphany.Topologies() {
 			fmt.Printf("  %s\n", t)
 		}
@@ -155,19 +156,9 @@ func overlayPlan(base, flags epiphany.SweepPlan) epiphany.SweepPlan {
 
 // buildPlan translates the comma-separated flags into a SweepPlan.
 func buildPlan(workloads, topos, seeds, baseline string) (epiphany.SweepPlan, error) {
-	var p epiphany.SweepPlan
-	p.Baseline = baseline
-	if workloads != "" && workloads != "all" {
-		for _, name := range splitList(workloads) {
-			p.Workloads = append(p.Workloads, name)
-		}
-	}
-	for _, spec := range splitList(topos) {
-		t, err := epiphany.ParseSweepTopo(spec)
-		if err != nil {
-			return p, err
-		}
-		p.Topos = append(p.Topos, t)
+	p := epiphany.SweepPlan{Topos: splitList(topos), Baseline: baseline}
+	if workloads != "all" {
+		p.Workloads = splitList(workloads)
 	}
 	for _, s := range splitList(seeds) {
 		v, err := strconv.ParseUint(s, 10, 64)

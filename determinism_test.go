@@ -1,7 +1,8 @@
 package epiphany_test
 
-// The cross-mode determinism suite: the shard partition (WithShards,
-// the /shards= spec suffix) and the host goroutine count (WithWorkers)
+// The cross-mode determinism suite: the shard partition
+// (Topology.WithShards, the /shards= spec suffix) and the host
+// goroutine count (WithWorkers)
 // are execution knobs, never semantics. Every registered workload, on a
 // single chip, the 2x2 cluster, and an asymmetric 2x4 grid, must
 // produce bit-identical Metrics - time-domain AND energy - for every
@@ -48,19 +49,18 @@ func shardCounts(n int) []int {
 	return out
 }
 
-// runDeterminism executes w on topo with the given shard partition and
-// worker count, with the energy model attached so the energy fields are
-// part of the comparison.
-func runDeterminism(t *testing.T, w epiphany.Workload, topo epiphany.Topology, shards, workers int) epiphany.Metrics {
+// runDeterminism executes w on topo - whose Shards field sets the
+// engine partition - with the given worker count, with the energy
+// model attached so the energy fields are part of the comparison.
+func runDeterminism(t *testing.T, w epiphany.Workload, topo epiphany.Topology, workers int) epiphany.Metrics {
 	t.Helper()
 	res, err := epiphany.Run(context.Background(), w,
 		epiphany.WithTopology(topo),
 		epiphany.WithPowerModel("epiphany-iv-28nm", ""),
-		epiphany.WithShards(shards),
 		epiphany.WithWorkers(workers),
 	)
 	if err != nil {
-		t.Fatalf("%s on %s shards=%d workers=%d: %v", w.Name(), topo, shards, workers, err)
+		t.Fatalf("%s on %s workers=%d: %v", w.Name(), topo, workers, err)
 	}
 	return res.Metrics()
 }
@@ -79,13 +79,13 @@ func TestDeterminismAcrossShardsAndWorkers(t *testing.T) {
 			for _, w := range epiphany.Workloads() {
 				w := w
 				t.Run(w.Name(), func(t *testing.T) {
-					base := runDeterminism(t, w, topo, 1, 1)
+					base := runDeterminism(t, w, topo.WithShards(1), 1)
 					for _, shards := range shardCounts(topo.NumChips()) {
 						for _, workers := range []int{1, 4} {
 							if shards == 1 && workers == 1 {
 								continue
 							}
-							got := runDeterminism(t, w, topo, shards, workers)
+							got := runDeterminism(t, w, topo.WithShards(shards), workers)
 							if got != base {
 								t.Errorf("shards=%d workers=%d diverged from the sequential engine:\n got  %+v\n want %+v",
 									shards, workers, got, base)
@@ -130,9 +130,8 @@ func TestDeterminismOffChipMatmulProduct(t *testing.T) {
 				for _, workers := range []int{1, 4} {
 					res, err := epiphany.Run(context.Background(),
 						&epiphany.MatmulWorkload{Config: cfg},
-						epiphany.WithTopology(topo),
+						epiphany.WithTopology(topo.WithShards(shards)),
 						epiphany.WithPowerModel("epiphany-iv-28nm", ""),
-						epiphany.WithShards(shards),
 						epiphany.WithWorkers(workers),
 					)
 					if err != nil {
@@ -168,17 +167,13 @@ func TestDeterminismOffChipMatmulProduct(t *testing.T) {
 }
 
 // TestDeterminismShardSpecSuffix pins that the /shards= grammar suffix
-// is the same axis as WithShards: a topology parsed with the suffix
-// produces the same bits as the option, and the suffix round-trips
+// is the same axis as Topology.WithShards: a topology parsed with the
+// suffix equals the Go form, produces the same bits, and round-trips
 // through Spec.
 func TestDeterminismShardSpecSuffix(t *testing.T) {
 	w, ok := epiphany.WorkloadByName("stencil-tuned")
 	if !ok {
 		t.Fatal("stencil-tuned not registered")
-	}
-	base, err := epiphany.ParseTopology("cluster-2x2")
-	if err != nil {
-		t.Fatal(err)
 	}
 	for _, shards := range []int{1, 2, 4} {
 		spec := fmt.Sprintf("cluster-2x2/shards=%d", shards)
@@ -189,10 +184,12 @@ func TestDeterminismShardSpecSuffix(t *testing.T) {
 		if pinned.Spec() != spec {
 			t.Errorf("Spec round-trip: parsed %q, rendered %q", spec, pinned.Spec())
 		}
-		got := runDeterminism(t, w, pinned, 0, 1) // shards=0: the spec's pin must win
-		want := runDeterminism(t, w, base, shards, 1)
-		if got != want {
-			t.Errorf("topology %q diverged from WithShards(%d)", spec, shards)
+		goForm := epiphany.TopologyCluster2x2.WithShards(shards)
+		if pinned != goForm {
+			t.Errorf("topology %q parsed to %+v, want %+v", spec, pinned, goForm)
+		}
+		if runDeterminism(t, w, pinned, 1) != runDeterminism(t, w, goForm, 1) {
+			t.Errorf("topology %q diverged from TopologyCluster2x2.WithShards(%d)", spec, shards)
 		}
 	}
 }
@@ -213,7 +210,7 @@ func TestDeterminismRecycledShardedBoards(t *testing.T) {
 	}
 	want := map[int]epiphany.Metrics{}
 	for _, shards := range []int{1, 2, 4} {
-		want[shards] = runDeterminism(t, w, topo, shards, 1)
+		want[shards] = runDeterminism(t, w, topo.WithShards(shards), 1)
 	}
 
 	r := &epiphany.Runner{Workers: 2}
@@ -224,9 +221,8 @@ func TestDeterminismRecycledShardedBoards(t *testing.T) {
 			jobs = append(jobs, epiphany.Job{
 				Workload: w,
 				Options: []epiphany.Option{
-					epiphany.WithTopology(topo),
+					epiphany.WithTopology(topo.WithShards(shards)),
 					epiphany.WithPowerModel("epiphany-iv-28nm", ""),
-					epiphany.WithShards(shards),
 					epiphany.WithWorkers(2),
 				},
 			})

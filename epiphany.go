@@ -92,10 +92,6 @@ type System = system.System
 // NewSystem builds the standard 8x8 Epiphany-IV system.
 func NewSystem() *System { return system.New() }
 
-// NewSystemSize builds a rows x cols single-chip device (for studying
-// smaller or hypothetical larger meshes; the paper's device is 8x8).
-func NewSystemSize(rows, cols int) *System { return system.NewSize(rows, cols) }
-
 // NewSystemTopology builds a system on the given fabric topology: a
 // single chip (TopologyE16, TopologyE64) or a multi-chip board
 // (TopologyCluster2x2, or any custom Topology). Invalid geometries

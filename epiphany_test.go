@@ -54,7 +54,7 @@ func TestSystemIsSingleUse(t *testing.T) {
 }
 
 func TestSystemSize(t *testing.T) {
-	sys := NewSystemSize(4, 4)
+	sys := NewSystemTopology(mustTopology(t, "4x4"))
 	if sys.Chip().NumCores() != 16 {
 		t.Fatalf("cores = %d", sys.Chip().NumCores())
 	}

@@ -101,8 +101,7 @@ func BenchmarkSingleJob(b *testing.B) {
 			// daemon's boards, so construction cost stays out of the
 			// per-job latency.
 			r := &Runner{Workers: 1, Options: []Option{
-				WithTopology(topo),
-				WithShards(tc.shards),
+				WithTopology(topo.WithShards(tc.shards)),
 				WithWorkers(tc.workers),
 			}}
 			ctx := context.Background()

@@ -26,6 +26,12 @@
 //	GET  /metrics          the same counters in Prometheus text exposition
 //	                       format, plus request-stage latency histograms
 //
+// Every topology in a request body - a job's "topo", a sweep's "topos"
+// and "baseline" - is a topology-grammar string (system.ParseTopologySpec:
+// "e64", "grid=4x4/chip=8x8", "cluster-2x2/c2c=40:600/shards=1"), the
+// same spelling the CLIs take; the daemon canonicalizes it before
+// hashing, so alternate spellings of one board share cache entries.
+//
 // ?format=ndjson streams sweep rows as cells complete (one JSON object
 // per line, grid order, derived columns included); the other formats
 // render exactly the bytes epiphany.Sweep would. Submissions are
@@ -75,15 +81,6 @@ type Config struct {
 	// two minutes. A request that exceeds it gets 504 (simulations
 	// already in flight run to their next cancellation point).
 	RequestTimeout time.Duration
-	// Shards is the default event-engine partition for every board the
-	// daemon builds: 0 (auto) gives each chip of a multi-chip board its
-	// own shard, 1 runs boards on the classic single event heap. A job
-	// whose topology spec pins its own "/shards=N" keeps it. Metrics -
-	// and therefore cached results - are bit-identical for every value;
-	// the knob only shapes the execution layout (and, with SimWorkers,
-	// intra-board parallelism). Boards are pooled per partition, so a
-	// long-lived daemon keeps stable shard layouts across recycles.
-	Shards int
 	// SimWorkers runs each board's shards on that many goroutines
 	// (<= 1 means sequential). Composes with Workers: up to
 	// Workers x SimWorkers simulation goroutines.
@@ -165,10 +162,8 @@ type Stats struct {
 	SimulatedWallNS int64 `json:"simulated_wall_ns"`
 	ServedWallNS    int64 `json:"served_wall_ns"`
 	Draining        bool  `json:"draining"`
-	// Shards is the daemon's default event-engine partition (0 = auto,
-	// one shard per chip); SimWorkers the goroutines driving each
-	// board's shards. Neither affects results, only execution layout.
-	Shards     int `json:"shards"`
+	// SimWorkers is the goroutines driving each board's shards; it
+	// never affects results, only execution layout.
 	SimWorkers int `json:"sim_workers"`
 	// UptimeS is seconds since the daemon started.
 	UptimeS float64 `json:"uptime_s"`
@@ -185,10 +180,11 @@ type JobSpec struct {
 	// Workload is a registered workload name (required; see
 	// /v1/workloads).
 	Workload string `json:"workload"`
-	// Topo is the topology spelling sweep.ParseTopo accepts: a preset
-	// ("e64"), an ad-hoc mesh ("4x8"), a parameterized chip grid
-	// ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), any with an
-	// optional "/c2c=BYTE:HOP" override. Empty means e64, the library
+	// Topo is a topology-grammar spelling (system.ParseTopologySpec):
+	// a preset ("e64"), an ad-hoc mesh ("4x8"), a parameterized chip
+	// grid ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), any with an
+	// optional "/c2c=BYTE:HOP" override and then an optional
+	// "/shards=N" engine partition. Empty means e64, the library
 	// default.
 	Topo string `json:"topo,omitempty"`
 	// Power and DVFS select the energy axis (power-model preset and
@@ -226,9 +222,6 @@ func NewServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	var base []workload.Option
-	if cfg.Shards != 0 {
-		base = append(base, workload.WithShards(cfg.Shards))
-	}
 	if cfg.SimWorkers > 1 {
 		base = append(base, workload.WithWorkers(cfg.SimWorkers))
 	}
@@ -358,7 +351,6 @@ func (s *Server) Stats() Stats {
 		SimulatedWallNS:    s.simNS.Load(),
 		ServedWallNS:       s.servedNS.Load(),
 		Draining:           s.draining.Load(),
-		Shards:             s.cfg.Shards,
 		SimWorkers:         max(s.cfg.SimWorkers, 1),
 		UptimeS:            s.metrics.uptime().Seconds(),
 		Requests:           s.metrics.requestCounts(),
@@ -453,15 +445,9 @@ func (spec JobSpec) resolve() (sweep.Plan, sweep.Cell, error) {
 	if spec.Workload == "" {
 		return sweep.Plan{}, sweep.Cell{}, errors.New(`epiphany: job spec needs a "workload" (see /v1/workloads)`)
 	}
-	p := sweep.Plan{Workloads: []string{spec.Workload}, Power: spec.Power}
+	p := sweep.Plan{Workloads: []string{spec.Workload}, Topos: []string{"e64"}, Power: spec.Power}
 	if spec.Topo != "" {
-		t, err := sweep.ParseTopo(spec.Topo)
-		if err != nil {
-			return p, sweep.Cell{}, err
-		}
-		p.Topos = []sweep.Topo{t}
-	} else {
-		p.Topos = []sweep.Topo{{Preset: "e64"}}
+		p.Topos = []string{spec.Topo}
 	}
 	if spec.DVFS != "" {
 		p.DVFS = []string{spec.DVFS}
@@ -691,18 +677,10 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, n sweep
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 
-	// The baseline row index for each cell: same workload, DVFS point
-	// and seed on the plan's baseline topology. Normalize guarantees
-	// the baseline topology is on the axis, so every cell has one.
-	type baseKey struct{ workload, dvfs, seed string }
-	baseOf := make(map[baseKey]int)
-	for i, c := range cells {
-		if c.Topo.Key() == n.Baseline {
-			baseOf[baseKey{c.Workload, c.DVFS, seedKey(c.Seed)}] = i
-		}
-	}
-
-	for i, c := range cells {
+	// Normalize guarantees the baseline topology is on the axis, so
+	// every cell has a baseline row.
+	baseOf := n.Baselines(cells)
+	for i := range cells {
 		wait := func(j int) bool {
 			select {
 			case <-ready[j]:
@@ -711,13 +689,13 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, n sweep
 				return false
 			}
 		}
-		b, hasBase := baseOf[baseKey{c.Workload, c.DVFS, seedKey(c.Seed)}]
-		if !wait(i) || (hasBase && !wait(b)) {
+		b := baseOf[i]
+		if !wait(i) || (b >= 0 && !wait(b)) {
 			enc.Encode(sweepTrailer{Cells: i, Error: ctx.Err().Error()})
 			return
 		}
 		row := sweepRow{Index: i, ID: ids[i], Result: results[i]}
-		if hasBase {
+		if b >= 0 {
 			sweep.DeriveCell(&row.Result, &results[b])
 		}
 		if err := enc.Encode(row); err != nil {
@@ -728,14 +706,6 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, n sweep
 		}
 	}
 	enc.Encode(sweepTrailer{Done: true, Cells: len(cells)})
-}
-
-// seedKey matches sweep's seed labelling for baseline lookup.
-func seedKey(s *uint64) string {
-	if s == nil {
-		return "-"
-	}
-	return strconv.FormatUint(*s, 10)
 }
 
 // ---- listings, stats, health ----
@@ -768,7 +738,7 @@ func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"topologies": infos,
-		"note":       `the full topology grammar is accepted wherever a preset is: ad-hoc meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16") and c2c overrides ("cluster-2x2/c2c=40:600")`,
+		"note":       `the full topology grammar is accepted wherever a preset is: ad-hoc meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), c2c overrides ("cluster-2x2/c2c=40:600") and engine partitions ("cluster-2x2/shards=1")`,
 	})
 }
 

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,7 +21,7 @@ import (
 // topologies, 4 cells, a couple hundred milliseconds of simulation.
 var testPlan = sweep.Plan{
 	Workloads: []string{"stencil-tuned", "matmul-cannon"},
-	Topos:     []sweep.Topo{{Preset: "e16"}, {Preset: "e64"}},
+	Topos:     []string{"e16", "e64"},
 }
 
 func newTestServer(t *testing.T, cfg Config) *Server {
@@ -544,8 +545,8 @@ func TestJobGridTopoSpecs(t *testing.T) {
 	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Cell.Topo.Spec != "grid=2x2/chip=4x4" {
-		t.Errorf("cell topo %+v, want the canonical grid spec", resp.Cell.Topo)
+	if resp.Cell.Topo != "grid=2x2/chip=4x4" || resp.Result.Topology != resp.Cell.Topo {
+		t.Errorf("cell topo %q, result topology %q; want both the canonical grid spec", resp.Cell.Topo, resp.Result.Topology)
 	}
 	// The grammar keeps alias boards distinct, but canonical spelling
 	// means alternate spellings of the same spec share one cache entry.
@@ -577,23 +578,39 @@ func TestJobGridTopoSpecs(t *testing.T) {
 	}
 }
 
-// TestSweepSpecAxis: sweep plans spell grid topologies through the
-// "spec" axis field, and a near-miss spec 400s with a suggestion.
+// TestSweepSpecAxis: sweep plans spell every axis value as a topology
+// grammar string - c2c overrides and engine partitions included - and
+// the response carries the canonical spellings; the object form of an
+// axis value and a near-miss spelling both 400, the latter with a
+// suggestion.
 func TestSweepSpecAxis(t *testing.T) {
 	s := newTestServer(t, Config{})
-	plan := sweep.Plan{
-		Workloads: []string{"stencil-tuned"},
-		Topos:     []sweep.Topo{{Preset: "e16"}, {Spec: "grid=2x2/chip=4x4"}},
-	}
-	w := do(t, s, "POST", "/v1/sweeps", plan)
+	w := do(t, s, "POST", "/v1/sweeps",
+		`{"workloads":["stencil-tuned"],"topos":["e16","grid=+2x2/chip=4x4","cluster-2x2/c2c=40:600/shards=1"]}`)
 	wantStatus(t, w, http.StatusOK)
-	if body := w.Body.String(); !strings.Contains(body, `"spec": "grid=2x2/chip=4x4"`) {
-		t.Errorf("sweep response lacks the canonical spec axis value:\n%s", body)
+	var res sweep.Result
+	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"e16", "cluster-2x2/c2c=40:600/shards=1", "grid=2x2/chip=4x4"}
+	if !slices.Equal(res.Plan.Topos, want) {
+		t.Errorf("sweep axis %q, want the canonical spellings %q", res.Plan.Topos, want)
+	}
+	for i, c := range res.Cells {
+		if c.Err != "" || c.Topology != want[i] {
+			t.Errorf("cell %d: topology %q error %q, want %q", i, c.Topology, c.Err, want[i])
+		}
+	}
+
+	w = do(t, s, "POST", "/v1/sweeps", `{"workloads":["stencil-tuned"],"topos":[{"preset":"e16"}]}`)
+	wantStatus(t, w, http.StatusBadRequest)
+	if !strings.Contains(w.Body.String(), "bad sweep plan") {
+		t.Errorf("object-form topology 400 body: %s", w.Body.String())
 	}
 
 	bad := sweep.Plan{
 		Workloads: []string{"stencil-tuned"},
-		Topos:     []sweep.Topo{{Spec: "cluster4x4"}},
+		Topos:     []string{"cluster4x4"},
 	}
 	w = do(t, s, "POST", "/v1/sweeps", bad)
 	wantStatus(t, w, http.StatusBadRequest)

@@ -55,7 +55,7 @@ func TestNormalizeDVFSAxis(t *testing.T) {
 func TestExpandDVFSAxis(t *testing.T) {
 	p, err := Plan{
 		Workloads: []string{"stencil-tuned", "matmul-cannon"},
-		Topos:     []Topo{{Preset: "e16"}, {Preset: "e64"}},
+		Topos:     []string{"e16", "e64"},
 		Seeds:     []uint64{1, 2},
 		Power:     "epiphany-iv-28nm",
 		DVFS:      []string{"300@0.8", "600@1.0", "800@1.2"},
@@ -91,7 +91,7 @@ func TestExpandDVFSAxis(t *testing.T) {
 func TestRunDVFSScalingTable(t *testing.T) {
 	res, err := Run(context.Background(), Plan{
 		Workloads: []string{"stencil-tuned"},
-		Topos:     []Topo{{Preset: "e64"}},
+		Topos:     []string{"e64"},
 		Power:     "epiphany-iv-28nm",
 		DVFS:      []string{"300@0.8", "600@1.0"},
 	}, 2)
@@ -145,7 +145,7 @@ func TestRunDVFSScalingTable(t *testing.T) {
 
 	// Without a power model the renderers must not mention energy.
 	plain, err := Run(context.Background(), Plan{
-		Workloads: []string{"stencil-tuned"}, Topos: []Topo{{Preset: "e64"}},
+		Workloads: []string{"stencil-tuned"}, Topos: []string{"e64"},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)

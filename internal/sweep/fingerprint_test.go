@@ -28,14 +28,14 @@ func fp(t *testing.T, p Plan) string {
 func TestFingerprintSpellingInvariance(t *testing.T) {
 	base := Plan{
 		Workloads: []string{"stencil-tuned", "matmul-cannon"},
-		Topos:     []Topo{{Preset: "e16"}, {Preset: "e64"}},
+		Topos:     []string{"e16", "e64"},
 		Seeds:     []uint64{1, 2},
 	}
 	want := fp(t, base)
 
 	permuted := Plan{
 		Workloads: []string{"matmul-cannon", "stencil-tuned"},
-		Topos:     []Topo{{Preset: "e64"}, {Preset: "e16"}},
+		Topos:     []string{"e64", "e16"},
 		Seeds:     []uint64{2, 1},
 	}
 	if got := fp(t, permuted); got != want {
@@ -44,7 +44,7 @@ func TestFingerprintSpellingInvariance(t *testing.T) {
 
 	duplicated := Plan{
 		Workloads: []string{"stencil-tuned", "matmul-cannon", "stencil-tuned"},
-		Topos:     []Topo{{Preset: "e16"}, {Preset: "e64"}, {Preset: "e16"}},
+		Topos:     []string{"e16", "e64", "e16"},
 		Seeds:     []uint64{1, 2, 2},
 	}
 	if got := fp(t, duplicated); got != want {
@@ -61,9 +61,9 @@ func TestFingerprintSpellingInvariance(t *testing.T) {
 
 	// DVFS spellings canonicalize: "600@1.0" and "600MHz@1.00V" are the
 	// same operating point.
-	a := Plan{Workloads: []string{"stencil-tuned"}, Topos: []Topo{{Preset: "e64"}},
+	a := Plan{Workloads: []string{"stencil-tuned"}, Topos: []string{"e64"},
 		Power: "epiphany-iv-28nm", DVFS: []string{"600@1.0", "300@0.85"}}
-	b := Plan{Workloads: []string{"stencil-tuned"}, Topos: []Topo{{Preset: "e64"}},
+	b := Plan{Workloads: []string{"stencil-tuned"}, Topos: []string{"e64"},
 		Power: "epiphany-iv-28nm", DVFS: []string{"300MHz@0.85V", "600MHz@1.00V"}}
 	if fp(t, a) != fp(t, b) {
 		t.Errorf("canonically equal DVFS axes fingerprint differently")
@@ -76,7 +76,7 @@ func TestFingerprintSpellingInvariance(t *testing.T) {
 func TestFingerprintDistinguishesEveryAxis(t *testing.T) {
 	base := Plan{
 		Workloads: []string{"stencil-tuned"},
-		Topos:     []Topo{{Preset: "e16"}, {Preset: "cluster-2x2"}},
+		Topos:     []string{"e16", "cluster-2x2"},
 		Seeds:     []uint64{1},
 		Power:     "epiphany-iv-28nm",
 		DVFS:      []string{"600@1.0"},
@@ -89,23 +89,23 @@ func TestFingerprintDistinguishesEveryAxis(t *testing.T) {
 	variants["workload"] = v
 
 	v = base
-	v.Topos = []Topo{{Preset: "e64"}, {Preset: "cluster-2x2"}}
+	v.Topos = []string{"e64", "cluster-2x2"}
 	variants["topology"] = v
 
 	v = base
-	v.Topos = []Topo{{Preset: "e16"}, {Preset: "cluster-2x2", C2CBytePeriod: 40}}
+	v.Topos = []string{"e16", "cluster-2x2/c2c=40:0"}
 	variants["c2c byte period"] = v
 
 	v = base
-	v.Topos = []Topo{{Preset: "e16"}, {Preset: "cluster-2x2", C2CHopLatency: 600}}
+	v.Topos = []string{"e16", "cluster-2x2/c2c=0:600"}
 	variants["c2c hop latency"] = v
 
 	v = base
-	v.Topos = []Topo{{Preset: "e16"}, {Preset: "cluster-2x2", Shards: 2}}
+	v.Topos = []string{"e16", "cluster-2x2/shards=2"}
 	variants["engine shards"] = v
 
 	v = base
-	v.Topos = []Topo{{Preset: "e16"}, {Preset: "cluster-2x2", Shards: 1}}
+	v.Topos = []string{"e16", "cluster-2x2/shards=1"}
 	variants["engine shards classic heap"] = v
 
 	v = base
@@ -160,7 +160,7 @@ func TestFingerprintStable(t *testing.T) {
 func TestCellFingerprint(t *testing.T) {
 	p, err := Plan{
 		Workloads: []string{"stencil-tuned", "matmul-cannon"},
-		Topos:     []Topo{{Preset: "e16"}, {Preset: "e64"}},
+		Topos:     []string{"e16", "e64"},
 		Seeds:     []uint64{1, 2},
 	}.Normalize()
 	if err != nil {
@@ -187,7 +187,7 @@ func TestCellFingerprint(t *testing.T) {
 	// deduplicate across overlapping sweeps.
 	small, err := Plan{
 		Workloads: []string{"stencil-tuned"},
-		Topos:     []Topo{{Preset: "e16"}},
+		Topos:     []string{"e16"},
 		Seeds:     []uint64{1},
 	}.Normalize()
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 
 // expandKey is a cell's identity for set comparisons.
 func expandKey(c Cell) string {
-	return fmt.Sprintf("%s|%s|%s", c.Workload, c.Topo.Key(), seedLabel(c.Seed))
+	return fmt.Sprintf("%s|%s|%s", c.Workload, c.Topo, seedLabel(c.Seed))
 }
 
 // normExpand normalizes and expands, failing the test on plan errors.
@@ -33,14 +33,14 @@ func TestExpandIsCartesianProduct(t *testing.T) {
 		"stencil-tuned", "stencil-naive", "matmul-cannon", "matmul-offchip",
 		"stream-stencil", "stream-stencil-deep",
 	}
-	topoPool := []Topo{
-		{Preset: "e16"},
-		{Preset: "e64"},
-		{Preset: "cluster-2x2"},
-		{MeshRows: 2, MeshCols: 2},
-		{MeshRows: 4, MeshCols: 8},
-		{Preset: "cluster-2x2", C2CBytePeriod: 40},
-		{Preset: "cluster-2x2", C2CBytePeriod: 40, C2CHopLatency: 600},
+	topoPool := []string{
+		"e16",
+		"e64",
+		"cluster-2x2",
+		"2x2",
+		"4x8",
+		"cluster-2x2/c2c=40:0",
+		"cluster-2x2/c2c=40:600",
 	}
 	seedPool := []uint64{1, 2, 3, 7, 11}
 
@@ -81,14 +81,14 @@ func TestExpandIsCartesianProduct(t *testing.T) {
 		for _, w := range np.Workloads {
 			for _, topo := range np.Topos {
 				if len(np.Seeds) == 0 {
-					if !seen[fmt.Sprintf("%s|%s|-", w, topo.Key())] {
-						t.Fatalf("round %d: hole at (%s, %s)", round, w, topo.Key())
+					if !seen[fmt.Sprintf("%s|%s|-", w, topo)] {
+						t.Fatalf("round %d: hole at (%s, %s)", round, w, topo)
 					}
 					continue
 				}
 				for _, s := range np.Seeds {
-					if !seen[fmt.Sprintf("%s|%s|%d", w, topo.Key(), s)] {
-						t.Fatalf("round %d: hole at (%s, %s, %d)", round, w, topo.Key(), s)
+					if !seen[fmt.Sprintf("%s|%s|%d", w, topo, s)] {
+						t.Fatalf("round %d: hole at (%s, %s, %d)", round, w, topo, s)
 					}
 				}
 			}
@@ -98,7 +98,7 @@ func TestExpandIsCartesianProduct(t *testing.T) {
 		// duplicates; the expansion must be identical cell for cell.
 		q := Plan{
 			Workloads: append(shuffled(rng, p.Workloads), p.Workloads[0]),
-			Topos:     append(shuffledTopos(rng, p.Topos), p.Topos[0]),
+			Topos:     append(shuffled(rng, p.Topos), p.Topos[0]),
 			Seeds:     shuffledSeeds(rng, p.Seeds),
 		}
 		if len(q.Seeds) > 0 {
@@ -119,12 +119,6 @@ func TestExpandIsCartesianProduct(t *testing.T) {
 
 func shuffled(rng *rand.Rand, in []string) []string {
 	out := append([]string(nil), in...)
-	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
-	return out
-}
-
-func shuffledTopos(rng *rand.Rand, in []Topo) []Topo {
-	out := append([]Topo(nil), in...)
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out
 }

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"epiphany/internal/names"
+	"epiphany/internal/system"
 	"epiphany/internal/tabular"
 	"epiphany/internal/workload"
 )
@@ -17,7 +18,7 @@ import (
 // position so tables keep their shape.
 type CellResult struct {
 	Workload string  `json:"workload"`
-	Topology string  `json:"topology"` // the Topo key
+	Topology string  `json:"topology"` // the cell's canonical topology spec
 	DVFS     string  `json:"dvfs,omitempty"`
 	Seed     *uint64 `json:"seed,omitempty"`
 	// Cores is the number of cores the workload's topology-fitted
@@ -98,7 +99,7 @@ func (p Plan) CellJob(c Cell) (workload.Job, int, error) {
 	if !ok {
 		return workload.Job{}, 0, names.Unknown("workload", c.Workload, registeredWorkloads())
 	}
-	st, err := c.Topo.Resolve()
+	st, err := system.ParseTopologySpec(c.Topo)
 	if err != nil {
 		return workload.Job{}, 0, err
 	}
@@ -120,7 +121,7 @@ func (p Plan) CellJob(c Cell) (workload.Job, int, error) {
 func NewCellResult(c Cell, cores int, jr workload.JobResult) CellResult {
 	cr := CellResult{
 		Workload: c.Workload,
-		Topology: c.Topo.Key(),
+		Topology: c.Topo,
 		DVFS:     c.DVFS,
 		Seed:     c.Seed,
 		Cores:    cores,
@@ -136,33 +137,20 @@ func NewCellResult(c Cell, cores int, jr workload.JobResult) CellResult {
 	return cr
 }
 
-// Derive fills the speedup, efficiency and relative-energy columns from
-// the baseline cells: the baseline for cell (w, topo, dvfs, seed) is
-// (w, p.Baseline, dvfs, seed) - scaling is always compared at the same
-// operating point, so the DVFS axis reads as frequency scaling and the
-// topology axis as strong scaling. Run calls it on every executed grid;
-// it is exported for callers that assemble a Result from individually
-// executed (or cached) cells.
+// Derive fills the speedup, efficiency and relative-energy columns of
+// every cell against its baseline cell (Plan.Baselines). Run calls it
+// on every executed grid; it is exported for callers that assemble a
+// Result from individually executed (or cached) cells.
 func (r *Result) Derive() {
-	base := make(map[baseKey]*CellResult)
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Topology == r.Plan.Baseline && c.Err == "" {
-			base[baseKey{c.Workload, c.DVFS, seedLabel(c.Seed)}] = c
+	cells := make([]Cell, len(r.Cells))
+	for i, c := range r.Cells {
+		cells[i] = Cell{Workload: c.Workload, Topo: c.Topology, DVFS: c.DVFS, Seed: c.Seed}
+	}
+	for i, b := range r.Plan.Baselines(cells) {
+		if b >= 0 {
+			DeriveCell(&r.Cells[i], &r.Cells[b])
 		}
 	}
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		DeriveCell(c, base[baseKey{c.Workload, c.DVFS, seedLabel(c.Seed)}])
-	}
-}
-
-// baseKey identifies a cell's baseline: same workload, operating point
-// and seed on the plan's baseline topology.
-type baseKey struct {
-	workload string
-	dvfs     string
-	seed     string
 }
 
 // DeriveCell fills c's derived scaling columns against its baseline

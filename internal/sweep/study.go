@@ -99,15 +99,9 @@ var scalingStudyWorkloads = []string{
 func ScalingStudy() Plan {
 	return Plan{
 		Workloads: append([]string(nil), scalingStudyWorkloads...),
-		Topos: []Topo{
-			{Preset: "e16"},
-			{Preset: "e64"},
-			{Preset: "cluster-2x2"},
-			{Spec: "grid=2x4/chip=8x8"},
-			{Spec: "grid=4x4/chip=8x8"},
-		},
-		Baseline: "e16",
-		Power:    "epiphany-iv-28nm",
+		Topos:     []string{"e16", "e64", "cluster-2x2", "grid=2x4/chip=8x8", "grid=4x4/chip=8x8"},
+		Baseline:  "e16",
+		Power:     "epiphany-iv-28nm",
 	}
 }
 

@@ -1,7 +1,8 @@
 // Package sweep runs declarative experiment grids over the simulator:
 // a Plan names a set of registered workloads, a set of fabric
-// topologies (presets, ad-hoc meshes, chip-to-chip timing overrides)
-// and optionally a set of seeds; Expand turns it into the cartesian
+// topologies spelled in the topology grammar (presets, ad-hoc meshes,
+// chip grids, chip-to-chip timing overrides, engine partitions) and
+// optionally a set of seeds; Expand turns it into the cartesian
 // job grid in a canonical order; Run executes the grid on the pooled
 // workload.Runner and derives the paper-style scaling columns
 // (speedup against a named baseline topology, parallel efficiency,
@@ -19,12 +20,9 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
-	"strings"
 
 	"epiphany/internal/names"
 	"epiphany/internal/power"
-	"epiphany/internal/sim"
 	"epiphany/internal/system"
 	"epiphany/internal/workload"
 )
@@ -39,191 +37,6 @@ func registeredWorkloads() []string {
 	return out
 }
 
-// presetNames lists the topology presets for error suggestions.
-func presetNames() []string {
-	ts := system.Topologies()
-	out := make([]string, len(ts))
-	for i, t := range ts {
-		out[i] = t.Name
-	}
-	return out
-}
-
-// Topo is one value of the topology axis: a preset board by name, a
-// parameterized chip-grid spec, or an ad-hoc rows x cols single-chip
-// mesh, optionally with the chip-to-chip eLink timing overridden (an
-// experiment axis of its own: the same grid run over several
-// C2CBytePeriod values measures how sensitive a workload is to the
-// off-chip link speed).
-type Topo struct {
-	// Preset is a preset topology name ("e16", "e64", "cluster-2x2").
-	Preset string `json:"preset,omitempty"`
-	// Spec is a parameterized chip-grid spelling from the topology
-	// grammar ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"; see
-	// system.ParseTopologySpec). Spell c2c overrides in the fields
-	// below, not as a /c2c= suffix inside Spec. Exactly one of Preset,
-	// Spec or the mesh fields identifies the board; Normalize rewrites
-	// Spec into its canonical form (and into Preset or the mesh fields
-	// when the spec names one of those), so equal boards get equal keys
-	// and fingerprints however they were spelled.
-	Spec string `json:"spec,omitempty"`
-	// MeshRows, MeshCols describe the ad-hoc single-chip mesh used when
-	// Preset and Spec are empty.
-	MeshRows int `json:"mesh_rows,omitempty"`
-	MeshCols int `json:"mesh_cols,omitempty"`
-	// C2CBytePeriod and C2CHopLatency override the chip-to-chip eLink
-	// timing in sim.Time units (1/3 ns); zero keeps the calibrated
-	// defaults. Only meaningful on multi-chip boards.
-	C2CBytePeriod sim.Time `json:"c2c_byte_period,omitempty"`
-	C2CHopLatency sim.Time `json:"c2c_hop_latency,omitempty"`
-	// Shards pins the event-engine partition of the board (the
-	// /shards=N grammar suffix): 0 keeps the default (one shard per
-	// chip), 1 the classic single heap, k in [2, NumChips] a contiguous
-	// grouping. The partition never changes a cell's metrics - the
-	// engine's determinism contract, pinned by the determinism suite -
-	// but it is part of the board's structural identity (pooled boards
-	// keep their partition across recycles), so it is part of the axis
-	// value and its key. Spell it here, not as a /shards= suffix inside
-	// Spec.
-	Shards int `json:"shards,omitempty"`
-}
-
-// Key returns the canonical cell label of the topology: the preset
-// name, the grid spec, or "RxC" for ad-hoc meshes, with a
-// "/c2c=byte:hop" suffix when the link timing is overridden (a zero
-// component means that knob keeps its calibrated default, not that it
-// costs nothing) and a "/shards=N" suffix when the engine partition is
-// pinned. Keys identify baseline cells and label table rows; two Topos
-// with equal keys are the same axis value.
-func (t Topo) Key() string {
-	key := t.Preset
-	if key == "" {
-		key = t.Spec
-	}
-	if key == "" {
-		key = fmt.Sprintf("%dx%d", t.MeshRows, t.MeshCols)
-	}
-	if t.C2CBytePeriod > 0 || t.C2CHopLatency > 0 {
-		key += fmt.Sprintf("/c2c=%d:%d", t.C2CBytePeriod, t.C2CHopLatency)
-	}
-	if t.Shards > 0 {
-		key += fmt.Sprintf("/shards=%d", t.Shards)
-	}
-	return key
-}
-
-// Resolve maps the axis value onto a concrete system.Topology,
-// validating it.
-func (t Topo) Resolve() (system.Topology, error) {
-	var st system.Topology
-	switch {
-	case t.Preset != "" && t.Spec != "":
-		return st, fmt.Errorf("epiphany: topology axis value names both preset %q and spec %q; pick one", t.Preset, t.Spec)
-	case t.Preset != "":
-		preset, ok := system.TopologyByName(t.Preset)
-		if !ok {
-			// "4x8"-style ad-hoc meshes and grid specs are also accepted
-			// where presets are; suggest the nearest preset for what
-			// looks like a typo.
-			return st, names.Unknown("topology preset", t.Preset, presetNames())
-		}
-		st = preset
-	case t.Spec != "":
-		if strings.Contains(t.Spec, "/c2c=") {
-			return st, fmt.Errorf("epiphany: topology spec %q: spell c2c overrides in the c2c_byte_period/c2c_hop_latency fields (or as the /c2c= suffix of the combined string spelling), not inside spec", t.Spec)
-		}
-		if strings.Contains(t.Spec, "/shards=") {
-			return st, fmt.Errorf("epiphany: topology spec %q: spell the engine partition in the shards field (or as the /shards= suffix of the combined string spelling), not inside spec", t.Spec)
-		}
-		var err error
-		if st, err = system.ParseTopologySpec(t.Spec); err != nil {
-			return st, err
-		}
-	default:
-		st = system.SingleChip(t.MeshRows, t.MeshCols)
-	}
-	st = st.WithC2C(t.C2CBytePeriod, t.C2CHopLatency)
-	st = st.WithShards(t.Shards)
-	if err := st.Validate(); err != nil {
-		return st, err
-	}
-	return st, nil
-}
-
-// ParseTopo parses the CLI spelling of a topology axis value: anything
-// the topology grammar accepts - a preset name ("e64"), an ad-hoc mesh
-// ("4x8"), a parameterized chip grid ("grid=4x4/chip=8x8",
-// "cluster-4x4", "e64x16") - optionally followed by "/c2c=BYTE:HOP"
-// with the override periods in sim.Time units (for example
-// "cluster-2x2/c2c=40:600") and then "/shards=N" pinning the engine
-// partition (the suffix order matches the grammar: shards goes last).
-// The result is canonical: however the board was spelled, equal boards
-// parse to equal Topos.
-func ParseTopo(s string) (Topo, error) {
-	var t Topo
-	rest, shards, hasShards := strings.Cut(s, "/shards=")
-	if hasShards {
-		n, err := strconv.Atoi(shards)
-		if err != nil {
-			return t, fmt.Errorf("epiphany: topology %q: bad shard count: %v (the /shards= suffix goes last)", s, err)
-		}
-		t.Shards = n
-	}
-	base, c2c, hasC2C := strings.Cut(rest, "/c2c=")
-	if hasC2C {
-		bp, hl, err := system.ParseC2C(c2c)
-		if err != nil {
-			return t, fmt.Errorf("epiphany: topology %q: %v", s, err)
-		}
-		t.C2CBytePeriod, t.C2CHopLatency = bp, hl
-	}
-	st, err := system.ParseTopologySpec(base)
-	if err != nil {
-		return t, err
-	}
-	t = t.withBase(st)
-	if _, err := t.Resolve(); err != nil {
-		return t, err
-	}
-	return t, nil
-}
-
-// withBase assigns the resolved board to the axis value's canonical
-// field: presets by name, unnamed single chips as mesh dimensions,
-// every parameterized grid under its canonical spec.
-func (t Topo) withBase(st system.Topology) Topo {
-	switch {
-	case st.Name == "":
-		t.MeshRows, t.MeshCols = st.CoreRows, st.CoreCols
-	default:
-		if _, ok := system.TopologyByName(st.Name); ok {
-			t.Preset = st.Name
-		} else {
-			t.Spec = st.Name
-		}
-	}
-	return t
-}
-
-// canonicalize rewrites a Spec-form axis value into canonical form: the
-// spec re-rendered by the grammar ("grid=04x4" -> "grid=4x4/chip=8x8"),
-// or migrated into the Preset/mesh fields when it names one of those
-// ({"spec":"e64"} -> {"preset":"e64"}) - so equal boards key,
-// fingerprint and pool identically however a JSON plan spelled them.
-// Values that fail to parse are returned unchanged (Resolve already
-// rejected them).
-func (t Topo) canonicalize() Topo {
-	if t.Spec == "" {
-		return t
-	}
-	st, err := system.ParseTopologySpec(t.Spec)
-	if err != nil {
-		return t
-	}
-	out := Topo{C2CBytePeriod: t.C2CBytePeriod, C2CHopLatency: t.C2CHopLatency, Shards: t.Shards}
-	return out.withBase(st)
-}
-
 // Plan declares one experiment sweep: the axes of the grid and the
 // baseline cell the derived columns compare against. The zero Plan is
 // usable - it sweeps every registered workload over the preset
@@ -233,16 +46,21 @@ type Plan struct {
 	// Workloads are registered workload names; empty means every
 	// registered workload.
 	Workloads []string `json:"workloads,omitempty"`
-	// Topos is the topology axis; empty means the presets in scaling
-	// order (e16, e64, cluster-2x2).
-	Topos []Topo `json:"topos,omitempty"`
+	// Topos is the topology axis, each value spelled in the topology
+	// grammar (system.ParseTopologySpec: "e64", "4x8",
+	// "grid=4x4/chip=8x8", "cluster-2x2/c2c=40:600/shards=1"); empty
+	// means the presets in scaling order (e16, e64, cluster-2x2).
+	// Normalize rewrites every value into its canonical spelling
+	// (Topology.Spec), so equal boards key, fingerprint and pool
+	// identically however they were written.
+	Topos []string `json:"topos,omitempty"`
 	// Seeds rebase each workload's deterministic inputs (the workloads
 	// must implement Reseeder); empty runs each workload once at its
 	// registered default seed.
 	Seeds []uint64 `json:"seeds,omitempty"`
-	// Baseline is the Topo key the speedup and efficiency columns
-	// compare against; empty picks the first topology in canonical
-	// (scaling) order.
+	// Baseline is the topology the speedup and efficiency columns
+	// compare against, in any spelling of a value on the Topos axis;
+	// empty picks the first topology in canonical (scaling) order.
 	Baseline string `json:"baseline,omitempty"`
 	// Power names the power-model preset (power.Models) applied to
 	// every cell; empty runs a time-domain-only sweep whose output is
@@ -266,7 +84,7 @@ type Plan struct {
 // plan has no power model.
 type Cell struct {
 	Workload string  `json:"workload"`
-	Topo     Topo    `json:"topo"`
+	Topo     string  `json:"topo"` // canonical topology spec
 	DVFS     string  `json:"dvfs,omitempty"`
 	Seed     *uint64 `json:"seed,omitempty"`
 }
@@ -274,12 +92,13 @@ type Cell struct {
 // Normalize resolves the plan's defaults and canonicalizes its axes:
 // workload names are filled from the registry when empty, checked
 // against it otherwise, and sorted; topologies default to the presets,
-// are resolved (catching unknown presets and invalid geometry), and
-// sorted into scaling order (core count, then key) with duplicates
+// are parsed once by the topology grammar (catching unknown spellings
+// and invalid geometry), rewritten into their canonical spelling, and
+// sorted into scaling order (core count, then spelling) with duplicates
 // dropped; seeds are sorted and deduplicated; the baseline is defaulted
-// to the first topology and checked to be on the axis. The canonical
-// form is what makes expansion order independent of how the plan was
-// written.
+// to the first topology, otherwise canonicalized and checked to be on
+// the axis. The canonical form is what makes expansion order
+// independent of how the plan was written.
 func (p Plan) Normalize() (Plan, error) {
 	if len(p.Workloads) == 0 {
 		for _, w := range workload.All() {
@@ -295,28 +114,26 @@ func (p Plan) Normalize() (Plan, error) {
 	}
 	if len(p.Topos) == 0 {
 		for _, st := range system.Topologies() {
-			p.Topos = append(p.Topos, Topo{Preset: st.Name})
+			p.Topos = append(p.Topos, st.Name)
 		}
 	}
 	type keyed struct {
-		t     Topo
 		key   string
 		cores int
 	}
 	ks := make([]keyed, 0, len(p.Topos))
 	seen := make(map[string]bool, len(p.Topos))
-	for _, t := range p.Topos {
-		st, err := t.Resolve()
+	for _, spec := range p.Topos {
+		st, err := system.ParseTopologySpec(spec)
 		if err != nil {
 			return p, err
 		}
-		t = t.canonicalize()
-		key := t.Key()
+		key := st.Spec()
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		ks = append(ks, keyed{t: t, key: key, cores: st.NumCores()})
+		ks = append(ks, keyed{key: key, cores: st.NumCores()})
 	}
 	sort.Slice(ks, func(i, j int) bool {
 		if ks[i].cores != ks[j].cores {
@@ -324,22 +141,51 @@ func (p Plan) Normalize() (Plan, error) {
 		}
 		return ks[i].key < ks[j].key
 	})
-	p.Topos = make([]Topo, len(ks))
+	p.Topos = make([]string, len(ks))
 	for i, k := range ks {
-		p.Topos[i] = k.t
+		p.Topos[i] = k.key
 	}
 	if len(p.Seeds) > 0 {
 		p.Seeds = dedupe(p.Seeds)
 	}
 	if p.Baseline == "" {
-		p.Baseline = p.Topos[0].Key()
-	} else if !seen[p.Baseline] {
-		return p, fmt.Errorf("epiphany: baseline %q is not on the sweep's topology axis", p.Baseline)
+		p.Baseline = p.Topos[0]
+	} else {
+		st, err := system.ParseTopologySpec(p.Baseline)
+		if err != nil || !seen[st.Spec()] {
+			return p, fmt.Errorf("epiphany: baseline %q is not on the sweep's topology axis", p.Baseline)
+		}
+		p.Baseline = st.Spec() // the axis value's spelling, so Baselines matches it
 	}
 	if err := p.normalizeDVFS(); err != nil {
 		return p, err
 	}
 	return p, nil
+}
+
+// Baselines returns, for each cell, the index in cells of its baseline
+// cell - the same workload, DVFS point and seed on the plan's baseline
+// topology (a baseline cell is its own) - or -1 when cells hold none.
+// Scaling is always compared at the same operating point, so the DVFS
+// axis reads as frequency scaling and the topology axis as strong
+// scaling.
+func (p Plan) Baselines(cells []Cell) []int {
+	type key struct{ workload, dvfs, seed string }
+	at := make(map[key]int)
+	for i, c := range cells {
+		if c.Topo == p.Baseline {
+			at[key{c.Workload, c.DVFS, seedLabel(c.Seed)}] = i
+		}
+	}
+	out := make([]int, len(cells))
+	for i, c := range cells {
+		b, ok := at[key{c.Workload, c.DVFS, seedLabel(c.Seed)}]
+		if !ok {
+			b = -1
+		}
+		out[i] = b
+	}
+	return out
 }
 
 // normalizeDVFS validates the energy axes and canonicalizes the

@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -10,34 +11,39 @@ import (
 	"epiphany/internal/workload"
 )
 
-func TestParseTopo(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Topo
-		key  string
-	}{
-		{"e16", Topo{Preset: "e16"}, "e16"},
-		{"cluster-2x2", Topo{Preset: "cluster-2x2"}, "cluster-2x2"},
-		{"4x8", Topo{MeshRows: 4, MeshCols: 8}, "4x8"},
-		{"e64/c2c=40:600", Topo{Preset: "e64", C2CBytePeriod: 40, C2CHopLatency: 600}, "e64/c2c=40:600"},
-		{"2x2/c2c=5:0", Topo{MeshRows: 2, MeshCols: 2, C2CBytePeriod: 5}, "2x2/c2c=5:0"},
-		{"cluster-2x2/shards=2", Topo{Preset: "cluster-2x2", Shards: 2}, "cluster-2x2/shards=2"},
-		{"cluster-2x2/shards=1", Topo{Preset: "cluster-2x2", Shards: 1}, "cluster-2x2/shards=1"},
-		{"cluster-2x2/c2c=40:600/shards=4", Topo{Preset: "cluster-2x2", C2CBytePeriod: 40, C2CHopLatency: 600, Shards: 4}, "cluster-2x2/c2c=40:600/shards=4"},
+// TestNormalizeTopoAxis: every topology spelling the grammar accepts
+// lands on the axis in its canonical form (Topology.Spec) - however it
+// was typed - and becomes the default baseline; every spelling the
+// grammar rejects fails Normalize.
+func TestNormalizeTopoAxis(t *testing.T) {
+	for _, tc := range []struct{ in, want string }{
+		{"e16", "e16"},
+		{"cluster-2x2", "cluster-2x2"},
+		{"4x8", "4x8"},
+		{"+4x8", "4x8"},
+		{"e64/c2c=40:600", "e64/c2c=40:600"},
+		{"2x2/c2c=5:0", "2x2/c2c=5:0"},
+		{"cluster-2x2/c2c=0:0", "cluster-2x2"}, // zero overrides keep the calibrated defaults
+		{"cluster-2x2/shards=2", "cluster-2x2/shards=2"},
+		{"cluster-2x2/shards=1", "cluster-2x2/shards=1"},
+		{"cluster-2x2/c2c=40:600/shards=4", "cluster-2x2/c2c=40:600/shards=4"},
+		{"cluster-+2x2", "cluster-2x2"}, // spells the preset
+		{"grid=4x4/chip=8x8", "grid=4x4/chip=8x8"},
+		{"grid=2x4", "grid=2x4/chip=8x8"}, // /chip= default made explicit
+		{"cluster-4x4", "cluster-4x4"},
+		{"e64x16", "e64x16"},
+		{"grid=1x1/chip=8x8", "grid=1x1/chip=8x8"}, // not aliased onto e64
+		{"grid=2x2/chip=4x4/c2c=40:600", "grid=2x2/chip=4x4/c2c=40:600"},
+		{"grid=4x4/chip=8x8/shards=16", "grid=4x4/chip=8x8/shards=16"},
+		{"grid=2x4/shards=4", "grid=2x4/chip=8x8/shards=4"},
 	} {
-		got, err := ParseTopo(tc.in)
+		p, err := Plan{Workloads: []string{"stencil-tuned"}, Topos: []string{tc.in}}.Normalize()
 		if err != nil {
-			t.Errorf("ParseTopo(%q): %v", tc.in, err)
+			t.Errorf("Normalize(%q): %v", tc.in, err)
 			continue
 		}
-		if got != tc.want {
-			t.Errorf("ParseTopo(%q) = %+v, want %+v", tc.in, got, tc.want)
-		}
-		if got.Key() != tc.key {
-			t.Errorf("ParseTopo(%q).Key() = %q, want %q", tc.in, got.Key(), tc.key)
-		}
-		if _, err := got.Resolve(); err != nil {
-			t.Errorf("ParseTopo(%q).Resolve(): %v", tc.in, err)
+		if len(p.Topos) != 1 || p.Topos[0] != tc.want || p.Baseline != tc.want {
+			t.Errorf("Normalize(%q) = axis %q baseline %q, want %q", tc.in, p.Topos, p.Baseline, tc.want)
 		}
 	}
 	for _, bad := range []string{"", "e63", "0x4", "4x", "e64/c2c=40", "e64/c2c=a:b", "99x99",
@@ -47,81 +53,54 @@ func TestParseTopo(t *testing.T) {
 		"cluster-2x2/shards=x",            // not a count
 		"cluster-2x2/shards=2/c2c=40:600", // shards must go last
 	} {
-		if _, err := ParseTopo(bad); err == nil {
-			t.Errorf("ParseTopo(%q) accepted", bad)
+		if _, err := (Plan{Topos: []string{bad}}).Normalize(); err == nil {
+			t.Errorf("Normalize(%q) accepted", bad)
 		}
-	}
-
-	// The /shards= suffix belongs in the Shards field on the JSON path,
-	// same as /c2c=: a Spec smuggling it in is rejected, not folded.
-	if _, err := (Topo{Spec: "cluster-4x4/shards=2"}).Resolve(); err == nil || !strings.Contains(err.Error(), "shards field") {
-		t.Errorf("Spec with inline /shards= resolved: %v", err)
 	}
 }
 
-// TestParseTopoSpecAxis: grammar specs land in the Spec field in
-// canonical spelling - however they were typed - with presets and
-// ad-hoc meshes migrated to their own fields, so equal boards always
-// produce equal axis values.
-func TestParseTopoSpecAxis(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want Topo
-	}{
-		{"grid=4x4/chip=8x8", Topo{Spec: "grid=4x4/chip=8x8"}},
-		{"grid=2x4", Topo{Spec: "grid=2x4/chip=8x8"}}, // /chip= default made explicit
-		{"cluster-4x4", Topo{Spec: "cluster-4x4"}},
-		{"e64x16", Topo{Spec: "e64x16"}},
-		{"grid=1x1/chip=8x8", Topo{Spec: "grid=1x1/chip=8x8"}}, // not aliased onto e64
-		{"grid=2x2/chip=4x4/c2c=40:600", Topo{Spec: "grid=2x2/chip=4x4", C2CBytePeriod: 40, C2CHopLatency: 600}},
-		{"grid=4x4/chip=8x8/shards=16", Topo{Spec: "grid=4x4/chip=8x8", Shards: 16}},
-		{"grid=2x4/shards=4", Topo{Spec: "grid=2x4/chip=8x8", Shards: 4}},
-		{"cluster-+2x2", Topo{Preset: "cluster-2x2"}}, // spells the preset: migrates to Preset
-		{"+4x8", Topo{MeshRows: 4, MeshCols: 8}},
-	} {
-		got, err := ParseTopo(tc.in)
-		if err != nil {
-			t.Errorf("ParseTopo(%q): %v", tc.in, err)
-			continue
-		}
-		if got != tc.want {
-			t.Errorf("ParseTopo(%q) = %+v, want %+v", tc.in, got, tc.want)
-		}
-		// The axis value round-trips through its own key.
-		back, err := ParseTopo(got.Key())
-		if err != nil || back != got {
-			t.Errorf("ParseTopo(Key %q) = %+v, %v; want %+v", got.Key(), back, err, got)
-		}
-	}
-
-	// A Spec written directly into a plan (the JSON path) resolves and
-	// canonicalizes during Normalize: alternate spellings of one board
-	// dedupe to a single axis value.
+// TestNormalizeTopoSpellings: alternate spellings of one board dedupe
+// to a single axis value, and the normalized axis is a fixpoint.
+func TestNormalizeTopoSpellings(t *testing.T) {
 	p, err := Plan{
 		Workloads: []string{"stencil-tuned"},
-		Topos: []Topo{
-			{Spec: "grid=2x4"},
-			{Spec: "grid=+2x4/chip=8x8"},
-			{Spec: "e64"}, // names the preset: canonicalizes into Preset
-		},
+		Topos:     []string{"grid=2x4", "grid=+2x4/chip=8x8", "e64", "e64/c2c=0:0"},
 	}.Normalize()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(p.Topos) != 2 {
-		t.Fatalf("alternate spellings did not dedupe: %+v", p.Topos)
+	if want := []string{"e64", "grid=2x4/chip=8x8"}; !slices.Equal(p.Topos, want) {
+		t.Fatalf("canonicalized axis %q, want %q", p.Topos, want)
 	}
-	if p.Topos[0] != (Topo{Preset: "e64"}) || p.Topos[1] != (Topo{Spec: "grid=2x4/chip=8x8"}) {
-		t.Fatalf("canonicalized axis %+v", p.Topos)
+	again, err := p.Normalize()
+	if err != nil || !slices.Equal(again.Topos, p.Topos) {
+		t.Fatalf("re-normalized axis %q, %v; want %q", again.Topos, err, p.Topos)
 	}
+}
 
-	// Both Preset and Spec set is ambiguous, and c2c suffixes belong in
-	// the override fields on the structured axis.
-	if _, err := (Topo{Preset: "e64", Spec: "grid=2x4"}).Resolve(); err == nil {
-		t.Error("Topo with both preset and spec accepted")
+// TestNormalizeCanonicalizesBaseline: the baseline goes through the
+// grammar like the axis does, so any spelling of an axis value names
+// it - and plans that differ only in the baseline's spelling are the
+// same experiment.
+func TestNormalizeCanonicalizesBaseline(t *testing.T) {
+	plan := func(baseline string) Plan {
+		return Plan{Workloads: []string{"stencil-tuned"}, Topos: []string{"e16", "grid=2x4"}, Baseline: baseline}
 	}
-	if _, err := (Topo{Spec: "e64/c2c=40:600"}).Resolve(); err == nil {
-		t.Error("c2c suffix inside the spec field accepted")
+	p, err := plan("grid=2x4").Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Baseline != "grid=2x4/chip=8x8" {
+		t.Errorf("baseline %q, want the canonical grid=2x4/chip=8x8", p.Baseline)
+	}
+	if fp(t, plan("grid=2x4")) != fp(t, plan("grid=2x4/chip=8x8")) {
+		t.Error("baseline spellings of one board fingerprint differently")
+	}
+	for _, bad := range []string{"grid=2x8", "gird=2x4"} {
+		_, err := plan(bad).Normalize()
+		if err == nil || !strings.Contains(err.Error(), "is not on the sweep's topology axis") {
+			t.Errorf("baseline %q: %v, want the off-axis error", bad, err)
+		}
 	}
 }
 
@@ -138,13 +117,9 @@ func TestNormalizeDefaultsAndCanonicalOrder(t *testing.T) {
 			t.Fatalf("workloads not sorted: %v", p.Workloads)
 		}
 	}
-	keys := make([]string, len(p.Topos))
-	for i, topo := range p.Topos {
-		keys[i] = topo.Key()
-	}
-	// Scaling order: core count first (e16's 16 cores lead), then key
-	// (cluster-2x2 before e64 at 64 cores).
-	if got := strings.Join(keys, ","); got != "e16,cluster-2x2,e64" {
+	// Scaling order: core count first (e16's 16 cores lead), then
+	// spelling (cluster-2x2 before e64 at 64 cores).
+	if got := strings.Join(p.Topos, ","); got != "e16,cluster-2x2,e64" {
 		t.Fatalf("default topology axis %q", got)
 	}
 	if p.Baseline != "e16" {
@@ -155,7 +130,7 @@ func TestNormalizeDefaultsAndCanonicalOrder(t *testing.T) {
 	// were written.
 	p2, err := Plan{
 		Workloads: []string{"stencil-tuned", "matmul-cannon", "stencil-tuned"},
-		Topos:     []Topo{{Preset: "e64"}, {Preset: "e16"}, {Preset: "e64"}},
+		Topos:     []string{"e64", "e16", "e64"},
 		Seeds:     []uint64{9, 3, 9},
 	}.Normalize()
 	if err != nil {
@@ -164,7 +139,7 @@ func TestNormalizeDefaultsAndCanonicalOrder(t *testing.T) {
 	if len(p2.Workloads) != 2 || p2.Workloads[0] != "matmul-cannon" {
 		t.Fatalf("workload axis %v", p2.Workloads)
 	}
-	if len(p2.Topos) != 2 || p2.Topos[0].Key() != "e16" || p2.Baseline != "e16" {
+	if len(p2.Topos) != 2 || p2.Topos[0] != "e16" || p2.Baseline != "e16" {
 		t.Fatalf("topology axis %v baseline %q", p2.Topos, p2.Baseline)
 	}
 	if len(p2.Seeds) != 2 || p2.Seeds[0] != 3 || p2.Seeds[1] != 9 {
@@ -176,7 +151,7 @@ func TestNormalizeRejects(t *testing.T) {
 	if _, err := (Plan{Workloads: []string{"no-such"}}).Normalize(); err == nil {
 		t.Error("unknown workload accepted")
 	}
-	if _, err := (Plan{Topos: []Topo{{Preset: "e63"}}}).Normalize(); err == nil {
+	if _, err := (Plan{Topos: []string{"e63"}}).Normalize(); err == nil {
 		t.Error("unknown preset accepted")
 	}
 	if _, err := (Plan{Baseline: "cluster-9x9"}).Normalize(); err == nil {
@@ -230,7 +205,7 @@ func TestDeriveColumns(t *testing.T) {
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	plan := Plan{
 		Workloads: []string{"stencil-tuned", "matmul-cannon", "stream-stencil"},
-		Topos:     []Topo{{Preset: "e16"}, {Preset: "e64"}, {Preset: "cluster-2x2"}},
+		Topos:     []string{"e16", "e64", "cluster-2x2"},
 	}
 	render := func(workers int) [4]string {
 		res, err := Run(context.Background(), plan, workers)
@@ -257,7 +232,7 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 func TestRunRecordsCellErrors(t *testing.T) {
 	res, err := Run(context.Background(), Plan{
 		Workloads: []string{"sweep-test-bad", "stencil-tuned"},
-		Topos:     []Topo{{Preset: "e16"}},
+		Topos:     []string{"e16"},
 	}, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -294,9 +269,9 @@ func TestRunRecordsCellErrors(t *testing.T) {
 func TestRunWithSeedsAndOverrides(t *testing.T) {
 	res, err := Run(context.Background(), Plan{
 		Workloads: []string{"stream-stencil"},
-		Topos: []Topo{
-			{Preset: "cluster-2x2"},
-			{Preset: "cluster-2x2", C2CBytePeriod: 50, C2CHopLatency: 600},
+		Topos: []string{
+			"cluster-2x2",
+			"cluster-2x2/c2c=50:600",
 		},
 		Seeds:    []uint64{1, 2},
 		Baseline: "cluster-2x2",

@@ -12,7 +12,7 @@ import (
 
 // This file is the parameterized topology grammar: one textual spelling
 // for every board the simulator can build, parsed by a single resolver
-// that the public API (ParseTopology), the sweep axis (sweep.ParseTopo),
+// that the public API (ParseTopology), the sweep axis (sweep.Plan.Topos),
 // the serve daemon's JobSpec/SweepPlan and all the CLIs share. The
 // grammar:
 //

@@ -28,13 +28,7 @@ type System struct {
 }
 
 // New builds the standard 8x8 Epiphany-IV system.
-func New() *System { return NewSize(8, 8) }
-
-// NewSize builds a rows x cols single-chip device (for studying smaller
-// or hypothetical larger meshes; the paper's device is 8x8).
-func NewSize(rows, cols int) *System {
-	return NewTopology(SingleChip(rows, cols))
-}
+func New() *System { return NewTopology(SingleChip(8, 8)) }
 
 // NewTopology builds a system on the given fabric topology: a single
 // chip, or a board of chips glued through chip-to-chip eLinks. When the

@@ -3,7 +3,7 @@
 // can validate its configuration and execute against a fresh System,
 // reporting the paper-style Metrics. The package also keeps the
 // process-wide registry of named workloads and the functional options
-// (mesh size, seed, trace) shared by the one-shot Run helper and the
+// (topology, seed, trace) shared by the one-shot Run helper and the
 // concurrent batch Runner.
 package workload
 
@@ -78,18 +78,11 @@ type runConfig struct {
 	engineStats bool
 	power       string
 	dvfs        string
-	shards      *int
 	workers     int
 }
 
 // Option configures how Run (and Runner) executes a workload.
 type Option func(*runConfig)
-
-// WithMeshSize runs the workload on a rows x cols single-chip device
-// instead of the default 8x8 Epiphany-IV mesh.
-func WithMeshSize(rows, cols int) Option {
-	return func(rc *runConfig) { rc.topo = system.SingleChip(rows, cols) }
-}
 
 // WithTopology runs the workload on the given fabric topology - a
 // preset (system.E16, system.E64, system.Cluster2x2) or a custom board
@@ -99,19 +92,6 @@ func WithMeshSize(rows, cols int) Option {
 // Metrics.ELinkCrossTime.
 func WithTopology(t system.Topology) Option {
 	return func(rc *runConfig) { rc.topo = t }
-}
-
-// WithShards partitions the board's event engine into n shards: 0
-// (auto, the default) gives every chip its own shard, 1 runs the whole
-// board on the classic single event heap, 2..NumChips group the chips.
-// The partition never changes the result - Metrics are bit-identical
-// for every value, which the determinism suite pins - it only sets how
-// much of the board WithWorkers can run concurrently. Composes with
-// WithTopology in either order; the shard count becomes part of the
-// board identity Runner pools by, so recycled boards keep their
-// layout.
-func WithShards(n int) Option {
-	return func(rc *runConfig) { s := n; rc.shards = &s }
 }
 
 // WithWorkers runs the simulation's shards on n host goroutines (1, the
@@ -198,11 +178,6 @@ func prepare(w Workload, opts []Option) (Workload, runConfig, error) {
 	}
 	if rc.power != "" || rc.dvfs != "" {
 		rc.topo = rc.topo.WithPower(rc.power, rc.dvfs)
-	}
-	if rc.shards != nil && rc.topo.Shards == 0 {
-		// WithShards is a default: a topology that already pins its
-		// partition (a "/shards=N" spec) keeps it.
-		rc.topo = rc.topo.WithShards(*rc.shards)
 	}
 	if err := rc.topo.Validate(); err != nil {
 		return nil, rc, err

@@ -118,11 +118,11 @@ func TestRunOptionPlumbing(t *testing.T) {
 		t.Fatalf("default board %dx%d/%d chips, want 8x8/1", rows, cols, chips)
 	}
 
-	if _, err := Run(context.Background(), p, WithMeshSize(2, 3)); err != nil {
+	if _, err := Run(context.Background(), p, WithTopology(system.SingleChip(2, 3))); err != nil {
 		t.Fatal(err)
 	}
 	if rows != 2 || cols != 3 || chips != 1 {
-		t.Fatalf("WithMeshSize board %dx%d/%d chips, want 2x3/1", rows, cols, chips)
+		t.Fatalf("single-chip board %dx%d/%d chips, want 2x3/1", rows, cols, chips)
 	}
 
 	if _, err := Run(context.Background(), p, WithTopology(system.Cluster2x2)); err != nil {

@@ -45,8 +45,7 @@ func TestTimelineDoesNotPerturbMetrics(t *testing.T) {
 		for _, workers := range []int{1, 4} {
 			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
 				base := []epiphany.Option{
-					epiphany.WithTopology(topo),
-					epiphany.WithShards(shards),
+					epiphany.WithTopology(topo.WithShards(shards)),
 					epiphany.WithWorkers(workers),
 				}
 				bare, err := epiphany.Run(context.Background(), w, base...)

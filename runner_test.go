@@ -134,11 +134,11 @@ func TestRunnerBaseOptions(t *testing.T) {
 	// single core there, and a per-job override restores the full group.
 	single, _ := WorkloadByName("stencil-single")
 	tuned, _ := WorkloadByName("stencil-tuned")
-	r := &Runner{Workers: 2, Options: []Option{WithMeshSize(1, 1)}}
+	r := &Runner{Workers: 2, Options: []Option{WithTopology(mustTopology(t, "1x1"))}}
 	batch, err := r.RunBatch(context.Background(), []Job{
 		{Workload: single},
 		{Workload: tuned},
-		{Workload: tuned, Options: []Option{WithMeshSize(2, 2)}},
+		{Workload: tuned, Options: []Option{WithTopology(mustTopology(t, "2x2"))}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,10 +7,12 @@ import (
 )
 
 // The experiment-sweep API. A SweepPlan declares a grid - workload set
-// x topology set x seed set - and Sweep executes every cell on the
-// concurrent batch Runner, deriving the paper-style scaling columns
-// (speedup against a named baseline topology, parallel efficiency,
-// chip-boundary crossing share). Sweeps are deterministic end to end:
+// x topology set x seed set, each topology spelled in the grammar
+// ParseTopology accepts, optionally crossed with a power model's DVFS
+// operating points (ParseDVFSPoint spells them) - and Sweep executes
+// every cell on the concurrent batch Runner, deriving the paper-style
+// scaling columns (speedup against a named baseline topology, parallel
+// efficiency, chip-boundary crossing share). Sweeps are deterministic end to end:
 // the same plan renders bit-identical CSV/JSON/text on every run and
 // with any worker count, so sweep outputs can be checked in as golden
 // scaling tables. The epiphany-sweep command is a thin flag wrapper
@@ -19,9 +21,6 @@ type (
 	// SweepPlan declares one experiment grid; the zero value sweeps
 	// every registered workload over the preset topologies.
 	SweepPlan = sweep.Plan
-	// SweepTopo is one topology-axis value: a preset name or an ad-hoc
-	// mesh, optionally with chip-to-chip eLink timing overrides.
-	SweepTopo = sweep.Topo
 	// SweepCell is one expanded grid point (workload, topology, seed).
 	SweepCell = sweep.Cell
 	// SweepResult is an executed sweep: the normalized plan plus one
@@ -67,16 +66,3 @@ func ScalingStudyPlan() SweepPlan { return sweep.ScalingStudy() }
 func Sweep(ctx context.Context, p SweepPlan, workers int) (*SweepResult, error) {
 	return sweep.Run(ctx, p, workers)
 }
-
-// ParseSweepTopo parses the textual spelling of a topology axis value:
-// anything the topology grammar accepts (see ParseTopology) - a preset
-// name ("e64"), an ad-hoc single-chip mesh ("4x8"), a parameterized
-// chip grid ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16") - optionally
-// followed by "/c2c=BYTE:HOP" chip-to-chip timing overrides in
-// simulation time units (e.g. "cluster-2x2/c2c=40:600").
-//
-// The energy axes are declared separately on the plan: SweepPlan.Power
-// names a power-model preset and SweepPlan.DVFS lists operating points
-// (ParseDVFSPoint spells them), which Sweep crosses with every
-// workload/topology/seed cell and prices into energy columns.
-func ParseSweepTopo(s string) (SweepTopo, error) { return sweep.ParseTopo(s) }

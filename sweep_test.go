@@ -84,14 +84,15 @@ func TestSweepOutputIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestParseSweepTopoErrors drives the topology-axis parser through its
+// TestParseTopologyAxisErrors drives the topology grammar - the one
+// spelling the sweep axis, job specs and run options share - through its
 // error paths: malformed and out-of-range c2c overrides, degenerate
 // meshes and grids, address-space overflow, and unknown spellings -
 // which must carry an internal/names "did you mean" suggestion when a
 // registered preset or grammar form is close. (Happy paths are
 // exercised by every sweep test; these are the spellings that must be
 // *rejected*, with a message a CLI user can act on.)
-func TestParseSweepTopoErrors(t *testing.T) {
+func TestParseTopologyAxisErrors(t *testing.T) {
 	cases := []struct {
 		in      string
 		wantErr string // substring of the error
@@ -130,24 +131,24 @@ func TestParseSweepTopoErrors(t *testing.T) {
 		{"grid=2x2/chip=8x8/c2c=40", "must be BYTE:HOP"},
 	}
 	for _, tc := range cases {
-		_, err := epiphany.ParseSweepTopo(tc.in)
+		_, err := epiphany.ParseTopology(tc.in)
 		if err == nil {
-			t.Errorf("ParseSweepTopo(%q) accepted", tc.in)
+			t.Errorf("ParseTopology(%q) accepted", tc.in)
 			continue
 		}
 		if !strings.Contains(err.Error(), tc.wantErr) {
-			t.Errorf("ParseSweepTopo(%q) = %v, want error containing %q", tc.in, err, tc.wantErr)
+			t.Errorf("ParseTopology(%q) = %v, want error containing %q", tc.in, err, tc.wantErr)
 		}
 	}
 
 	// Zero-valued c2c components are legal: they keep the calibrated
 	// defaults rather than meaning "free".
-	topo, err := epiphany.ParseSweepTopo("cluster-2x2/c2c=0:0")
+	topo, err := epiphany.ParseTopology("cluster-2x2/c2c=0:0")
 	if err != nil {
 		t.Fatalf("zero c2c override rejected: %v", err)
 	}
-	if topo.Key() != "cluster-2x2" {
-		t.Errorf("zero override key %q, want the bare preset", topo.Key())
+	if topo.Spec() != "cluster-2x2" {
+		t.Errorf("zero override spelling %q, want the bare preset", topo.Spec())
 	}
 }
 
@@ -182,7 +183,7 @@ func TestParseDVFSPointSpellings(t *testing.T) {
 func TestEnergySweepDeterministic(t *testing.T) {
 	plan := epiphany.SweepPlan{
 		Workloads: []string{"stencil-tuned", "stream-stencil"},
-		Topos:     []epiphany.SweepTopo{{Preset: "e64"}, {Preset: "cluster-2x2"}},
+		Topos:     []string{"e64", "cluster-2x2"},
 		Power:     "epiphany-iv-28nm",
 		DVFS:      []string{"300@0.8", "600@1.0"},
 	}

@@ -27,8 +27,8 @@ type (
 	// and - when a power model is attached - the energy domain (joules,
 	// watts, GFLOPS/W, EDP, per-component breakdown).
 	Metrics = workload.Metrics
-	// Option configures a run: WithTopology, WithMeshSize, WithSeed,
-	// WithTrace, WithPowerModel.
+	// Option configures a run: WithTopology, WithSeed, WithTrace,
+	// WithPowerModel, WithWorkers.
 	Option = workload.Option
 	// Reseeder is implemented by workloads whose inputs derive from a
 	// seed; WithSeed requires it.
@@ -101,7 +101,9 @@ func TopologyByName(name string) (Topology, bool) { return system.TopologyByName
 // parameterized chip grids ("grid=4x4/chip=8x8", where /chip= defaults
 // to 8x8), cluster boards of E16 chips ("cluster-4x4"), square chip
 // arrays ("e16x4", "e64x16"), all with an optional "/c2c=BYTE:HOP"
-// chip-to-chip timing-override suffix. Every consumer of a topology
+// chip-to-chip timing-override suffix and then an optional "/shards=N"
+// event-engine partition (Topology.WithShards is its Go form). Every
+// consumer of a topology
 // spelling - WithTopology callers, the sweep topo axis, the serve
 // daemon's job and plan specs, and the three CLIs - resolves through
 // this one grammar; near-miss spellings get a "did you mean"
@@ -115,10 +117,6 @@ func ParseTopology(spec string) (Topology, error) { return system.ParseTopologyS
 // chip-to-chip eLink's bandwidth and arbitration costs, reported in
 // Metrics.ELinkCrossTime/ELinkCrossings.
 func WithTopology(t Topology) Option { return workload.WithTopology(t) }
-
-// WithMeshSize runs the workload on a rows x cols single-chip device
-// instead of the default 8x8 Epiphany-IV mesh.
-func WithMeshSize(rows, cols int) Option { return workload.WithMeshSize(rows, cols) }
 
 // WithSeed rebases the workload's deterministic inputs onto seed; the
 // workload must implement Reseeder (the built-ins do).
@@ -140,12 +138,6 @@ func WithTimeline(w io.Writer) Option { return workload.WithTimeline(w) }
 // the result's Metrics.Engine (see EngineStats). Every other Metrics
 // field is bit-identical with or without it.
 func WithEngineStats() Option { return workload.WithEngineStats() }
-
-// WithShards partitions a multi-chip board's event engine into n shards
-// (0 = auto, one per chip; 1 = the classic single event heap; up to one
-// per chip). Metrics are bit-identical for every value; the partition
-// only sets how much of the board WithWorkers can run concurrently.
-func WithShards(n int) Option { return workload.WithShards(n) }
 
 // WithWorkers executes the board's shards on n host goroutines (1 =
 // sequential, the default). Metrics are bit-identical for every value -

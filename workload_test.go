@@ -60,22 +60,38 @@ func TestRunValidates(t *testing.T) {
 	}
 }
 
+// mustTopology parses a topology-grammar spelling, failing the test on
+// error.
+func mustTopology(t testing.TB, spec string) Topology {
+	t.Helper()
+	topo, err := ParseTopology(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return topo
+}
+
 func TestRunWithMeshSize(t *testing.T) {
 	w, _ := WorkloadByName("stencil-tuned")
-	if _, err := Run(context.Background(), w, WithMeshSize(2, 2)); err != nil {
+	if _, err := Run(context.Background(), w, WithTopology(mustTopology(t, "2x2"))); err != nil {
 		t.Fatalf("2x2 mesh: %v", err)
 	}
 	// The built-ins implement TopologyFitter: the 2x2 workgroup clamps
 	// itself to a 1x1 device instead of failing.
-	res, err := Run(context.Background(), w, WithMeshSize(1, 1))
+	res, err := Run(context.Background(), w, WithTopology(mustTopology(t, "1x1")))
 	if err != nil {
 		t.Fatalf("1x1 mesh: %v", err)
 	}
 	if g := res.(*StencilResult).Global; len(g) != 40 {
 		t.Fatalf("clamped single-core run gathered %d rows, want 40", len(g))
 	}
-	// An impossible device is still refused.
-	if _, err := Run(context.Background(), w, WithMeshSize(0, 8)); err == nil {
+	// An impossible device is still refused: by the grammar, and by Run
+	// when built as a Go value.
+	if _, err := ParseTopology("0x8"); err == nil {
+		t.Fatal("the grammar accepted a zero-row mesh")
+	}
+	zeroRows := Topology{ChipGridRows: 1, ChipGridCols: 1, CoreRows: 0, CoreCols: 8}
+	if _, err := Run(context.Background(), w, WithTopology(zeroRows)); err == nil {
 		t.Fatal("a zero-row mesh must be refused")
 	}
 }
