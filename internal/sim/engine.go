@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 	"sync/atomic"
@@ -19,15 +18,17 @@ const (
 
 // event is one scheduled occurrence, keyed by (t, tag, sid, seq) - the
 // arbitration tag plus the sender shard's id and sequence number, a
-// schedule-independent total order (see key).
+// schedule-independent total order (see key). The two one-byte fields
+// sit together at the end so an event packs into 48 bytes: the heap
+// moves events by value.
 type event struct {
 	t    Time
 	tag  int32
 	sid  int32
 	seq  uint64
-	kind eventKind
 	proc *Proc
 	fn   func()
+	kind eventKind
 	// mayBook marks an event that may book mesh link occupancy when it
 	// runs (a DMA chain continuation). The parallel scheduler holds such
 	// an event until its key is below the shard's booking floor (see
@@ -37,21 +38,55 @@ type event struct {
 
 func (ev *event) key() key { return key{t: ev.t, tag: ev.tag, sid: ev.sid, seq: ev.seq} }
 
-type eventHeap []*event
+// eventHeap is a binary min-heap of events by key. It stores values, so
+// scheduling allocates nothing once the backing array has grown. Both
+// sifts move a hole instead of swapping, one event copy per level.
+type eventHeap []event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	return h[i].key().less(h[j].key())
+func (h *eventHeap) push(ev event) {
+	*h = append(*h, event{})
+	q := *h
+	k := ev.key()
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !k.less(q[up].key()) {
+			break
+		}
+		q[i] = q[up]
+		i = up
+	}
+	q[i] = ev
 }
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+func (h *eventHeap) pop() event {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = event{} // drop the proc and closure references
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	k := last.key()
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].key().less(q[c].key()) {
+			c = r
+		}
+		if !q[c].key().less(k) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
 }
 
 // Engine is a deterministic discrete-event simulator, partitioned into
@@ -65,7 +100,7 @@ func (h *eventHeap) Pop() interface{} {
 // bit-identical for every worker count, because the executed schedule
 // is the same canonical order in all modes.
 //
-// Procs run as goroutines but each shard executes at most one of them
+// Procs run as coroutines, and each shard executes at most one of them
 // at a time, and always in key order, so simulations are fully
 // reproducible. The zero value is not usable; create engines with
 // NewEngine.
@@ -95,7 +130,7 @@ type Engine struct {
 // NewEngine returns an empty single-shard engine at virtual time zero.
 func NewEngine() *Engine {
 	e := &Engine{workers: 1}
-	e.shards = []*Shard{{eng: e, id: 0, yield: make(chan struct{})}}
+	e.shards = []*Shard{{eng: e, id: 0}}
 	return e
 }
 
@@ -113,7 +148,7 @@ func (e *Engine) AddShards(n int) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		e.shards = append(e.shards, &Shard{eng: e, id: int32(len(e.shards)), yield: make(chan struct{})})
+		e.shards = append(e.shards, &Shard{eng: e, id: int32(len(e.shards))})
 	}
 }
 
@@ -236,7 +271,7 @@ func (e *Engine) runSequential(limit Time) error {
 		if best.t > limit {
 			return e.err
 		}
-		next.dispatch(heap.Pop(&next.heap).(*event))
+		next.dispatch(next.heap.pop())
 	}
 	return e.err
 }

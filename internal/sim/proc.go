@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"runtime/debug"
 )
 
@@ -15,9 +16,11 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process. Its function runs on a dedicated goroutine,
-// but the owning shard ensures only one of its Procs executes at a time,
-// so Procs may freely touch their shard's simulation state without
+// Proc is a simulated process. Its function runs as an iter.Pull
+// coroutine: it still owns a goroutine, but the shard's dispatch loop
+// switches to it and back directly, with no hand-off through the Go
+// scheduler. The owning shard runs only one of its Procs at a time, so
+// Procs may freely touch their shard's simulation state without
 // synchronization. State owned by other shards must be reached through
 // Shard.Send.
 type Proc struct {
@@ -25,8 +28,9 @@ type Proc struct {
 	id        int
 	name      string
 	now       Time
-	resume    chan Time
 	fn        func(*Proc)
+	next      func() (struct{}, bool) // resumes the body until it parks or returns
+	yield     func(struct{}) bool     // parks the body; called only from inside it
 	state     procState
 	blockedOn *Cond // the Cond being waited on (deadlock diagnostics)
 	done      *Cond // completion condition, owned by shard 0
@@ -53,32 +57,46 @@ func (p *Proc) ID() int { return p.id }
 // Now returns the Proc's current virtual time.
 func (p *Proc) Now() Time { return p.now }
 
-// start launches the Proc's goroutine. Shard-side only.
+// start creates the Proc's coroutine and runs its body until it first
+// parks or returns. Shard-side only.
 func (p *Proc) start() {
 	p.state = stateRunning
 	p.now = p.sh.now
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				p.sh.eng.fail(fmt.Errorf("sim: proc %q panicked at t=%v: %v\n%s",
-					p.name, p.now, r, debug.Stack()))
-			}
-			p.state = stateDone
-			sys := p.sh.eng.shards[0]
-			if p.sh == sys {
+	p.next, _ = iter.Pull(p.body)
+	p.next()
+}
+
+// body is the coroutine: it runs fn, turns a panic into the engine's
+// error and announces completion on shard 0's timeline.
+func (p *Proc) body(yield func(struct{}) bool) {
+	p.yield = yield
+	defer func() {
+		if r := recover(); r != nil {
+			p.sh.eng.fail(fmt.Errorf("sim: proc %q panicked at t=%v: %v\n%s",
+				p.name, p.now, r, debug.Stack()))
+		}
+		p.state = stateDone
+		sys := p.sh.eng.shards[0]
+		if p.sh == sys {
+			p.doneSys = true
+			p.done.Broadcast()
+		} else {
+			p.sh.Send(sys, p.now, func() {
 				p.doneSys = true
 				p.done.Broadcast()
-			} else {
-				pp := p
-				p.sh.Send(sys, p.now, func() {
-					pp.doneSys = true
-					pp.done.Broadcast()
-				})
-			}
-			p.sh.yield <- struct{}{}
-		}()
-		p.fn(p)
+			})
+		}
 	}()
+	p.fn(p)
+}
+
+// mustBeRunning panics unless p's own body is the code running on its
+// shard: parking p from a callback or from another proc's body would
+// hand control to a coroutine that is not the one executing.
+func (p *Proc) mustBeRunning() {
+	if p.sh.curProc != p {
+		panic(fmt.Sprintf("sim: proc %q waited from outside its own body", p.name))
+	}
 }
 
 // Wait advances the Proc's clock by d, letting other events at earlier
@@ -92,23 +110,23 @@ func (p *Proc) WaitCycles(n uint64) { p.Wait(Cycles(n)) }
 // WaitUntil advances the Proc's clock to absolute time t (no-op if t is
 // not in the future, other than yielding).
 func (p *Proc) WaitUntil(t Time) {
+	p.mustBeRunning()
 	if t < p.now {
 		t = p.now
 	}
 	p.state = stateWaiting
-	p.sh.schedule(&event{t: t, kind: evResume, proc: p})
-	p.sh.yield <- struct{}{}
-	p.now = <-p.resume
+	p.sh.schedule(event{t: t, kind: evResume, proc: p})
+	p.yield(struct{}{})
 }
 
 // Block parks the Proc with no scheduled wake-up; something must later call
 // unblock (via Cond signalling). c's name appears in deadlock reports.
 func (p *Proc) block(c *Cond) {
+	p.mustBeRunning()
 	p.state = stateBlocked
 	p.blockedOn = c
 	p.sh.blocked++
-	p.sh.yield <- struct{}{}
-	p.now = <-p.resume
+	p.yield(struct{}{})
 }
 
 // unblock schedules the Proc to resume at time t. Shard/Cond-side only.
@@ -122,7 +140,7 @@ func (p *Proc) unblock(t Time) {
 	p.state = stateWaiting
 	p.blockedOn = nil
 	p.sh.blocked--
-	p.sh.schedule(&event{t: t, kind: evResume, proc: p})
+	p.sh.schedule(event{t: t, kind: evResume, proc: p})
 }
 
 // Done returns a Cond broadcast when the Proc's function returns. Other

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"sync"
 )
@@ -79,7 +78,6 @@ type Shard struct {
 	heap    eventHeap
 	now     Time
 	seq     uint64
-	yield   chan struct{} // a proc (or its demise) hands control back here
 	procs   []*Proc
 	blocked int // procs waiting on a Cond (not in the heap)
 	rng     *Rand
@@ -103,7 +101,7 @@ type Shard struct {
 	// barrier. Outside parallel runs Send pushes straight into the
 	// heap.
 	inboxMu sync.Mutex
-	inbox   []*event
+	inbox   []event
 
 	// Scheduler scratch, written by the owning worker and read by the
 	// coordinator strictly between round barriers.
@@ -183,12 +181,12 @@ func (s *Shard) assertOwner(what string) {
 
 // schedule enqueues a locally created event, stamping it with this
 // shard's (id, seq) key.
-func (s *Shard) schedule(ev *event) {
+func (s *Shard) schedule(ev event) {
 	ev.tag = untagged
 	ev.sid = s.id
 	ev.seq = s.seq
 	s.seq++
-	heap.Push(&s.heap, ev)
+	s.heap.push(ev)
 	s.notePeak()
 }
 
@@ -208,7 +206,7 @@ func (s *Shard) At(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.schedule(&event{t: t, kind: evCall, fn: fn})
+	s.schedule(event{t: t, kind: evCall, fn: fn})
 }
 
 // After schedules fn to run d after the shard's current virtual time.
@@ -222,7 +220,7 @@ func (s *Shard) After(d Time, fn func()) { s.At(s.now+d, fn) }
 // (plus values the sender froze before sending). t is clamped to the
 // sender's current time.
 func (s *Shard) Send(to *Shard, t Time, fn func()) {
-	s.post(to, t, untagged, &event{kind: evCall, fn: fn})
+	s.post(to, t, untagged, event{kind: evCall, fn: fn})
 }
 
 // SendTagged is Send for cross-shard requests that contend for a shared
@@ -232,7 +230,7 @@ func (s *Shard) Send(to *Shard, t Time, fn func()) {
 // order. Same determinism guarantees as Send - the tag is part of the
 // schedule-independent key.
 func (s *Shard) SendTagged(to *Shard, t Time, core int, fn func()) {
-	s.post(to, t, int32(core), &event{kind: evCall, fn: fn})
+	s.post(to, t, int32(core), event{kind: evCall, fn: fn})
 }
 
 // AtBooking is At for callback events that may book mesh link occupancy
@@ -246,16 +244,16 @@ func (s *Shard) AtBooking(t Time, fn func()) {
 	if t < s.now {
 		t = s.now
 	}
-	s.schedule(&event{t: t, kind: evCall, fn: fn, mayBook: true})
+	s.schedule(event{t: t, kind: evCall, fn: fn, mayBook: true})
 }
 
 // SendBooking is Send for cross-shard continuations that may book mesh
 // link occupancy on the target shard. See AtBooking.
 func (s *Shard) SendBooking(to *Shard, t Time, fn func()) {
-	s.post(to, t, untagged, &event{kind: evCall, fn: fn, mayBook: true})
+	s.post(to, t, untagged, event{kind: evCall, fn: fn, mayBook: true})
 }
 
-func (s *Shard) post(to *Shard, t Time, tag int32, ev *event) {
+func (s *Shard) post(to *Shard, t Time, tag int32, ev event) {
 	if t < s.now {
 		t = s.now
 	}
@@ -286,7 +284,7 @@ func (s *Shard) post(to *Shard, t Time, tag int32, ev *event) {
 	}
 	// Sequential modes run shards on one goroutine, so writing the
 	// receiver's heap (and peak) directly is safe.
-	heap.Push(&to.heap, ev)
+	to.heap.push(ev)
 	to.notePeak()
 }
 
@@ -314,7 +312,7 @@ func (s *Shard) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := s.newProc(name, fn)
 	p.id = len(s.procs)
 	s.procs = append(s.procs, p)
-	s.schedule(&event{t: t, kind: evStart, proc: p})
+	s.schedule(event{t: t, kind: evStart, proc: p})
 	return p
 }
 
@@ -327,17 +325,16 @@ func (s *Shard) SpawnOn(to *Shard, t Time, name string, fn func(p *Proc)) *Proc 
 	}
 	p := to.newProc(name, fn)
 	p.id = -1 // assigned when the start event runs on to
-	s.post(to, t, untagged, &event{kind: evStart, proc: p})
+	s.post(to, t, untagged, event{kind: evStart, proc: p})
 	return p
 }
 
 func (s *Shard) newProc(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
-		sh:     s,
-		name:   name,
-		resume: make(chan Time),
-		fn:     fn,
-		state:  stateNew,
+		sh:    s,
+		name:  name,
+		fn:    fn,
+		state: stateNew,
 	}
 	// The done cond is created eagerly: it is owned by shard 0 (only
 	// host-side code joins kernels) and lazily creating it from two
@@ -394,15 +391,14 @@ func (s *Shard) AwaitBookingWindow() {
 		if p == nil {
 			panic(fmt.Sprintf("sim: mesh booking from a plain callback on shard %d during a parallel run (schedule it with AtBooking/SendBooking)", s.id))
 		}
+		p.mustBeRunning()
 		s.bookingParks++
 		s.stalled = true
 		p.state = stateWaiting
-		ev := &event{t: s.now, tag: bookingRetryTag, sid: s.id, seq: s.seq, kind: evResume, proc: p}
+		s.heap.push(event{t: s.now, tag: bookingRetryTag, sid: s.id, seq: s.seq, kind: evResume, proc: p})
 		s.seq++
-		heap.Push(&s.heap, ev)
 		s.notePeak()
-		s.yield <- struct{}{}
-		p.now = <-p.resume
+		p.yield(struct{}{})
 	}
 }
 
@@ -417,13 +413,14 @@ func (s *Shard) drainInbox() {
 			panic(fmt.Sprintf("sim: shard %d received event at t=%v from shard %d in its past (now %v); lookahead violated",
 				s.id, ev.t, ev.sid, s.now))
 		}
-		heap.Push(&s.heap, ev)
+		s.heap.push(ev)
 	}
 	s.notePeak()
 }
 
-// dispatch runs one event in this shard's context.
-func (s *Shard) dispatch(ev *event) {
+// dispatch runs one event in this shard's context. A proc event
+// switches to the proc's coroutine, which runs until it parks again.
+func (s *Shard) dispatch(ev event) {
 	s.nEvents++
 	s.now = ev.t
 	s.execKey = ev.key()
@@ -439,7 +436,6 @@ func (s *Shard) dispatch(ev *event) {
 			s.procs = append(s.procs, p)
 		}
 		p.start()
-		<-s.yield
 	case evResume:
 		p := ev.proc
 		if p.state == stateDone {
@@ -447,8 +443,7 @@ func (s *Shard) dispatch(ev *event) {
 		}
 		p.state = stateRunning
 		p.now = ev.t
-		p.resume <- ev.t
-		<-s.yield
+		p.next()
 	}
 	s.running = false
 	s.curProc = nil
@@ -478,7 +473,7 @@ func (s *Shard) phaseA() {
 // it.
 func (s *Shard) phaseB(limit Time) {
 	for len(s.heap) > 0 && !s.eng.failed.Load() {
-		top := s.heap[0]
+		top := &s.heap[0]
 		if top.t > limit {
 			return
 		}
@@ -494,7 +489,7 @@ func (s *Shard) phaseB(limit Time) {
 			s.heldByFloor++
 			return
 		}
-		s.dispatch(heap.Pop(&s.heap).(*event))
+		s.dispatch(s.heap.pop())
 		if s.posted || s.stalled {
 			return
 		}

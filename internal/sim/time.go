@@ -1,9 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine executes simulated processes (Procs) one at a time in strict
-// virtual-time order: goroutines are used as coroutines, with exactly one
-// runnable at any instant, so shared simulation state needs no locking and
-// every run of the same program produces identical results.
+// virtual-time order. Each Proc is an iter.Pull coroutine: it still owns
+// a goroutine, but the engine switches to it and back directly, with no
+// hand-off through the Go scheduler. Exactly one Proc runs at any instant,
+// so shared simulation state needs no locking and every run of the same
+// program produces identical results.
 //
 // Time is measured in integer units of 1/3 nanosecond. This unit was chosen
 // so that all of the calibrated Epiphany quantities are exact integers:
