@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"epiphany/internal/host"
-	"epiphany/internal/isa"
 	"epiphany/internal/mem"
 	"epiphany/internal/sim"
 )
@@ -168,7 +167,7 @@ func planMatmul(m, n, k, g int) (*matmulPlan, error) {
 		}, nil
 	}
 	// Adaptive plan: the macro-expanded code size tracks the block shape.
-	codeSz := isa.CodeBytes(isa.MatmulRowBodyNK(n, k)) + 3*1024
+	codeSz := matmulCodeBytes(n, k) + 3*1024
 	if codeSz < 6*1024 {
 		codeSz = 6 * 1024
 	}

@@ -163,9 +163,12 @@ func RunStreamStencil(h *host.Host, cfg StreamStencilConfig) (*StreamStencilResu
 			final = dstOff
 		}
 		out := hp.ReadDRAMF32(final, gR*gC)
+		// Each row is a capped window of the one staging read, so a
+		// caller appending to a row cannot spill into the next.
 		res.Global = make([][]float32, cfg.GlobalRows)
 		for r := 1; r <= cfg.GlobalRows; r++ {
-			res.Global[r-1] = append([]float32(nil), out[r*gC+1:r*gC+1+cfg.GlobalCols]...)
+			a, b := r*gC+1, r*gC+1+cfg.GlobalCols
+			res.Global[r-1] = out[a:b:b]
 		}
 	})
 	if err := h.Chip().Engine().Run(); err != nil {

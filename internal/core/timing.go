@@ -101,3 +101,13 @@ func MatmulBlockModel(m, n, k int, tuned bool) (cycles, flops uint64) {
 	proCycles, steady := v[0], v[1]
 	return proCycles + steady*uint64(m) + matmulBlockOverhead, flops
 }
+
+// matmulCodeBytes returns the code size of the tuned n x k row body,
+// memoized so a plan does not build the macro-expanded program on
+// every run only to measure it.
+func matmulCodeBytes(n, k int) int {
+	v := cached(fmt.Sprintf("matmul-code-%d-%d", n, k), func() [2]uint64 {
+		return [2]uint64{uint64(isa.CodeBytes(isa.MatmulRowBodyNK(n, k))), 0}
+	})
+	return int(v[0])
+}

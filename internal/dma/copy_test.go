@@ -27,9 +27,8 @@ func (e *Engine) copyDescBeats(d *Desc, src, dst mem.Target) {
 	}
 }
 
-// dramSpan is the seeded DRAM prefix. Seeding moves the dirty watermark
-// to its end, so DRAM destinations sit above it, where only the copy
-// itself can advance the watermark.
+// dramSpan is the seeded DRAM prefix. DRAM destinations sit above it, on
+// pages only the copy itself writes.
 const dramSpan = 0x4000
 
 // seededFabric returns a fabric whose first cores' scratchpads and the
@@ -41,8 +40,17 @@ func seededFabric(seed int64) *Fabric {
 	for _, s := range f.SRAMs[:4] {
 		rng.Read(s.Bytes(0, mem.SRAMSize))
 	}
-	rng.Read(f.DRAM.Bytes(0, dramSpan))
+	buf := make([]byte, dramSpan)
+	rng.Read(buf)
+	f.DRAM.Write(0, buf)
 	return f
+}
+
+// dramPrefix returns a copy of the first n bytes of f's DRAM.
+func dramPrefix(f *Fabric, n int) []byte {
+	b := make([]byte, n)
+	f.DRAM.Read(0, b)
+	return b
 }
 
 // tile2D is a 2D doubleword descriptor moving rows x 8*dwords bytes
@@ -59,8 +67,8 @@ func tile2D(src, dst mem.Addr, rows, dwords, srcPitch, dstPitch int) *Desc {
 }
 
 // TestCopyDescMatchesBeatOrder: copyDesc leaves every SRAM and DRAM byte
-// and every byte counter as the beat-order walk does, and the DRAM dirty
-// watermark covers every byte it wrote.
+// and every byte counter as the beat-order walk does, and DRAM Reset
+// clears every byte it wrote.
 func TestCopyDescMatchesBeatOrder(t *testing.T) {
 	m := mem.NewMap(8, 8)
 	dram := func(off int) mem.Addr { return mem.DRAMBase + mem.Addr(off) }
@@ -99,12 +107,14 @@ func TestCopyDescMatchesBeatOrder(t *testing.T) {
 					t.Fatalf("core %d SRAM bytes differ from beat order", i)
 				}
 			}
-			// Reset zeroes the DRAM below the dirty watermark: a watermark
-			// that missed a written byte would leave it behind.
+			if !bytes.Equal(dramPrefix(got, 2*dramSpan), dramPrefix(want, 2*dramSpan)) {
+				t.Fatal("DRAM bytes differ from beat order")
+			}
+			// Reset zeroes every written DRAM page: a write that missed
+			// its page's dirty mark would leave bytes behind.
 			got.DRAM.Reset()
-			want.DRAM.Reset()
-			if !bytes.Equal(got.DRAM.Bytes(0, 2*dramSpan), want.DRAM.Bytes(0, 2*dramSpan)) {
-				t.Fatal("DRAM bytes below the watermark differ from beat order")
+			if !bytes.Equal(dramPrefix(got, 2*dramSpan), make([]byte, 2*dramSpan)) {
+				t.Fatal("DRAM bytes survived Reset")
 			}
 		})
 	}
@@ -118,7 +128,7 @@ func TestCopyDescDRAMBytesMatchBeatOrder(t *testing.T) {
 	src, dst := got.Map.Decode(2, d.Src), got.Map.Decode(2, d.Dst)
 	NewEngine(got, 2).copyDesc(d, src, dst)
 	NewEngine(want, 2).copyDescBeats(d, src, dst)
-	if !bytes.Equal(got.DRAM.Bytes(0, 2*dramSpan), want.DRAM.Bytes(0, 2*dramSpan)) {
+	if !bytes.Equal(dramPrefix(got, 2*dramSpan), dramPrefix(want, 2*dramSpan)) {
 		t.Fatal("DRAM bytes differ from beat order")
 	}
 }

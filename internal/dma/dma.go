@@ -440,13 +440,19 @@ func (e *Engine) writeBeat(t mem.Target, off mem.Addr, beat int, v uint64) {
 	}
 }
 
-// window returns the n bytes of t's memory at off, charged as the beats
-// covering them would be.
-func (e *Engine) window(t mem.Target, off mem.Addr, n int) []byte {
-	if t.Kind == mem.KindDRAM {
-		return e.fab.DRAM.Bytes(off, n)
+// copyRange moves n contiguous bytes from src's memory at so to dst's
+// at do, charging the byte counters as the beats covering them would.
+// DRAM is reached by copying through its Read/Write accessors; the
+// caller has already refused DRAM-to-DRAM transfers.
+func (e *Engine) copyRange(dst mem.Target, do mem.Addr, src mem.Target, so mem.Addr, n int) {
+	switch {
+	case dst.Kind == mem.KindDRAM:
+		e.fab.DRAM.Write(do, e.fab.SRAMs[src.Core].Bytes(so, n))
+	case src.Kind == mem.KindDRAM:
+		e.fab.DRAM.Read(so, e.fab.SRAMs[dst.Core].Bytes(do, n))
+	default:
+		copy(e.fab.SRAMs[dst.Core].Bytes(do, n), e.fab.SRAMs[src.Core].Bytes(so, n))
 	}
-	return e.fab.SRAMs[t.Core].Bytes(off, n)
 }
 
 // copyDesc performs the functional data movement for one descriptor.
@@ -454,10 +460,9 @@ func (e *Engine) window(t mem.Target, off mem.Addr, n int) []byte {
 // or on the sys shard (which may touch any memory: its rounds are
 // mutually exclusive with every chip round).
 //
-// A row whose beats are contiguous on both sides moves as one range:
-// the memory windows charge the byte counters (and advance the DRAM
-// dirty watermark) exactly as its beats do. The exception is a row
-// copied forward onto itself within one memory - the destination
+// A row whose beats are contiguous on both sides moves as one range,
+// charging the byte counters exactly as its beats do. The exception is
+// a row copied forward onto itself within one memory - the destination
 // starting inside the source range - where each beat reads bytes an
 // earlier beat wrote; that row keeps beat order, which a memmove would
 // not reproduce.
@@ -468,7 +473,7 @@ func (e *Engine) copyDesc(d *Desc, src, dst mem.Target) {
 	so, do := src.Off, dst.Off
 	for row := 0; row < d.OuterCount; row++ {
 		if contiguous && !(sameMem && so < do && do < so+mem.Addr(n)) {
-			copy(e.window(dst, do, n), e.window(src, so, n))
+			e.copyRange(dst, do, src, so, n)
 		} else {
 			rs, rd := so, do
 			for i := 0; i < d.InnerCount; i++ {

@@ -9,8 +9,7 @@
 package host
 
 import (
-	"encoding/binary"
-	"math"
+	"slices"
 
 	"epiphany/internal/ecore"
 	"epiphany/internal/mem"
@@ -117,53 +116,62 @@ func (hp *Proc) ReadCore(core int, off mem.Addr, n int) []byte {
 	return append([]byte(nil), hp.h.chip.Fabric().SRAMs[core].Bytes(off, n)...)
 }
 
-// WriteCoreF32 writes a float slice into core SRAM.
+// WriteCoreF32 writes a float slice into core SRAM, as WriteCore does
+// with the values' little-endian bytes. On the host's own shard the
+// floats are encoded straight into the scratchpad; a deposit on another
+// shard carries its own copy of them.
 func (hp *Proc) WriteCoreF32(core int, off mem.Addr, vals []float32) {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		putF32(buf[4*i:], v)
+	_, end := hp.h.down.Use(hp.p.Now(), sim.Time(4*len(vals))*DownBytePeriod)
+	fab := hp.h.chip.Fabric()
+	sh := fab.CoreShard(core)
+	if sh != hp.p.Shard() {
+		vals = slices.Clone(vals)
+		hp.p.Shard().Send(sh, end, func() {
+			fab.SRAMs[core].StoreF32s(off, vals)
+			fab.Notify(core)
+		})
+		hp.p.WaitUntil(end)
+		return
 	}
-	hp.WriteCore(core, off, buf)
+	hp.p.WaitUntil(end)
+	fab.SRAMs[core].StoreF32s(off, vals)
+	fab.Notify(core)
 }
 
-// ReadCoreF32 reads n floats from core SRAM.
+// ReadCoreF32 reads n floats from core SRAM, as ReadCore does.
 func (hp *Proc) ReadCoreF32(core int, off mem.Addr, n int) []float32 {
-	raw := hp.ReadCore(core, off, 4*n)
+	_, end := hp.h.up.Use(hp.p.Now(), sim.Time(4*n)*UpBytePeriod)
+	hp.p.WaitUntil(end)
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = getF32(raw[4*i:])
-	}
+	hp.h.chip.Fabric().SRAMs[core].LoadF32s(off, out)
 	return out
 }
 
 // WriteDRAM stages data into the shared window at off.
 func (hp *Proc) WriteDRAM(off mem.Addr, data []byte) {
 	hp.p.Wait(sim.Time(len(data)) * DRAMBytePeriod)
-	copy(hp.h.chip.DRAM().Bytes(off, len(data)), data)
+	hp.h.chip.DRAM().Write(off, data)
 }
 
 // ReadDRAM reads n bytes from the shared window.
 func (hp *Proc) ReadDRAM(off mem.Addr, n int) []byte {
 	hp.p.Wait(sim.Time(n) * DRAMBytePeriod)
-	return append([]byte(nil), hp.h.chip.DRAM().Bytes(off, n)...)
+	out := make([]byte, n)
+	hp.h.chip.DRAM().Read(off, out)
+	return out
 }
 
 // WriteDRAMF32 stages floats into shared memory.
 func (hp *Proc) WriteDRAMF32(off mem.Addr, vals []float32) {
-	buf := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		putF32(buf[4*i:], v)
-	}
-	hp.WriteDRAM(off, buf)
+	hp.p.Wait(sim.Time(4*len(vals)) * DRAMBytePeriod)
+	hp.h.chip.DRAM().StoreF32s(off, vals)
 }
 
 // ReadDRAMF32 reads n floats from shared memory.
 func (hp *Proc) ReadDRAMF32(off mem.Addr, n int) []float32 {
-	raw := hp.ReadDRAM(off, 4*n)
+	hp.p.Wait(sim.Time(4*n) * DRAMBytePeriod)
 	out := make([]float32, n)
-	for i := range out {
-		out[i] = getF32(raw[4*i:])
-	}
+	hp.h.chip.DRAM().LoadF32s(off, out)
 	return out
 }
 
@@ -183,14 +191,4 @@ func (hp *Proc) Join(procs []*sim.Proc) {
 	for _, p := range procs {
 		hp.p.Join(p)
 	}
-}
-
-// Float marshalling helpers (little-endian, as the device lays memory out).
-
-func putF32(b []byte, v float32) {
-	binary.LittleEndian.PutUint32(b, math.Float32bits(v))
-}
-
-func getF32(b []byte) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(b))
 }

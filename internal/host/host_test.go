@@ -2,6 +2,9 @@ package host
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 
 	"epiphany/internal/ecore"
@@ -175,4 +178,87 @@ func TestWriteCoreNotifiesPollers(t *testing.T) {
 		t.Fatal("poller never woke")
 	}
 	_ = mem.Addr(0)
+}
+
+// TestF32StagingAllocatesOnlyResults: on the host's own shard the float
+// staging calls encode and decode in place - the writes allocate
+// nothing, the reads only the slice they return.
+func TestF32StagingAllocatesOnlyResults(t *testing.T) {
+	vals := make([]float32, 256)
+	_, h := newHost()
+	var allocs [4]float64
+	err := h.Run(func(hp *Proc) {
+		allocs[0] = testing.AllocsPerRun(20, func() { hp.WriteDRAMF32(0x100, vals) })
+		allocs[1] = testing.AllocsPerRun(20, func() { hp.WriteCoreF32(3, 0x2000, vals) })
+		allocs[2] = testing.AllocsPerRun(20, func() { _ = hp.ReadDRAMF32(0x100, len(vals)) })
+		allocs[3] = testing.AllocsPerRun(20, func() { _ = hp.ReadCoreF32(3, 0x2000, len(vals)) })
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs != [4]float64{0, 0, 1, 1} {
+		t.Fatalf("allocs per call WriteDRAMF32/WriteCoreF32/ReadDRAMF32/ReadCoreF32 = %v, want [0 0 1 1]", allocs)
+	}
+}
+
+// TestF32StagingMatchesBytePath: the float staging calls leave the same
+// memory contents, virtual time and SRAM/DRAM AccessedBytes as staging
+// the values' little-endian bytes through WriteDRAM/WriteCore and
+// reading them back through ReadDRAM/ReadCore.
+func TestF32StagingMatchesBytePath(t *testing.T) {
+	vals := make([]float32, 300)
+	for i := range vals {
+		vals[i] = float32(i)*0.37 - 11
+	}
+	type outcome struct {
+		end        sim.Time
+		sram, dram uint64
+		fromDRAM   []float32
+		fromCore   []float32
+	}
+	run := func(f32 bool) outcome {
+		_, h := newHost()
+		var o outcome
+		err := h.Run(func(hp *Proc) {
+			if f32 {
+				hp.WriteDRAMF32(0x1002, vals)
+				hp.WriteCoreF32(6, 0x3004, vals)
+				o.fromDRAM = hp.ReadDRAMF32(0x1002, len(vals))
+				o.fromCore = hp.ReadCoreF32(6, 0x3004, len(vals))
+			} else {
+				enc := make([]byte, 4*len(vals))
+				for i, v := range vals {
+					binary.LittleEndian.PutUint32(enc[4*i:], math.Float32bits(v))
+				}
+				hp.WriteDRAM(0x1002, enc)
+				hp.WriteCore(6, 0x3004, enc)
+				o.fromDRAM = decodeF32s(hp.ReadDRAM(0x1002, len(enc)))
+				o.fromCore = decodeF32s(hp.ReadCore(6, 0x3004, len(enc)))
+			}
+			o.end = hp.Now()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fab := h.Chip().Fabric()
+		o.sram, o.dram = fab.SRAMs[6].AccessedBytes(), fab.DRAM.AccessedBytes()
+		return o
+	}
+	got, want := run(true), run(false)
+	if got.end != want.end || got.sram != want.sram || got.dram != want.dram {
+		t.Fatalf("float path: t=%v SRAM %d B DRAM %d B; byte path: t=%v SRAM %d B DRAM %d B",
+			got.end, got.sram, got.dram, want.end, want.sram, want.dram)
+	}
+	if !slices.Equal(got.fromDRAM, vals) || !slices.Equal(want.fromDRAM, vals) ||
+		!slices.Equal(got.fromCore, vals) || !slices.Equal(want.fromCore, vals) {
+		t.Fatal("round trip changed the values")
+	}
+}
+
+func decodeF32s(b []byte) []float32 {
+	out := make([]float32, len(b)/4)
+	for i := range out {
+		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
+	}
+	return out
 }

@@ -8,6 +8,10 @@
 // charge time for accesses; this package says where bytes live and keeps
 // the accounting that makes the paper's memory-pressure arguments (code vs
 // data vs stack in 4 banks) checkable.
+//
+// The scratchpads are flat arrays. The 32 MB DRAM window is a table of
+// 64 KB pages allocated on first write, so a board costs the memory its
+// programs touch; bytes cross into and out of it only by copying.
 package mem
 
 import "fmt"

@@ -238,6 +238,17 @@ func TestDRAMAccessors(t *testing.T) {
 	if got := d.LoadF32(0x1000); got != -2.25 {
 		t.Fatalf("DRAM float = %v", got)
 	}
+	// Write and Read copy: mutating either buffer afterwards leaves the
+	// window alone.
+	src := []byte{1, 2, 3, 4, 5}
+	d.Write(0x2001, src)
+	src[0] = 0xFF
+	got := make([]byte, 5)
+	d.Read(0x2001, got)
+	got[1] = 0xFF
+	if !bytes.Equal(got, []byte{1, 0xFF, 3, 4, 5}) || d.Load32(0x2001) != 0x04030201 {
+		t.Fatalf("DRAM Write/Read round trip = %v", got)
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("out-of-range DRAM access should panic")
@@ -407,6 +418,9 @@ func TestNewSRAMsAreIndependent(t *testing.T) {
 	}
 }
 
+// TestDRAMResetUsesWatermark: Reset zeroes every page written since the
+// last Reset - through the word accessors and through Write - and keeps
+// clearing across repeated cycles.
 func TestDRAMResetUsesWatermark(t *testing.T) {
 	d := NewDRAM()
 	d.Store32(0, 1)
@@ -421,21 +435,21 @@ func TestDRAMResetUsesWatermark(t *testing.T) {
 	if d.Load32(64) != 0 {
 		t.Fatal("second Reset left dirty bytes")
 	}
-	// Reads advance the watermark too (Bytes aliases are writable), so
-	// a write through an aliased slice is still cleared.
-	b := d.Bytes(4096, 8)
-	b[0] = 0xFF
+	// A bulk write straddling a page boundary dirties both pages.
+	d.Write(dramPageSize-4, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	d.Reset()
-	if d.Load32(4096) != 0 {
-		t.Fatal("write through aliased Bytes slice survived Reset")
+	got := make([]byte, 8)
+	d.Read(dramPageSize-4, got)
+	if !bytes.Equal(got, make([]byte, 8)) {
+		t.Fatalf("bytes %v survived Reset across a page boundary", got)
 	}
-	// The watermark never retreats: a write through a stale alias
-	// after a Reset (a retained slice from an earlier run) is still
-	// inside the prefix the next Reset clears.
-	b[4] = 0xAA
+	// A page written in an earlier cycle and only read since is clear.
+	d.Store32(4096, 0xAA)
 	d.Reset()
-	if d.Load32(4100) != 0 {
-		t.Fatal("post-Reset write through stale alias survived the next Reset")
+	_ = d.Load32(4096)
+	d.Reset()
+	if d.Load32(4096) != 0 || d.AccessedBytes() != 4 {
+		t.Fatal("re-Reset page not zero, or AccessedBytes not cleared")
 	}
 }
 

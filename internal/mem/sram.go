@@ -2,7 +2,6 @@ package mem
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
 )
 
@@ -116,16 +115,24 @@ func (s *SRAM) StoreF32(off Addr, v float32) { s.Store32(off, math.Float32bits(v
 // LoadF32s decodes len(dst) consecutive single-precision floats starting
 // at off, charging 4 bytes per float as LoadF32 does.
 func (s *SRAM) LoadF32s(off Addr, dst []float32) {
-	src := s.Bytes(off, 4*len(dst))
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
-	}
+	decodeF32s(dst, s.Bytes(off, 4*len(dst)))
 }
 
 // StoreF32s encodes src as consecutive single-precision floats starting
 // at off, charging 4 bytes per float as StoreF32 does.
 func (s *SRAM) StoreF32s(off Addr, src []float32) {
-	dst := s.Bytes(off, 4*len(src))
+	encodeF32s(s.Bytes(off, 4*len(src)), src)
+}
+
+// decodeF32s decodes len(dst) little-endian floats from the front of src.
+func decodeF32s(dst []float32, src []byte) {
+	for i := range dst {
+		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(src[4*i:]))
+	}
+}
+
+// encodeF32s encodes src as little-endian floats at the front of dst.
+func encodeF32s(dst []byte, src []float32) {
 	for i, v := range src {
 		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
 	}
@@ -136,77 +143,3 @@ func (s *SRAM) StoreF32s(off Addr, src []float32) {
 func Copy(dst *SRAM, dstOff Addr, src *SRAM, srcOff Addr, n int) {
 	copy(dst.Bytes(dstOff, n), src.Bytes(srcOff, n))
 }
-
-// DRAM is the shared off-chip memory window.
-type DRAM struct {
-	data []byte
-	// hi is the dirty high-water mark: one past the highest byte any
-	// accessor has ever exposed, so Reset zeroes only that prefix
-	// instead of the whole 32 MB window. It never retreats - even
-	// across Resets - so a write through a Bytes alias retained from an
-	// earlier run still lands inside the cleared prefix.
-	hi int
-	// accessed counts bytes moved through the access interface, as
-	// SRAM.accessed does; it feeds the energy model's DRAM term and is
-	// cleared by Reset.
-	accessed uint64
-}
-
-// NewDRAM allocates the 32 MB shared window.
-func NewDRAM() *DRAM { return &DRAM{data: make([]byte, DRAMSize)} }
-
-// check bounds-checks an access with a formatted panic, advances the
-// dirty watermark and charges the access counter. Unlike the SRAM
-// accessors, the DRAM path keeps a bespoke pre-check: it needs the
-// watermark bookkeeping anyway and sits behind the eLink/DMA models,
-// never on a per-element kernel hot path.
-func (d *DRAM) check(off Addr, n int) {
-	if int(off)+n > len(d.data) {
-		panic(fmt.Sprintf("mem: DRAM access [%#x,%#x) beyond %d MB window",
-			off, int(off)+n, len(d.data)>>20))
-	}
-	if int(off)+n > d.hi {
-		d.hi = int(off) + n
-	}
-	d.accessed += uint64(n)
-}
-
-// AccessedBytes returns the bytes moved through the window's access
-// interface since construction or Reset (the energy model's DRAM term).
-func (d *DRAM) AccessedBytes() uint64 { return d.accessed }
-
-// Reset zeroes every byte that may ever have been written (the dirty
-// watermark is conservative: reads advance it too, and it survives
-// Reset so stale aliases cannot smuggle bytes past it) and clears the
-// access statistics.
-func (d *DRAM) Reset() {
-	clear(d.data[:d.hi])
-	d.accessed = 0
-}
-
-// Bytes returns a slice aliasing n bytes of DRAM at off.
-func (d *DRAM) Bytes(off Addr, n int) []byte {
-	d.check(off, n)
-	return d.data[off : int(off)+n]
-}
-
-// Load32 reads a 32-bit little-endian word.
-func (d *DRAM) Load32(off Addr) uint32 {
-	d.check(off, 4)
-	return binary.LittleEndian.Uint32(d.data[off:])
-}
-
-// Store32 writes a 32-bit little-endian word.
-func (d *DRAM) Store32(off Addr, v uint32) {
-	d.check(off, 4)
-	binary.LittleEndian.PutUint32(d.data[off:], v)
-}
-
-// LoadF32 reads a single-precision float.
-func (d *DRAM) LoadF32(off Addr) float32 { return math.Float32frombits(d.Load32(off)) }
-
-// StoreF32 writes a single-precision float.
-func (d *DRAM) StoreF32(off Addr, v float32) { d.Store32(off, math.Float32bits(v)) }
-
-// Size returns the window size in bytes.
-func (d *DRAM) Size() int { return len(d.data) }

@@ -84,11 +84,12 @@ func (s *System) NewWorkgroup(originRow, originCol, rows, cols int) (*sdk.Workgr
 
 // Reset restores a used System to a pristine board - virtual time zero,
 // memories zeroed, every statistic and link occupancy cleared - so the
-// 35 MB of board state can be recycled across experiments instead of
-// reallocated. A recycled System is bit-deterministic with a fresh one:
-// the same workload produces byte-identical Metrics either way (the
-// conformance harness pins this). Reset refuses a board whose engine is
-// not quiescent (a run that deadlocked, was stopped mid-flight, or
+// board state (about 2.4 MB for an e64, plus the DRAM pages its runs
+// wrote) can be recycled across experiments instead of reallocated. A
+// recycled System is bit-deterministic with a fresh one: the same
+// workload produces byte-identical Metrics either way (the conformance
+// harness pins this). Reset refuses a board whose engine is not
+// quiescent (a run that deadlocked, was stopped mid-flight, or
 // panicked); such a System must be discarded. The workload Runner uses
 // Reset to pool boards across jobs.
 func (s *System) Reset() error {

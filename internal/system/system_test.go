@@ -1,11 +1,14 @@
 package system
 
 import (
+	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
 	"epiphany/internal/core"
 	"epiphany/internal/host"
+	"epiphany/internal/mem"
 )
 
 func tinyStencil() core.StencilConfig {
@@ -225,5 +228,41 @@ func TestClusterC2COverrideChangesCrossingCosts(t *testing.T) {
 	def := run(E64)
 	if single != def {
 		t.Fatalf("single-chip metrics changed under a C2C override:\n %+v\n %+v", single, def)
+	}
+}
+
+// TestNewTopologyE64AllocBudget: building an e64 board allocates at most
+// 4 MB - the shared DRAM window costs nothing until a program writes it.
+func TestNewTopologyE64AllocBudget(t *testing.T) {
+	const budget = 4 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sinkSys = NewTopology(E64)
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
+		t.Fatalf("NewTopology(E64) allocated %.1f MB, budget %d MB", float64(got)/(1<<20), budget>>20)
+	}
+}
+
+// TestResetZeroesLastDRAMPage: a board whose last DRAM page was written
+// reads zeros there after Reset.
+func TestResetZeroesLastDRAMPage(t *testing.T) {
+	sys := NewTopology(E64)
+	vals := []float32{1, -2, 3.5, 4}
+	if err := sys.Host().Run(func(hp *host.Proc) {
+		hp.WriteDRAMF32(mem.DRAMSize-4*mem.Addr(len(vals)), vals)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.Chip().DRAM().LoadF32(mem.DRAMSize - 4); got != 4 {
+		t.Fatalf("last DRAM word = %v before Reset, want 4", got)
+	}
+	if err := sys.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	page := make([]byte, 64<<10)
+	sys.Chip().DRAM().Read(mem.DRAMSize-mem.Addr(len(page)), page)
+	if !bytes.Equal(page, make([]byte, len(page))) {
+		t.Fatal("last DRAM page not zero after Reset")
 	}
 }
