@@ -1,6 +1,7 @@
 // Command epiphany-bench regenerates the paper's evaluation tables and
-// figures on the simulated Epiphany system, and batch-runs registered
-// workloads concurrently through the Runner.
+// figures on the simulated Epiphany system, and batch-runs workloads -
+// registered presets or custom kernel configurations spelled as
+// workload specs - concurrently through the Runner.
 //
 // Usage:
 //
@@ -10,6 +11,7 @@
 //	epiphany-bench -run table6 -large   # include the 1536x1536 row
 //	epiphany-bench -workloads all -j 8  # batch-run the workload registry
 //	epiphany-bench -workloads stencil-tuned,matmul-cannon
+//	epiphany-bench -workloads matmul-offchip/m=512/n=512/k=512   # custom kernel configuration
 //	epiphany-bench -workloads all -topo cluster-2x2   # on a multi-chip board
 //	epiphany-bench -workloads all -power epiphany-iv-28nm        # energy columns
 //	epiphany-bench -workloads all -power epiphany-iv-28nm -dvfs 300@0.8
@@ -22,21 +24,23 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"time"
 
 	"epiphany"
 	"epiphany/internal/bench"
 	"epiphany/internal/names"
+	"epiphany/internal/workload"
 )
 
 func main() {
 	all := flag.Bool("all", false, "run every paper experiment")
 	run := flag.String("run", "", "run one experiment by name")
-	list := flag.Bool("list", false, "list experiment and registered workload names")
+	list := flag.Bool("list", false, "list experiment and registered workload names, workload spec keys, topologies and power models")
 	large := flag.Bool("large", false, "include long-running rows (Table VI 1536x1536)")
 	extras := flag.Bool("extras", false, "also run the extension and ablation studies")
-	workloads := flag.String("workloads", "", `batch-run registered workloads: "all" or a comma-separated name list`)
+	workloads := flag.String("workloads", "", `batch-run workloads: "all" or a comma-separated list of workload specs, each a registered name with optional "/key=value" config overrides ("matmul-offchip/m=512/n=512/k=512"; keys under -list)`)
 	jobs := flag.Int("j", 0, "concurrent workers for -workloads (0 = GOMAXPROCS)")
 	topo := flag.String("topo", "", `fabric topology for -workloads: a preset ("e16", "e64", "cluster-2x2"), a mesh ("4x8") or a chip grid ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), optionally with "/c2c=BYTE:HOP" and/or "/shards=N"`)
 	powerModel := flag.String("power", "", `power-model preset for -workloads energy columns (e.g. "epiphany-iv-28nm"; defaults to it when -dvfs is given)`)
@@ -48,7 +52,7 @@ func main() {
 	flag.Parse()
 
 	if (*topo != "" || *powerModel != "" || *dvfs != "" || *traceFile != "" || *timelineFile != "" || *engineStats || *simWorkers != 1) && *workloads == "" {
-		fmt.Fprintln(os.Stderr, "-topo/-power/-dvfs/-trace/-timeline/-engine-stats only apply to -workloads; the paper experiments are defined on the default board")
+		fmt.Fprintln(os.Stderr, "-topo/-power/-dvfs/-trace/-timeline/-engine-stats/-sim-workers only apply to -workloads; the paper experiments are defined on the default board")
 		os.Exit(2)
 	}
 	if *dvfs != "" && *powerModel == "" {
@@ -86,6 +90,10 @@ func main() {
 		fmt.Println("workloads (each runnable on every topology):")
 		for _, w := range epiphany.Workloads() {
 			fmt.Printf("  %s\n", w.Name())
+		}
+		fmt.Println("workload keys (NAME/key=value/..., by the preset's kind):")
+		for _, line := range workload.KeyUsage() {
+			fmt.Printf("  %s\n", line)
 		}
 		fmt.Println("topologies:")
 		for _, t := range epiphany.Topologies() {
@@ -127,28 +135,28 @@ func main() {
 	}
 }
 
-// runWorkloads resolves the selection against the registry and executes
-// it as one concurrent batch, each job on its own fresh System built on
-// the selected topology, with energy columns when a power model is
-// attached. Heatmap traces and Perfetto timelines are captured per job
-// into memory (jobs run concurrently) and written out after the batch.
+// runWorkloads parses the selection's workload specs, drops repeats of
+// one canonical spelling, and executes the rest as one concurrent batch,
+// each job on its own fresh System built on the selected topology, with
+// energy columns when a power model is attached. Heatmap traces and
+// Perfetto timelines are captured per job into memory (jobs run
+// concurrently) and written out after the batch.
 func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile, timelineFile string, engineStats bool, simWorkers int) {
 	var ws []epiphany.Workload
 	if sel == "all" {
 		ws = epiphany.Workloads()
 	} else {
-		for _, name := range strings.Split(sel, ",") {
-			name = strings.TrimSpace(name)
-			w, ok := epiphany.WorkloadByName(name)
-			if !ok {
-				var registered []string
-				for _, rw := range epiphany.Workloads() {
-					registered = append(registered, rw.Name())
-				}
-				fmt.Fprintln(os.Stderr, names.Unknown("workload", name, registered))
+		seen := make(map[string]bool)
+		for _, spec := range strings.Split(sel, ",") {
+			w, err := epiphany.ParseWorkload(strings.TrimSpace(spec))
+			if err != nil {
+				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
-			ws = append(ws, w)
+			if !seen[w.Name()] {
+				seen[w.Name()] = true
+				ws = append(ws, w)
+			}
 		}
 	}
 	runner := &epiphany.Runner{Workers: workers}
@@ -190,15 +198,20 @@ func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Printf("%-22s %-14s %10s %8s %11s %11s %12s",
-		"workload", "simulated", "GFLOPS", "% peak", "% compute", "% transfer", "x-chip time")
+	// The name column fits the longest workload spec in the batch.
+	nameW := 22
+	for _, w := range ws {
+		nameW = max(nameW, len(w.Name()))
+	}
+	fmt.Printf("%-*s %-14s %10s %8s %11s %11s %12s",
+		nameW, "workload", "simulated", "GFLOPS", "% peak", "% compute", "% transfer", "x-chip time")
 	if powerModel != "" {
 		fmt.Printf(" %12s %8s %9s", "energy (mJ)", "avg W", "GFLOPS/W")
 	}
 	fmt.Println()
 	for _, jr := range batch.Results {
 		if jr.Err != nil {
-			fmt.Printf("%-22s FAILED: %v\n", jr.Name, jr.Err)
+			fmt.Printf("%-*s FAILED: %v\n", nameW, jr.Name, jr.Err)
 			continue
 		}
 		m := jr.Result.Metrics()
@@ -211,8 +224,8 @@ func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile
 		if m.ELinkCrossings > 0 {
 			xchip = fmt.Sprint(m.ELinkCrossTime)
 		}
-		fmt.Printf("%-22s %-14v %10.2f %8.1f %11s %11s %12s",
-			jr.Name, m.Elapsed, m.GFLOPS, m.PctPeak, split[0], split[1], xchip)
+		fmt.Printf("%-*s %-14v %10.2f %8.1f %11s %11s %12s",
+			nameW, jr.Name, m.Elapsed, m.GFLOPS, m.PctPeak, split[0], split[1], xchip)
 		if powerModel != "" {
 			fmt.Printf(" %12.3f %8.3f %9.2f", m.EnergyJ*1e3, m.AvgPowerW, m.GFLOPSPerWatt)
 		}
@@ -245,7 +258,11 @@ func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile
 
 // writeCaptures flushes per-job capture buffers to disk: to base itself
 // for a single workload, or with a -<workload> name suffix each when
-// the batch ran several.
+// the batch ran several. The suffix maps every byte outside
+// [A-Za-z0-9._=-] - the "/" of a workload spec above all - to "_", so a
+// capture never lands in a subdirectory.
+var unsafeInName = regexp.MustCompile(`[^A-Za-z0-9._=-]`)
+
 func writeCaptures(base, what string, bufs []*bytes.Buffer, batch *epiphany.BatchResult) {
 	if base == "" {
 		return
@@ -258,7 +275,7 @@ func writeCaptures(base, what string, bufs []*bytes.Buffer, batch *epiphany.Batc
 		path := base
 		if len(bufs) > 1 {
 			ext := filepath.Ext(base)
-			path = strings.TrimSuffix(base, ext) + "-" + jr.Name + ext
+			path = strings.TrimSuffix(base, ext) + "-" + unsafeInName.ReplaceAllString(jr.Name, "_") + ext
 		}
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)

@@ -13,6 +13,7 @@
 //	epiphany-sweep                              # all workloads x {e16, e64, cluster-2x2}
 //	epiphany-sweep -list                        # list workloads, topology presets, plans
 //	epiphany-sweep -workloads stencil-tuned,matmul-offchip -topos e64,cluster-2x2
+//	epiphany-sweep -workloads stream-stencil/t=1,stream-stencil/t=4   # custom kernel configurations
 //	epiphany-sweep -topos e16,4x8,e64           # ad-hoc single-chip meshes mix in
 //	epiphany-sweep -topos e64,grid=4x4/chip=8x8 # parameterized chip grids (1024 cores)
 //	epiphany-sweep -topos cluster-2x2,cluster-2x2/c2c=40:600   # sweep the c2c link speed
@@ -36,7 +37,7 @@ import (
 )
 
 func main() {
-	workloads := flag.String("workloads", "all", `workloads to sweep: "all" or a comma-separated name list`)
+	workloads := flag.String("workloads", "all", `workloads to sweep: "all" or a comma-separated list of workload specs, each a registered name with optional "/key=value" config overrides (keys under epiphany-bench -list)`)
 	topos := flag.String("topos", "", `topology axis: comma-separated presets ("e16"), meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), each with an optional "/c2c=BYTE:HOP" override and then an optional "/shards=N" engine partition; empty = all presets`)
 	seeds := flag.String("seeds", "", "seed axis: comma-separated uint64s; empty = each workload's default seed")
 	baseline := flag.String("baseline", "", "topology the speedup/efficiency columns compare against, in any spelling of a -topos value (default: smallest on the axis)")

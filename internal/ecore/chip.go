@@ -29,15 +29,6 @@ func NewChip(eng *sim.Engine, rows, cols int) *Chip {
 	return NewChipMap(eng, mem.NewMap(rows, cols))
 }
 
-// NewBoard builds a chipRows x chipCols board of coreRows x coreCols
-// chips whose eMeshes are glued through chip-to-chip eLinks into one
-// boundary-aware fabric sharing a flat address space and one DRAM
-// window. The kernel-level programming surface is identical to a single
-// chip's; only the routing costs differ.
-func NewBoard(eng *sim.Engine, chipRows, chipCols, coreRows, coreCols int) *Chip {
-	return NewChipMap(eng, mem.NewBoardMap(chipRows, chipCols, coreRows, coreCols))
-}
-
 // NewChipMap builds the device fabric for an explicit address map with
 // the auto shard partition (one shard per chip on multi-chip maps; see
 // NewChipMapShards).

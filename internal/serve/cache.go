@@ -50,36 +50,21 @@ type entry struct {
 // Only successful cells are stored; failures stay uncached so a
 // transient error is retried rather than replayed.
 type resultCache struct {
-	mu    sync.Mutex
-	max   int
-	dir   string     // "" = memory only
-	order *list.List // front = most recently used; values are *cacheNode
-	items map[string]*list.Element
+	mem *lru[entry]
+	dir string // "" = memory only
 
 	// verMiss counts persisted entries rejected because they were
 	// simulated under a different EngineVersion (for /v1/stats).
 	verMiss atomic.Int64
 }
 
-// cacheNode is what order's elements hold.
-type cacheNode struct {
-	id string
-	e  entry
-}
-
 func newResultCache(maxEntries int, dir string) (*resultCache, error) {
-	c := &resultCache{
-		max:   maxEntries,
-		dir:   dir,
-		order: list.New(),
-		items: make(map[string]*list.Element),
-	}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
 		}
 	}
-	return c, nil
+	return &resultCache{mem: newLRU[entry](maxEntries), dir: dir}, nil
 }
 
 // key namespaces a fingerprint with the engine version for the
@@ -96,14 +81,9 @@ func (c *resultCache) key(id string) string { return EngineVersion + ":" + id }
 // file. The returned entry is a copy - callers derive scaling columns
 // on their copies without disturbing the store.
 func (c *resultCache) get(id string) (entry, bool) {
-	c.mu.Lock()
-	if el, ok := c.items[c.key(id)]; ok {
-		c.order.MoveToFront(el)
-		e := el.Value.(*cacheNode).e
-		c.mu.Unlock()
+	if e, ok := c.mem.get(c.key(id)); ok {
 		return e, true
 	}
-	c.mu.Unlock()
 	if c.dir == "" {
 		return entry{}, false
 	}
@@ -125,7 +105,7 @@ func (c *resultCache) get(id string) (entry, bool) {
 		os.Remove(c.file(id))
 		return entry{}, false
 	}
-	c.install(id, e)
+	c.mem.put(c.key(id), e)
 	return e, true
 }
 
@@ -135,28 +115,9 @@ func (c *resultCache) get(id string) (entry, bool) {
 // directory when one is configured.
 func (c *resultCache) put(id string, e entry) {
 	e.Engine = EngineVersion
-	c.install(id, e)
+	c.mem.put(c.key(id), e)
 	if c.dir != "" {
 		c.persist(id, e)
-	}
-}
-
-// install inserts (or refreshes) the in-memory entry and applies the
-// LRU bound.
-func (c *resultCache) install(id string, e entry) {
-	k := c.key(id)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		el.Value.(*cacheNode).e = e
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.order.PushFront(&cacheNode{id: k, e: e})
-	for c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheNode).id)
 	}
 }
 
@@ -200,60 +161,67 @@ func (c *resultCache) file(id string) string {
 }
 
 // len reports the in-memory entry count (for /v1/stats).
-func (c *resultCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
-}
+func (c *resultCache) len() int { return c.mem.len() }
 
 // versionMisses reports how many persisted entries were rejected for
 // carrying a different EngineVersion (for /v1/stats).
 func (c *resultCache) versionMisses() int64 { return c.verMiss.Load() }
 
-// planCache remembers normalized sweep plans by their plan fingerprint
-// so GET /v1/sweeps/{id} can re-render a previously submitted sweep
-// (cheaply: its cells are in the result cache). Same LRU shape as
-// resultCache, memory only - a plan is a few hundred bytes of spec,
-// not a result.
-type planCache struct {
+// lru is a mutex-guarded map bounded to its max most recently used
+// entries: the result cache's in-memory tier, and on its own the plan
+// store that lets GET /v1/sweeps/{id} re-render a previously submitted
+// sweep (cheaply: its cells are in the result cache).
+type lru[V any] struct {
 	mu    sync.Mutex
 	max   int
-	order *list.List
+	order *list.List // front = most recently used; values are *lruNode[V]
 	items map[string]*list.Element
 }
 
-type planNode struct {
-	id   string
-	plan sweep.Plan
+// lruNode is what order's elements hold.
+type lruNode[V any] struct {
+	key string
+	val V
 }
 
-func newPlanCache(maxEntries int) *planCache {
-	return &planCache{max: maxEntries, order: list.New(), items: make(map[string]*list.Element)}
+func newLRU[V any](maxEntries int) *lru[V] {
+	return &lru[V]{max: maxEntries, order: list.New(), items: make(map[string]*list.Element)}
 }
 
-func (c *planCache) get(id string) (sweep.Plan, bool) {
+// get returns the value stored under key, marking it most recently used.
+func (c *lru[V]) get(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.items[id]
+	el, ok := c.items[key]
 	if !ok {
-		return sweep.Plan{}, false
+		var zero V
+		return zero, false
 	}
 	c.order.MoveToFront(el)
-	return el.Value.(*planNode).plan, true
+	return el.Value.(*lruNode[V]).val, true
 }
 
-func (c *planCache) put(id string, p sweep.Plan) {
+// put inserts or refreshes key's value and evicts least-recently-used
+// entries past the bound.
+func (c *lru[V]) put(key string, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.items[id]; ok {
-		el.Value.(*planNode).plan = p
+	if el, ok := c.items[key]; ok {
+		el.Value.(*lruNode[V]).val = v
 		c.order.MoveToFront(el)
 		return
 	}
-	c.items[id] = c.order.PushFront(&planNode{id: id, plan: p})
+	c.items[key] = c.order.PushFront(&lruNode[V]{key: key, val: v})
 	for c.order.Len() > c.max {
 		oldest := c.order.Back()
 		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*planNode).id)
+		delete(c.items, oldest.Value.(*lruNode[V]).key)
 	}
+}
+
+// len reports the entry count.
+func (c *lru[V]) len() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.order.Len()
 }

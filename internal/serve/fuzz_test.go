@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"epiphany/internal/system"
+	"epiphany/internal/workload"
 )
 
 // FuzzJobSpec feeds untrusted POST /v1/jobs bodies through the
 // handler's decoder and JobSpec.resolve. Neither may panic, and a
-// resolved cell must carry its topology in canonical grammar spelling -
-// the form the cache key hashes.
+// resolved cell must carry its topology and workload in canonical
+// spelling - the form the cache key hashes.
 func FuzzJobSpec(f *testing.F) {
 	for _, seed := range []string{
 		`{"workload":"stencil-tuned","topo":"e16"}`,
@@ -20,6 +21,13 @@ func FuzzJobSpec(f *testing.F) {
 		`{"workload":"stencil-tuned","topo":"e16","seed":7}`,
 		`{"workload":"stencil-tuned","topo":"e16","power":"epiphany-iv-28nm","dvfs":"300@0.85"}`,
 		`{"workload":"stencil-tuned"}`,
+		`{"workload":"stencil-tuned/rows=40","topo":"e16"}`,
+		`{"workload":"matmul-cannon/m=32/n=32/k=32/g=2","topo":"e16"}`,
+		`{"workload":"matmul-offchip/k=512/n=512/m=512/offchip=true"}`,
+		`{"workload":"stream-stencil/grid=64x64/block=8x8/group=4x4/t=4","seed":3}`,
+		`{"workload":"stencil-tuned/rws=20"}`,
+		`{"workload":"stencil-tuned/rows=1/rows=2"}`,
+		`{"workload":"stencil-tuned/"}`,
 		`{"workload":"stencil-tunned"}`,
 		`{"workload":"stencil-tuned","topo":"e63"}`,
 		`{"workload":"stencil-tuned","topo":"grid=8x8/chip=8x8"}`,
@@ -44,6 +52,10 @@ func FuzzJobSpec(f *testing.F) {
 		st, err := system.ParseTopologySpec(cell.Topo)
 		if err != nil || st.Spec() != cell.Topo {
 			t.Fatalf("resolved cell topology %q is not canonical (%v)", cell.Topo, err)
+		}
+		w, err := workload.Parse(cell.Workload)
+		if err != nil || w.Name() != cell.Workload {
+			t.Fatalf("resolved cell workload %q is not canonical (%v)", cell.Workload, err)
 		}
 	})
 }

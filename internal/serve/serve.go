@@ -15,7 +15,7 @@
 //	GET  /v1/jobs/{id}     re-fetch a cached job result by fingerprint
 //	POST /v1/sweeps        submit a sweep.Plan; ?format=json|csv|text|markdown|ndjson
 //	GET  /v1/sweeps/{id}   re-render a submitted sweep by plan fingerprint
-//	GET  /v1/workloads     registered workload names
+//	GET  /v1/workloads     registered workload names and spec keys
 //	GET  /v1/topologies    preset topologies + the chip-grid grammar
 //	GET  /v1/plans         registered sweep plans (POST one to /v1/sweeps)
 //	GET  /v1/powermodels   power-model presets and their DVFS ladders
@@ -121,7 +121,7 @@ type Server struct {
 	mux    *http.ServeMux
 	runner *workload.Runner
 	cache  *resultCache
-	sweeps *planCache
+	sweeps *lru[sweep.Plan]
 	queue  chan struct{} // admission slots for simulation-bearing requests
 	work   chan struct{} // concurrency slots for individual simulations
 
@@ -177,8 +177,10 @@ type Stats struct {
 // JobSpec is the POST /v1/jobs request body: one cell of the
 // experiment space, spelled the way the CLIs spell it.
 type JobSpec struct {
-	// Workload is a registered workload name (required; see
-	// /v1/workloads).
+	// Workload is a workload spec (workload.Parse): a registered name
+	// ("matmul-cannon"), optionally with "/key=value" config overrides
+	// ("matmul-cannon/m=32/n=32/k=32/g=2"). Required; see /v1/workloads
+	// for the names and keys.
 	Workload string `json:"workload"`
 	// Topo is a topology-grammar spelling (system.ParseTopologySpec):
 	// a preset ("e64"), an ad-hoc mesh ("4x8"), a parameterized chip
@@ -230,7 +232,7 @@ func NewServer(cfg Config) (*Server, error) {
 		mux:     http.NewServeMux(),
 		runner:  &workload.Runner{Workers: cfg.Workers, Options: base},
 		cache:   cache,
-		sweeps:  newPlanCache(sweepIDCacheEntries),
+		sweeps:  newLRU[sweep.Plan](sweepIDCacheEntries),
 		queue:   make(chan struct{}, cfg.QueueDepth),
 		work:    make(chan struct{}, cfg.Workers),
 		metrics: newHTTPMetrics(),
@@ -711,12 +713,7 @@ func (s *Server) streamSweep(ctx context.Context, w http.ResponseWriter, n sweep
 // ---- listings, stats, health ----
 
 func (s *Server) handleWorkloads(w http.ResponseWriter, _ *http.Request) {
-	ws := workload.All()
-	names := make([]string, len(ws))
-	for i, wl := range ws {
-		names[i] = wl.Name()
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"workloads": names})
+	writeJSON(w, http.StatusOK, map[string]any{"workloads": workload.Names(), "keys": workload.KeyUsage()})
 }
 
 func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {

@@ -140,6 +140,8 @@ func TestJobBadRequests(t *testing.T) {
 		{"unknown field", `{"wrkload":"x"}`, "unknown field"},
 		{"missing workload", JobSpec{}, `needs a`},
 		{"unknown workload", JobSpec{Workload: "stencil-tunned"}, `did you mean \"stencil-tuned\"`},
+		{"unknown workload key", JobSpec{Workload: "stencil-tuned/rws=20"}, `did you mean \"rows\"`},
+		{"malformed workload key", JobSpec{Workload: "stencil-tuned/group=8"}, "ROWSxCOLS"},
 		{"unknown topology", JobSpec{Workload: "stencil-tuned", Topo: "e63"}, "unknown topology"},
 		{"unknown power model", JobSpec{Workload: "stencil-tuned", Power: "epiphany-iv-28mn"}, "did you mean"},
 		{"dvfs without power", JobSpec{Workload: "stencil-tuned", DVFS: "600@1.0"}, "power model"},
@@ -575,6 +577,46 @@ func TestJobGridTopoSpecs(t *testing.T) {
 		if !strings.Contains(w.Body.String(), tc.want) {
 			t.Errorf("%s: body %q missing %q", tc.name, w.Body.String(), tc.want)
 		}
+	}
+}
+
+// TestJobWorkloadSpecs: JobSpec.Workload takes the workload spec
+// grammar. Overrides run and come back canonical in the response cell,
+// alternate spellings of one configuration share a cache entry, a spec
+// restating its preset addresses the plain name's entry, and a config
+// that parses but cannot run is a 422, not a 400.
+func TestJobWorkloadSpecs(t *testing.T) {
+	s := newTestServer(t, Config{})
+	w := do(t, s, "POST", "/v1/jobs", JobSpec{Workload: "matmul-cannon/k=32/g=2/m=32/n=32", Topo: "e16"})
+	wantStatus(t, w, http.StatusOK)
+	var resp JobResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if want := "matmul-cannon/m=32/n=32/k=32/g=2"; resp.Cell.Workload != want || resp.Result.Workload != want {
+		t.Errorf("cell workload %q, result %q; want both %q", resp.Cell.Workload, resp.Result.Workload, want)
+	}
+	if resp.Result.Cores != 4 {
+		t.Errorf("g=2 job reports %d cores, want 4", resp.Result.Cores)
+	}
+	again := do(t, s, "POST", "/v1/jobs", JobSpec{Workload: "matmul-cannon/m=32/n=32/k=32/g=2/algo=cannon", Topo: "e16"})
+	wantStatus(t, again, http.StatusOK)
+	if got := again.Header().Get("X-Epiphany-Cache"); got != "hit" {
+		t.Errorf("alternate spelling of one config: cache %q, want hit", got)
+	}
+
+	plain := do(t, s, "POST", "/v1/jobs", JobSpec{Workload: "stencil-tuned", Topo: "e16"})
+	restated := do(t, s, "POST", "/v1/jobs", JobSpec{Workload: "stencil-tuned/rows=40", Topo: "e16"})
+	wantStatus(t, restated, http.StatusOK)
+	if got := restated.Header().Get("X-Epiphany-Cache"); got != "hit" || restated.Body.String() != plain.Body.String() {
+		t.Errorf("preset-restating spec: cache %q, body identical %v; want a hit on the plain name's bytes",
+			got, restated.Body.String() == plain.Body.String())
+	}
+
+	bad := do(t, s, "POST", "/v1/jobs", JobSpec{Workload: "stencil-tuned/rows=0", Topo: "e16"})
+	wantStatus(t, bad, http.StatusUnprocessableEntity)
+	if !strings.Contains(bad.Body.String(), "non-positive stencil dimensions") {
+		t.Errorf("invalid config 422 body: %s", bad.Body.String())
 	}
 }
 

@@ -68,6 +68,27 @@ func TestFingerprintSpellingInvariance(t *testing.T) {
 	if fp(t, a) != fp(t, b) {
 		t.Errorf("canonically equal DVFS axes fingerprint differently")
 	}
+
+	// A workload spec restating its preset is the preset: same plan and
+	// cell fingerprint as the plain name. Other spellings of one
+	// override canonicalize to one address too.
+	for _, pair := range [][2]string{
+		{"stencil-tuned", "stencil-tuned/rows=40"},
+		{"stencil-tuned", "stencil-tuned/group=2x2/comm=true/shape=plus"},
+		{"matmul-cannon", "matmul-cannon/algo=cannon"},
+		{"stencil-tuned/rows=20", "stencil-tuned/rows=020/iters=10"},
+	} {
+		plain := Plan{Workloads: []string{pair[0]}, Topos: []string{"e64"}, Seeds: []uint64{3}}
+		spelled := Plan{Workloads: []string{pair[1]}, Topos: []string{"e64"}, Seeds: []uint64{3}}
+		if fp(t, plain) != fp(t, spelled) {
+			t.Errorf("plans over %q and %q fingerprint differently", pair[0], pair[1])
+		}
+		np, _ := plain.Normalize()
+		ns, _ := spelled.Normalize()
+		if np.CellFingerprint(np.Expand()[0]) != ns.CellFingerprint(ns.Expand()[0]) {
+			t.Errorf("cells of %q and %q fingerprint differently", pair[0], pair[1])
+		}
+	}
 }
 
 // TestFingerprintDistinguishesEveryAxis: changing any single axis value

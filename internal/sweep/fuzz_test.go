@@ -7,13 +7,15 @@ import (
 	"testing"
 
 	"epiphany/internal/system"
+	"epiphany/internal/workload"
 )
 
 // FuzzSweepPlan feeds untrusted sweep bodies through the decoder the
 // serve daemon uses (unknown fields rejected) and Normalize. Neither
 // may panic; an accepted plan must normalize to a fixpoint that
 // fingerprints like the raw plan, with every topology axis value in
-// its canonical grammar spelling.
+// its canonical grammar spelling and every workload in its canonical
+// spec spelling.
 func FuzzSweepPlan(f *testing.F) {
 	for _, seed := range []string{
 		`{}`,
@@ -25,6 +27,10 @@ func FuzzSweepPlan(f *testing.F) {
 		`{"workloads":["stencil-tuned"],"topos":["cluster4x4"]}`,
 		`{"workloads":["stencil-tuned"],"topos":[{"preset":"e16"}]}`,
 		`{"workloads":["no-such"]}`,
+		`{"workloads":["stencil-tuned/rows=40","stencil-tuned","matmul-cannon/m=32/n=32/k=32/g=2"],"topos":["e16"]}`,
+		`{"workloads":["stream-stencil/t=4/block=8x8","stream-stencil/block=8x8/t=04"]}`,
+		`{"workloads":["stencil-tuned/rows=abc"]}`,
+		`{"workloads":["stencil-tuned//"]}`,
 		`{"baseline":"cluster-9x9"}`,
 		`{"topos":["cluster-2x2/c2c=0:0","4x8","e64x16/shards=4"],"baseline":"+4x8"}`,
 		`{`,
@@ -60,6 +66,12 @@ func FuzzSweepPlan(f *testing.F) {
 			st, err := system.ParseTopologySpec(v)
 			if err != nil || st.Spec() != v {
 				t.Fatalf("axis value %q is not canonical (%v)", v, err)
+			}
+		}
+		for _, v := range n.Workloads {
+			w, err := workload.Parse(v)
+			if err != nil || w.Name() != v {
+				t.Fatalf("workload axis value %q is not canonical (%v)", v, err)
 			}
 		}
 	})

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"epiphany/internal/names"
 	"epiphany/internal/system"
 	"epiphany/internal/tabular"
 	"epiphany/internal/workload"
@@ -95,9 +94,9 @@ func Run(ctx context.Context, p Plan, workers int) (*Result, error) {
 // that schedule cells individually - the epiphany-serve daemon runs
 // each cell through its result cache - build byte-identical jobs.
 func (p Plan) CellJob(c Cell) (workload.Job, int, error) {
-	w, ok := workload.ByName(c.Workload)
-	if !ok {
-		return workload.Job{}, 0, names.Unknown("workload", c.Workload, registeredWorkloads())
+	w, err := workload.Parse(c.Workload)
+	if err != nil {
+		return workload.Job{}, 0, err
 	}
 	st, err := system.ParseTopologySpec(c.Topo)
 	if err != nil {

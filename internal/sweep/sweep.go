@@ -21,21 +21,10 @@ import (
 	"slices"
 	"sort"
 
-	"epiphany/internal/names"
 	"epiphany/internal/power"
 	"epiphany/internal/system"
 	"epiphany/internal/workload"
 )
-
-// registeredWorkloads lists the registry's names for error suggestions.
-func registeredWorkloads() []string {
-	ws := workload.All()
-	out := make([]string, len(ws))
-	for i, w := range ws {
-		out[i] = w.Name()
-	}
-	return out
-}
 
 // Plan declares one experiment sweep: the axes of the grid and the
 // baseline cell the derived columns compare against. The zero Plan is
@@ -43,8 +32,12 @@ func registeredWorkloads() []string {
 // topologies at each workload's default seed, with the smallest
 // topology as baseline.
 type Plan struct {
-	// Workloads are registered workload names; empty means every
-	// registered workload.
+	// Workloads is the workload axis, each value spelled in the
+	// workload spec grammar (workload.Parse: "stencil-tuned",
+	// "matmul-offchip/m=512/n=512/k=512"); empty means every registered
+	// workload. Normalize rewrites every value into its canonical
+	// spelling, so equal configurations key and fingerprint identically
+	// however they were written.
 	Workloads []string `json:"workloads,omitempty"`
 	// Topos is the topology axis, each value spelled in the topology
 	// grammar (system.ParseTopologySpec: "e64", "4x8",
@@ -90,8 +83,9 @@ type Cell struct {
 }
 
 // Normalize resolves the plan's defaults and canonicalizes its axes:
-// workload names are filled from the registry when empty, checked
-// against it otherwise, and sorted; topologies default to the presets,
+// workloads are filled from the registry when empty, otherwise parsed
+// by the workload spec grammar, rewritten into their canonical spelling,
+// sorted and deduplicated; topologies default to the presets,
 // are parsed once by the topology grammar (catching unknown spellings
 // and invalid geometry), rewritten into their canonical spelling, and
 // sorted into scaling order (core count, then spelling) with duplicates
@@ -101,16 +95,18 @@ type Cell struct {
 // independent of how the plan was written.
 func (p Plan) Normalize() (Plan, error) {
 	if len(p.Workloads) == 0 {
-		for _, w := range workload.All() {
-			p.Workloads = append(p.Workloads, w.Name())
-		}
+		p.Workloads = workload.Names()
 	} else {
-		p.Workloads = dedupe(p.Workloads)
-		for _, name := range p.Workloads {
-			if _, ok := workload.ByName(name); !ok {
-				return p, names.Unknown("workload", name, registeredWorkloads())
+		canon := make([]string, len(p.Workloads))
+		for i, spec := range p.Workloads {
+			w, err := workload.Parse(spec)
+			if err != nil {
+				return p, err
 			}
+			canon[i] = w.Name()
 		}
+		slices.Sort(canon)
+		p.Workloads = slices.Compact(canon)
 	}
 	if len(p.Topos) == 0 {
 		for _, st := range system.Topologies() {
@@ -146,7 +142,9 @@ func (p Plan) Normalize() (Plan, error) {
 		p.Topos[i] = k.key
 	}
 	if len(p.Seeds) > 0 {
-		p.Seeds = dedupe(p.Seeds)
+		seeds := slices.Clone(p.Seeds)
+		slices.Sort(seeds)
+		p.Seeds = slices.Compact(seeds)
 	}
 	if p.Baseline == "" {
 		p.Baseline = p.Topos[0]
@@ -269,11 +267,4 @@ func (p Plan) Expand() []Cell {
 		}
 	}
 	return cells
-}
-
-// dedupe sorts and deduplicates, without mutating its argument.
-func dedupe[E interface{ ~string | ~uint64 }](in []E) []E {
-	out := slices.Clone(in)
-	slices.Sort(out)
-	return slices.Compact(out)
 }

@@ -78,6 +78,41 @@ func TestNormalizeTopoSpellings(t *testing.T) {
 	}
 }
 
+// TestNormalizeWorkloadSpellings: workload specs canonicalize like
+// topologies - spellings of one configuration dedupe to a single axis
+// value, a spec restating its preset is the preset's plain name - the
+// axis is a fixpoint, and each cell's job runs the parsed config.
+func TestNormalizeWorkloadSpellings(t *testing.T) {
+	p, err := Plan{
+		Workloads: []string{"stencil-tuned/rows=20/iters=2", "stencil-tuned/iters=02/rows=20",
+			"stencil-tuned/rows=40", "matmul-cannon/g=2/algo=cannon"},
+		Topos: []string{"e16"},
+	}.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"matmul-cannon/g=2", "stencil-tuned", "stencil-tuned/rows=20/iters=2"}
+	if !slices.Equal(p.Workloads, want) {
+		t.Fatalf("canonicalized axis %q, want %q", p.Workloads, want)
+	}
+	again, err := p.Normalize()
+	if err != nil || !slices.Equal(again.Workloads, p.Workloads) {
+		t.Fatalf("re-normalized axis %q, %v; want %q", again.Workloads, err, p.Workloads)
+	}
+	job, cores, err := p.CellJob(p.Expand()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := job.Workload.(*workload.Matmul); m.Name() != want[0] || m.Config.G != 2 || cores != 4 {
+		t.Errorf("cell job runs %q with G=%d on %d cores, want %q, G=2, 4 cores", m.Name(), m.Config.G, cores, want[0])
+	}
+	for _, bad := range []string{"stencil-tuned/rows=x", "stencil-tuned/seed=3", "badworkload/x=1"} {
+		if _, err := (Plan{Workloads: []string{bad}}).Normalize(); err == nil {
+			t.Errorf("Normalize(%q) accepted", bad)
+		}
+	}
+}
+
 // TestNormalizeCanonicalizesBaseline: the baseline goes through the
 // grammar like the axis does, so any spelling of an axis value names
 // it - and plans that differ only in the baseline's spelling are the

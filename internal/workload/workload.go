@@ -11,7 +11,9 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"maps"
+	"slices"
+	"strings"
 	"sync"
 
 	"epiphany/internal/core"
@@ -247,9 +249,10 @@ var (
 )
 
 // Register adds w to the process-wide workload registry. It panics if w
-// is nil, unnamed, or a name is registered twice - registration happens
-// from init functions, where a silent error would go unread (the same
-// contract as database/sql.Register).
+// is nil, unnamed, named with a "/" (the spec grammar's override
+// separator, see Parse), or a name is registered twice - registration
+// happens from init functions, where a silent error would go unread (the
+// same contract as database/sql.Register).
 func Register(w Workload) {
 	if w == nil {
 		panic("epiphany: Register of nil workload")
@@ -257,6 +260,9 @@ func Register(w Workload) {
 	name := w.Name()
 	if name == "" {
 		panic("epiphany: Register of unnamed workload")
+	}
+	if strings.Contains(name, "/") {
+		panic(fmt.Sprintf("epiphany: Register of workload %q: names may not contain \"/\"", name))
 	}
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -270,16 +276,18 @@ func Register(w Workload) {
 func All() []Workload {
 	regMu.RLock()
 	defer regMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	ws := make([]Workload, len(names))
-	for i, name := range names {
+	ws := make([]Workload, len(registry))
+	for i, name := range slices.Sorted(maps.Keys(registry)) {
 		ws[i] = registry[name]
 	}
 	return ws
+}
+
+// Names returns every registered workload's name, sorted.
+func Names() []string {
+	regMu.RLock()
+	defer regMu.RUnlock()
+	return slices.Sorted(maps.Keys(registry))
 }
 
 // ByName looks up one registered workload.

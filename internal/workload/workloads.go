@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"cmp"
 	"context"
 
 	"epiphany/internal/core"
@@ -21,12 +22,7 @@ type Stencil struct {
 }
 
 // Name implements Workload.
-func (s *Stencil) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "stencil"
-}
+func (s *Stencil) Name() string { return cmp.Or(s.Label, "stencil") }
 
 // Validate implements Workload.
 func (s *Stencil) Validate() error { return s.Config.Validate() }
@@ -53,17 +49,10 @@ func (s *Stencil) FitTopology(rows, cols int) Workload {
 
 // Run implements Workload.
 func (s *Stencil) Run(ctx context.Context, sys *system.System) (Result, error) {
-	if err := ctx.Err(); err != nil {
+	if err := acquire(ctx, sys); err != nil {
 		return nil, err
 	}
-	if err := sys.Acquire(); err != nil {
-		return nil, err
-	}
-	res, err := core.RunStencil(sys.Host(), s.Config)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return asResult(core.RunStencil(sys.Host(), s.Config))
 }
 
 // Matmul runs the §VII Cannon (or §VIII SUMMA) matrix multiplication as
@@ -75,12 +64,7 @@ type Matmul struct {
 }
 
 // Name implements Workload.
-func (m *Matmul) Name() string {
-	if m.Label != "" {
-		return m.Label
-	}
-	return "matmul"
-}
+func (m *Matmul) Name() string { return cmp.Or(m.Label, "matmul") }
 
 // Validate implements Workload.
 func (m *Matmul) Validate() error { return m.Config.Validate() }
@@ -115,17 +99,10 @@ func (m *Matmul) FitTopology(rows, cols int) Workload {
 
 // Run implements Workload.
 func (m *Matmul) Run(ctx context.Context, sys *system.System) (Result, error) {
-	if err := ctx.Err(); err != nil {
+	if err := acquire(ctx, sys); err != nil {
 		return nil, err
 	}
-	if err := sys.Acquire(); err != nil {
-		return nil, err
-	}
-	res, err := core.RunMatmul(sys.Host(), m.Config)
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
+	return asResult(core.RunMatmul(sys.Host(), m.Config))
 }
 
 // StreamStencil runs the §IX temporally blocked streaming stencil as a
@@ -137,12 +114,7 @@ type StreamStencil struct {
 }
 
 // Name implements Workload.
-func (s *StreamStencil) Name() string {
-	if s.Label != "" {
-		return s.Label
-	}
-	return "stream-stencil"
-}
+func (s *StreamStencil) Name() string { return cmp.Or(s.Label, "stream-stencil") }
 
 // Validate implements Workload.
 func (s *StreamStencil) Validate() error { return s.Config.Validate() }
@@ -157,11 +129,12 @@ func (s *StreamStencil) Reseed(seed uint64) Workload {
 // FitTopology implements TopologyFitter by clamping the paging
 // workgroup to the board while keeping the global grid tileable: each
 // group dimension shrinks to the largest size that both fits and
-// divides the corresponding super-block count.
+// divides the corresponding super-block count. A non-positive block
+// collapses the group to 1 and is left for Validate to report.
 func (s *StreamStencil) FitTopology(rows, cols int) Workload {
 	fit := func(group, limit, global, block int) int {
 		g := min(group, limit)
-		for g > 1 && global%(g*block) != 0 {
+		for g > 1 && (block < 1 || global%(g*block) != 0) {
 			g--
 		}
 		return g
@@ -199,15 +172,26 @@ func UsedCores(w Workload, rows, cols int) int {
 
 // Run implements Workload.
 func (s *StreamStencil) Run(ctx context.Context, sys *system.System) (Result, error) {
+	if err := acquire(ctx, sys); err != nil {
+		return nil, err
+	}
+	return asResult(core.RunStreamStencil(sys.Host(), s.Config))
+}
+
+// acquire is the built-in Runs' preamble: honour cancellation, then
+// claim the board.
+func acquire(ctx context.Context, sys *system.System) error {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := sys.Acquire(); err != nil {
-		return nil, err
-	}
-	res, err := core.RunStreamStencil(sys.Host(), s.Config)
+	return sys.Acquire()
+}
+
+// asResult returns a core run's typed result as a Result, keeping a nil
+// pointer out of the interface on error.
+func asResult[R Result](r R, err error) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return res, nil
+	return r, nil
 }

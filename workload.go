@@ -28,7 +28,7 @@ type (
 	// watts, GFLOPS/W, EDP, per-component breakdown).
 	Metrics = workload.Metrics
 	// Option configures a run: WithTopology, WithSeed, WithTrace,
-	// WithPowerModel, WithWorkers.
+	// WithTimeline, WithEngineStats, WithPowerModel and WithWorkers.
 	Option = workload.Option
 	// Reseeder is implemented by workloads whose inputs derive from a
 	// seed; WithSeed requires it.
@@ -73,6 +73,16 @@ func Workloads() []Workload { return workload.All() }
 // "stencil-tuned", "matmul-offchip").
 func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name) }
 
+// ParseWorkload resolves a workload spec: a registered name
+// ("matmul-offchip"), optionally followed by "/key=value" overrides of
+// that preset's config ("matmul-offchip/m=512/n=512/k=512"). The keys
+// depend on the preset's type (epiphany-bench -list prints them); seeds
+// are set with WithSeed, and custom workload types take no keys. The
+// sweep axis, the serve daemon and epiphany-bench -workloads all resolve
+// workloads through it. The result's Name is the canonical spelling, so
+// a spec restating its preset returns the registered preset itself.
+func ParseWorkload(spec string) (Workload, error) { return workload.Parse(spec) }
+
 // Run validates w and executes it on a fresh System built according to
 // the options. It is the one-shot form of Runner.RunBatch.
 func Run(ctx context.Context, w Workload, opts ...Option) (Result, error) {
@@ -105,8 +115,8 @@ func TopologyByName(name string) (Topology, bool) { return system.TopologyByName
 // event-engine partition (Topology.WithShards is its Go form). Every
 // consumer of a topology
 // spelling - WithTopology callers, the sweep topo axis, the serve
-// daemon's job and plan specs, and the three CLIs - resolves through
-// this one grammar; near-miss spellings get a "did you mean"
+// daemon's job and plan specs, and the CLIs - resolves through this
+// one grammar; near-miss spellings get a "did you mean"
 // suggestion, and geometry is validated against the 64x64 mesh
 // address-space ceiling. Topology.Spec renders the canonical spelling
 // back (ParseTopology is its inverse).

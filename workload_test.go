@@ -2,6 +2,7 @@ package epiphany
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -142,5 +143,60 @@ func TestSystemSingleUsePointsAtRunner(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "RunBatch") {
 		t.Fatalf("reuse error should point at the batch API, got: %v", err)
+	}
+}
+
+// TestParseWorkloadEquivalence: a workload spec runs exactly the config
+// it spells. For each kind, a spec with integer, boolean and shape
+// overrides must produce Metrics identical to the same config built as
+// a Go struct, and its output must match the host reference bit for
+// bit.
+func TestParseWorkloadEquivalence(t *testing.T) {
+	ctx := context.Background()
+	run := func(w Workload) Result {
+		t.Helper()
+		res, err := Run(ctx, w)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		return res
+	}
+	parse := func(spec string) Workload {
+		t.Helper()
+		w, err := ParseWorkload(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return w
+	}
+
+	scfg := StencilConfig{Rows: 20, Cols: 20, Iters: 3, GroupRows: 2, GroupCols: 1,
+		Comm: true, Tuned: true, DirectComm: true, Seed: 11}
+	sres := run(parse("stencil-tuned/rows=20/iters=3/group=2x1/direct=true")).(*StencilResult)
+	if want := run(&StencilWorkload{Config: scfg}); !reflect.DeepEqual(sres.Metrics(), want.Metrics()) {
+		t.Errorf("stencil spec metrics %+v, struct %+v", sres.Metrics(), want.Metrics())
+	}
+	if !reflect.DeepEqual(sres.Global, StencilReference(scfg)) {
+		t.Error("stencil spec output differs from the host reference")
+	}
+
+	mcfg := MatmulConfig{M: 32, N: 32, K: 32, G: 2, Verify: true, Algorithm: "summa", Seed: 21}
+	mres := run(parse("matmul-cannon/m=32/n=32/k=32/g=2/tuned=false/algo=summa")).(*MatmulResult)
+	if want := run(&MatmulWorkload{Config: mcfg}); !reflect.DeepEqual(mres.Metrics(), want.Metrics()) {
+		t.Errorf("matmul spec metrics %+v, struct %+v", mres.Metrics(), want.Metrics())
+	}
+	if !reflect.DeepEqual(mres.C, MatmulReference(mcfg)) {
+		t.Error("matmul spec product differs from the host reference")
+	}
+
+	// The stream stencil has no boolean keys.
+	tcfg := StreamStencilConfig{GlobalRows: 64, GlobalCols: 64, BlockRows: 8, BlockCols: 8,
+		Iters: 4, TBlock: 4, GroupRows: 4, GroupCols: 4, Seed: 31}
+	tres := run(parse("stream-stencil/grid=64x64/block=8x8/group=4x4/iters=4/t=4")).(*StreamStencilResult)
+	if want := run(&StreamStencilWorkload{Config: tcfg}); !reflect.DeepEqual(tres.Metrics(), want.Metrics()) {
+		t.Errorf("stream spec metrics %+v, struct %+v", tres.Metrics(), want.Metrics())
+	}
+	if !reflect.DeepEqual(tres.Global, StreamStencilReference(tcfg)) {
+		t.Error("stream spec output differs from the host reference")
 	}
 }
