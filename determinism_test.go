@@ -16,11 +16,16 @@ package epiphany_test
 // here means identical down to float rounding, not approximately equal.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
 	"epiphany"
+	"epiphany/internal/dma"
+	"epiphany/internal/ecore"
+	"epiphany/internal/mem"
+	"epiphany/internal/sim"
 )
 
 // determinismTopos are the boards the suite sweeps: one chip (sharding
@@ -241,4 +246,112 @@ func TestDeterminismRecycledShardedBoards(t *testing.T) {
 			t.Errorf("job %d (shards=%d) on a pooled board diverged from a fresh run", i, order[i])
 		}
 	}
+}
+
+// remotePull is what one run of TestDeterminismRemoteDMAPull observes.
+type remotePull struct {
+	done      [4]sim.Time // (0,0)'s chain, its flag, (0,4)'s and (1,2)'s pushes
+	data      []byte      // (0,0)'s pulled bytes, then the two pushed blocks
+	crossings uint64
+	crossTime sim.Time
+}
+
+// runRemotePull drives raw DMA on cluster-2x2 (four 4x4 chips): core
+// (0,0) on chip 0 runs a chained pull from (0,4) on chip 1 and then
+// from (5,5) on chip 3, while (0,4) pushes into chip 0 and then stores
+// a flag to (0,0), and (1,2) pushes across to chip 3.
+func runRemotePull(t *testing.T, shards, workers int) remotePull {
+	t.Helper()
+	topo, err := epiphany.ParseTopology("cluster-2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := epiphany.NewSystemTopology(topo.WithShards(shards))
+	sys.SetWorkers(workers)
+	chip := sys.Chip()
+	const (
+		src, dst, flag mem.Addr = 0x2000, 0x4000, 0x7000
+		n                       = 256
+	)
+	for i, rc := range [][2]int{{0, 4}, {5, 5}, {1, 2}} {
+		sram := chip.CoreAt(rc[0], rc[1]).Local()
+		for w := mem.Addr(0); w < n; w += 4 {
+			sram.Store32(src+w, uint32(i+1)<<24|uint32(w))
+		}
+	}
+	var out remotePull
+	push := func(c *ecore.Core, row, col int) {
+		c.DMAStart(dma.DMA0, c.DMASetDesc(dma.Desc1D(c.Global(src), c.GlobalOn(row, col, dst), n, 8)))
+		c.DMAWait(dma.DMA0)
+	}
+	chip.Launch(chip.Map().CoreIndex(0, 0), "puller", func(c *ecore.Core) {
+		second := dma.Desc1D(c.GlobalOn(5, 5, src), c.Global(dst+n), n, 8)
+		first := dma.Desc1D(c.GlobalOn(0, 4, src), c.Global(dst), n, 8)
+		first.Chain = second
+		c.DMAStart(dma.DMA0, c.DMASetDesc(first))
+		c.DMAWait(dma.DMA0)
+		out.done[0] = c.Now()
+		c.WaitLocal32GE(flag, 1)
+		out.done[1] = c.Now()
+	})
+	chip.Launch(chip.Map().CoreIndex(0, 4), "pusher", func(c *ecore.Core) {
+		push(c, 1, 1)
+		c.StoreGlobal32(c.GlobalOn(0, 0, flag), 1)
+		out.done[2] = c.Now()
+	})
+	chip.Launch(chip.Map().CoreIndex(1, 2), "crosser", func(c *ecore.Core) {
+		push(c, 6, 6)
+		out.done[3] = c.Now()
+	})
+	if err := sys.Engine().Run(); err != nil {
+		t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+	}
+	for _, rc := range [][2]int{{0, 0}, {1, 1}, {6, 6}} {
+		size := n // one pushed block
+		if rc == [2]int{0, 0} {
+			size = 2 * n // both pulled blocks
+		}
+		out.data = append(out.data, chip.CoreAt(rc[0], rc[1]).Local().Bytes(dst, size)...)
+	}
+	mesh := chip.Fabric().Mesh
+	out.crossings, out.crossTime = mesh.Crossings(), mesh.CrossTime()
+	return out
+}
+
+// TestDeterminismRemoteDMAPull: a DMA pull from a core on another chip
+// is a sys leg like any cross-chip push, so it runs on every partition
+// and lands the same bytes at the same times on every one. The run
+// mixes two chained remote pulls with an on-chip push, a cross-chip
+// push and a cross-chip flag store, and compares every (shards,
+// workers) layout with the classic sequential heap.
+func TestDeterminismRemoteDMAPull(t *testing.T) {
+	base := runRemotePull(t, 1, 1)
+	var want []byte
+	for _, block := range []int{1, 2, 1, 3} { // (0,0) pulls 1 then 2; (1,1) gets 1, (6,6) gets 3
+		for w := 0; w < 256; w += 4 {
+			want = append(want, byte(w), byte(w>>8), 0, byte(block))
+		}
+	}
+	if !bytes.Equal(base.data, want) {
+		t.Fatalf("sequential run moved the wrong bytes:\n got  %x\n want %x", base.data, want)
+	}
+	if base.crossings == 0 {
+		t.Fatal("no chip-boundary crossings recorded")
+	}
+	for _, shards := range []int{1, 2, 4} {
+		for _, workers := range []int{1, 4} {
+			if shards == 1 && workers == 1 {
+				continue
+			}
+			got := runRemotePull(t, shards, workers)
+			if got.done != base.done || got.crossings != base.crossings || got.crossTime != base.crossTime {
+				t.Errorf("shards=%d workers=%d: completions %v, %d crossings in %v; sequential %v, %d crossings in %v",
+					shards, workers, got.done, got.crossings, got.crossTime, base.done, base.crossings, base.crossTime)
+			}
+			if !bytes.Equal(got.data, base.data) {
+				t.Errorf("shards=%d workers=%d: moved bytes differ from the sequential run", shards, workers)
+			}
+		}
+	}
+	t.Logf("completions %v, %d crossings in %v", base.done, base.crossings, base.crossTime)
 }

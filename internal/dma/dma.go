@@ -21,6 +21,15 @@ import (
 
 // Fabric bundles the chip-level facilities a DMA engine needs. The ecore
 // package constructs one per chip and shares it among all engines.
+//
+// Fabric is also where the board's one routing rule lives: a transfer
+// leg that touches the eLink, DRAM or another chip runs on the sys
+// shard (which owns the eLink arbiter, DRAM and every cross-chip mesh
+// walk), and every other leg runs on the issuing chip's shard. A
+// hand-off to the shard the code already runs on happens inline, so an
+// unsharded board, where every shard is sys, runs the same code with no
+// hand-offs at all. Write and WriteDRAM are the entry points for the
+// ecore package's stores; the DMA engine applies the rule in run.
 type Fabric struct {
 	Eng       *sim.Engine
 	Map       *mem.Map
@@ -57,10 +66,63 @@ func (f *Fabric) CoreShard(core int) *sim.Shard {
 	return f.ShardOf[core]
 }
 
+// OnSys runs fn on the sys shard on behalf of core, at from's current
+// time: inline when from is sys, otherwise posted there with core as
+// the arbitration tag, so simultaneous requests from different chips
+// are served in core order.
+func (f *Fabric) OnSys(from *sim.Shard, core int, fn func()) {
+	sys := f.Eng.Sys()
+	if from == sys {
+		fn()
+		return
+	}
+	from.SendTagged(sys, from.Now(), core, fn)
+}
+
+// WriteDRAM books n bytes for core on the eLink, issued from shard
+// from at its current time; landed runs on the sys shard when the link
+// has carried them, and stores them into DRAM there.
+func (f *Fabric) WriteDRAM(from *sim.Shard, core, n int, landed func()) {
+	if from == f.Eng.Sys() {
+		// Spelled out so the board that never leaves sys allocates no
+		// hand-off closure.
+		f.ELink.Submit(core, n, landed)
+		return
+	}
+	f.OnSys(from, core, func() { f.ELink.Submit(core, n, landed) })
+}
+
+// Wake is the return path of OnSys for a blocked proc: called on the
+// sys shard, it broadcasts c on its owning shard at the current time,
+// inline when that is sys.
+func (f *Fabric) Wake(c *sim.Cond) {
+	sys := f.Eng.Sys()
+	if c.Shard() == sys {
+		c.Broadcast()
+		return
+	}
+	sys.Send(c.Shard(), sys.Now(), c.Broadcast)
+}
+
+// Write is the one mesh write: n bytes from core src, issued at from's
+// current time on the shard from owning src, arrive at core dst no
+// earlier than minT, and deposit then runs on dst's shard. A route
+// within one chip is walked here; a cross-chip route is walked on sys.
+func (f *Fabric) Write(from *sim.Shard, src, dst, n int, minT sim.Time, deposit func()) {
+	t := from.Now()
+	if !f.Mesh.CrossChip(src, dst) {
+		from.At(max(f.Mesh.Deliver(t, src, dst, n), minT), deposit)
+		return
+	}
+	f.OnSys(from, src, func() {
+		arrive := max(f.Mesh.DeliverSys(t, src, dst, n), minT)
+		f.Eng.Sys().Send(f.CoreShard(dst), arrive, deposit)
+	})
+}
+
 // ELinkReadTime books n bytes on the read direction of the off-chip link
-// starting at t and returns the completion time. On a sharded board it
-// must run in the sys shard's execution context (the read link and its
-// byte counter live there).
+// starting at t and returns the completion time. It must run on the sys
+// shard (the read link and its byte counter live there).
 func (f *Fabric) ELinkReadTime(t sim.Time, n int) sim.Time {
 	f.readBytes += uint64(n)
 	_, end := f.ELinkRead.Use(t, sim.Time(n)*noc.ELinkBytePeriod)
@@ -200,11 +262,11 @@ func (e *Engine) Start(c Chan, desc *Desc) {
 }
 
 // run processes one descriptor starting at time t, then chains. It
-// always executes in e.sh's (the issuing core's shard's) context; on a
-// sharded board the legs that touch other shards' state - the eLink
-// arbiter and DRAM on the sys shard, a destination core's SRAM on
-// another chip - are carried out there via events, and the chain
-// continuation returns here the same way.
+// executes on e.sh, the issuing core's shard, and applies the Fabric's
+// routing rule: a leg between two cores of the issuing chip runs here,
+// and any other leg - one that touches the eLink, DRAM or another chip,
+// pushes and pulls alike - runs on the sys shard (sysLeg). Either way
+// the leg completes with land.
 func (e *Engine) run(ch *channel, d *Desc, t sim.Time) {
 	if d == nil {
 		e.sh.At(t, func() {
@@ -214,98 +276,104 @@ func (e *Engine) run(ch *channel, d *Desc, t sim.Time) {
 		return
 	}
 	d.validate()
-	n := d.Bytes()
-	pace := noc.DMASerialization(n, d.Beat)
 	src := e.fab.Map.Decode(e.core, d.Src)
 	dst := e.fab.Map.Decode(e.core, d.Dst)
 	if src.Kind == mem.KindInvalid || dst.Kind == mem.KindInvalid {
 		panic(fmt.Sprintf("dma: core %d transfer with unmapped address (src %#x dst %#x)", e.core, d.Src, d.Dst))
 	}
-	sharded := e.fab.ShardOf != nil
-	if sharded && src.Kind == mem.KindCore && e.fab.Mesh.CrossShard(src.Core, e.core) {
-		panic(fmt.Sprintf("dma: core %d pull from remote chip core %d is not supported on a sharded board", e.core, src.Core))
-	}
-
-	// finish completes a leg whose copy happens on this shard. When a
-	// chained descriptor follows, the completion event may book mesh
-	// links for the next leg, so it is scheduled booking-gated (see
-	// sim.Shard.AtBooking).
-	finish := func(done sim.Time) {
-		schedule := e.sh.At
-		if d.Chain != nil {
-			schedule = e.sh.AtBooking
-		}
-		schedule(done, func() {
-			e.copyDesc(d, src, dst)
-			ch.moved += uint64(n)
-			if dst.Kind != mem.KindDRAM && e.fab.Notify != nil {
-				e.fab.Notify(dst.Core)
-			}
-			e.run(ch, d.Chain, done)
-		})
-	}
-
-	switch {
-	case dst.Kind == mem.KindDRAM && src.Kind == mem.KindDRAM:
+	if src.Kind == mem.KindDRAM && dst.Kind == mem.KindDRAM {
 		panic("dma: DRAM-to-DRAM transfers are not supported by the hardware")
-	case dst.Kind == mem.KindDRAM:
-		// Off-chip write: compete for the eLink, which is the bottleneck;
-		// DMA pacing overlaps with it.
-		if !sharded {
-			e.fab.ELink.WriteFunc(e.core, n, func() {
-				end := e.fab.Eng.Now()
-				if min := t + pace; end < min {
-					end = min
-				}
-				e.record("dram-write", t, end, n)
-				finish(end)
-			})
-			return
+	}
+	mesh := e.fab.Mesh
+	if src.Kind == mem.KindDRAM || dst.Kind == mem.KindDRAM ||
+		mesh.CrossChip(e.core, src.Core) || mesh.CrossChip(e.core, dst.Core) {
+		// Inline when this shard is sys; a per-leg closure only when
+		// the leg really changes shard.
+		if sys := e.fab.Eng.Sys(); e.sh != sys {
+			e.sh.SendTagged(sys, t, e.core, func() { e.sysLeg(ch, d, t, src, dst) })
+		} else {
+			e.sysLeg(ch, d, t, src, dst)
 		}
-		// Sharded: the completion runs on the sys shard, which performs
-		// the copy there (sys may read any core's SRAM, and DRAM writes
-		// must happen on sys) and hands the chain back to this shard.
-		sys := e.fab.Eng.Sys()
-		e.fab.ELink.SubmitFrom(e.sh, t, e.core, n, func() {
-			end := sys.Now()
-			if min := t + pace; end < min {
-				end = min
-			}
+		return
+	}
+	// On-chip: pace at the DMA rate, book the mesh path.
+	n := d.Bytes()
+	arrive := max(mesh.Deliver(t, src.Core, dst.Core, n), t+noc.DMASerialization(n, d.Beat))
+	e.record("mesh", t, arrive, n)
+	e.land(e.sh, ch, d, src, dst, arrive)
+}
+
+// sysLeg carries out, on the sys shard, a leg issued at t that touches
+// the eLink, DRAM or another chip: the eLink arbitration, the read-link
+// booking and the mesh walk all happen here at the times the issuing
+// shard would have used, and the leg lands on sys. DMA pacing overlaps
+// with all of them: a leg never completes before its serialization.
+func (e *Engine) sysLeg(ch *channel, d *Desc, t sim.Time, src, dst mem.Target) {
+	sys := e.fab.Eng.Sys()
+	n := d.Bytes()
+	paced := t + noc.DMASerialization(n, d.Beat)
+	switch {
+	case dst.Kind == mem.KindDRAM:
+		// Off-chip write: compete for the eLink, which is the bottleneck.
+		e.fab.ELink.Submit(e.core, n, func() {
+			end := max(sys.Now(), paced)
 			e.record("dram-write", t, end, n)
-			sys.At(end, func() {
-				e.copyDesc(d, src, dst)
-				e.sendChain(sys, d.Chain, end, func() {
-					ch.moved += uint64(n)
-					e.run(ch, d.Chain, end)
-				})
-			})
+			e.land(sys, ch, d, src, dst, end)
 		})
 	case src.Kind == mem.KindDRAM:
-		// Off-chip read: the read direction of the link, then the mesh.
-		if !sharded {
-			end := e.fab.ELinkReadTime(t, n)
-			arrive := e.fab.Mesh.Deliver(end, e.linkCorner(), dst.Core, n)
-			if min := t + pace; arrive < min {
-				arrive = min
-			}
-			e.record("dram-read", t, arrive, n)
-			finish(arrive)
-			return
-		}
-		e.runDRAMRead(ch, d, t, src, dst, n, pace)
+		// Off-chip read: the read direction of the link, then the mesh
+		// from the link corner.
+		end := e.fab.ELinkReadTime(t, n)
+		arrive := max(e.fab.Mesh.DeliverSys(end, e.linkCorner(), dst.Core, n), paced)
+		e.record("dram-read", t, arrive, n)
+		e.land(sys, ch, d, src, dst, arrive)
 	default:
-		// On-chip: pace at the DMA rate, book the mesh path.
-		if e.fab.Mesh.CrossShard(src.Core, dst.Core) {
-			e.runCrossPush(ch, d, t, src, dst, n, pace)
-			return
+		kind := "mesh"
+		if e.fab.Mesh.CrossChip(src.Core, dst.Core) {
+			kind = "mesh-x"
 		}
-		arrive := e.fab.Mesh.Deliver(t, src.Core, dst.Core, n)
-		if min := t + pace; arrive < min {
-			arrive = min
-		}
-		e.record("mesh", t, arrive, n)
-		finish(arrive)
+		arrive := max(e.fab.Mesh.DeliverSys(t, src.Core, dst.Core, n), paced)
+		e.record(kind, t, arrive, n)
+		e.land(sys, ch, d, src, dst, arrive)
 	}
+}
+
+// land completes a leg at time t on shard on, where the leg ran: the
+// functional copy (on may touch both memories: a chip shard owns both
+// endpoints of its on-chip legs, and sys rounds are mutually exclusive
+// with every chip round), then the destination's arrival notification
+// and the chain continuation, each handed to its own shard - inline
+// when that is on. An event that may go on to book mesh links for the
+// next descriptor is scheduled booking-gated (see sim.Shard.AtBooking).
+func (e *Engine) land(on *sim.Shard, ch *channel, d *Desc, src, dst mem.Target, t sim.Time) {
+	schedule := on.At
+	if d.Chain != nil {
+		schedule = on.AtBooking
+	}
+	schedule(t, func() {
+		e.copyDesc(d, src, dst)
+		if dst.Kind != mem.KindDRAM && e.fab.Notify != nil {
+			if sh := e.fab.CoreShard(dst.Core); sh == on {
+				e.fab.Notify(dst.Core)
+			} else {
+				on.Send(sh, t, func() { e.fab.Notify(dst.Core) })
+			}
+		}
+		switch {
+		case on == e.sh:
+			e.chain(ch, d, t)
+		case d.Chain != nil:
+			on.SendBooking(e.sh, t, func() { e.chain(ch, d, t) })
+		default:
+			on.Send(e.sh, t, func() { e.chain(ch, d, t) })
+		}
+	})
+}
+
+// chain accounts a landed descriptor and continues with the next one.
+func (e *Engine) chain(ch *channel, d *Desc, t sim.Time) {
+	ch.moved += uint64(d.Bytes())
+	e.run(ch, d.Chain, t)
 }
 
 // record reports one transfer leg to the attached timeline recorder, if
@@ -314,83 +382,6 @@ func (e *Engine) record(kind string, start, end sim.Time, n int) {
 	if r := e.fab.Rec; r != nil {
 		r.DMATransfer(e.core, kind, start, end, n)
 	}
-}
-
-// sendChain posts a chain continuation from the sys shard back to the
-// issuing shard. When another descriptor follows, the continuation may
-// book mesh link occupancy for the next leg, so it is posted
-// booking-gated (see sim.Shard.SendBooking); a chain-terminating
-// completion books nothing and is posted plain.
-func (e *Engine) sendChain(sys *sim.Shard, chain *Desc, t sim.Time, fn func()) {
-	if chain != nil {
-		sys.SendBooking(e.sh, t, fn)
-		return
-	}
-	sys.Send(e.sh, t, fn)
-}
-
-// runCrossPush handles a core-to-core transfer whose destination lives
-// on another chip's shard. The mesh walk and the functional copy run on
-// the sys shard - the walk synchronously at issue time, the copy at
-// arrival, exactly as the unsharded engine does them (sys rounds are
-// mutually exclusive with every chip round, so sys may read the source
-// SRAM and write the destination SRAM race-free) - and the arrival
-// notification and chain continuation are posted on to the destination
-// and issuing shards at the arrival time.
-func (e *Engine) runCrossPush(ch *channel, d *Desc, t sim.Time, src, dst mem.Target, n int, pace sim.Time) {
-	sys := e.fab.Eng.Sys()
-	dstSh := e.fab.CoreShard(dst.Core)
-	e.sh.SendTagged(sys, t, e.core, func() {
-		arrive := e.fab.Mesh.DeliverSys(t, src.Core, dst.Core, n)
-		if min := t + pace; arrive < min {
-			arrive = min
-		}
-		e.record("mesh-x", t, arrive, n)
-		sys.At(arrive, func() {
-			e.copyDesc(d, src, dst)
-			sys.Send(dstSh, arrive, func() {
-				if e.fab.Notify != nil {
-					e.fab.Notify(dst.Core)
-				}
-			})
-			e.sendChain(sys, d.Chain, arrive, func() {
-				ch.moved += uint64(n)
-				e.run(ch, d.Chain, arrive)
-			})
-		})
-	})
-}
-
-// runDRAMRead handles an off-chip read on a sharded board. Everything
-// the unsharded engine did inline - booking the read link, walking the
-// mesh from the link corner, copying DRAM to the destination SRAM at
-// arrival - runs on the sys shard at the same virtual times; only the
-// arrival notification and the chain continuation are posted to the
-// destination and issuing shards.
-func (e *Engine) runDRAMRead(ch *channel, d *Desc, t sim.Time, src, dst mem.Target, n int, pace sim.Time) {
-	sys := e.fab.Eng.Sys()
-	corner := e.linkCorner()
-	dstSh := e.fab.CoreShard(dst.Core)
-	e.sh.SendTagged(sys, t, e.core, func() {
-		end := e.fab.ELinkReadTime(t, n)
-		arrive := e.fab.Mesh.DeliverSys(end, corner, dst.Core, n)
-		if min := t + pace; arrive < min {
-			arrive = min
-		}
-		e.record("dram-read", t, arrive, n)
-		sys.At(arrive, func() {
-			e.copyDesc(d, src, dst)
-			sys.Send(dstSh, arrive, func() {
-				if e.fab.Notify != nil {
-					e.fab.Notify(dst.Core)
-				}
-			})
-			e.sendChain(sys, d.Chain, arrive, func() {
-				ch.moved += uint64(n)
-				e.run(ch, d.Chain, arrive)
-			})
-		})
-	})
 }
 
 // linkCorner returns the core index adjacent to the off-chip link (row 0,
@@ -456,9 +447,9 @@ func (e *Engine) copyRange(dst mem.Target, do mem.Addr, src mem.Target, so mem.A
 }
 
 // copyDesc performs the functional data movement for one descriptor.
-// On a sharded board it runs either in the shard owning both endpoints
-// or on the sys shard (which may touch any memory: its rounds are
-// mutually exclusive with every chip round).
+// It runs either in the shard owning both endpoints or on the sys shard
+// (which may touch any memory: its rounds are mutually exclusive with
+// every chip round).
 //
 // A row whose beats are contiguous on both sides moves as one range,
 // charging the byte counters exactly as its beats do. The exception is

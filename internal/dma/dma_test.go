@@ -269,3 +269,28 @@ func TestDMANotifyHook(t *testing.T) {
 		t.Fatalf("notified = %v, want [5]", notified)
 	}
 }
+
+// TestChainRoundAllocs budgets the allocations of one chained DMA round
+// on an unsharded board - an on-chip leg, a DRAM read and a DRAM write -
+// on a warm engine. The budget is the count from before the sys-routed
+// legs replaced the inline ones (11): routing every leg one way must
+// not cost allocations on the board that never leaves the sys shard.
+func TestChainRoundAllocs(t *testing.T) {
+	f := newFabric()
+	e := NewEngine(f, 0)
+	head := Desc1D(0x1000, f.Map.GlobalOf(1, 0x1000), 64, 8)
+	head.Chain = Desc1D(mem.DRAMBase, 0x2000, 64, 8)
+	head.Chain.Chain = Desc1D(0x3000, mem.DRAMBase+0x1000, 64, 8)
+	allocs := testing.AllocsPerRun(20, func() {
+		e.Start(DMA0, head)
+		if err := f.Eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if e.Busy(DMA0) {
+		t.Fatal("chain did not complete")
+	}
+	if allocs > 11 {
+		t.Errorf("one chained round allocates %v times, budget 11", allocs)
+	}
+}

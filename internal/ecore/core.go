@@ -27,6 +27,9 @@ type Core struct {
 	timers [2]sim.Time
 	flops  uint64
 	descs  uint64 // e_dma_set_desc calls, stats
+	// blocked wakes the core from BlockWriteDRAM; built on first use
+	// and reused, since the CPU has at most one block in flight.
+	blocked *sim.Cond
 	// Time accounting by activity, for the trace package.
 	computeTime  sim.Time
 	dmaWaitTime  sim.Time
@@ -127,34 +130,20 @@ func (c *Core) Idle(d sim.Time) { c.Proc().Wait(d) }
 // Used for flags and synchronization words.
 func (c *Core) StoreGlobal32(a mem.Addr, v uint32) {
 	p := c.Proc()
-	tgt := c.chip.fab.Map.Decode(c.idx, a)
+	fab := c.chip.fab
+	tgt := fab.Map.Decode(c.idx, a)
 	switch tgt.Kind {
 	case mem.KindLocal:
 		c.sram.Store32(tgt.Off, v)
 		c.chip.notifyWrite(c.idx)
 	case mem.KindCore:
-		dst := tgt.Core
-		if c.chip.fab.Mesh.CrossShard(c.idx, dst) {
-			// The word lands on another chip's shard: the sys shard walks
-			// the route and the store+notify run in the owning shard.
-			off := tgt.Off
-			c.chip.fab.Mesh.DeliverCross(p.Now(), c.idx, dst, 4, 0, func(sim.Time) {
-				c.chip.fab.SRAMs[dst].Store32(off, v)
-				c.chip.notifyWrite(dst)
-			})
-		} else {
-			arrive := c.chip.fab.Mesh.Deliver(p.Now(), c.idx, dst, 4)
-			c.sh.At(arrive, func() {
-				c.chip.fab.SRAMs[dst].Store32(tgt.Off, v)
-				c.chip.notifyWrite(dst)
-			})
-		}
-	case mem.KindDRAM:
-		// The DRAM store runs on the sys shard at eLink completion (a
-		// same-shard call on a single-chip board).
-		c.chip.fab.ELink.SubmitFrom(c.sh, p.Now(), c.idx, 4, func() {
-			c.chip.fab.DRAM.Store32(tgt.Off, v)
+		fab.Write(c.sh, c.idx, tgt.Core, 4, 0, func() {
+			fab.SRAMs[tgt.Core].Store32(tgt.Off, v)
+			c.chip.notifyWrite(tgt.Core)
 		})
+	case mem.KindDRAM:
+		// The DRAM store lands at eLink completion.
+		fab.WriteDRAM(c.sh, c.idx, 4, func() { fab.DRAM.Store32(tgt.Off, v) })
 	default:
 		panic(fmt.Sprintf("ecore: store to unmapped address %#x", a))
 	}
@@ -168,7 +157,8 @@ func (c *Core) StoreGlobal32(a mem.Addr, v uint32) {
 // the mesh arrival time.
 func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 	p := c.Proc()
-	tgt := c.chip.fab.Map.Decode(c.idx, dst)
+	fab := c.chip.fab
+	tgt := fab.Map.Decode(c.idx, dst)
 	n := 4 * words
 	cpuDone := p.Now() + sim.Time(words)*noc.DirectWriteWordPeriod
 	switch tgt.Kind {
@@ -176,29 +166,14 @@ func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 		mem.Copy(c.sram, tgt.Off, c.sram, srcOff, n)
 		c.chip.notifyWrite(c.idx)
 	case mem.KindCore:
-		dstCore, data := tgt.Core, append([]byte(nil), c.sram.Bytes(srcOff, n)...)
-		if c.chip.fab.Mesh.CrossShard(c.idx, dstCore) {
-			off := tgt.Off
-			c.chip.fab.Mesh.DeliverCross(p.Now(), c.idx, dstCore, n, cpuDone, func(sim.Time) {
-				copy(c.chip.fab.SRAMs[dstCore].Bytes(off, n), data)
-				c.chip.notifyWrite(dstCore)
-			})
-		} else {
-			arrive := c.chip.fab.Mesh.Deliver(p.Now(), c.idx, dstCore, n)
-			if arrive < cpuDone {
-				arrive = cpuDone
-			}
-			c.sh.At(arrive, func() {
-				copy(c.chip.fab.SRAMs[dstCore].Bytes(tgt.Off, n), data)
-				c.chip.notifyWrite(dstCore)
-			})
-		}
+		data := append([]byte(nil), c.sram.Bytes(srcOff, n)...)
+		fab.Write(c.sh, c.idx, tgt.Core, n, cpuDone, func() {
+			copy(fab.SRAMs[tgt.Core].Bytes(tgt.Off, n), data)
+			c.chip.notifyWrite(tgt.Core)
+		})
 	case mem.KindDRAM:
 		data := append([]byte(nil), c.sram.Bytes(srcOff, n)...)
-		off := tgt.Off
-		c.chip.fab.ELink.SubmitFrom(c.sh, p.Now(), c.idx, n, func() {
-			c.chip.fab.DRAM.Write(off, data)
-		})
+		fab.WriteDRAM(c.sh, c.idx, n, func() { fab.DRAM.Write(tgt.Off, data) })
 	default:
 		panic(fmt.Sprintf("ecore: copy to unmapped address %#x", dst))
 	}
@@ -212,23 +187,18 @@ func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 func (c *Core) BlockWriteDRAM(dramOff mem.Addr, srcOff mem.Addr, n int) {
 	// The CPU blocks until the eLink carries the block: the write queues
 	// between here and the link are tiny compared to a 2 KB block, so
-	// back-pressure stalls the store loop almost immediately.
+	// back-pressure stalls the store loop almost immediately. The block
+	// is copied into DRAM at eLink completion.
 	p := c.Proc()
-	if c.sh == c.chip.eng.Sys() {
-		c.chip.fab.ELink.Write(p, c.idx, n)
-		c.chip.fab.DRAM.Write(dramOff, c.sram.Bytes(srcOff, n))
-		return
+	fab := c.chip.fab
+	if c.blocked == nil {
+		c.blocked = sim.NewCondIdxOn(c.sh, "dram-block:core", c.idx)
 	}
-	// Sharded board: the copy must run on the sys shard (DRAM lives
-	// there; sys may read any core's SRAM), at the same virtual time the
-	// unsharded path would perform it - eLink completion.
-	reply := sim.NewCondIdxOn(c.sh, "dram-block:core", c.idx)
-	sys := c.chip.eng.Sys()
-	c.chip.fab.ELink.SubmitFrom(c.sh, p.Now(), c.idx, n, func() {
-		c.chip.fab.DRAM.Write(dramOff, c.sram.Bytes(srcOff, n))
-		sys.Send(c.sh, sys.Now(), func() { reply.Broadcast() })
+	fab.WriteDRAM(c.sh, c.idx, n, func() {
+		fab.DRAM.Write(dramOff, c.sram.Bytes(srcOff, n))
+		fab.Wake(c.blocked)
 	})
-	p.WaitCond(reply)
+	p.WaitCond(c.blocked)
 }
 
 // --- Flag polling (the `while (*flag < loopcount);` idiom). ---

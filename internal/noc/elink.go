@@ -32,8 +32,8 @@ import (
 type ELink struct {
 	// sh is the shard the arbiter lives on (the engine's sys shard):
 	// every tag computation, queue operation, and completion callback
-	// executes there. Cores on other shards reach the arbiter through
-	// SubmitFrom, which posts the submission as a cross-shard event.
+	// executes there. Submit must be called there too; cores on other
+	// shards reach it through the dma.Fabric router.
 	sh     *sim.Shard
 	rows   int
 	cols   int
@@ -54,8 +54,7 @@ type elinkReq struct {
 	start float64 // virtual start tag
 	tag   float64 // virtual finish tag
 	seq   uint64
-	done  *sim.Cond
-	fn    func() // optional completion callback (runs before done broadcast)
+	fn    func() // completion callback, run on the arbiter's shard
 }
 
 type reqHeap []*elinkReq
@@ -158,51 +157,11 @@ func (e *ELink) SetUniformWeights() {
 	}
 }
 
-// Write blocks p until the eLink has carried n bytes on behalf of core.
-// Concurrent writers are served WFQ-fashion at the 150 MB/s effective rate.
-// When p runs on another shard (a core of a multi-chip board), the
-// submission travels to the arbiter's shard as an event and the
-// completion comes back the same way; the tags and the service order are
-// identical either way.
-func (e *ELink) Write(p *sim.Proc, core, n int) {
-	if p.Shard() == e.sh {
-		p.WaitCond(e.submit(core, n).done)
-		return
-	}
-	from := p.Shard()
-	reply := sim.NewCondIdxOn(from, "elink:reply:core", core)
-	e.SubmitFrom(from, p.Now(), core, n, func() {
-		e.sh.Send(from, e.sh.Now(), func() { reply.Broadcast() })
-	})
-	p.WaitCond(reply)
-}
-
-// SubmitFrom books n bytes for core from shard from's execution context
-// at time t. The submission is posted into the arbiter's shard (where
-// the WFQ tags, queue, and completions live); fn, if non-nil, runs
-// there when the transfer completes, before any waiters wake. A
-// same-shard call degenerates to WriteFunc.
-func (e *ELink) SubmitFrom(from *sim.Shard, t sim.Time, core, n int, fn func()) {
-	if from == e.sh {
-		e.submit(core, n).fn = fn
-		return
-	}
-	from.SendTagged(e.sh, t, core, func() { e.submit(core, n).fn = fn })
-}
-
-// WriteAsync books the transfer and returns a Cond broadcast at completion,
-// letting DMA engines overlap. The returned Cond is single-use.
-func (e *ELink) WriteAsync(core, n int) *sim.Cond {
-	return e.submit(core, n).done
-}
-
-// WriteFunc books the transfer and runs fn inline in the engine when it
-// completes (before any waiters on the completion Cond are woken).
-func (e *ELink) WriteFunc(core, n int, fn func()) {
-	e.submit(core, n).fn = fn
-}
-
-func (e *ELink) submit(core, n int) *elinkReq {
+// Submit books n bytes for core on the link and runs fn when the
+// transfer completes. Concurrent writers are served
+// WFQ-fashion at the 150 MB/s effective rate. It must be called on the
+// arbiter's shard (the engine's sys shard), where fn runs too.
+func (e *ELink) Submit(core, n int, fn func()) {
 	w := e.weight[core]
 	// Start-time fair queueing: a flow's next request starts at its own
 	// previous finish tag, except that a flow that was idle while the
@@ -215,7 +174,7 @@ func (e *ELink) submit(core, n int) *elinkReq {
 		start: start,
 		tag:   start + float64(n)/w,
 		seq:   e.total,
-		done:  sim.NewCondIdxOn(e.sh, "elink:core", core),
+		fn:    fn,
 	}
 	e.total++
 	e.lastTag[core] = req.tag
@@ -223,7 +182,6 @@ func (e *ELink) submit(core, n int) *elinkReq {
 	if !e.busy {
 		e.serveNext()
 	}
-	return req
 }
 
 func (e *ELink) serveNext() {
@@ -238,10 +196,7 @@ func (e *ELink) serveNext() {
 	e.sh.After(dur, func() {
 		e.served[req.core]++
 		e.svcBytes[req.core] += uint64(req.bytes)
-		if req.fn != nil {
-			req.fn()
-		}
-		req.done.Broadcast()
+		req.fn()
 		e.serveNext()
 	})
 }

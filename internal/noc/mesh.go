@@ -51,7 +51,6 @@ type linkState struct {
 // C2CBytePeriod (the store-and-forward packetization of the off-chip
 // protocol, 8x slower than an on-chip link).
 type Mesh struct {
-	eng                *sim.Engine
 	amap               *mem.Map
 	rows, cols         int
 	chipRows, chipCols int
@@ -112,10 +111,12 @@ type meshCnt struct {
 	_              [9]uint64
 }
 
-// NewMesh builds the eMesh for the given address map.
+// NewMesh builds the eMesh for the given address map. The mesh only
+// books link occupancy and never schedules events itself, so eng is
+// not retained.
 func NewMesh(eng *sim.Engine, amap *mem.Map) *Mesh {
 	m := &Mesh{
-		eng: eng, amap: amap, rows: amap.Rows, cols: amap.Cols,
+		amap: amap, rows: amap.Rows, cols: amap.Cols,
 		c2cByte: C2CBytePeriod, c2cHop: C2CHopLatency,
 	}
 	m.chipRows, m.chipCols = amap.ChipDims()
@@ -254,14 +255,15 @@ func (m *Mesh) ChipOf(core int) int {
 
 // AttachShards wires a multi-chip mesh to a sharded engine: shards[i]
 // is the shard owning chip i. Once attached, routes that cross a chip
-// boundary must go through DeliverCross or DeliverSys (Deliver panics
-// on them): chip shards book only their own chip's links inline - gated
-// by sim.Shard.AwaitBookingWindow, so a chip running ahead inside the
-// lookahead window can never book a slot before a lower-keyed cross
-// walk still in flight - and cross-chip walks run on the sys shard,
-// whose rounds are mutually exclusive with every chip round, so it may
-// book any chip's links race-free, at the same virtual times and in the
-// same canonical order as the unsharded engine.
+// boundary must go through DeliverSys (Deliver panics on them; the
+// dma.Fabric router takes such routes to sys): chip shards book only
+// their own chip's links inline - gated by sim.Shard.AwaitBookingWindow,
+// so a chip running ahead inside the lookahead window can never book a
+// slot before a lower-keyed cross walk still in flight - and cross-chip
+// walks run on the sys shard, whose rounds are mutually exclusive with
+// every chip round, so it may book any chip's links race-free, at the
+// same virtual times and in the same canonical order as the unsharded
+// engine.
 func (m *Mesh) AttachShards(shards []*sim.Shard) {
 	if len(shards) != len(m.cnt) {
 		panic(fmt.Sprintf("noc: AttachShards with %d shards for %d chips", len(shards), len(m.cnt)))
@@ -269,10 +271,11 @@ func (m *Mesh) AttachShards(shards []*sim.Shard) {
 	m.shards = shards
 }
 
-// CrossShard reports whether a src->dst route crosses chip boundaries
-// on a shard-attached mesh (and so must use DeliverCross).
-func (m *Mesh) CrossShard(src, dst int) bool {
-	return m.shards != nil && m.ChipOf(src) != m.ChipOf(dst)
+// CrossChip reports whether cores a and b sit on different chips (a
+// route between them crosses a chip-to-chip eLink). It is false on
+// every single-chip board without computing chip indices.
+func (m *Mesh) CrossChip(a, b int) bool {
+	return len(m.cnt) > 1 && m.ChipOf(a) != m.ChipOf(b)
 }
 
 // Deliver books an n-byte write transfer from src to dst onto the on-chip
@@ -297,13 +300,13 @@ func (m *Mesh) CrossShard(src, dst int) bool {
 // slot arrays; a call performs no allocations.
 func (m *Mesh) Deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
 	if m.shards != nil && m.ChipOf(src) != m.ChipOf(dst) {
-		panic("noc: Deliver across chips on a shard-attached mesh (use DeliverCross/DeliverSys)")
+		panic("noc: Deliver across chips on a shard-attached mesh (use DeliverSys)")
 	}
 	return m.deliver(t, src, dst, n)
 }
 
 // deliver is the walk shared by Deliver (same-chip routes, any context)
-// and DeliverSys/DeliverCross (cross-chip routes, sys context only).
+// and DeliverSys (any route, sys context only).
 func (m *Mesh) deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
 	sr, sc := m.amap.CoreCoords(src)
 	srcChip := m.chipAt(sr, sc)
@@ -354,44 +357,13 @@ func (m *Mesh) deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
 // only from the sys shard's execution context. Sys rounds are mutually
 // exclusive with every chip shard's rounds under the conservative
 // scheduler, so booking other chips' links from here is race-free and
-// lands in canonical event order.
-func (m *Mesh) DeliverSys(t sim.Time, src, dst, n int) (arrive sim.Time) {
-	return m.deliver(t, src, dst, n)
-}
-
-// DeliverCross books an n-byte write transfer whose XY route crosses
-// chip boundaries on a shard-attached mesh, and schedules cb(arrive) in
-// the destination core's shard, where arrive is what Deliver would have
-// returned (clamped up to minT, the caller's pacing floor). It must be
-// called from the source core's shard.
-//
-// The walk itself runs on the sys shard: the issuing shard posts the
-// route there, sys performs the whole walk synchronously at the issue
-// time (its rounds are mutually exclusive with every chip round, so it
-// may book any chip's links race-free), and the arrival callback is
-// posted on to the destination shard. Routing through sys keeps every
-// link booking at the same virtual time and in the same canonical order
-// as the unsharded engine - which is what makes sharded metrics
-// bit-identical to the classic ones. A segmented chip-by-chip walk
+// lands in canonical event order. The whole walk happens at the issue
+// time, as on the unsharded engine, which is what keeps sharded metrics
+// bit-identical to the classic ones: a segmented chip-by-chip walk
 // would book contended slots at later virtual times and redistribute
 // queueing delays.
-func (m *Mesh) DeliverCross(t sim.Time, src, dst, n int, minT sim.Time, cb func(arrive sim.Time)) {
-	if m.shards == nil {
-		panic("noc: DeliverCross without AttachShards")
-	}
-	srcChip, dstChip := m.ChipOf(src), m.ChipOf(dst)
-	if srcChip == dstChip {
-		panic("noc: DeliverCross on a same-chip route (use Deliver)")
-	}
-	sys := m.eng.Sys()
-	to := m.shards[dstChip]
-	m.shards[srcChip].SendTagged(sys, t, src, func() {
-		arrive := m.deliver(t, src, dst, n)
-		if arrive < minT {
-			arrive = minT
-		}
-		sys.Send(to, arrive, func() { cb(arrive) })
-	})
+func (m *Mesh) DeliverSys(t sim.Time, src, dst, n int) (arrive sim.Time) {
+	return m.deliver(t, src, dst, n)
 }
 
 // Crossings returns how many chip-boundary eLink hops Deliver has routed
@@ -492,7 +464,7 @@ func (m *Mesh) ReadWord(t sim.Time, src, dst int) (done sim.Time) {
 }
 
 // Writes returns the number of delivery bookings (Deliver and
-// DeliverCross calls).
+// DeliverSys calls).
 func (m *Mesh) Writes() uint64 {
 	var n uint64
 	for i := range m.cnt {

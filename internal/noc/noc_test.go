@@ -231,9 +231,11 @@ func elinkSaturate(t *testing.T, writers []int, window sim.Time) *ELink {
 	el := NewELink(eng, 8, 8)
 	for _, core := range writers {
 		core := core
+		done := sim.NewCond(eng, "written")
 		eng.Spawn("writer", func(p *sim.Proc) {
 			for {
-				el.Write(p, core, 2048)
+				el.Submit(core, 2048, done.Broadcast)
+				p.WaitCond(done)
 				if p.Now() >= window {
 					return
 				}
@@ -373,20 +375,23 @@ func TestELinkSingleWriterGetsFullRate(t *testing.T) {
 	}
 }
 
-func TestELinkWriteAsync(t *testing.T) {
+// TestELinkSubmitCallback: Submit returns at once and runs its
+// callback on the arbiter's shard when the link has carried the bytes.
+func TestELinkSubmitCallback(t *testing.T) {
 	eng := sim.NewEngine()
 	el := NewELink(eng, 8, 8)
 	var doneAt sim.Time
-	eng.Spawn("p", func(p *sim.Proc) {
-		c := el.WriteAsync(0, 1500)
-		p.WaitCond(c)
-		doneAt = p.Now()
+	eng.At(0, func() {
+		el.Submit(0, 1500, func() { doneAt = eng.Now() })
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if want := sim.Time(1500) * ELinkBytePeriod; doneAt != want {
-		t.Fatalf("async write done at %v, want %v", doneAt, want)
+		t.Fatalf("submitted write done at %v, want %v", doneAt, want)
+	}
+	if el.Served(0) != 1 || el.ServedBytes(0) != 1500 {
+		t.Fatalf("served %d requests, %d bytes; want 1, 1500", el.Served(0), el.ServedBytes(0))
 	}
 }
 

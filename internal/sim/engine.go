@@ -410,7 +410,7 @@ func (e *Engine) computeBounds() {
 				if f.less(safe) {
 					safe = f
 				}
-				if a.pendingReplies == 0 && L > 0 {
+				if L > 0 {
 					// Chip-to-chip interactions carry at least the eLink
 					// crossing lookahead; lift the frontier by L. The
 					// lifted key's sid of -1 makes the window exclusive of

@@ -87,15 +87,6 @@ type Shard struct {
 	// event).
 	running bool
 
-	// pendingReplies counts in-flight requests whose reply will be
-	// posted back to this shard by another *chip* shard with no
-	// lookahead guarantee (cross-chip DMA chain continuations). While
-	// it is non-zero the parallel scheduler collapses this shard's
-	// bound to the key-precise minimum of all frontiers, so the shard
-	// can never advance past the reply's timestamp before receiving
-	// it. Owned by this shard's execution context.
-	pendingReplies int
-
 	// inbox receives cross-shard posts while a parallel Run is in
 	// flight; the owner drains it into the heap at every round
 	// barrier. Outside parallel runs Send pushes straight into the
@@ -343,22 +334,6 @@ func (s *Shard) newProc(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// ExpectReply marks this shard as awaiting a zero-lookahead reply from
-// another chip shard (a cross-chip DMA completion). Until ReplyArrived
-// is called the parallel scheduler holds this shard's bound at the
-// key-precise global minimum so the reply can never arrive in the
-// shard's past. Must be called from this shard's execution context.
-func (s *Shard) ExpectReply() { s.pendingReplies++ }
-
-// ReplyArrived releases one ExpectReply hold; call it from the handler
-// of the reply event.
-func (s *Shard) ReplyArrived() {
-	if s.pendingReplies <= 0 {
-		panic("sim: ReplyArrived without matching ExpectReply")
-	}
-	s.pendingReplies--
-}
-
 // AwaitBookingWindow delays the caller until booking order-sensitive
 // shared board state at the current execution key is sound under the
 // parallel scheduler; everywhere else (sequential runs, the sys shard,
@@ -501,9 +476,6 @@ func (s *Shard) quiesceErr() error {
 	if len(s.heap) != 0 || len(s.inbox) != 0 || s.blocked != 0 {
 		return fmt.Errorf("sim: Reset of non-quiescent engine (%d pending events, %d blocked procs)",
 			len(s.heap)+len(s.inbox), s.blocked)
-	}
-	if s.pendingReplies != 0 {
-		return fmt.Errorf("sim: Reset with %d cross-shard replies outstanding on shard %d", s.pendingReplies, s.id)
 	}
 	for _, p := range s.procs {
 		if p.state != stateDone {

@@ -148,30 +148,6 @@ func TestDeadlockNamesProcsAndShardMarks(t *testing.T) {
 	}
 }
 
-// TestExpectReplyGuardsReset: an unbalanced ExpectReply makes the
-// engine non-recyclable, and ReplyArrived without a matching
-// ExpectReply panics.
-func TestExpectReplyGuardsReset(t *testing.T) {
-	e := newSharded(1, 1, 0)
-	e.Shard(1).At(0, func() { e.Shard(1).ExpectReply() })
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := e.Reset(); err == nil || !strings.Contains(err.Error(), "replies outstanding") {
-		t.Fatalf("Reset with a pending reply = %v, want outstanding-replies error", err)
-	}
-	e.Shard(1).ReplyArrived()
-	if err := e.Reset(); err != nil {
-		t.Fatalf("Reset after the reply arrived: %v", err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ReplyArrived without ExpectReply should panic")
-		}
-	}()
-	e.Shard(1).ReplyArrived()
-}
-
 // fuzzEvent builds one event of the random cross-shard workload: it
 // logs its execution on its shard's private log, then derives 1-2
 // children from its own seed (never from shared state, so the event

@@ -158,14 +158,46 @@ func TestTimelineByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineStatsGolden pins the scheduler counters of the suite's cell
-// at shards=auto (sys + 4 chips), workers=4, against golden values.
-// Everything but the phase wall times is deterministic for a fixed
-// (shards, workers>1) layout; a drift here means the scheduler's round
-// structure changed and the goldens need conscious regeneration.
-func TestEngineStatsGolden(t *testing.T) {
+// TestTimelineShardInvariance: on the sequential scheduler (no barrier
+// rounds to record) the shard partition leaves no trace in the
+// timeline either. Every partition routes a DMA leg the same way, so
+// the classic heap labels its cross-chip legs "mesh-x" exactly as one
+// shard per chip does.
+func TestTimelineShardInvariance(t *testing.T) {
 	w, topo := obsWorkload(t)
-	run := func(workers int) *epiphany.EngineStats {
+	capture := func(shards int) []byte {
+		var buf bytes.Buffer
+		_, err := epiphany.Run(context.Background(), w,
+			epiphany.WithTopology(topo.WithShards(shards)),
+			epiphany.WithTimeline(&buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	heap := capture(1)
+	if !bytes.Contains(heap, []byte(`"mesh-x"`)) {
+		t.Error("shards=1 timeline records no cross-chip DMA legs")
+	}
+	for _, shards := range []int{2, 0} {
+		if !bytes.Equal(capture(shards), heap) {
+			t.Errorf("shards=%d timeline differs from shards=1", shards)
+		}
+	}
+}
+
+// TestEngineStatsGolden pins the scheduler counters of a few cells
+// against golden values. The first is the suite's cell at shards=auto
+// (sys + 4 chips), workers=4: everything but the phase wall times is
+// deterministic for a fixed (shards, workers>1) layout, so a drift
+// there means the scheduler's round structure changed and the goldens
+// need conscious regeneration. The others run the DRAM-paging
+// workloads on the classic single heap, one chip and four, where every
+// DMA leg to or from DRAM and every cross-chip leg takes the sys route
+// inline: their event counts pin that the route adds no event and
+// posts nothing across shards.
+func TestEngineStatsGolden(t *testing.T) {
+	run := func(w epiphany.Workload, topo epiphany.Topology, workers int) *epiphany.EngineStats {
 		res, err := epiphany.Run(context.Background(), w,
 			epiphany.WithTopology(topo),
 			epiphany.WithWorkers(workers),
@@ -179,61 +211,86 @@ func TestEngineStatsGolden(t *testing.T) {
 		}
 		return st
 	}
-	st := run(4)
-
-	if st.Shards != 5 || st.Workers != 4 {
-		t.Fatalf("layout %d shards x %d workers, want 5 x 4", st.Shards, st.Workers)
-	}
-	pins := []struct {
-		name string
-		got  uint64
-		want uint64
+	for _, tc := range []struct {
+		workload, topo string
+		workers        int
+		want           epiphany.EngineStats
 	}{
-		{"Events", st.Events, 15445},
-		{"SysEvents", st.SysEvents, 1580},
-		{"CrossPosts", st.CrossPosts, 2272},
-		{"TaggedPosts", st.TaggedPosts, 896},
-		{"BookingParks", st.BookingParks, 479},
-		{"HeldByBound", st.HeldByBound, 16512},
-		{"HeldByFloor", st.HeldByFloor, 0},
-		{"BarrierRounds", st.BarrierRounds, 3994},
-	}
-	for _, p := range pins {
-		if p.got != p.want {
-			t.Errorf("%s = %d, want %d", p.name, p.got, p.want)
-		}
-	}
-	if st.SysShare <= 0 || st.SysShare >= 1 {
-		t.Errorf("SysShare = %v, want in (0,1)", st.SysShare)
-	}
-	if len(st.PerShard) != 5 {
-		t.Fatalf("PerShard has %d entries, want 5", len(st.PerShard))
-	}
-	if st.PerShard[0].Label != "sys" || st.PerShard[1].Label != "chip0" {
-		t.Errorf("shard labels %q,%q, want sys,chip0", st.PerShard[0].Label, st.PerShard[1].Label)
-	}
-	// The parallel scheduler ran, so the phase wall clocks accumulated.
-	if st.PhaseAWallNS <= 0 || st.PhaseBWallNS <= 0 {
-		t.Errorf("phase wall times A=%d B=%d, want both positive", st.PhaseAWallNS, st.PhaseBWallNS)
-	}
+		{"matmul-offchip", "cluster-2x2", 4, epiphany.EngineStats{
+			Shards: 5, Workers: 4, Events: 15445, SysEvents: 1580, CrossPosts: 2272, TaggedPosts: 896,
+			BookingParks: 479, HeldByBound: 16512, HeldByFloor: 0, BarrierRounds: 3994}},
+		{"matmul-offchip", "e64", 1, epiphany.EngineStats{Shards: 1, Workers: 1, Events: 12941, SysEvents: 12941}},
+		{"stream-stencil", "e64", 1, epiphany.EngineStats{Shards: 1, Workers: 1, Events: 5047, SysEvents: 5047}},
+		{"matmul-offchip", "cluster-2x2/shards=1", 1, epiphany.EngineStats{Shards: 1, Workers: 1, Events: 13238, SysEvents: 13238}},
+		{"stream-stencil", "cluster-2x2/shards=1", 1, epiphany.EngineStats{Shards: 1, Workers: 1, Events: 4984, SysEvents: 4984}},
+	} {
+		t.Run(tc.workload+"@"+tc.topo, func(t *testing.T) {
+			w, ok := epiphany.WorkloadByName(tc.workload)
+			if !ok {
+				t.Fatalf("%s not registered", tc.workload)
+			}
+			topo, err := epiphany.ParseTopology(tc.topo)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := run(w, topo, tc.workers)
+			if st.Shards != tc.want.Shards || st.Workers != tc.want.Workers {
+				t.Fatalf("layout %d shards x %d workers, want %d x %d", st.Shards, st.Workers, tc.want.Shards, tc.want.Workers)
+			}
+			pins := []struct {
+				name      string
+				got, want uint64
+			}{
+				{"Events", st.Events, tc.want.Events},
+				{"SysEvents", st.SysEvents, tc.want.SysEvents},
+				{"CrossPosts", st.CrossPosts, tc.want.CrossPosts},
+				{"TaggedPosts", st.TaggedPosts, tc.want.TaggedPosts},
+				{"BookingParks", st.BookingParks, tc.want.BookingParks},
+				{"HeldByBound", st.HeldByBound, tc.want.HeldByBound},
+				{"HeldByFloor", st.HeldByFloor, tc.want.HeldByFloor},
+				{"BarrierRounds", st.BarrierRounds, tc.want.BarrierRounds},
+			}
+			for _, p := range pins {
+				if p.got != p.want {
+					t.Errorf("%s = %d, want %d", p.name, p.got, p.want)
+				}
+			}
+			if tc.workers == 1 {
+				return
+			}
+			if st.SysShare <= 0 || st.SysShare >= 1 {
+				t.Errorf("SysShare = %v, want in (0,1)", st.SysShare)
+			}
+			if len(st.PerShard) != st.Shards {
+				t.Fatalf("PerShard has %d entries, want %d", len(st.PerShard), st.Shards)
+			}
+			if st.PerShard[0].Label != "sys" || st.PerShard[1].Label != "chip0" {
+				t.Errorf("shard labels %q,%q, want sys,chip0", st.PerShard[0].Label, st.PerShard[1].Label)
+			}
+			// The parallel scheduler ran, so the phase wall clocks accumulated.
+			if st.PhaseAWallNS <= 0 || st.PhaseBWallNS <= 0 {
+				t.Errorf("phase wall times A=%d B=%d, want both positive", st.PhaseAWallNS, st.PhaseBWallNS)
+			}
 
-	// Worker count beyond 1 is pure execution layout: the same counters
-	// at workers=2, wall times aside.
-	st2 := run(2)
-	norm := func(s epiphany.EngineStats) epiphany.EngineStats {
-		s.Workers, s.PhaseAWallNS, s.PhaseBWallNS = 0, 0, 0
-		return s
-	}
-	a, b := norm(*st), norm(*st2)
-	ajs, _ := json.Marshal(a)
-	bjs, _ := json.Marshal(b)
-	if !bytes.Equal(ajs, bjs) {
-		t.Errorf("workers=2 counters diverge from workers=4:\n %s\n %s", bjs, ajs)
-	}
+			// Worker count beyond 1 is pure execution layout: the same counters
+			// at workers=2, wall times aside.
+			st2 := run(w, topo, 2)
+			norm := func(s epiphany.EngineStats) epiphany.EngineStats {
+				s.Workers, s.PhaseAWallNS, s.PhaseBWallNS = 0, 0, 0
+				return s
+			}
+			a, b := norm(*st), norm(*st2)
+			ajs, _ := json.Marshal(a)
+			bjs, _ := json.Marshal(b)
+			if !bytes.Equal(ajs, bjs) {
+				t.Errorf("workers=2 counters diverge from workers=4:\n %s\n %s", bjs, ajs)
+			}
 
-	// And the report renders the layout header the bench flag prints.
-	if s := st.String(); !strings.Contains(s, "engine: 5 shard(s) x 4 worker(s)") {
-		t.Errorf("stats report missing layout header:\n%s", s)
+			// And the report renders the layout header the bench flag prints.
+			if s := st.String(); !strings.Contains(s, "engine: 5 shard(s) x 4 worker(s)") {
+				t.Errorf("stats report missing layout header:\n%s", s)
+			}
+		})
 	}
 }
 
