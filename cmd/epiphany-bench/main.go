@@ -47,12 +47,11 @@ func main() {
 	dvfs := flag.String("dvfs", "", `DVFS operating point for -workloads, "FREQ[MHz]@VOLT[V]" (requires/implies -power)`)
 	traceFile := flag.String("trace", "", `write each -workloads run's activity and link heatmaps to FILE (several workloads: FILE's name gains a -<workload> suffix per run)`)
 	timelineFile := flag.String("timeline", "", `write each -workloads run as a Perfetto / Chrome trace-event JSON timeline to FILE (several workloads: a -<workload> suffix per run); open in ui.perfetto.dev`)
-	engineStats := flag.Bool("engine-stats", false, "print the event engine's scheduler counters (per-shard events, barrier rounds, sys-shard share) after the -workloads table")
-	simWorkers := flag.Int("sim-workers", 1, "goroutines driving each board's shards for -workloads (1 = sequential; metrics are identical for every value, like epiphany-serve's -sim-workers)")
+	engineStats := flag.Bool("engine-stats", false, "print the event engine's scheduler counters (per-shard events and cross-shard posts, sys-shard share) after the -workloads table")
 	flag.Parse()
 
-	if (*topo != "" || *powerModel != "" || *dvfs != "" || *traceFile != "" || *timelineFile != "" || *engineStats || *simWorkers != 1) && *workloads == "" {
-		fmt.Fprintln(os.Stderr, "-topo/-power/-dvfs/-trace/-timeline/-engine-stats/-sim-workers only apply to -workloads; the paper experiments are defined on the default board")
+	if (*topo != "" || *powerModel != "" || *dvfs != "" || *traceFile != "" || *timelineFile != "" || *engineStats) && *workloads == "" {
+		fmt.Fprintln(os.Stderr, "-topo/-power/-dvfs/-trace/-timeline/-engine-stats only apply to -workloads; the paper experiments are defined on the default board")
 		os.Exit(2)
 	}
 	if *dvfs != "" && *powerModel == "" {
@@ -105,7 +104,7 @@ func main() {
 			fmt.Printf("  %s: nominal %s, ladder %v\n", name, m.Nominal, m.Points)
 		}
 	case *workloads != "":
-		runWorkloads(*workloads, *jobs, *topo, *powerModel, *dvfs, *traceFile, *timelineFile, *engineStats, *simWorkers)
+		runWorkloads(*workloads, *jobs, *topo, *powerModel, *dvfs, *traceFile, *timelineFile, *engineStats)
 	case *run != "":
 		e, ok := bench.ByName(*run)
 		if !ok {
@@ -141,7 +140,7 @@ func main() {
 // energy columns when a power model is attached. Heatmap traces and
 // Perfetto timelines are captured per job into memory (jobs run
 // concurrently) and written out after the batch.
-func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile, timelineFile string, engineStats bool, simWorkers int) {
+func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile, timelineFile string, engineStats bool) {
 	var ws []epiphany.Workload
 	if sel == "all" {
 		ws = epiphany.Workloads()
@@ -174,9 +173,6 @@ func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile
 	}
 	if engineStats {
 		runner.Options = append(runner.Options, epiphany.WithEngineStats())
-	}
-	if simWorkers > 1 {
-		runner.Options = append(runner.Options, epiphany.WithWorkers(simWorkers))
 	}
 	jobs := make([]epiphany.Job, len(ws))
 	traces := make([]*bytes.Buffer, len(ws))

@@ -48,7 +48,6 @@ func main() {
 		dir     = flag.String("cache-dir", "", "persist cached results here (empty = memory only)")
 		timeout = flag.Duration("timeout", 0, "per-request simulation budget (0 = 2m)")
 		grace   = flag.Duration("grace", 30*time.Second, "shutdown drain budget")
-		simwork = flag.Int("sim-workers", 1, "goroutines driving each board's shards (composes with -workers)")
 		access  = flag.Bool("access-log", true, "log one structured line per request (route, status, stage times, result fingerprint)")
 	)
 	flag.Parse()
@@ -68,7 +67,6 @@ func main() {
 		CacheEntries:   *entries,
 		CacheDir:       *dir,
 		RequestTimeout: *timeout,
-		SimWorkers:     *simwork,
 		Logger:         logger,
 	})
 	if err != nil {

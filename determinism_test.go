@@ -1,15 +1,13 @@
 package epiphany_test
 
 // The cross-mode determinism suite: the shard partition
-// (Topology.WithShards, the /shards= spec suffix) and the host
-// goroutine count (WithWorkers)
-// are execution knobs, never semantics. Every registered workload, on a
-// single chip, the 2x2 cluster, and an asymmetric 2x4 grid, must
-// produce bit-identical Metrics - time-domain AND energy - for every
-// shard count from the classic single heap up to one shard per chip,
-// and for every worker count. Run it under -race with GOMAXPROCS >= 4
-// (CI does) and the parallel scheduler's barrier discipline is checked
-// too, not just its answers.
+// (Topology.WithShards, the /shards= spec suffix) is an execution knob,
+// never semantics, and the deprecated WithWorkers shim does nothing.
+// Every registered workload, on a single chip, the 2x2 cluster, and an
+// asymmetric 2x4 grid, must produce bit-identical Metrics - time-domain
+// AND energy - for every shard count from the classic single heap up to
+// one shard per chip, and for every WithWorkers value. CI also runs it
+// under -race with GOMAXPROCS=4, alongside Runner's concurrent jobs.
 //
 // The comparison is plain struct equality on epiphany.Metrics: every
 // field is an integer or a float64 compared by bits, so "identical"
@@ -19,7 +17,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"epiphany"
 	"epiphany/internal/dma"
@@ -354,4 +355,97 @@ func TestDeterminismRemoteDMAPull(t *testing.T) {
 		}
 	}
 	t.Logf("completions %v, %d crossings in %v", base.done, base.crossings, base.crossTime)
+}
+
+// TestDeterminismBoard1024 runs the 1024-core board (a 4x4 grid of 8x8
+// chips) through the sharded merge: matmul-offchip, stream-stencil and
+// the chip-parallel 32x24 Comm stencil (one iteration), each at shards
+// {1, one per chip} and WithWorkers {1, 4}. Every run of a workload must
+// produce the same Metrics, every run of a partition the same
+// EngineStats, and no run may leave a goroutine behind (the engine
+// starts no scheduler goroutines, and a finished proc's coroutine
+// exits). The stencil runs one iteration only: from the second on, its
+// ELinkCrossTime differs between the single heap and one shard per chip
+// (ROADMAP item 1(a)), so multi-iteration stencils wait for that fix.
+func TestDeterminismBoard1024(t *testing.T) {
+	topo, err := epiphany.ParseTopology("grid=4x4/chip=8x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stencil := &epiphany.StencilWorkload{Config: epiphany.StencilConfig{
+		Rows: 20, Cols: 20, Iters: 1, GroupRows: 32, GroupCols: 24,
+		Comm: true, Tuned: true, Seed: 1,
+	}}
+	for _, tc := range []struct {
+		name string
+		w    epiphany.Workload
+	}{
+		{"matmul-offchip", mustWorkload(t, "matmul-offchip")},
+		{"stream-stencil", mustWorkload(t, "stream-stencil")},
+		{"stencil-comm-32x24", stencil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var base epiphany.Metrics
+			for i, shards := range []int{1, topo.NumChips()} {
+				var stats *epiphany.EngineStats
+				for j, workers := range []int{1, 4} {
+					before := runtime.NumGoroutine()
+					res, err := epiphany.Run(context.Background(), tc.w,
+						epiphany.WithTopology(topo.WithShards(shards)),
+						epiphany.WithWorkers(workers),
+						epiphany.WithEngineStats())
+					if err != nil {
+						t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+					}
+					if after := settledGoroutines(before); after > before {
+						t.Errorf("shards=%d workers=%d: %d goroutines after the run, %d before", shards, workers, after, before)
+					}
+					m := res.Metrics()
+					st := m.Engine
+					m.Engine = nil
+					switch {
+					case i == 0 && j == 0:
+						base = m
+					case m != base:
+						t.Errorf("shards=%d workers=%d: Metrics diverged:\n got  %+v\n want %+v", shards, workers, m, base)
+					}
+					want := 1 // the single heap, or the sys shard beside the chip shards
+					if shards > 1 {
+						want = shards + 1
+					}
+					if st.Shards != want {
+						t.Errorf("shards=%d: engine ran %d shards, want %d", shards, st.Shards, want)
+					}
+					if j == 0 {
+						stats = st
+					} else if !reflect.DeepEqual(st, stats) {
+						t.Errorf("shards=%d workers=%d: EngineStats diverged:\n got  %+v\n want %+v", shards, workers, *st, *stats)
+					}
+				}
+			}
+		})
+	}
+}
+
+// mustWorkload looks up a registered workload.
+func mustWorkload(t *testing.T, name string) epiphany.Workload {
+	t.Helper()
+	w, ok := epiphany.WorkloadByName(name)
+	if !ok {
+		t.Fatalf("%s not registered", name)
+	}
+	return w
+}
+
+// settledGoroutines returns the goroutine count once it drops to want
+// or a second passes: a goroutine that has finished its work may still
+// be on its way out when the run returns.
+func settledGoroutines(want int) int {
+	deadline := time.Now().Add(time.Second)
+	n := runtime.NumGoroutine()
+	for n > want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
 }

@@ -66,26 +66,20 @@ func benchRunBatch12(b *testing.B, opts []Option) {
 }
 
 // BenchmarkSingleJob measures one simulation's wall-clock latency on
-// multi-chip boards across the shard/worker axes - the axis the
-// sharded engine exists for. shards=1 is the classic single-heap
-// engine (the before-this-PR baseline, preserved bit-identical);
-// shards=N/workers=1 prices the sequential shard merge; shards=N/
-// workers=N is the parallel barrier-window scheduler, whose speedup
-// needs as many host cores as workers (on fewer cores the barrier
-// overhead shows up instead - BENCH_8.json records both readings).
+// multi-chip boards at both ends of the shard axis: shards=1 is the
+// classic single-heap engine, shards=N (one per chip) prices the merge
+// of the per-chip heaps and the cross-shard posts.
 func BenchmarkSingleJob(b *testing.B) {
 	cases := []struct {
-		name            string
-		topo            string
-		workload        string
-		shards, workers int
+		name     string
+		topo     string
+		workload string
+		shards   int
 	}{
-		{"Cluster2x2/shards=1", "cluster-2x2", "matmul-offchip", 1, 1},
-		{"Cluster2x2/shards=4-workers=1", "cluster-2x2", "matmul-offchip", 4, 1},
-		{"Cluster2x2/shards=4-workers=4", "cluster-2x2", "matmul-offchip", 4, 4},
-		{"Grid1024/shards=1", "grid=4x4/chip=8x8", "stencil-tuned", 1, 1},
-		{"Grid1024/shards=16-workers=1", "grid=4x4/chip=8x8", "stencil-tuned", 16, 1},
-		{"Grid1024/shards=16-workers=4", "grid=4x4/chip=8x8", "stencil-tuned", 16, 4},
+		{"Cluster2x2/shards=1", "cluster-2x2", "matmul-offchip", 1},
+		{"Cluster2x2/shards=4", "cluster-2x2", "matmul-offchip", 4},
+		{"Grid1024/shards=1", "grid=4x4/chip=8x8", "stencil-tuned", 1},
+		{"Grid1024/shards=16", "grid=4x4/chip=8x8", "stencil-tuned", 16},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -100,10 +94,7 @@ func BenchmarkSingleJob(b *testing.B) {
 			// One pooled board per case: Reset-recycled like the serve
 			// daemon's boards, so construction cost stays out of the
 			// per-job latency.
-			r := &Runner{Workers: 1, Options: []Option{
-				WithTopology(topo.WithShards(tc.shards)),
-				WithWorkers(tc.workers),
-			}}
+			r := &Runner{Workers: 1, Options: []Option{WithTopology(topo.WithShards(tc.shards))}}
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -114,4 +105,49 @@ func BenchmarkSingleJob(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkBoard1024 runs the three jobs of the 1024-core board (a 4x4
+// grid of 8x8 chips, one shard per chip): the chip-parallel 32x24 Comm
+// stencil, matmul-offchip and stream-stencil, one RunJob each per
+// iteration on a warm Runner whose pooled board is Reset between jobs.
+// Besides time and allocs/op it reports the engine events each
+// iteration executed (events/op), a count host noise cannot move; the
+// engine-stats snapshot that supplies it adds a few allocations per job.
+func BenchmarkBoard1024(b *testing.B) {
+	topo, err := ParseTopology("grid=4x4/chip=8x8")
+	if err != nil {
+		b.Fatal(err)
+	}
+	jobs := []Job{{Workload: &StencilWorkload{Config: StencilConfig{
+		Rows: 20, Cols: 20, Iters: 1, GroupRows: 32, GroupCols: 24,
+		Comm: true, Tuned: true, Seed: 1,
+	}}}}
+	for _, name := range []string{"matmul-offchip", "stream-stencil"} {
+		w, ok := WorkloadByName(name)
+		if !ok {
+			b.Fatalf("workload %q not registered", name)
+		}
+		jobs = append(jobs, Job{Workload: w})
+	}
+	r := &Runner{Workers: 1, Options: []Option{WithTopology(topo), WithEngineStats()}}
+	ctx := context.Background()
+	run := func() (events uint64) {
+		for _, j := range jobs {
+			jr := r.RunJob(ctx, j)
+			if jr.Err != nil {
+				b.Fatal(jr.Err)
+			}
+			events += jr.Result.Metrics().Engine.Events
+		}
+		return events
+	}
+	run() // build and warm the pooled board
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events uint64
+	for i := 0; i < b.N; i++ {
+		events += run()
+	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

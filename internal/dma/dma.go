@@ -48,7 +48,7 @@ type Fabric struct {
 	// Rec, when non-nil, observes core activity and DMA transfers for
 	// timeline export. Attached per run (trace.Timeline.Attach), cleared
 	// by Reset; every use sits behind a nil check so the unmetered path
-	// is untouched. Implementations must be concurrency-safe.
+	// is untouched.
 	Rec noc.Recorder
 	// readBytes counts the bytes booked on the read direction of the
 	// off-chip link - counted here, at the single booking site, rather
@@ -340,17 +340,12 @@ func (e *Engine) sysLeg(ch *channel, d *Desc, t sim.Time, src, dst mem.Target) {
 
 // land completes a leg at time t on shard on, where the leg ran: the
 // functional copy (on may touch both memories: a chip shard owns both
-// endpoints of its on-chip legs, and sys rounds are mutually exclusive
-// with every chip round), then the destination's arrival notification
-// and the chain continuation, each handed to its own shard - inline
-// when that is on. An event that may go on to book mesh links for the
-// next descriptor is scheduled booking-gated (see sim.Shard.AtBooking).
+// endpoints of its on-chip legs, and the engine runs one event at a
+// time, so a sys leg may copy between chips), then the destination's
+// arrival notification and the chain continuation, each handed to its
+// own shard - inline when that is on.
 func (e *Engine) land(on *sim.Shard, ch *channel, d *Desc, src, dst mem.Target, t sim.Time) {
-	schedule := on.At
-	if d.Chain != nil {
-		schedule = on.AtBooking
-	}
-	schedule(t, func() {
+	on.At(t, func() {
 		e.copyDesc(d, src, dst)
 		if dst.Kind != mem.KindDRAM && e.fab.Notify != nil {
 			if sh := e.fab.CoreShard(dst.Core); sh == on {
@@ -359,12 +354,9 @@ func (e *Engine) land(on *sim.Shard, ch *channel, d *Desc, src, dst mem.Target, 
 				on.Send(sh, t, func() { e.fab.Notify(dst.Core) })
 			}
 		}
-		switch {
-		case on == e.sh:
+		if on == e.sh {
 			e.chain(ch, d, t)
-		case d.Chain != nil:
-			on.SendBooking(e.sh, t, func() { e.chain(ch, d, t) })
-		default:
+		} else {
 			on.Send(e.sh, t, func() { e.chain(ch, d, t) })
 		}
 	})
@@ -377,7 +369,7 @@ func (e *Engine) chain(ch *channel, d *Desc, t sim.Time) {
 }
 
 // record reports one transfer leg to the attached timeline recorder, if
-// any. Safe from any shard context (recorders are concurrency-safe).
+// any. Safe from any shard context.
 func (e *Engine) record(kind string, start, end sim.Time, n int) {
 	if r := e.fab.Rec; r != nil {
 		r.DMATransfer(e.core, kind, start, end, n)
@@ -447,9 +439,8 @@ func (e *Engine) copyRange(dst mem.Target, do mem.Addr, src mem.Target, so mem.A
 }
 
 // copyDesc performs the functional data movement for one descriptor.
-// It runs either in the shard owning both endpoints or on the sys shard
-// (which may touch any memory: its rounds are mutually exclusive with
-// every chip round).
+// It runs either in the shard owning both endpoints or on the sys shard,
+// which may touch any memory.
 //
 // A row whose beats are contiguous on both sides moves as one range,
 // charging the byte counters exactly as its beats do. The exception is

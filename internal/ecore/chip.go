@@ -46,8 +46,9 @@ func NewChipMap(eng *sim.Engine, amap *mem.Map) *Chip {
 // and its DMA engine are owned by their chip's shard. The partition
 // never changes the simulated schedule - events execute in the same
 // canonical (time, tag, shard, seq) order, so Metrics are bit-identical
-// for every value - it only bounds how much of the board SetWorkers can
-// run concurrently. Single-chip maps always keep everything on shard 0.
+// for every value; it only decides which heap holds each event and which
+// transfers post across shards. Single-chip maps always keep everything
+// on shard 0.
 func NewChipMapShards(eng *sim.Engine, amap *mem.Map, shardCount int) *Chip {
 	n := amap.NumCores()
 	rows, cols := amap.Rows, amap.Cols

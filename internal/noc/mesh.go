@@ -81,12 +81,8 @@ type Mesh struct {
 	c2cHop  sim.Time
 	// gridRows x gridCols is the chip grid.
 	gridRows, gridCols int
-	// cnt holds the delivery statistics, one padded row per chip so
-	// concurrently running chip shards never write the same cache line;
-	// the exported accessors sum the rows. Each walk books into the row
-	// of the chip the message is currently on (its shard's own row when
-	// the engine is sharded).
-	cnt []meshCnt
+	// cnt holds the delivery statistics for the whole board.
+	cnt meshCnt
 	// shards maps chip index -> owning shard once AttachShards wires a
 	// multi-chip board to a sharded engine; nil on single-chip boards
 	// and unsharded engines, where Deliver handles every route inline.
@@ -96,10 +92,9 @@ type Mesh struct {
 	rec Recorder
 }
 
-// meshCnt is one chip's slice of the mesh statistics. See the Mesh
-// field docs for what each counter means; the split per chip exists so
-// parallel shards can account without sharing cache lines (the trailing
-// pad keeps rows 128 bytes apart).
+// meshCnt is the mesh's delivery statistics; the exported accessors
+// (Writes, Bytes, HopBytes, CrossReadBytes, Crossings, CrossBytes,
+// CrossTime) document each counter.
 type meshCnt struct {
 	writes         uint64
 	bytes          uint64
@@ -108,7 +103,6 @@ type meshCnt struct {
 	crossings      uint64
 	crossBytes     uint64
 	crossTime      sim.Time
-	_              [9]uint64
 }
 
 // NewMesh builds the eMesh for the given address map. The mesh only
@@ -122,7 +116,6 @@ func NewMesh(eng *sim.Engine, amap *mem.Map) *Mesh {
 	m.chipRows, m.chipCols = amap.ChipDims()
 	gridRows, gridCols := amap.ChipGrid()
 	m.gridRows, m.gridCols = gridRows, gridCols
-	m.cnt = make([]meshCnt, gridRows*gridCols)
 	// Shared chip-to-chip eLink slots, resolved by index: one pair per
 	// (vertical boundary, chip-grid row) and per (horizontal boundary,
 	// chip-grid column).
@@ -177,7 +170,7 @@ func NewMesh(eng *sim.Engine, amap *mem.Map) *Mesh {
 func (m *Mesh) Reset() {
 	clear(m.links)
 	m.errata0 = false
-	clear(m.cnt)
+	m.cnt = meshCnt{}
 	m.rec = nil
 }
 
@@ -215,7 +208,7 @@ func abs(x int) int {
 // the head moves on after HopLatency while the link stays occupied for
 // the serialization time. Boundary hops store-and-forward: the returned
 // time is the tail's arrival on the far chip.
-func (m *Mesh) hop(row *meshCnt, slot int32, cur, ser, serX sim.Time, n int) (sim.Time, bool) {
+func (m *Mesh) hop(slot int32, cur, ser, serX sim.Time, n int) (sim.Time, bool) {
 	ls := &m.links[slot]
 	begin := cur
 	if ls.freeAt > begin {
@@ -226,9 +219,9 @@ func (m *Mesh) hop(row *meshCnt, slot int32, cur, ser, serX sim.Time, n int) (si
 		ls.busy += serX
 		ls.uses++
 		next := begin + serX + m.c2cHop
-		row.crossings++
-		row.crossBytes += uint64(n)
-		row.crossTime += next - cur
+		m.cnt.crossings++
+		m.cnt.crossBytes += uint64(n)
+		m.cnt.crossTime += next - cur
 		if m.rec != nil {
 			m.rec.ELinkCross(int(slot-m.crossBase), cur, next, n)
 		}
@@ -237,7 +230,7 @@ func (m *Mesh) hop(row *meshCnt, slot int32, cur, ser, serX sim.Time, n int) (si
 	ls.freeAt = begin + ser
 	ls.busy += ser
 	ls.uses++
-	row.hopBytes += uint64(n)
+	m.cnt.hopBytes += uint64(n)
 	return begin + HopLatency, false
 }
 
@@ -257,16 +250,13 @@ func (m *Mesh) ChipOf(core int) int {
 // is the shard owning chip i. Once attached, routes that cross a chip
 // boundary must go through DeliverSys (Deliver panics on them; the
 // dma.Fabric router takes such routes to sys): chip shards book only
-// their own chip's links inline - gated by sim.Shard.AwaitBookingWindow,
-// so a chip running ahead inside the lookahead window can never book a
-// slot before a lower-keyed cross walk still in flight - and cross-chip
-// walks run on the sys shard, whose rounds are mutually exclusive with
-// every chip round, so it may book any chip's links race-free, at the
-// same virtual times and in the same canonical order as the unsharded
-// engine.
+// their own chip's links inline, and cross-chip walks run on the sys
+// shard, which may book any chip's links. The engine executes every
+// shard's events in one canonical key order, so bookings land in the
+// same order, at the same virtual times, as on the unsharded engine.
 func (m *Mesh) AttachShards(shards []*sim.Shard) {
-	if len(shards) != len(m.cnt) {
-		panic(fmt.Sprintf("noc: AttachShards with %d shards for %d chips", len(shards), len(m.cnt)))
+	if chips := m.gridRows * m.gridCols; len(shards) != chips {
+		panic(fmt.Sprintf("noc: AttachShards with %d shards for %d chips", len(shards), chips))
 	}
 	m.shards = shards
 }
@@ -275,7 +265,7 @@ func (m *Mesh) AttachShards(shards []*sim.Shard) {
 // route between them crosses a chip-to-chip eLink). It is false on
 // every single-chip board without computing chip indices.
 func (m *Mesh) CrossChip(a, b int) bool {
-	return len(m.cnt) > 1 && m.ChipOf(a) != m.ChipOf(b)
+	return m.gridRows*m.gridCols > 1 && m.ChipOf(a) != m.ChipOf(b)
 }
 
 // Deliver books an n-byte write transfer from src to dst onto the on-chip
@@ -308,23 +298,12 @@ func (m *Mesh) Deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
 // deliver is the walk shared by Deliver (same-chip routes, any context)
 // and DeliverSys (any route, sys context only).
 func (m *Mesh) deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
-	sr, sc := m.amap.CoreCoords(src)
-	srcChip := m.chipAt(sr, sc)
-	row := &m.cnt[srcChip]
-	row.writes++
-	row.bytes += uint64(n)
+	m.cnt.writes++
+	m.cnt.bytes += uint64(n)
 	if src == dst || n == 0 {
 		return t
 	}
-	if m.shards != nil {
-		// Link slots are FIFO high-water marks, so bookings must land
-		// in canonical key order. A walk from a chip shard's own
-		// context must therefore wait until no other chip can still
-		// issue a lower-keyed cross-chip walk that routes over this
-		// chip's links; walks executed on sys (and sequential runs)
-		// are ordered already and pass straight through.
-		m.shards[srcChip].AwaitBookingWindow()
-	}
+	sr, sc := m.amap.CoreCoords(src)
 	dr, dc := m.amap.CoreCoords(dst)
 	ser := LinkSerialization(n)
 	serX := sim.Time(n) * m.c2cByte
@@ -332,16 +311,16 @@ func (m *Mesh) deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
 	lastCross := false
 	hw := m.cols - 1
 	for c := sc; c < dc; c++ {
-		cur, lastCross = m.hop(row, m.hIdx[(sr*hw+c)*2], cur, ser, serX, n)
+		cur, lastCross = m.hop(m.hIdx[(sr*hw+c)*2], cur, ser, serX, n)
 	}
 	for c := sc; c > dc; c-- {
-		cur, lastCross = m.hop(row, m.hIdx[(sr*hw+c-1)*2+1], cur, ser, serX, n)
+		cur, lastCross = m.hop(m.hIdx[(sr*hw+c-1)*2+1], cur, ser, serX, n)
 	}
 	for r := sr; r < dr; r++ {
-		cur, lastCross = m.hop(row, m.vIdx[(r*m.cols+dc)*2], cur, ser, serX, n)
+		cur, lastCross = m.hop(m.vIdx[(r*m.cols+dc)*2], cur, ser, serX, n)
 	}
 	for r := sr; r > dr; r-- {
-		cur, lastCross = m.hop(row, m.vIdx[((r-1)*m.cols+dc)*2+1], cur, ser, serX, n)
+		cur, lastCross = m.hop(m.vIdx[((r-1)*m.cols+dc)*2+1], cur, ser, serX, n)
 	}
 	if lastCross {
 		// The boundary eLink already delivered the tail (store-and-
@@ -354,11 +333,9 @@ func (m *Mesh) deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
 
 // DeliverSys is the cross-chip form of Deliver on a shard-attached
 // mesh: the same walk, booking, statistics, and arrival time, callable
-// only from the sys shard's execution context. Sys rounds are mutually
-// exclusive with every chip shard's rounds under the conservative
-// scheduler, so booking other chips' links from here is race-free and
-// lands in canonical event order. The whole walk happens at the issue
-// time, as on the unsharded engine, which is what keeps sharded metrics
+// only from the sys shard's execution context, where booking other
+// chips' links lands in canonical event order. The whole walk happens
+// at the issue time, as on the unsharded engine, which is what keeps sharded metrics
 // bit-identical to the classic ones: a segmented chip-by-chip walk
 // would book contended slots at later virtual times and redistribute
 // queueing delays.
@@ -369,31 +346,19 @@ func (m *Mesh) DeliverSys(t sim.Time, src, dst, n int) (arrive sim.Time) {
 // Crossings returns how many chip-boundary eLink hops Deliver has routed
 // (zero on a single-chip board).
 func (m *Mesh) Crossings() uint64 {
-	var n uint64
-	for i := range m.cnt {
-		n += m.cnt[i].crossings
-	}
-	return n
+	return m.cnt.crossings
 }
 
 // CrossBytes returns the total bytes carried over chip-to-chip eLinks.
 func (m *Mesh) CrossBytes() uint64 {
-	var n uint64
-	for i := range m.cnt {
-		n += m.cnt[i].crossBytes
-	}
-	return n
+	return m.cnt.crossBytes
 }
 
 // CrossTime returns the accumulated time messages spent traversing chip
 // boundaries (arbitration waits, off-chip serialization and crossing
 // latency), summed over deliveries.
 func (m *Mesh) CrossTime() sim.Time {
-	var t sim.Time
-	for i := range m.cnt {
-		t += m.cnt[i].crossTime
-	}
-	return t
+	return m.cnt.crossTime
 }
 
 // SetC2C overrides the chip-to-chip eLink timing: the per-byte
@@ -455,31 +420,21 @@ func (m *Mesh) ReadWord(t sim.Time, src, dst int) (done sim.Time) {
 		trips = 4
 	}
 	// Distance counts boundary hops too; keep the split Deliver uses
-	// (on-chip byte-hops vs chip-to-chip bytes). Charged to the issuing
-	// core's chip (reads execute in the issuer's shard).
-	row := &m.cnt[m.ChipOf(src)]
-	row.hopBytes += 4 * trips * uint64(hops-crossings)
-	row.crossReadBytes += 4 * trips * uint64(crossings)
+	// (on-chip byte-hops vs chip-to-chip bytes).
+	m.cnt.hopBytes += 4 * trips * uint64(hops-crossings)
+	m.cnt.crossReadBytes += 4 * trips * uint64(crossings)
 	return t + cost
 }
 
 // Writes returns the number of delivery bookings (Deliver and
 // DeliverSys calls).
 func (m *Mesh) Writes() uint64 {
-	var n uint64
-	for i := range m.cnt {
-		n += m.cnt[i].writes
-	}
-	return n
+	return m.cnt.writes
 }
 
 // Bytes returns the total bytes delivered.
 func (m *Mesh) Bytes() uint64 {
-	var n uint64
-	for i := range m.cnt {
-		n += m.cnt[i].bytes
-	}
-	return n
+	return m.cnt.bytes
 }
 
 // HopBytes returns the accumulated payload bytes x on-chip hops routed
@@ -487,22 +442,14 @@ func (m *Mesh) Bytes() uint64 {
 // energy model prices per byte-hop. Chip-boundary traffic accrues to
 // CrossBytes (writes) and CrossReadBytes (read trips) instead.
 func (m *Mesh) HopBytes() uint64 {
-	var n uint64
-	for i := range m.cnt {
-		n += m.cnt[i].hopBytes
-	}
-	return n
+	return m.cnt.hopBytes
 }
 
 // CrossReadBytes returns the bytes read-network round trips carried
 // over chip-to-chip boundaries. It is kept apart from CrossBytes (a
 // frozen time-domain metric); the energy capture prices their sum.
 func (m *Mesh) CrossReadBytes() uint64 {
-	var n uint64
-	for i := range m.cnt {
-		n += m.cnt[i].crossReadBytes
-	}
-	return n
+	return m.cnt.crossReadBytes
 }
 
 // linkSlot resolves the directed link leaving router (r,c) towards d to

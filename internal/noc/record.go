@@ -33,8 +33,8 @@ func (k ActivityKind) String() string {
 // sits behind a nil check, so the unmetered hot path costs one
 // predictable branch. Spans carry virtual times in engine units.
 //
-// Implementations must be safe for concurrent use: under the parallel
-// scheduler the hooks fire from several shard goroutines at once.
+// The engine executes one event at a time, so the hooks of one run
+// never fire concurrently.
 type Recorder interface {
 	// CoreSpan records one core's activity over [start, end).
 	CoreSpan(core int, k ActivityKind, start, end sim.Time)

@@ -81,9 +81,10 @@ type Config struct {
 	// two minutes. A request that exceeds it gets 504 (simulations
 	// already in flight run to their next cancellation point).
 	RequestTimeout time.Duration
-	// SimWorkers runs each board's shards on that many goroutines
-	// (<= 1 means sequential). Composes with Workers: up to
-	// Workers x SimWorkers simulation goroutines.
+	// SimWorkers is accepted and ignored.
+	//
+	// Deprecated: every board runs its shards as one sequential merge;
+	// Workers is the service's only simulation parallelism.
 	SimWorkers int
 	// Logger, when non-nil, receives one structured access-log line per
 	// request: method, matched route, status, stage durations, and the
@@ -162,9 +163,6 @@ type Stats struct {
 	SimulatedWallNS int64 `json:"simulated_wall_ns"`
 	ServedWallNS    int64 `json:"served_wall_ns"`
 	Draining        bool  `json:"draining"`
-	// SimWorkers is the goroutines driving each board's shards; it
-	// never affects results, only execution layout.
-	SimWorkers int `json:"sim_workers"`
 	// UptimeS is seconds since the daemon started.
 	UptimeS float64 `json:"uptime_s"`
 	// Requests counts served requests by matched route and status code
@@ -223,14 +221,10 @@ func NewServer(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	var base []workload.Option
-	if cfg.SimWorkers > 1 {
-		base = append(base, workload.WithWorkers(cfg.SimWorkers))
-	}
 	s := &Server{
 		cfg:     cfg,
 		mux:     http.NewServeMux(),
-		runner:  &workload.Runner{Workers: cfg.Workers, Options: base},
+		runner:  &workload.Runner{Workers: cfg.Workers},
 		cache:   cache,
 		sweeps:  newLRU[sweep.Plan](sweepIDCacheEntries),
 		queue:   make(chan struct{}, cfg.QueueDepth),
@@ -353,7 +347,6 @@ func (s *Server) Stats() Stats {
 		SimulatedWallNS:    s.simNS.Load(),
 		ServedWallNS:       s.servedNS.Load(),
 		Draining:           s.draining.Load(),
-		SimWorkers:         max(s.cfg.SimWorkers, 1),
 		UptimeS:            s.metrics.uptime().Seconds(),
 		Requests:           s.metrics.requestCounts(),
 	}

@@ -43,11 +43,11 @@ func TestWaitOutsideBodyPanics(t *testing.T) {
 }
 
 // TestEventHeapOrderProperty checks the typed heap against a sort: with
-// interleaved pushes and pops over equal times, the booking-retry,
-// untagged and core tags and several sender shards, every pop returns
-// the least key still queued.
+// interleaved pushes and pops over equal times, the untagged and core
+// tags and several sender shards, every pop returns the least key still
+// queued.
 func TestEventHeapOrderProperty(t *testing.T) {
-	tags := []int32{bookingRetryTag, untagged, 0, 1, 7, 63}
+	tags := []int32{untagged, 0, 1, 7, 63}
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var h eventHeap
@@ -108,16 +108,15 @@ func runOn(f func() error) error {
 
 // TestResumeAcrossGoroutines parks procs in RunUntil on one goroutine
 // and finishes them with Run on another: a coroutine may be resumed
-// from a different goroutine than the one that started it. The sharded
-// variant starts procs on a parallel worker and resumes them on the
-// next run's workers.
+// from a different goroutine than the one that started it, on the
+// single heap and on every shard of a sharded engine.
 func TestResumeAcrossGoroutines(t *testing.T) {
 	for _, c := range []struct {
-		name           string
-		chips, workers int
-	}{{"single", 0, 1}, {"4-shard/workers=2", 3, 2}} {
+		name  string
+		chips int
+	}{{"single", 0}, {"4-shard", 3}} {
 		t.Run(c.name, func(t *testing.T) {
-			e := newSharded(c.chips, c.workers, 0)
+			e := newSharded(c.chips)
 			ends := make([]Time, e.NumShards())
 			for i := range ends {
 				ticker(e.Shard(i), 10, &ends[i])
@@ -142,12 +141,14 @@ func TestResumeAcrossGoroutines(t *testing.T) {
 	}
 }
 
-// TestPanicOnChipShardParallel checks that a proc panicking on a chip
-// shard under the parallel scheduler - on a worker goroutine or on the
-// coordinator - surfaces as Run's error instead of crashing the process.
-func TestPanicOnChipShardParallel(t *testing.T) {
+// TestPanicOnChipShard checks that a proc panicking on any chip shard
+// of a sharded engine surfaces as Run's error instead of crashing the
+// process, and stops the merge: no later event runs.
+func TestPanicOnChipShard(t *testing.T) {
 	for chip := 1; chip <= 3; chip++ {
-		e := newSharded(3, 2, 0)
+		e := newSharded(3)
+		late := false
+		e.Shard(chip%3+1).At(5, func() { late = true })
 		e.At(0, func() {
 			e.Sys().SpawnOn(e.Shard(chip), 0, "boom", func(p *Proc) {
 				p.Wait(1)
@@ -157,6 +158,9 @@ func TestPanicOnChipShardParallel(t *testing.T) {
 		err := e.Run()
 		if err == nil || !strings.Contains(err.Error(), `proc "boom" panicked`) || !strings.Contains(err.Error(), "kaboom") {
 			t.Fatalf("chip shard %d: err = %v, want the proc's panic", chip, err)
+		}
+		if late {
+			t.Errorf("chip shard %d: an event after the panic still ran", chip)
 		}
 	}
 }

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"sort"
-	"sync/atomic"
-	"time"
 )
 
 // eventKind discriminates heap entries.
@@ -18,9 +16,9 @@ const (
 
 // event is one scheduled occurrence, keyed by (t, tag, sid, seq) - the
 // arbitration tag plus the sender shard's id and sequence number, a
-// schedule-independent total order (see key). The two one-byte fields
-// sit together at the end so an event packs into 48 bytes: the heap
-// moves events by value.
+// schedule-independent total order (see key). The kind byte sits at
+// the end so an event packs into 48 bytes: the heap moves events by
+// value.
 type event struct {
 	t    Time
 	tag  int32
@@ -29,11 +27,6 @@ type event struct {
 	proc *Proc
 	fn   func()
 	kind eventKind
-	// mayBook marks an event that may book mesh link occupancy when it
-	// runs (a DMA chain continuation). The parallel scheduler holds such
-	// an event until its key is below the shard's booking floor (see
-	// Shard.AwaitBookingWindow for why bookings need one).
-	mayBook bool
 }
 
 func (ev *event) key() key { return key{t: ev.t, tag: ev.tag, sid: ev.sid, seq: ev.seq} }
@@ -90,46 +83,33 @@ func (h *eventHeap) pop() event {
 }
 
 // Engine is a deterministic discrete-event simulator, partitioned into
-// one or more shards (see Shard). A single-shard engine behaves exactly
-// like the classic sequential engine; a multi-shard engine executes the
-// same canonical event order - the total order over (time, shard, seq)
-// keys - either sequentially (workers = 1, a plain merge of the per-
-// shard heaps) or in parallel (workers > 1, a conservative barrier-
-// window scheduler that lets chip shards run ahead of each other up to
-// the chip-to-chip eLink lookahead). The metrics of a run are
-// bit-identical for every worker count, because the executed schedule
-// is the same canonical order in all modes.
+// one or more shards (see Shard). A single-shard engine is the classic
+// one-heap engine; a multi-shard engine (one shard per chip of a board,
+// plus the sys shard) executes the canonical event order - the total
+// order over (time, tag, shard, seq) keys - as a plain merge of the
+// per-shard heaps on the calling goroutine. The metrics of a run are
+// bit-identical for every shard partition, because the executed
+// schedule is the same canonical order. Host parallelism lives one
+// level up: Runner executes whole jobs concurrently, one engine each.
 //
-// Procs run as coroutines, and each shard executes at most one of them
-// at a time, and always in key order, so simulations are fully
+// Procs run as coroutines, and the engine executes at most one of them
+// at a time, always in key order, so simulations are fully
 // reproducible. The zero value is not usable; create engines with
 // NewEngine.
 type Engine struct {
-	shards    []*Shard
-	workers   int
-	lookahead Time
+	shards []*Shard
 
-	// midRun is set for the duration of Run (written single-threaded
-	// before workers start and after they join, so reads during the run
-	// see a stable true).
-	midRun   bool
-	parallel bool // this Run uses the parallel scheduler (Send uses inboxes)
+	// midRun is set for the duration of Run; it arms the shard
+	// ownership assertions.
+	midRun bool
 
-	err     error
-	failed  atomic.Bool // mirrors err != nil, checkable without a lock
-	stopped atomic.Bool
-
-	// Parallel-scheduler counters (see EngineStats) and the optional
-	// per-round observer. All touched only by the coordinator goroutine
-	// strictly between round barriers.
-	rounds             uint64
-	phaseANS, phaseBNS int64
-	roundHook          func(round uint64, start, end Time)
+	err     error // the first failure (a proc panic); ends the run
+	stopped bool  // Stop was called: blocked procs are not a deadlock
 }
 
 // NewEngine returns an empty single-shard engine at virtual time zero.
 func NewEngine() *Engine {
-	e := &Engine{workers: 1}
+	e := &Engine{}
 	e.shards = []*Shard{{eng: e, id: 0}}
 	return e
 }
@@ -163,40 +143,10 @@ func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
 // eLink arbiter, DRAM) - and, on a single-chip board, everything.
 func (e *Engine) Sys() *Shard { return e.shards[0] }
 
-// SetLookahead sets the minimum virtual-time latency of any chip-to-
-// chip interaction (the eLink crossing latency plus the first byte's
-// serialization). The parallel scheduler lets chip shards run that far
-// beyond each other's frontiers. Zero (the default) degrades to
-// key-precise windows - still correct, just less concurrent.
-func (e *Engine) SetLookahead(d Time) { e.lookahead = d }
-
-// Lookahead returns the configured chip-to-chip lookahead window.
-func (e *Engine) Lookahead() Time { return e.lookahead }
-
-// SetWorkers sets how many host goroutines execute shards during Run:
-// 1 (the default) is fully sequential; higher counts run shards
-// concurrently under the conservative window scheduler. The executed
-// event schedule - and therefore every metric - is identical for any
-// value; workers only changes wall-clock time. Values are clamped to
-// [1, NumShards].
-func (e *Engine) SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	if n > len(e.shards) {
-		n = len(e.shards)
-	}
-	e.workers = n
-}
-
-// Workers returns the configured worker count.
-func (e *Engine) Workers() int { return e.workers }
-
-// Now returns the current virtual time: the time of the event being
-// processed during a sequential run, or the maximum shard time (the
-// board's completion time) after a run. During a parallel run it is
-// only meaningful from within shard code, which should use Shard.Now
-// or Proc.Now instead.
+// Now returns the current virtual time: on a single-shard engine the
+// time of the event being processed, on a sharded one the maximum shard
+// time (the board's completion time after a run). Shard code should use
+// Shard.Now or Proc.Now, which are exact in every layout.
 func (e *Engine) Now() Time {
 	if len(e.shards) == 1 {
 		return e.shards[0].now
@@ -238,19 +188,13 @@ func (e *Engine) Run() error {
 
 // RunUntil is Run but stops (without error) once virtual time would
 // exceed limit. Events at exactly limit are still processed.
+//
+// It merges the shard heaps in global key order: each step dispatches
+// the minimum-keyed event across all shards. A single-shard engine is
+// the one-heap case of the same merge.
 func (e *Engine) RunUntil(limit Time) error {
 	e.midRun = true
 	defer func() { e.midRun = false }()
-	if e.workers > 1 && len(e.shards) > 1 {
-		return e.runParallel(limit)
-	}
-	return e.runSequential(limit)
-}
-
-// runSequential merges the shard heaps in global key order - the
-// canonical schedule the parallel mode reproduces. A single-shard
-// engine is the one-heap case of the same merge.
-func (e *Engine) runSequential(limit Time) error {
 	for e.err == nil {
 		var next *Shard
 		var best key
@@ -263,7 +207,7 @@ func (e *Engine) runSequential(limit Time) error {
 			}
 		}
 		if next == nil {
-			if e.totalBlocked() > 0 && !e.stopped.Load() {
+			if e.totalBlocked() > 0 && !e.stopped {
 				return e.deadlockError()
 			}
 			return e.err
@@ -274,160 +218,6 @@ func (e *Engine) runSequential(limit Time) error {
 		next.dispatch(next.heap.pop())
 	}
 	return e.err
-}
-
-// runParallel executes shards on several workers in barrier-delimited
-// rounds. Each round: (A) every shard drains its inbox and publishes
-// its frontier key; the coordinator derives per-shard execution bounds;
-// (B) every shard executes events strictly below its bound. Bounds are
-// conservative: a chip shard may run up to the engine lookahead past
-// other chips' frontiers but never past the sys shard's frontier (host,
-// eLink and DRAM interactions carry no lookahead), and vice versa - so
-// an event is executed only when no other shard can still post an
-// earlier-keyed event to it, which makes the executed schedule exactly
-// the canonical key order of runSequential.
-func (e *Engine) runParallel(limit Time) error {
-	nw := e.workers
-	e.parallel = true
-	defer func() { e.parallel = false }()
-
-	// Workers 1..nw-1 each own the shards congruent to their index;
-	// the coordinator (this goroutine) owns the rest and runs the
-	// global decisions between phases.
-	type ctl struct {
-		start chan int
-		done  chan struct{}
-	}
-	ctls := make([]ctl, nw)
-	for w := 1; w < nw; w++ {
-		ctls[w] = ctl{start: make(chan int, 1), done: make(chan struct{}, 1)}
-		go func(w int, c ctl) {
-			for ph := range c.start {
-				for i := w; i < len(e.shards); i += nw {
-					if ph == 0 {
-						e.shards[i].phaseA()
-					} else {
-						e.shards[i].phaseB(limit)
-					}
-				}
-				c.done <- struct{}{}
-			}
-		}(w, ctls[w])
-	}
-	defer func() {
-		for w := 1; w < nw; w++ {
-			close(ctls[w].start)
-		}
-	}()
-
-	phase := func(ph int) {
-		for w := 1; w < nw; w++ {
-			ctls[w].start <- ph
-		}
-		for i := 0; i < len(e.shards); i += nw {
-			if ph == 0 {
-				e.shards[i].phaseA()
-			} else {
-				e.shards[i].phaseB(limit)
-			}
-		}
-		for w := 1; w < nw; w++ {
-			<-ctls[w].done
-		}
-	}
-
-	for {
-		t0 := time.Now()
-		phase(0)
-		e.phaseANS += time.Since(t0).Nanoseconds()
-		if e.failed.Load() {
-			return e.err
-		}
-		empty := true
-		minT := ^Time(0)
-		for _, s := range e.shards {
-			if s.frontOK {
-				empty = false
-				if s.frontKey.t < minT {
-					minT = s.frontKey.t
-				}
-			}
-		}
-		if empty {
-			if e.totalBlocked() > 0 && !e.stopped.Load() {
-				return e.deadlockError()
-			}
-			return e.err
-		}
-		if minT > limit {
-			return e.err
-		}
-		e.computeBounds()
-		t0 = time.Now()
-		phase(1)
-		e.phaseBNS += time.Since(t0).Nanoseconds()
-		round := e.rounds
-		e.rounds++
-		if e.failed.Load() {
-			return e.err
-		}
-		if e.roundHook != nil {
-			// The round's span: from the minimum frontier it started at
-			// to the highest shard time it reached. At least the
-			// minimum-keyed event always executes (its bound derives
-			// from strictly greater frontiers), so end >= start.
-			end := Time(0)
-			for _, s := range e.shards {
-				if s.now > end {
-					end = s.now
-				}
-			}
-			e.roundHook(round, minT, end)
-		}
-	}
-}
-
-// computeBounds derives each shard's execution window for one round
-// from the frontiers published in phase A: the bound (how far events may
-// execute) and the booking floor (how far order-sensitive link bookings
-// may go - always the key-precise minimum of the other chip frontiers,
-// never lifted, because a cross-chip walk books links at its *issue*
-// key with zero cross-shard latency; see Shard.AwaitBookingWindow).
-func (e *Engine) computeBounds() {
-	L := e.lookahead
-	for _, a := range e.shards {
-		bound := infKey
-		safe := infKey
-		for _, o := range e.shards {
-			if o == a || !o.frontOK {
-				continue
-			}
-			f := o.frontKey
-			if a.id != 0 && o.id != 0 {
-				// Another chip's unlifted frontier is also the booking
-				// floor: any cross-chip walk that chip may still issue
-				// will carry a key at or above it.
-				if f.less(safe) {
-					safe = f
-				}
-				if L > 0 {
-					// Chip-to-chip interactions carry at least the eLink
-					// crossing lookahead; lift the frontier by L. The
-					// lifted key's sid of -1 makes the window exclusive of
-					// events at exactly t+L.
-					if f.t > ^Time(0)-L {
-						continue // effectively infinite
-					}
-					f = key{t: f.t + L, tag: -1 << 30, sid: -1}
-				}
-			}
-			if f.less(bound) {
-				bound = f
-			}
-		}
-		a.bound = bound
-		a.safeKey = safe
-	}
 }
 
 func (e *Engine) totalBlocked() int {
@@ -442,13 +232,13 @@ func (e *Engine) totalBlocked() int {
 // Stop, Procs still blocked on conditions when the queues drain do not
 // count as a deadlock. (Used with RunUntil for fixed-window
 // experiments.)
-func (e *Engine) Stop() { e.stopped.Store(true) }
+func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns a drained engine to its initial state - virtual time
 // zero, no events, no procs, fresh sequence numbers on every shard -
 // so the structures built around it (and their goroutine-free event
-// state) can be recycled instead of reconstructed. The shard layout,
-// lookahead and worker count are board properties and survive. It
+// state) can be recycled instead of reconstructed. The shard layout is
+// a board property and survives. It
 // refuses engines that are not quiescent: pending events, procs parked
 // on conditions, or procs that never ran (their goroutines would leak
 // and their wake-ups would corrupt the next simulation). A successful
@@ -463,16 +253,13 @@ func (e *Engine) Reset() error {
 		s.reset()
 	}
 	e.err = nil
-	e.failed.Store(false)
-	e.stopped.Store(false)
-	e.rounds, e.phaseANS, e.phaseBNS = 0, 0, 0
-	e.roundHook = nil
+	e.stopped = false
 	return nil
 }
 
-// fail records the first error; safe to call from any shard's context.
+// fail records the first error, which ends the run.
 func (e *Engine) fail(err error) {
-	if e.failed.CompareAndSwap(false, true) {
+	if e.err == nil {
 		e.err = err
 	}
 }

@@ -6,8 +6,8 @@ import (
 )
 
 // TestStatsSequentialCounts: the always-on counters on the classic
-// single-heap engine - events dispatched, heap peak - with the parallel
-// machinery quiet.
+// single-heap engine - events dispatched, heap peak - with nothing
+// posted across shards.
 func TestStatsSequentialCounts(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 5; i++ {
@@ -17,8 +17,8 @@ func TestStatsSequentialCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.Shards != 1 || st.Workers != 1 {
-		t.Errorf("layout %dx%d, want 1x1", st.Shards, st.Workers)
+	if st.Shards != 1 {
+		t.Errorf("%d shards, want 1", st.Shards)
 	}
 	if st.Events != 5 || st.SysEvents != 5 {
 		t.Errorf("events %d/%d, want 5/5", st.Events, st.SysEvents)
@@ -29,16 +29,15 @@ func TestStatsSequentialCounts(t *testing.T) {
 	if st.PerShard[0].HeapPeak != 5 {
 		t.Errorf("heap peak %d, want 5 (all scheduled up front)", st.PerShard[0].HeapPeak)
 	}
-	if st.BarrierRounds != 0 || st.CrossPosts != 0 || st.BookingParks != 0 {
-		t.Errorf("sequential run armed parallel counters: %+v", st)
+	if st.CrossPosts != 0 {
+		t.Errorf("single-heap run posted across shards: %+v", st)
 	}
 }
 
 // TestStatsShardedCounters: cross-shard posts (plain and tagged) land
-// in the sender's counters, events land in the executing shard's, and
-// the parallel scheduler's round count is visible.
+// in the sender's counters and events land in the executing shard's.
 func TestStatsShardedCounters(t *testing.T) {
-	e := newSharded(2, 2, 0)
+	e := newSharded(2)
 	sys := e.Sys()
 	e.Shard(1).At(5, func() { e.Shard(1).Send(sys, 10, func() {}) })
 	e.Shard(2).At(5, func() { e.Shard(2).SendTagged(sys, 10, 3, func() {}) })
@@ -46,8 +45,8 @@ func TestStatsShardedCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := e.Stats()
-	if st.Shards != 3 || st.Workers != 2 {
-		t.Fatalf("layout %dx%d, want 3x2", st.Shards, st.Workers)
+	if st.Shards != 3 {
+		t.Fatalf("%d shards, want 3", st.Shards)
 	}
 	if st.Events != 4 { // two shard-local events + two posted arrivals on sys
 		t.Errorf("events = %d, want 4", st.Events)
@@ -61,9 +60,6 @@ func TestStatsShardedCounters(t *testing.T) {
 	if st.SysEvents != 2 {
 		t.Errorf("sys executed %d events, want the 2 posted arrivals", st.SysEvents)
 	}
-	if st.BarrierRounds == 0 {
-		t.Error("parallel run reported zero barrier rounds")
-	}
 	if got := []string{st.PerShard[0].Label, st.PerShard[1].Label, st.PerShard[2].Label}; got[0] != "sys" || got[1] != "chip0" || got[2] != "chip1" {
 		t.Errorf("shard labels %v", got)
 	}
@@ -71,7 +67,7 @@ func TestStatsShardedCounters(t *testing.T) {
 
 // TestStatsResetClears: a recycled engine starts its counters at zero.
 func TestStatsResetClears(t *testing.T) {
-	e := newSharded(2, 2, 0)
+	e := newSharded(2)
 	e.Shard(1).At(5, func() { e.Shard(1).Send(e.Sys(), 10, func() {}) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -81,7 +77,7 @@ func TestStatsResetClears(t *testing.T) {
 	}
 	e.Reset()
 	st := e.Stats()
-	if st.Events != 0 || st.CrossPosts != 0 || st.BarrierRounds != 0 || st.PhaseAWallNS != 0 {
+	if st.Events != 0 || st.CrossPosts != 0 || st.TaggedPosts != 0 {
 		t.Errorf("reset kept counters: %+v", st)
 	}
 	if st.PerShard[0].HeapPeak != 0 {
@@ -89,50 +85,18 @@ func TestStatsResetClears(t *testing.T) {
 	}
 }
 
-// TestRoundHookFiresPerRound: the hook runs once per barrier round with
-// coherent bounds, and matches the round counter.
-func TestRoundHookFiresPerRound(t *testing.T) {
-	e := newSharded(2, 2, 0)
-	var calls uint64
-	var lastRound uint64
-	e.SetRoundHook(func(round uint64, start, end Time) {
-		if round != calls {
-			t.Errorf("round %d delivered out of order (call %d)", round, calls)
-		}
-		if end < start {
-			t.Errorf("round %d: end %v before start %v", round, end, start)
-		}
-		calls++
-		lastRound = round
-	})
-	e.Shard(1).At(5, func() { e.Shard(1).Send(e.Sys(), 10, func() {}) })
-	e.Shard(2).At(7, func() {})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	st := e.Stats()
-	if calls == 0 {
-		t.Fatal("round hook never fired on a parallel run")
-	}
-	if calls != st.BarrierRounds || lastRound != st.BarrierRounds-1 {
-		t.Errorf("hook fired %d times, last round %d; stats report %d rounds",
-			calls, lastRound, st.BarrierRounds)
-	}
-}
-
-// TestStatsStringReport: the rendered report carries the layout header
-// and one table row per shard.
+// TestStatsStringReport: the rendered report carries the layout header,
+// the cross-shard post totals and one table row per shard.
 func TestStatsStringReport(t *testing.T) {
-	e := newSharded(2, 2, 0)
-	e.Shard(1).At(5, func() {})
+	e := newSharded(2)
+	e.Shard(1).At(5, func() { e.Shard(1).SendTagged(e.Sys(), 10, 3, func() {}) })
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats().String()
 	for _, want := range []string{
-		"engine: 3 shard(s) x 2 worker(s)",
-		"barrier rounds",
-		"cross-shard posts",
+		"engine: 3 shard(s), 2 events",
+		"cross-shard posts 1 (tagged 1)",
 		"sys", "chip0", "chip1",
 	} {
 		if !strings.Contains(s, want) {

@@ -7,6 +7,11 @@
 // so shared simulation state needs no locking and every run of the same
 // program produces identical results.
 //
+// An engine may be partitioned into shards (see Shard): one per chip of
+// a multi-chip board beside the sys shard, each with its own event heap.
+// A run merges the heaps in one canonical key order on the calling
+// goroutine, so the partition changes no result.
+//
 // Time is measured in integer units of 1/3 nanosecond. This unit was chosen
 // so that all of the calibrated Epiphany quantities are exact integers:
 // one 600 MHz core cycle is exactly 5 units, the 600 MB/s eLink moves one

@@ -46,22 +46,15 @@ func NewTopology(t Topology) *System {
 	if t.C2CBytePeriod > 0 || t.C2CHopLatency > 0 {
 		chip.Fabric().Mesh.SetC2C(t.C2CBytePeriod, t.C2CHopLatency)
 	}
-	// The minimum latency of any chip-to-chip interaction - the crossing
-	// latency plus the first byte's off-chip serialization - is the
-	// conservative scheduler's lookahead window.
-	bytePeriod, hopLatency := chip.Fabric().Mesh.C2C()
-	eng.SetLookahead(hopLatency + bytePeriod)
 	return &System{eng: eng, chip: chip, host: host.New(chip)}
 }
 
-// SetWorkers sets how many host goroutines execute the board's shards
-// during a run: 1 (the default) is fully sequential; higher counts run
-// chip shards concurrently under the engine's conservative scheduler.
-// Metrics are bit-identical for every value (the schedule is the same
-// canonical event order); only wall-clock time changes. The value is
-// clamped to the number of shards, so it is a no-op on single-chip
-// boards.
-func (s *System) SetWorkers(n int) { s.eng.SetWorkers(n) }
+// SetWorkers does nothing: every board runs its shards as one
+// sequential merge.
+//
+// Deprecated: the parallel shard scheduler was removed; run whole jobs
+// concurrently with Runner.Workers instead.
+func (s *System) SetWorkers(int) {}
 
 // NumShards returns how many shards the board's event engine is
 // partitioned into: 1 on single-chip (or Shards=1) boards, 1 + the

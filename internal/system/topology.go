@@ -49,9 +49,9 @@ type Topology struct {
 	Power string
 	DVFS  string
 	// Shards selects the event-engine partition of a multi-chip board:
-	// 0 (auto) gives every chip its own shard - the layout that lets
-	// SetWorkers run chips concurrently; 1 runs the whole board on the
-	// single classic event heap; 2..NumChips group the chips
+	// 0 (auto) gives every chip its own shard (its own event heap, with
+	// cross-chip traffic posted between shards); 1 runs the whole board
+	// on the single classic event heap; 2..NumChips group the chips
 	// contiguously onto that many shards. Every value executes the same
 	// canonical event schedule, so Metrics are bit-identical across
 	// shard counts (the determinism suite pins this); the field is still

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"epiphany/internal/ecore"
 	"epiphany/internal/noc"
@@ -14,19 +13,17 @@ import (
 
 // Timeline records a run's activity as Chrome trace-event JSON, the
 // format ui.perfetto.dev (and chrome://tracing) open directly: per-core
-// activity segments, DMA transfer legs, chip-to-chip eLink crossings,
-// and - under the parallel scheduler - the engine's barrier rounds on a
-// scheduler track. Attach before running a workload, WriteTo after.
+// activity segments, DMA transfer legs and chip-to-chip eLink
+// crossings. Attach before running a workload, Export after.
 //
 // Recording is purely observational: the hooks fire on paths whose
 // virtual times are already fixed, so a run with a Timeline attached
-// computes bit-identical Metrics to one without. It is safe for
-// concurrent use (parallel shards record through one mutex), and the
-// written JSON is byte-deterministic for a deterministic run: events
-// are fully sorted before encoding, so worker count and host scheduling
-// cannot reorder them.
+// computes bit-identical Metrics to one without. A Timeline records one
+// run, whose engine fires its hooks one at a time; it is not safe for
+// concurrent use. The written JSON is byte-deterministic for a
+// deterministic run: events are fully sorted before encoding, so the
+// shard partition cannot reorder them.
 type Timeline struct {
-	mu     sync.Mutex
 	events []tev
 	chip   *ecore.Chip
 }
@@ -44,35 +41,28 @@ const (
 	pidCores = 1 + iota
 	pidDMA
 	pidNoC
-	pidScheduler
 )
 
 // NewTimeline returns an empty recorder.
 func NewTimeline() *Timeline { return &Timeline{} }
 
-// Attach installs the timeline's hooks on the chip's fabric, mesh and
-// engine. Detach when the run completes (board recycling also clears
+// Attach installs the timeline's hooks on the chip's fabric and mesh.
+// Detach when the run completes (board recycling also clears
 // the hooks, but a paired Detach keeps a pooled board from recording a
 // stranger's run).
 func (tl *Timeline) Attach(ch *ecore.Chip) {
 	tl.chip = ch
 	ch.Fabric().Rec = tl
 	ch.Fabric().Mesh.SetRecorder(tl)
-	ch.Engine().SetRoundHook(tl.Round)
 }
 
 // Detach removes the hooks installed by Attach.
 func (tl *Timeline) Detach(ch *ecore.Chip) {
 	ch.Fabric().Rec = nil
 	ch.Fabric().Mesh.SetRecorder(nil)
-	ch.Engine().SetRoundHook(nil)
 }
 
-func (tl *Timeline) add(ev tev) {
-	tl.mu.Lock()
-	tl.events = append(tl.events, ev)
-	tl.mu.Unlock()
-}
+func (tl *Timeline) add(ev tev) { tl.events = append(tl.events, ev) }
 
 // CoreSpan implements noc.Recorder.
 func (tl *Timeline) CoreSpan(core int, k noc.ActivityKind, start, end sim.Time) {
@@ -87,12 +77,6 @@ func (tl *Timeline) DMATransfer(core int, kind string, start, end sim.Time, byte
 // ELinkCross implements noc.Recorder.
 func (tl *Timeline) ELinkCross(slot int, start, end sim.Time, bytes int) {
 	tl.add(tev{name: "c2c", ts: start, dur: end - start, pid: pidNoC, tid: slot, bytes: bytes})
-}
-
-// Round records one barrier round of the parallel scheduler; installed
-// as the engine's round hook by Attach.
-func (tl *Timeline) Round(round uint64, start, end sim.Time) {
-	tl.add(tev{name: "barrier round", ts: start, dur: end - start, pid: pidScheduler, tid: 0, bytes: int(round)})
 }
 
 // jsonEvent is the trace-event wire format: "X" complete events with
@@ -117,12 +101,9 @@ func micros(t sim.Time) float64 { return t.Nanoseconds() / 1000 }
 // Export encodes the recorded events as a Chrome trace-event /
 // Perfetto JSON document.
 func (tl *Timeline) Export(w io.Writer) error {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-
 	// Full-key sort: a deterministic run records a deterministic event
 	// multiset, and the total order makes the bytes identical for every
-	// worker count and host schedule.
+	// shard partition.
 	sort.Slice(tl.events, func(i, j int) bool {
 		a, b := tl.events[i], tl.events[j]
 		if a.ts != b.ts {
@@ -148,7 +129,6 @@ func (tl *Timeline) Export(w io.Writer) error {
 		metaEvent("process_name", pidCores, 0, "cores"),
 		metaEvent("process_name", pidDMA, 0, "dma"),
 		metaEvent("process_name", pidNoC, 0, "c2c links"),
-		metaEvent("process_name", pidScheduler, 0, "engine scheduler"),
 	)
 	if tl.chip != nil {
 		m := tl.chip.Map()
@@ -166,10 +146,7 @@ func (tl *Timeline) Export(w io.Writer) error {
 			Ts: micros(ev.ts), Dur: micros(ev.dur),
 			Pid: ev.pid, Tid: ev.tid,
 		}
-		switch {
-		case ev.pid == pidScheduler:
-			je.Args = map[string]any{"round": ev.bytes}
-		case ev.bytes >= 0:
+		if ev.bytes >= 0 {
 			je.Args = map[string]any{"bytes": ev.bytes}
 		}
 		out = append(out, je)
@@ -183,8 +160,4 @@ func (tl *Timeline) Export(w io.Writer) error {
 }
 
 // Events returns how many spans have been recorded (diagnostics).
-func (tl *Timeline) Events() int {
-	tl.mu.Lock()
-	defer tl.mu.Unlock()
-	return len(tl.events)
-}
+func (tl *Timeline) Events() int { return len(tl.events) }

@@ -80,7 +80,6 @@ type runConfig struct {
 	engineStats bool
 	power       string
 	dvfs        string
-	workers     int
 }
 
 // Option configures how Run (and Runner) executes a workload.
@@ -96,15 +95,12 @@ func WithTopology(t system.Topology) Option {
 	return func(rc *runConfig) { rc.topo = t }
 }
 
-// WithWorkers runs the simulation's shards on n host goroutines (1, the
-// default, is fully sequential; values above the shard count are
-// clamped). Metrics are bit-identical for every value - the engine
-// executes the same canonical event order - so workers only trade
-// wall-clock time for CPU. Distinct from Runner.Workers, which runs
-// whole jobs concurrently; the two compose (jobs x shards goroutines).
-func WithWorkers(n int) Option {
-	return func(rc *runConfig) { rc.workers = n }
-}
+// WithWorkers does nothing: every board runs its shards as one
+// sequential merge.
+//
+// Deprecated: the parallel shard scheduler was removed; run whole jobs
+// concurrently with Runner.Workers instead.
+func WithWorkers(int) Option { return func(*runConfig) {} }
 
 // WithSeed rebases the workload's deterministic inputs onto seed. The
 // workload must implement Reseeder (the built-ins do).
@@ -120,19 +116,18 @@ func WithTrace(w io.Writer) Option {
 
 // WithTimeline records the run as a Chrome trace-event / Perfetto JSON
 // timeline written to w after the run completes: per-core activity
-// spans (compute, DMA wait, flag spin), DMA transfer legs, chip-to-chip
-// eLink crossings, and - when the run uses the parallel scheduler - the
-// engine's barrier rounds on a scheduler track. Open the file in
-// ui.perfetto.dev. Recording is observational: the run's Metrics are
-// bit-identical with or without it.
+// spans (compute, DMA wait, flag spin), DMA transfer legs and
+// chip-to-chip eLink crossings. Open the file in ui.perfetto.dev.
+// Recording is observational: the run's Metrics are bit-identical with
+// or without it.
 func WithTimeline(w io.Writer) Option {
 	return func(rc *runConfig) { rc.timeline = w }
 }
 
 // WithEngineStats snapshots the event engine's scheduler counters
-// (events per shard, barrier rounds, lookahead holds, booking parks,
-// the sys shard's executed-event share; see sim.EngineStats) into the
-// result's Metrics.Engine field. Purely additive: every other Metrics
+// (events and heap peaks per shard, cross-shard posts, the sys shard's
+// executed-event share; see sim.EngineStats) into the result's
+// Metrics.Engine field. Purely additive: every other Metrics
 // field is bit-identical with or without it, but note that Metrics
 // values carrying stats compare unequal to bare ones (Engine is a
 // pointer), so golden comparisons should run without.
@@ -205,13 +200,6 @@ func prepare(w Workload, opts []Option) (Workload, runConfig, error) {
 // write failures are surfaced as run errors, not dropped: a caller who
 // asked for the heatmaps and silently got none would misread the run.
 func runOn(ctx context.Context, w Workload, sys *system.System, rc *runConfig) (Result, error) {
-	// Workers is an execution knob, not board identity: set it every
-	// run so a pooled board never inherits the previous job's value.
-	workers := rc.workers
-	if workers < 1 {
-		workers = 1
-	}
-	sys.SetWorkers(workers)
 	var tl *trace.Timeline
 	if rc.timeline != nil {
 		tl = trace.NewTimeline()

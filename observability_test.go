@@ -3,9 +3,9 @@ package epiphany_test
 // The observability suite's core claim: recording is free of semantic
 // effect. A run with a Timeline attached, or with engine stats
 // requested, computes bit-identical Metrics to a bare run - on the
-// classic heap and on the sharded parallel scheduler alike - and the
-// recorded content itself (spans, scheduler counters) is deterministic,
-// pinned against golden counts for one well-understood cell.
+// classic heap and on one shard per chip alike - and the recorded
+// content itself (spans, scheduler counters) is deterministic, pinned
+// against golden counts for one well-understood cell.
 
 import (
 	"bytes"
@@ -19,10 +19,9 @@ import (
 )
 
 // obsWorkload returns the suite's cell: matmul-offchip on the 4-chip
-// cluster. It pages operands through shared DRAM (DMA legs), crosses
-// chip boundaries (c2c spans, booking traffic), and under workers > 1
-// runs the parallel scheduler (barrier rounds, booking parks) - every
-// recorder hook fires.
+// cluster. It pages operands through shared DRAM (DMA legs) and crosses
+// chip boundaries (c2c spans, cross-shard posts) - every recorder hook
+// fires.
 func obsWorkload(t *testing.T) (epiphany.Workload, epiphany.Topology) {
 	t.Helper()
 	w, ok := epiphany.WorkloadByName("matmul-offchip")
@@ -37,8 +36,8 @@ func obsWorkload(t *testing.T) (epiphany.Workload, epiphany.Topology) {
 }
 
 // TestTimelineDoesNotPerturbMetrics: attaching a Timeline must not
-// change a single Metrics bit, for the sequential engine and the
-// parallel scheduler both.
+// change a single Metrics bit, on the classic heap and on one shard per
+// chip, with and without the inert WithWorkers shim.
 func TestTimelineDoesNotPerturbMetrics(t *testing.T) {
 	w, topo := obsWorkload(t)
 	for _, shards := range []int{1, 0} { // classic heap, one shard per chip
@@ -87,15 +86,13 @@ type timelineDoc struct {
 }
 
 // TestTimelineContentClusterOffchip checks the recorded content of the
-// suite's cell under the parallel scheduler: core-activity spans, DMA
-// legs, chip-to-chip crossings and at least one barrier-round span on
-// the scheduler track, with every span carrying a sane extent.
+// suite's cell on one shard per chip: core-activity spans, DMA legs and
+// chip-to-chip crossings, with every span carrying a sane extent.
 func TestTimelineContentClusterOffchip(t *testing.T) {
 	w, topo := obsWorkload(t)
 	var buf bytes.Buffer
 	_, err := epiphany.Run(context.Background(), w,
 		epiphany.WithTopology(topo),
-		epiphany.WithWorkers(4),
 		epiphany.WithTimeline(&buf))
 	if err != nil {
 		t.Fatal(err)
@@ -114,12 +111,12 @@ func TestTimelineContentClusterOffchip(t *testing.T) {
 			t.Errorf("span %q has negative extent ts=%v dur=%v", ev.Name, ev.Ts, ev.Dur)
 		}
 	}
-	for _, name := range []string{
+	kinds := []string{
 		"compute", "dma-wait", "flag-spin", // core activity
-		"dram-read", "dram-write", "mesh-x", // DMA legs incl. cross-chip
-		"c2c",           // eLink crossings
-		"barrier round", // parallel scheduler
-	} {
+		"dram-read", "dram-write", "mesh", "mesh-x", // DMA legs incl. cross-chip
+		"c2c", // eLink crossings
+	}
+	for _, name := range kinds {
 		if counts[name] == 0 {
 			t.Errorf("timeline has no %q spans (have %v)", name, counts)
 		}
@@ -129,13 +126,15 @@ func TestTimelineContentClusterOffchip(t *testing.T) {
 	if counts["c2c"] != 832 {
 		t.Errorf("c2c spans = %d, want 832 (one per eLink crossing)", counts["c2c"])
 	}
+	if len(counts) != len(kinds) {
+		t.Errorf("timeline has span kinds %v, want exactly %v", counts, kinds)
+	}
 }
 
 // TestTimelineByteDeterminism: the exported bytes are a pure function
-// of the cell, so two runs - even at different worker counts - must
-// produce identical documents (events are fully sorted before
-// encoding). Worker count changes scheduler-internal retry events, not
-// recorded hardware activity or round structure.
+// of the cell, so two runs must produce identical documents (events are
+// fully sorted before encoding), and the inert WithWorkers shim must
+// leave no trace in them.
 func TestTimelineByteDeterminism(t *testing.T) {
 	w, topo := obsWorkload(t)
 	capture := func(workers int) []byte {
@@ -151,16 +150,15 @@ func TestTimelineByteDeterminism(t *testing.T) {
 	}
 	first := capture(4)
 	if again := capture(4); !bytes.Equal(first, again) {
-		t.Error("two workers=4 runs produced different timeline bytes")
+		t.Error("two runs produced different timeline bytes")
 	}
-	if two := capture(2); !bytes.Equal(first, two) {
-		t.Error("workers=2 timeline differs from workers=4")
+	if one := capture(1); !bytes.Equal(first, one) {
+		t.Error("WithWorkers(1) timeline differs from WithWorkers(4)")
 	}
 }
 
-// TestTimelineShardInvariance: on the sequential scheduler (no barrier
-// rounds to record) the shard partition leaves no trace in the
-// timeline either. Every partition routes a DMA leg the same way, so
+// TestTimelineShardInvariance: the shard partition leaves no trace in
+// the timeline either. Every partition routes a DMA leg the same way, so
 // the classic heap labels its cross-chip legs "mesh-x" exactly as one
 // shard per chip does.
 func TestTimelineShardInvariance(t *testing.T) {
@@ -188,20 +186,17 @@ func TestTimelineShardInvariance(t *testing.T) {
 
 // TestEngineStatsGolden pins the scheduler counters of a few cells
 // against golden values. The first is the suite's cell at shards=auto
-// (sys + 4 chips), workers=4: everything but the phase wall times is
-// deterministic for a fixed (shards, workers>1) layout, so a drift
-// there means the scheduler's round structure changed and the goldens
-// need conscious regeneration. The others run the DRAM-paging
-// workloads on the classic single heap, one chip and four, where every
-// DMA leg to or from DRAM and every cross-chip leg takes the sys route
-// inline: their event counts pin that the route adds no event and
-// posts nothing across shards.
+// (sys + 4 chips): every field is deterministic for a fixed board and
+// partition, so a drift there means the sharded schedule changed and
+// the goldens need conscious regeneration. The others run the
+// DRAM-paging workloads on the classic single heap, one chip and four,
+// where every DMA leg to or from DRAM and every cross-chip leg takes the
+// sys route inline: their event counts pin that the route adds no event
+// and posts nothing across shards.
 func TestEngineStatsGolden(t *testing.T) {
-	run := func(w epiphany.Workload, topo epiphany.Topology, workers int) *epiphany.EngineStats {
+	run := func(w epiphany.Workload, topo epiphany.Topology, opts ...epiphany.Option) *epiphany.EngineStats {
 		res, err := epiphany.Run(context.Background(), w,
-			epiphany.WithTopology(topo),
-			epiphany.WithWorkers(workers),
-			epiphany.WithEngineStats())
+			append([]epiphany.Option{epiphany.WithTopology(topo), epiphany.WithEngineStats()}, opts...)...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -213,16 +208,14 @@ func TestEngineStatsGolden(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		workload, topo string
-		workers        int
 		want           epiphany.EngineStats
 	}{
-		{"matmul-offchip", "cluster-2x2", 4, epiphany.EngineStats{
-			Shards: 5, Workers: 4, Events: 15445, SysEvents: 1580, CrossPosts: 2272, TaggedPosts: 896,
-			BookingParks: 479, HeldByBound: 16512, HeldByFloor: 0, BarrierRounds: 3994}},
-		{"matmul-offchip", "e64", 1, epiphany.EngineStats{Shards: 1, Workers: 1, Events: 12941, SysEvents: 12941}},
-		{"stream-stencil", "e64", 1, epiphany.EngineStats{Shards: 1, Workers: 1, Events: 5047, SysEvents: 5047}},
-		{"matmul-offchip", "cluster-2x2/shards=1", 1, epiphany.EngineStats{Shards: 1, Workers: 1, Events: 13238, SysEvents: 13238}},
-		{"stream-stencil", "cluster-2x2/shards=1", 1, epiphany.EngineStats{Shards: 1, Workers: 1, Events: 4984, SysEvents: 4984}},
+		{"matmul-offchip", "cluster-2x2", epiphany.EngineStats{
+			Shards: 5, Events: 14966, SysEvents: 1580, CrossPosts: 2272, TaggedPosts: 896}},
+		{"matmul-offchip", "e64", epiphany.EngineStats{Shards: 1, Events: 12941, SysEvents: 12941}},
+		{"stream-stencil", "e64", epiphany.EngineStats{Shards: 1, Events: 5047, SysEvents: 5047}},
+		{"matmul-offchip", "cluster-2x2/shards=1", epiphany.EngineStats{Shards: 1, Events: 13238, SysEvents: 13238}},
+		{"stream-stencil", "cluster-2x2/shards=1", epiphany.EngineStats{Shards: 1, Events: 4984, SysEvents: 4984}},
 	} {
 		t.Run(tc.workload+"@"+tc.topo, func(t *testing.T) {
 			w, ok := epiphany.WorkloadByName(tc.workload)
@@ -233,9 +226,9 @@ func TestEngineStatsGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			st := run(w, topo, tc.workers)
-			if st.Shards != tc.want.Shards || st.Workers != tc.want.Workers {
-				t.Fatalf("layout %d shards x %d workers, want %d x %d", st.Shards, st.Workers, tc.want.Shards, tc.want.Workers)
+			st := run(w, topo)
+			if st.Shards != tc.want.Shards {
+				t.Fatalf("%d shards, want %d", st.Shards, tc.want.Shards)
 			}
 			pins := []struct {
 				name      string
@@ -245,17 +238,13 @@ func TestEngineStatsGolden(t *testing.T) {
 				{"SysEvents", st.SysEvents, tc.want.SysEvents},
 				{"CrossPosts", st.CrossPosts, tc.want.CrossPosts},
 				{"TaggedPosts", st.TaggedPosts, tc.want.TaggedPosts},
-				{"BookingParks", st.BookingParks, tc.want.BookingParks},
-				{"HeldByBound", st.HeldByBound, tc.want.HeldByBound},
-				{"HeldByFloor", st.HeldByFloor, tc.want.HeldByFloor},
-				{"BarrierRounds", st.BarrierRounds, tc.want.BarrierRounds},
 			}
 			for _, p := range pins {
 				if p.got != p.want {
 					t.Errorf("%s = %d, want %d", p.name, p.got, p.want)
 				}
 			}
-			if tc.workers == 1 {
+			if st.Shards == 1 {
 				return
 			}
 			if st.SysShare <= 0 || st.SysShare >= 1 {
@@ -267,36 +256,27 @@ func TestEngineStatsGolden(t *testing.T) {
 			if st.PerShard[0].Label != "sys" || st.PerShard[1].Label != "chip0" {
 				t.Errorf("shard labels %q,%q, want sys,chip0", st.PerShard[0].Label, st.PerShard[1].Label)
 			}
-			// The parallel scheduler ran, so the phase wall clocks accumulated.
-			if st.PhaseAWallNS <= 0 || st.PhaseBWallNS <= 0 {
-				t.Errorf("phase wall times A=%d B=%d, want both positive", st.PhaseAWallNS, st.PhaseBWallNS)
-			}
 
-			// Worker count beyond 1 is pure execution layout: the same counters
-			// at workers=2, wall times aside.
-			st2 := run(w, topo, 2)
-			norm := func(s epiphany.EngineStats) epiphany.EngineStats {
-				s.Workers, s.PhaseAWallNS, s.PhaseBWallNS = 0, 0, 0
-				return s
-			}
-			a, b := norm(*st), norm(*st2)
-			ajs, _ := json.Marshal(a)
-			bjs, _ := json.Marshal(b)
+			// The deprecated WithWorkers shim changes nothing, down to
+			// the per-shard heap peaks.
+			st4 := run(w, topo, epiphany.WithWorkers(4))
+			ajs, _ := json.Marshal(st)
+			bjs, _ := json.Marshal(st4)
 			if !bytes.Equal(ajs, bjs) {
-				t.Errorf("workers=2 counters diverge from workers=4:\n %s\n %s", bjs, ajs)
+				t.Errorf("WithWorkers(4) counters diverge:\n %s\n %s", bjs, ajs)
 			}
 
 			// And the report renders the layout header the bench flag prints.
-			if s := st.String(); !strings.Contains(s, "engine: 5 shard(s) x 4 worker(s)") {
+			if s := st.String(); !strings.Contains(s, fmt.Sprintf("engine: 5 shard(s), %d events", st.Events)) {
 				t.Errorf("stats report missing layout header:\n%s", s)
 			}
 		})
 	}
 }
 
-// TestEngineStatsSequential: on a single-chip board at workers=1 the
-// parallel machinery never arms - stats still report the run's events
-// with the whole board on one shard.
+// TestEngineStatsSequential: on a single-chip board the whole run sits
+// on one shard - stats still report the run's events, and nothing is
+// posted across shards.
 func TestEngineStatsSequential(t *testing.T) {
 	w, ok := epiphany.WorkloadByName("stencil-tuned")
 	if !ok {
@@ -313,8 +293,8 @@ func TestEngineStatsSequential(t *testing.T) {
 	if st.Events == 0 {
 		t.Error("sequential run reported zero events")
 	}
-	if st.BarrierRounds != 0 || st.BookingParks != 0 || st.PhaseAWallNS != 0 {
-		t.Errorf("sequential run armed parallel counters: %+v", st)
+	if st.Shards != 1 || st.CrossPosts != 0 {
+		t.Errorf("single-chip run used %d shards and posted %d events across them", st.Shards, st.CrossPosts)
 	}
 	// Metrics equality with a bare run still holds field-for-field once
 	// the Engine pointer is cleared (it is the one intentional addition).

@@ -28,7 +28,7 @@ type (
 	// watts, GFLOPS/W, EDP, per-component breakdown).
 	Metrics = workload.Metrics
 	// Option configures a run: WithTopology, WithSeed, WithTrace,
-	// WithTimeline, WithEngineStats, WithPowerModel and WithWorkers.
+	// WithTimeline, WithEngineStats and WithPowerModel.
 	Option = workload.Option
 	// Reseeder is implemented by workloads whose inputs derive from a
 	// seed; WithSeed requires it.
@@ -42,9 +42,8 @@ type (
 	Topology = system.Topology
 	// EngineStats is the event engine's scheduler-counter snapshot,
 	// reported in Metrics.Engine when a run asks for it with
-	// WithEngineStats: per-shard executed events and heap peaks, barrier
-	// rounds and phase wall times under the parallel scheduler, lookahead
-	// and booking-floor holds, and the sys shard's executed-event share.
+	// WithEngineStats: per-shard executed events, heap peaks and
+	// cross-shard posts, and the sys shard's executed-event share.
 	EngineStats = sim.EngineStats
 	// ShardStats is one shard's slice of EngineStats.
 	ShardStats = sim.ShardStats
@@ -138,10 +137,9 @@ func WithTrace(w io.Writer) Option { return workload.WithTrace(w) }
 
 // WithTimeline records the run as a Chrome trace-event / Perfetto JSON
 // timeline written to w after the run: per-core activity spans
-// (compute, DMA wait, flag spin), DMA transfer legs, chip-to-chip eLink
-// crossings, and the parallel scheduler's barrier rounds. Open the
-// output in ui.perfetto.dev. Recording is observational - Metrics are
-// bit-identical with or without it.
+// (compute, DMA wait, flag spin), DMA transfer legs and chip-to-chip
+// eLink crossings. Open the output in ui.perfetto.dev. Recording is
+// observational - Metrics are bit-identical with or without it.
 func WithTimeline(w io.Writer) Option { return workload.WithTimeline(w) }
 
 // WithEngineStats snapshots the event engine's scheduler counters into
@@ -149,9 +147,9 @@ func WithTimeline(w io.Writer) Option { return workload.WithTimeline(w) }
 // field is bit-identical with or without it.
 func WithEngineStats() Option { return workload.WithEngineStats() }
 
-// WithWorkers executes the board's shards on n host goroutines (1 =
-// sequential, the default). Metrics are bit-identical for every value -
-// the engine executes the same canonical event order - so workers only
-// trade wall-clock time for CPU. Distinct from Runner.Workers, which
-// runs whole jobs concurrently.
+// WithWorkers does nothing: every board runs its shards as one
+// sequential merge of their event heaps.
+//
+// Deprecated: the parallel shard scheduler was removed; run whole jobs
+// concurrently with Runner.Workers instead.
 func WithWorkers(n int) Option { return workload.WithWorkers(n) }
