@@ -430,11 +430,11 @@ func (e *Engine) writeBeat(t mem.Target, off mem.Addr, beat int, v uint64) {
 func (e *Engine) copyRange(dst mem.Target, do mem.Addr, src mem.Target, so mem.Addr, n int) {
 	switch {
 	case dst.Kind == mem.KindDRAM:
-		e.fab.DRAM.Write(do, e.fab.SRAMs[src.Core].Bytes(so, n))
+		e.fab.DRAM.Write(do, e.fab.SRAMs[src.Core].View(so, n))
 	case src.Kind == mem.KindDRAM:
 		e.fab.DRAM.Read(so, e.fab.SRAMs[dst.Core].Bytes(do, n))
 	default:
-		copy(e.fab.SRAMs[dst.Core].Bytes(do, n), e.fab.SRAMs[src.Core].Bytes(so, n))
+		copy(e.fab.SRAMs[dst.Core].Bytes(do, n), e.fab.SRAMs[src.Core].View(so, n))
 	}
 }
 

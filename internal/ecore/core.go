@@ -166,13 +166,13 @@ func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 		mem.Copy(c.sram, tgt.Off, c.sram, srcOff, n)
 		c.chip.notifyWrite(c.idx)
 	case mem.KindCore:
-		data := append([]byte(nil), c.sram.Bytes(srcOff, n)...)
+		data := append([]byte(nil), c.sram.View(srcOff, n)...)
 		fab.Write(c.sh, c.idx, tgt.Core, n, cpuDone, func() {
 			copy(fab.SRAMs[tgt.Core].Bytes(tgt.Off, n), data)
 			c.chip.notifyWrite(tgt.Core)
 		})
 	case mem.KindDRAM:
-		data := append([]byte(nil), c.sram.Bytes(srcOff, n)...)
+		data := append([]byte(nil), c.sram.View(srcOff, n)...)
 		fab.WriteDRAM(c.sh, c.idx, n, func() { fab.DRAM.Write(tgt.Off, data) })
 	default:
 		panic(fmt.Sprintf("ecore: copy to unmapped address %#x", dst))
@@ -195,7 +195,7 @@ func (c *Core) BlockWriteDRAM(dramOff mem.Addr, srcOff mem.Addr, n int) {
 		c.blocked = sim.NewCondIdxOn(c.sh, "dram-block:core", c.idx)
 	}
 	fab.WriteDRAM(c.sh, c.idx, n, func() {
-		fab.DRAM.Write(dramOff, c.sram.Bytes(srcOff, n))
+		fab.DRAM.Write(dramOff, c.sram.View(srcOff, n))
 		fab.Wake(c.blocked)
 	})
 	p.WaitCond(c.blocked)

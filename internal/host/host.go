@@ -113,7 +113,7 @@ func (hp *Proc) WriteCore(core int, off mem.Addr, data []byte) {
 func (hp *Proc) ReadCore(core int, off mem.Addr, n int) []byte {
 	_, end := hp.h.up.Use(hp.p.Now(), sim.Time(n)*UpBytePeriod)
 	hp.p.WaitUntil(end)
-	return append([]byte(nil), hp.h.chip.Fabric().SRAMs[core].Bytes(off, n)...)
+	return append([]byte(nil), hp.h.chip.Fabric().SRAMs[core].View(off, n)...)
 }
 
 // WriteCoreF32 writes a float slice into core SRAM, as WriteCore does
