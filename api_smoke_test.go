@@ -79,12 +79,12 @@ func TestAPISmokeWorkloadFile(t *testing.T) {
 	if trace.Len() == 0 {
 		t.Error("WithTrace wrote nothing")
 	}
-	mesh, err := epiphany.ParseTopology("4x4/shards=1")
+	mesh, err := epiphany.ParseTopology("4x4")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := epiphany.Run(context.Background(), st, epiphany.WithTopology(mesh)); err != nil {
-		t.Errorf("WithTopology(4x4/shards=1): %v", err)
+		t.Errorf("WithTopology(4x4): %v", err)
 	}
 }
 

@@ -42,12 +42,12 @@ func main() {
 	extras := flag.Bool("extras", false, "also run the extension and ablation studies")
 	workloads := flag.String("workloads", "", `batch-run workloads: "all" or a comma-separated list of workload specs, each a registered name with optional "/key=value" config overrides ("matmul-offchip/m=512/n=512/k=512"; keys under -list)`)
 	jobs := flag.Int("j", 0, "concurrent workers for -workloads (0 = GOMAXPROCS)")
-	topo := flag.String("topo", "", `fabric topology for -workloads: a preset ("e16", "e64", "cluster-2x2"), a mesh ("4x8") or a chip grid ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), optionally with "/c2c=BYTE:HOP" and/or "/shards=N"`)
+	topo := flag.String("topo", "", `fabric topology for -workloads: a preset ("e16", "e64", "cluster-2x2"), a mesh ("4x8") or a chip grid ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), optionally with "/c2c=BYTE:HOP" (the removed "/shards=N" engine partition is refused)`)
 	powerModel := flag.String("power", "", `power-model preset for -workloads energy columns (e.g. "epiphany-iv-28nm"; defaults to it when -dvfs is given)`)
 	dvfs := flag.String("dvfs", "", `DVFS operating point for -workloads, "FREQ[MHz]@VOLT[V]" (requires/implies -power)`)
 	traceFile := flag.String("trace", "", `write each -workloads run's activity and link heatmaps to FILE (several workloads: FILE's name gains a -<workload> suffix per run)`)
 	timelineFile := flag.String("timeline", "", `write each -workloads run as a Perfetto / Chrome trace-event JSON timeline to FILE (several workloads: a -<workload> suffix per run); open in ui.perfetto.dev`)
-	engineStats := flag.Bool("engine-stats", false, "print the event engine's scheduler counters (per-shard events and cross-shard posts, sys-shard share) after the -workloads table")
+	engineStats := flag.Bool("engine-stats", false, "print the event engine's scheduler counters (executed events, event-heap peak) after the -workloads table")
 	flag.Parse()
 
 	if (*topo != "" || *powerModel != "" || *dvfs != "" || *traceFile != "" || *timelineFile != "" || *engineStats) && *workloads == "" {

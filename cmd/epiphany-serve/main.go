@@ -13,7 +13,7 @@
 //	curl -s -X POST 'localhost:8080/v1/sweeps?format=ndjson' \
 //	    -d '{"workloads":["stencil-tuned"],"topos":["e16","grid=2x2/chip=8x8"]}'
 //	curl -s -X POST localhost:8080/v1/jobs \
-//	    -d '{"workload":"stencil-tuned","topo":"cluster-2x2/shards=1"}'
+//	    -d '{"workload":"stencil-tuned","topo":"cluster-2x2/c2c=40:600"}'
 //	curl -s localhost:8080/v1/plans
 //	curl -s localhost:8080/v1/stats
 //	curl -s localhost:8080/metrics

@@ -17,7 +17,6 @@
 //	epiphany-sweep -topos e16,4x8,e64           # ad-hoc single-chip meshes mix in
 //	epiphany-sweep -topos e64,grid=4x4/chip=8x8 # parameterized chip grids (1024 cores)
 //	epiphany-sweep -topos cluster-2x2,cluster-2x2/c2c=40:600   # sweep the c2c link speed
-//	epiphany-sweep -topos grid=4x4/chip=8x8/shards=1           # pin the single-heap engine
 //	epiphany-sweep -seeds 1,2,3 -baseline e64   # seed axis, speedup vs the e64 cells
 //	epiphany-sweep -format csv -o sweep.csv     # machine-grade golden output
 //	epiphany-sweep -power epiphany-iv-28nm      # energy columns on every cell
@@ -38,7 +37,7 @@ import (
 
 func main() {
 	workloads := flag.String("workloads", "all", `workloads to sweep: "all" or a comma-separated list of workload specs, each a registered name with optional "/key=value" config overrides (keys under epiphany-bench -list)`)
-	topos := flag.String("topos", "", `topology axis: comma-separated presets ("e16"), meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), each with an optional "/c2c=BYTE:HOP" override and then an optional "/shards=N" engine partition; empty = all presets`)
+	topos := flag.String("topos", "", `topology axis: comma-separated presets ("e16"), meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), each with an optional "/c2c=BYTE:HOP" override (the removed "/shards=N" engine partition is refused); empty = all presets`)
 	seeds := flag.String("seeds", "", "seed axis: comma-separated uint64s; empty = each workload's default seed")
 	baseline := flag.String("baseline", "", "topology the speedup/efficiency columns compare against, in any spelling of a -topos value (default: smallest on the axis)")
 	powerModel := flag.String("power", "", `power-model preset for energy columns (e.g. "epiphany-iv-28nm"); empty = no energy accounting (defaults to epiphany-iv-28nm when -dvfs is given)`)
@@ -55,7 +54,7 @@ func main() {
 		for _, w := range epiphany.Workloads() {
 			fmt.Printf("  %s\n", w.Name())
 		}
-		fmt.Println("topology presets (the grammar also accepts ad-hoc meshes like 4x8, chip grids like grid=4x4/chip=8x8, cluster-4x4 or e64x16, /c2c=BYTE:HOP overrides and /shards=N partitions):")
+		fmt.Println("topology presets (the grammar also accepts ad-hoc meshes like 4x8, chip grids like grid=4x4/chip=8x8, cluster-4x4 or e64x16 and /c2c=BYTE:HOP overrides):")
 		for _, t := range epiphany.Topologies() {
 			fmt.Printf("  %s\n", t)
 		}

@@ -1,13 +1,13 @@
 package epiphany_test
 
-// The cross-mode determinism suite: the shard partition
-// (Topology.WithShards, the /shards= spec suffix) is an execution knob,
-// never semantics, and the deprecated WithWorkers shim does nothing.
+// The cross-mode determinism suite: every board runs one event heap in
+// (time, seq) order, and the deprecated WithWorkers shim does nothing.
 // Every registered workload, on a single chip, the 2x2 cluster, and an
 // asymmetric 2x4 grid, must produce bit-identical Metrics - time-domain
-// AND energy - for every shard count from the classic single heap up to
-// one shard per chip, and for every WithWorkers value. CI also runs it
-// under -race with GOMAXPROCS=4, alongside Runner's concurrent jobs.
+// AND energy - for every WithWorkers value, on fresh and on recycled
+// pooled boards. The removed /shards= spec suffix must fail loudly.
+// CI also runs it under -race with GOMAXPROCS=4, alongside Runner's
+// concurrent jobs.
 //
 // The comparison is plain struct equality on epiphany.Metrics: every
 // field is an integer or a float64 compared by bits, so "identical"
@@ -17,8 +17,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,35 +29,13 @@ import (
 	"epiphany/internal/sim"
 )
 
-// determinismTopos are the boards the suite sweeps: one chip (sharding
-// degenerates to the classic heap), the 4-chip cluster preset, and an
-// 8-chip asymmetric grid where chip grouping (shards strictly between 1
-// and NumChips) puts several chips on one shard.
+// determinismTopos are the boards the suite sweeps: one chip, the
+// 4-chip cluster preset, and an 8-chip asymmetric grid.
 var determinismTopos = []string{"e64", "cluster-2x2", "grid=2x4/chip=8x8"}
 
-// shardCounts returns the distinct shard counts worth testing on a
-// board of n chips: the classic heap, a grouped partition, and the full
-// one-shard-per-chip layout.
-func shardCounts(n int) []int {
-	var out []int
-	for _, s := range []int{1, 2, 4, n} {
-		if s > n {
-			continue
-		}
-		dup := false
-		for _, seen := range out {
-			dup = dup || seen == s
-		}
-		if !dup {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// runDeterminism executes w on topo - whose Shards field sets the
-// engine partition - with the given worker count, with the energy
-// model attached so the energy fields are part of the comparison.
+// runDeterminism executes w on topo with the given worker count, with
+// the energy model attached so the energy fields are part of the
+// comparison.
 func runDeterminism(t *testing.T, w epiphany.Workload, topo epiphany.Topology, workers int) epiphany.Metrics {
 	t.Helper()
 	res, err := epiphany.Run(context.Background(), w,
@@ -72,9 +50,9 @@ func runDeterminism(t *testing.T, w epiphany.Workload, topo epiphany.Topology, w
 }
 
 // TestDeterminismAcrossShardsAndWorkers is the suite's core claim:
-// for every (topology, workload), the Metrics of every (shards,
-// workers) combination equal the classic sequential engine's
-// (shards=1, workers=1) bit for bit.
+// for every (topology, workload), the Metrics of every WithWorkers
+// value equal the WithWorkers(1) run's bit for bit. (The name predates
+// the removal of the shard partition, whose axis it swept too.)
 func TestDeterminismAcrossShardsAndWorkers(t *testing.T) {
 	for _, spec := range determinismTopos {
 		topo, err := epiphany.ParseTopology(spec)
@@ -85,18 +63,9 @@ func TestDeterminismAcrossShardsAndWorkers(t *testing.T) {
 			for _, w := range epiphany.Workloads() {
 				w := w
 				t.Run(w.Name(), func(t *testing.T) {
-					base := runDeterminism(t, w, topo.WithShards(1), 1)
-					for _, shards := range shardCounts(topo.NumChips()) {
-						for _, workers := range []int{1, 4} {
-							if shards == 1 && workers == 1 {
-								continue
-							}
-							got := runDeterminism(t, w, topo.WithShards(shards), workers)
-							if got != base {
-								t.Errorf("shards=%d workers=%d diverged from the sequential engine:\n got  %+v\n want %+v",
-									shards, workers, got, base)
-							}
-						}
+					base := runDeterminism(t, w, topo, 1)
+					if got := runDeterminism(t, w, topo, 4); got != base {
+						t.Errorf("workers=4 diverged from workers=1:\n got  %+v\n want %+v", got, base)
 					}
 				})
 			}
@@ -105,11 +74,10 @@ func TestDeterminismAcrossShardsAndWorkers(t *testing.T) {
 }
 
 // TestDeterminismOffChipMatmulProduct pins the fixed schemeDouble
-// off-chip rotation against the sharded engine: for per-core tile
-// edges 8, 16 and 24 on the 4-chip cluster's 8x8 group, the gathered
-// product must be bit-identical to the host reference - not merely
-// deterministic - and the Metrics struct-equal, across every
-// combination of shards {1, one per chip} and workers {1, 4}. Under
+// off-chip rotation on a multi-chip board: for per-core tile edges 8,
+// 16 and 24 on the 4-chip cluster's 8x8 group, the gathered product
+// must be bit-identical to the host reference - not merely
+// deterministic - and the Metrics struct-equal, for workers {1, 4}. Under
 // -race (CI runs this file's tests with GOMAXPROCS=4) this is the
 // strongest witness that the send-credit handshake, not scheduling
 // luck, is what orders the buffer overwrites.
@@ -131,108 +99,94 @@ func TestDeterminismOffChipMatmulProduct(t *testing.T) {
 			}
 			ref := epiphany.MatmulReference(cfg)
 			var base epiphany.Metrics
-			first := true
-			for _, shards := range []int{1, topo.NumChips()} {
-				for _, workers := range []int{1, 4} {
-					res, err := epiphany.Run(context.Background(),
-						&epiphany.MatmulWorkload{Config: cfg},
-						epiphany.WithTopology(topo.WithShards(shards)),
-						epiphany.WithPowerModel("epiphany-iv-28nm", ""),
-						epiphany.WithWorkers(workers),
-					)
-					if err != nil {
-						t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-					}
-					// The power model decorates the result; peel it to
-					// reach the gathered product.
-					inner := res
-					for {
-						u, ok := inner.(interface{ Unwrap() epiphany.Result })
-						if !ok {
-							break
-						}
-						inner = u.Unwrap()
-					}
-					mm, ok := inner.(*epiphany.MatmulResult)
+			for _, workers := range []int{1, 4} {
+				res, err := epiphany.Run(context.Background(),
+					&epiphany.MatmulWorkload{Config: cfg},
+					epiphany.WithTopology(topo),
+					epiphany.WithPowerModel("epiphany-iv-28nm", ""),
+					epiphany.WithWorkers(workers),
+				)
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				// The power model decorates the result; peel it to
+				// reach the gathered product.
+				inner := res
+				for {
+					u, ok := inner.(interface{ Unwrap() epiphany.Result })
 					if !ok {
-						t.Fatalf("result is %T, want *epiphany.MatmulResult", inner)
+						break
 					}
-					if d := epiphany.MaxAbsDiff(mm.C, ref); d != 0 {
-						t.Errorf("shards=%d workers=%d: product differs from host reference by %g", shards, workers, d)
-					}
-					if first {
-						base, first = res.Metrics(), false
-					} else if got := res.Metrics(); got != base {
-						t.Errorf("shards=%d workers=%d: Metrics diverged from the sequential engine:\n got  %+v\n want %+v",
-							shards, workers, got, base)
-					}
+					inner = u.Unwrap()
+				}
+				mm, ok := inner.(*epiphany.MatmulResult)
+				if !ok {
+					t.Fatalf("result is %T, want *epiphany.MatmulResult", inner)
+				}
+				if d := epiphany.MaxAbsDiff(mm.C, ref); d != 0 {
+					t.Errorf("workers=%d: product differs from host reference by %g", workers, d)
+				}
+				if workers == 1 {
+					base = res.Metrics()
+				} else if got := res.Metrics(); got != base {
+					t.Errorf("workers=%d: Metrics diverged from workers=1:\n got  %+v\n want %+v",
+						workers, got, base)
 				}
 			}
 		})
 	}
 }
 
-// TestDeterminismShardSpecSuffix pins that the /shards= grammar suffix
-// is the same axis as Topology.WithShards: a topology parsed with the
-// suffix equals the Go form, produces the same bits, and round-trips
-// through Spec.
+// TestDeterminismShardSpecSuffix: the /shards= suffix named an engine
+// partition that no longer exists, so every spelling that carries it -
+// on a preset, a grid, behind a c2c override - is refused with the
+// error naming the removal, by ParseTopology and by a sweep plan,
+// rather than quietly running some other board.
 func TestDeterminismShardSpecSuffix(t *testing.T) {
-	w, ok := epiphany.WorkloadByName("stencil-tuned")
-	if !ok {
-		t.Fatal("stencil-tuned not registered")
+	const want = "the /shards= engine partition was removed; every board runs one event heap"
+	specs := []string{"cluster-2x2/shards=1", "cluster-2x2/shards=4", "e64/shards=1",
+		"grid=4x4/chip=8x8/shards=16", "cluster-2x2/c2c=40:600/shards=2", "e64x16/shards=x"}
+	for _, spec := range specs {
+		if _, err := epiphany.ParseTopology(spec); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseTopology(%q) = %v, want an error containing %q", spec, err, want)
+		}
 	}
-	for _, shards := range []int{1, 2, 4} {
-		spec := fmt.Sprintf("cluster-2x2/shards=%d", shards)
-		pinned, err := epiphany.ParseTopology(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pinned.Spec() != spec {
-			t.Errorf("Spec round-trip: parsed %q, rendered %q", spec, pinned.Spec())
-		}
-		goForm := epiphany.TopologyCluster2x2.WithShards(shards)
-		if pinned != goForm {
-			t.Errorf("topology %q parsed to %+v, want %+v", spec, pinned, goForm)
-		}
-		if runDeterminism(t, w, pinned, 1) != runDeterminism(t, w, goForm, 1) {
-			t.Errorf("topology %q diverged from TopologyCluster2x2.WithShards(%d)", spec, shards)
-		}
+	plan := epiphany.SweepPlan{Workloads: []string{"stencil-tuned"}, Topos: []string{"e16", specs[0]}}
+	if _, err := epiphany.Sweep(context.Background(), plan, 1); err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("Sweep over %q = %v, want an error containing %q", specs[0], err, want)
 	}
 }
 
-// TestDeterminismRecycledShardedBoards runs a mixed-shard batch through
-// one Runner twice, so later jobs land on recycled pooled boards. The
-// pool keys boards by the whole Topology - shard partition included -
-// so a recycled board must still carry its layout and reproduce the
-// same bits as a fresh one.
+// TestDeterminismRecycledShardedBoards runs a mixed batch on the 4-chip
+// cluster through one Runner twice, so later jobs land on recycled
+// pooled boards: each job must reproduce the bits of a fresh board.
+// (The name predates the removal of the shard partition; the boards
+// were sharded once.)
 func TestDeterminismRecycledShardedBoards(t *testing.T) {
 	topo, err := epiphany.ParseTopology("cluster-2x2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, ok := epiphany.WorkloadByName("matmul-cannon")
-	if !ok {
-		t.Fatal("matmul-cannon not registered")
-	}
-	want := map[int]epiphany.Metrics{}
-	for _, shards := range []int{1, 2, 4} {
-		want[shards] = runDeterminism(t, w, topo.WithShards(shards), 1)
+	names := []string{"matmul-cannon", "stream-stencil", "stencil-tuned"}
+	want := map[string]epiphany.Metrics{}
+	for _, name := range names {
+		want[name] = runDeterminism(t, mustWorkload(t, name), topo, 1)
 	}
 
 	r := &epiphany.Runner{Workers: 2}
 	var jobs []epiphany.Job
-	var order []int
+	var order []string
 	for pass := 0; pass < 2; pass++ {
-		for _, shards := range []int{1, 2, 4} {
+		for _, name := range names {
 			jobs = append(jobs, epiphany.Job{
-				Workload: w,
+				Workload: mustWorkload(t, name),
 				Options: []epiphany.Option{
-					epiphany.WithTopology(topo.WithShards(shards)),
+					epiphany.WithTopology(topo),
 					epiphany.WithPowerModel("epiphany-iv-28nm", ""),
 					epiphany.WithWorkers(2),
 				},
 			})
-			order = append(order, shards)
+			order = append(order, name)
 		}
 	}
 	br, err := r.RunBatch(context.Background(), jobs)
@@ -241,10 +195,10 @@ func TestDeterminismRecycledShardedBoards(t *testing.T) {
 	}
 	for i, jr := range br.Results {
 		if jr.Err != nil {
-			t.Fatalf("job %d (shards=%d): %v", i, order[i], jr.Err)
+			t.Fatalf("job %d (%s): %v", i, order[i], jr.Err)
 		}
 		if got := jr.Result.Metrics(); got != want[order[i]] {
-			t.Errorf("job %d (shards=%d) on a pooled board diverged from a fresh run", i, order[i])
+			t.Errorf("job %d (%s) on a pooled board diverged from a fresh run", i, order[i])
 		}
 	}
 }
@@ -257,18 +211,12 @@ type remotePull struct {
 	crossTime sim.Time
 }
 
-// runRemotePull drives raw DMA on cluster-2x2 (four 4x4 chips): core
-// (0,0) on chip 0 runs a chained pull from (0,4) on chip 1 and then
-// from (5,5) on chip 3, while (0,4) pushes into chip 0 and then stores
-// a flag to (0,0), and (1,2) pushes across to chip 3.
-func runRemotePull(t *testing.T, shards, workers int) remotePull {
+// runRemotePull drives raw DMA on sys, a cluster-2x2 board (four 4x4
+// chips): core (0,0) on chip 0 runs a chained pull from (0,4) on chip 1
+// and then from (5,5) on chip 3, while (0,4) pushes into chip 0 and
+// then stores a flag to (0,0), and (1,2) pushes across to chip 3.
+func runRemotePull(t *testing.T, sys *epiphany.System) remotePull {
 	t.Helper()
-	topo, err := epiphany.ParseTopology("cluster-2x2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := epiphany.NewSystemTopology(topo.WithShards(shards))
-	sys.SetWorkers(workers)
 	chip := sys.Chip()
 	const (
 		src, dst, flag mem.Addr = 0x2000, 0x4000, 0x7000
@@ -305,7 +253,7 @@ func runRemotePull(t *testing.T, shards, workers int) remotePull {
 		out.done[3] = c.Now()
 	})
 	if err := sys.Engine().Run(); err != nil {
-		t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+		t.Fatal(err)
 	}
 	for _, rc := range [][2]int{{0, 0}, {1, 1}, {6, 6}} {
 		size := n // one pushed block
@@ -320,13 +268,17 @@ func runRemotePull(t *testing.T, shards, workers int) remotePull {
 }
 
 // TestDeterminismRemoteDMAPull: a DMA pull from a core on another chip
-// is a sys leg like any cross-chip push, so it runs on every partition
-// and lands the same bytes at the same times on every one. The run
-// mixes two chained remote pulls with an on-chip push, a cross-chip
-// push and a cross-chip flag store, and compares every (shards,
-// workers) layout with the classic sequential heap.
+// crosses the chip-to-chip links like a push does, and lands the same
+// bytes at the same times on a fresh board and on the same board after
+// Reset. The run mixes two chained remote pulls with an on-chip push, a
+// cross-chip push and a cross-chip flag store.
 func TestDeterminismRemoteDMAPull(t *testing.T) {
-	base := runRemotePull(t, 1, 1)
+	topo, err := epiphany.ParseTopology("cluster-2x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := epiphany.NewSystemTopology(topo)
+	base := runRemotePull(t, sys)
 	var want []byte
 	for _, block := range []int{1, 2, 1, 3} { // (0,0) pulls 1 then 2; (1,1) gets 1, (6,6) gets 3
 		for w := 0; w < 256; w += 4 {
@@ -334,46 +286,41 @@ func TestDeterminismRemoteDMAPull(t *testing.T) {
 		}
 	}
 	if !bytes.Equal(base.data, want) {
-		t.Fatalf("sequential run moved the wrong bytes:\n got  %x\n want %x", base.data, want)
+		t.Fatalf("the run moved the wrong bytes:\n got  %x\n want %x", base.data, want)
 	}
 	if base.crossings == 0 {
 		t.Fatal("no chip-boundary crossings recorded")
 	}
-	for _, shards := range []int{1, 2, 4} {
-		for _, workers := range []int{1, 4} {
-			if shards == 1 && workers == 1 {
-				continue
-			}
-			got := runRemotePull(t, shards, workers)
-			if got.done != base.done || got.crossings != base.crossings || got.crossTime != base.crossTime {
-				t.Errorf("shards=%d workers=%d: completions %v, %d crossings in %v; sequential %v, %d crossings in %v",
-					shards, workers, got.done, got.crossings, got.crossTime, base.done, base.crossings, base.crossTime)
-			}
-			if !bytes.Equal(got.data, base.data) {
-				t.Errorf("shards=%d workers=%d: moved bytes differ from the sequential run", shards, workers)
-			}
-		}
+	if err := sys.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	got := runRemotePull(t, sys)
+	if got.done != base.done || got.crossings != base.crossings || got.crossTime != base.crossTime {
+		t.Errorf("after Reset: completions %v, %d crossings in %v; fresh %v, %d crossings in %v",
+			got.done, got.crossings, got.crossTime, base.done, base.crossings, base.crossTime)
+	}
+	if !bytes.Equal(got.data, base.data) {
+		t.Errorf("after Reset: moved bytes differ from the fresh run")
 	}
 	t.Logf("completions %v, %d crossings in %v", base.done, base.crossings, base.crossTime)
 }
 
 // TestDeterminismBoard1024 runs the 1024-core board (a 4x4 grid of 8x8
-// chips) through the sharded merge: matmul-offchip, stream-stencil and
-// the chip-parallel 32x24 Comm stencil (one iteration), each at shards
-// {1, one per chip} and WithWorkers {1, 4}. Every run of a workload must
-// produce the same Metrics, every run of a partition the same
-// EngineStats, and no run may leave a goroutine behind (the engine
-// starts no scheduler goroutines, and a finished proc's coroutine
-// exits). The stencil runs one iteration only: from the second on, its
-// ELinkCrossTime differs between the single heap and one shard per chip
-// (ROADMAP item 1(a)), so multi-iteration stencils wait for that fix.
+// chips): matmul-offchip, stream-stencil and the chip-parallel 32x24
+// Comm stencil over four iterations, each on fresh boards at
+// WithWorkers {1, 4} and twice through one Runner, whose second run
+// lands on the pooled board the first one recycled. Every run must
+// match its host reference bit for bit, every run of a workload must
+// produce the same Metrics and EngineStats, and no fresh run may leave
+// a goroutine behind (the engine starts no scheduler goroutines, and a
+// finished proc's coroutine exits).
 func TestDeterminismBoard1024(t *testing.T) {
 	topo, err := epiphany.ParseTopology("grid=4x4/chip=8x8")
 	if err != nil {
 		t.Fatal(err)
 	}
 	stencil := &epiphany.StencilWorkload{Config: epiphany.StencilConfig{
-		Rows: 20, Cols: 20, Iters: 1, GroupRows: 32, GroupCols: 24,
+		Rows: 20, Cols: 20, Iters: 4, GroupRows: 32, GroupCols: 24,
 		Comm: true, Tuned: true, Seed: 1,
 	}}
 	for _, tc := range []struct {
@@ -385,45 +332,88 @@ func TestDeterminismBoard1024(t *testing.T) {
 		{"stencil-comm-32x24", stencil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var base epiphany.Metrics
-			for i, shards := range []int{1, topo.NumChips()} {
-				var stats *epiphany.EngineStats
-				for j, workers := range []int{1, 4} {
-					before := runtime.NumGoroutine()
-					res, err := epiphany.Run(context.Background(), tc.w,
-						epiphany.WithTopology(topo.WithShards(shards)),
-						epiphany.WithWorkers(workers),
-						epiphany.WithEngineStats())
-					if err != nil {
-						t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
-					}
-					if after := settledGoroutines(before); after > before {
-						t.Errorf("shards=%d workers=%d: %d goroutines after the run, %d before", shards, workers, after, before)
-					}
-					m := res.Metrics()
-					st := m.Engine
-					m.Engine = nil
-					switch {
-					case i == 0 && j == 0:
-						base = m
-					case m != base:
-						t.Errorf("shards=%d workers=%d: Metrics diverged:\n got  %+v\n want %+v", shards, workers, m, base)
-					}
-					want := 1 // the single heap, or the sys shard beside the chip shards
-					if shards > 1 {
-						want = shards + 1
-					}
-					if st.Shards != want {
-						t.Errorf("shards=%d: engine ran %d shards, want %d", shards, st.Shards, want)
-					}
-					if j == 0 {
-						stats = st
-					} else if !reflect.DeepEqual(st, stats) {
-						t.Errorf("shards=%d workers=%d: EngineStats diverged:\n got  %+v\n want %+v", shards, workers, *st, *stats)
-					}
+			var (
+				base  epiphany.Metrics
+				stats epiphany.EngineStats
+				seen  bool
+			)
+			check := func(label string, res epiphany.Result) {
+				t.Helper()
+				hostCheck(t, label, tc.w, topo, res)
+				m := res.Metrics()
+				st := *m.Engine
+				m.Engine = nil
+				if !seen {
+					base, stats, seen = m, st, true
+					return
+				}
+				if m != base {
+					t.Errorf("%s: Metrics diverged:\n got  %+v\n want %+v", label, m, base)
+				}
+				if st != stats {
+					t.Errorf("%s: EngineStats diverged: %+v, want %+v", label, st, stats)
 				}
 			}
+			for _, workers := range []int{1, 4} {
+				before := runtime.NumGoroutine()
+				res, err := epiphany.Run(context.Background(), tc.w,
+					epiphany.WithTopology(topo),
+					epiphany.WithWorkers(workers),
+					epiphany.WithEngineStats())
+				if err != nil {
+					t.Fatalf("workers=%d: %v", workers, err)
+				}
+				if after := settledGoroutines(before); after > before {
+					t.Errorf("workers=%d: %d goroutines after the run, %d before", workers, after, before)
+				}
+				check(fmt.Sprintf("fresh board, workers=%d", workers), res)
+			}
+			r := &epiphany.Runner{Workers: 1, Options: []epiphany.Option{
+				epiphany.WithTopology(topo), epiphany.WithEngineStats()}}
+			for run := range 2 {
+				jr := r.RunJob(context.Background(), epiphany.Job{Workload: tc.w})
+				if jr.Err != nil {
+					t.Fatalf("runner run %d: %v", run, jr.Err)
+				}
+				check(fmt.Sprintf("runner run %d", run), jr.Result)
+			}
 		})
+	}
+}
+
+// hostCheck compares a built-in workload's gathered output with its
+// host reference, computed for the configuration the run used (the
+// workload fitted to topo), and requires bit equality.
+func hostCheck(t *testing.T, label string, w epiphany.Workload, topo epiphany.Topology, res epiphany.Result) {
+	t.Helper()
+	if f, ok := w.(epiphany.TopologyFitter); ok {
+		w = f.FitTopology(topo.Rows(), topo.Cols())
+	}
+	for {
+		u, ok := res.(interface{ Unwrap() epiphany.Result })
+		if !ok {
+			break
+		}
+		res = u.Unwrap()
+	}
+	var got, want [][]float32
+	switch w := w.(type) {
+	case *epiphany.StencilWorkload:
+		got, want = res.(*epiphany.StencilResult).Global, epiphany.StencilReference(w.Config)
+	case *epiphany.StreamStencilWorkload:
+		got, want = res.(*epiphany.StreamStencilResult).Global, epiphany.StreamStencilReference(w.Config)
+	case *epiphany.MatmulWorkload:
+		got, want = [][]float32{res.(*epiphany.MatmulResult).C}, [][]float32{epiphany.MatmulReference(w.Config)}
+	default:
+		t.Fatalf("%s: no host reference for %T", label, w)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d output rows, reference has %d", label, len(got), len(want))
+	}
+	for i := range got {
+		if d := epiphany.MaxAbsDiff(got[i], want[i]); d != 0 || len(got[i]) != len(want[i]) {
+			t.Fatalf("%s: row %d differs from the host reference (max |diff| %g)", label, i, d)
+		}
 	}
 }
 

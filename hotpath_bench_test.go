@@ -39,8 +39,8 @@ func BenchmarkRunBatch12Timeline(b *testing.B) {
 }
 
 // BenchmarkRunBatch12EngineStats adds the scheduler-counter snapshot to
-// every job - one Stats() walk over the shards per run plus the
-// decorated result, with the counters themselves accruing always.
+// every job - one Stats() snapshot per run plus the decorated result,
+// with the counters themselves accruing always.
 func BenchmarkRunBatch12EngineStats(b *testing.B) {
 	benchRunBatch12(b, []Option{WithEngineStats()})
 }
@@ -66,20 +66,15 @@ func benchRunBatch12(b *testing.B, opts []Option) {
 }
 
 // BenchmarkSingleJob measures one simulation's wall-clock latency on
-// multi-chip boards at both ends of the shard axis: shards=1 is the
-// classic single-heap engine, shards=N (one per chip) prices the merge
-// of the per-chip heaps and the cross-shard posts.
+// multi-chip boards: the 4-chip cluster and the 16-chip 1024-core grid.
 func BenchmarkSingleJob(b *testing.B) {
 	cases := []struct {
 		name     string
 		topo     string
 		workload string
-		shards   int
 	}{
-		{"Cluster2x2/shards=1", "cluster-2x2", "matmul-offchip", 1},
-		{"Cluster2x2/shards=4", "cluster-2x2", "matmul-offchip", 4},
-		{"Grid1024/shards=1", "grid=4x4/chip=8x8", "stencil-tuned", 1},
-		{"Grid1024/shards=16", "grid=4x4/chip=8x8", "stencil-tuned", 16},
+		{"Cluster2x2", "cluster-2x2", "matmul-offchip"},
+		{"Grid1024", "grid=4x4/chip=8x8", "stencil-tuned"},
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
@@ -94,7 +89,7 @@ func BenchmarkSingleJob(b *testing.B) {
 			// One pooled board per case: Reset-recycled like the serve
 			// daemon's boards, so construction cost stays out of the
 			// per-job latency.
-			r := &Runner{Workers: 1, Options: []Option{WithTopology(topo.WithShards(tc.shards))}}
+			r := &Runner{Workers: 1, Options: []Option{WithTopology(topo)}}
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -108,7 +103,7 @@ func BenchmarkSingleJob(b *testing.B) {
 }
 
 // BenchmarkBoard1024 runs the three jobs of the 1024-core board (a 4x4
-// grid of 8x8 chips, one shard per chip): the chip-parallel 32x24 Comm
+// grid of 8x8 chips): the chip-parallel 32x24 Comm
 // stencil, matmul-offchip and stream-stencil, one RunJob each per
 // iteration on a warm Runner whose pooled board is Reset between jobs.
 // Besides time and allocs/op it reports the engine events each

@@ -272,9 +272,8 @@ func runMatmulOnChip(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
 		}
 
 		start := hp.Now()
-		// One slot per core: the kernel closures run concurrently when
-		// the board's chips are on different engine shards, so each
-		// writes its own index rather than appending to a shared slice.
+		// One slot per core, in group order; the host sums them after
+		// Join.
 		cannons := make([]*cannon, g*g)
 		procs := w.Launch("matmul", func(c *ecore.Core, gr, gc int) {
 			ca := newCannon(c, w, gr, gc, m, n, k, plan, cfg.Tuned)
@@ -371,8 +370,8 @@ func runMatmulOffChip(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
 		hp.WriteDRAMF32(bOff, b)
 
 		start := hp.Now()
-		// Per-core slots, not a shared append: the closures run
-		// concurrently across engine shards.
+		// One slot per core, in group order; the host sums them after
+		// Join.
 		cannons := make([]*cannon, g*g)
 		procs := w.Launch("matmul", func(c *ecore.Core, gr, gc int) {
 			ca := newCannon(c, w, gr, gc, n, n, n, plan, cfg.Tuned)

@@ -264,8 +264,8 @@ func runMatmulSumma(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
 		}
 
 		start := hp.Now()
-		// Per-core slots, not a shared append: the closures run
-		// concurrently across engine shards.
+		// One slot per core, in group order; the host sums them after
+		// Join.
 		summas := make([]*summa, g*g)
 		procs := w.Launch("summa", func(c *ecore.Core, gr, gc int) {
 			su := newSumma(c, w, gr, gc, m, n, k, plan, cfg.Tuned)

@@ -141,10 +141,8 @@ func RunStreamStencil(h *host.Host, cfg StreamStencilConfig) (*StreamStencilResu
 		hp.WriteDRAMF32(dstOff, flat)
 
 		start := hp.Now()
-		// Per-core traffic counters: the kernels run concurrently when
-		// the board's chips are on different engine shards, so each core
-		// accumulates into its own slot and the host sums after Join
-		// (integer sums, so the total is order-independent).
+		// Per-core traffic counters, one slot per core; the host sums
+		// them after Join.
 		stats := make([]streamStats, cfg.GroupRows*cfg.GroupCols)
 		procs := w.Launch("stream-stencil", func(c *ecore.Core, gr, gc int) {
 			streamKernel(c, w, gr, gc, &cfg, pitch, srcOff, dstOff, &stats[gr*cfg.GroupCols+gc])
@@ -182,8 +180,7 @@ func RunStreamStencil(h *host.Host, cfg StreamStencilConfig) (*StreamStencilResu
 }
 
 // streamStats are one core's private traffic counters; the host sums
-// them after Join. Kernels must not write shared result fields - cores
-// on different engine shards execute concurrently.
+// them after Join.
 type streamStats struct {
 	dramBytes      uint64
 	redundantFlops uint64

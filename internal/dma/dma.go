@@ -19,17 +19,10 @@ import (
 	"epiphany/internal/sim"
 )
 
-// Fabric bundles the chip-level facilities a DMA engine needs. The ecore
-// package constructs one per chip and shares it among all engines.
-//
-// Fabric is also where the board's one routing rule lives: a transfer
-// leg that touches the eLink, DRAM or another chip runs on the sys
-// shard (which owns the eLink arbiter, DRAM and every cross-chip mesh
-// walk), and every other leg runs on the issuing chip's shard. A
-// hand-off to the shard the code already runs on happens inline, so an
-// unsharded board, where every shard is sys, runs the same code with no
-// hand-offs at all. Write and WriteDRAM are the entry points for the
-// ecore package's stores; the DMA engine applies the rule in run.
+// Fabric bundles the board-level facilities a DMA engine needs. The
+// ecore package constructs one per board and shares it among all
+// engines. Write is the entry point for the ecore package's mesh
+// stores.
 type Fabric struct {
 	Eng       *sim.Engine
 	Map       *mem.Map
@@ -40,11 +33,7 @@ type Fabric struct {
 	DRAM      *mem.DRAM
 	// Notify, when non-nil, is invoked whenever a transfer deposits data
 	// into a core's SRAM, so pollers of that memory can be re-evaluated.
-	// It runs in the execution context of the shard owning that core.
 	Notify func(core int)
-	// ShardOf maps core index -> owning shard on a sharded multi-chip
-	// board; nil when the whole board runs on the sys shard.
-	ShardOf []*sim.Shard
 	// Rec, when non-nil, observes core activity and DMA transfers for
 	// timeline export. Attached per run (trace.Timeline.Attach), cleared
 	// by Reset; every use sits behind a nil check so the unmetered path
@@ -57,72 +46,15 @@ type Fabric struct {
 	readBytes uint64
 }
 
-// CoreShard returns the shard owning core (the sys shard when the board
-// is unsharded).
-func (f *Fabric) CoreShard(core int) *sim.Shard {
-	if f.ShardOf == nil {
-		return f.Eng.Sys()
-	}
-	return f.ShardOf[core]
-}
-
-// OnSys runs fn on the sys shard on behalf of core, at from's current
-// time: inline when from is sys, otherwise posted there with core as
-// the arbitration tag, so simultaneous requests from different chips
-// are served in core order.
-func (f *Fabric) OnSys(from *sim.Shard, core int, fn func()) {
-	sys := f.Eng.Sys()
-	if from == sys {
-		fn()
-		return
-	}
-	from.SendTagged(sys, from.Now(), core, fn)
-}
-
-// WriteDRAM books n bytes for core on the eLink, issued from shard
-// from at its current time; landed runs on the sys shard when the link
-// has carried them, and stores them into DRAM there.
-func (f *Fabric) WriteDRAM(from *sim.Shard, core, n int, landed func()) {
-	if from == f.Eng.Sys() {
-		// Spelled out so the board that never leaves sys allocates no
-		// hand-off closure.
-		f.ELink.Submit(core, n, landed)
-		return
-	}
-	f.OnSys(from, core, func() { f.ELink.Submit(core, n, landed) })
-}
-
-// Wake is the return path of OnSys for a blocked proc: called on the
-// sys shard, it broadcasts c on its owning shard at the current time,
-// inline when that is sys.
-func (f *Fabric) Wake(c *sim.Cond) {
-	sys := f.Eng.Sys()
-	if c.Shard() == sys {
-		c.Broadcast()
-		return
-	}
-	sys.Send(c.Shard(), sys.Now(), c.Broadcast)
-}
-
-// Write is the one mesh write: n bytes from core src, issued at from's
-// current time on the shard from owning src, arrive at core dst no
-// earlier than minT, and deposit then runs on dst's shard. A route
-// within one chip is walked here; a cross-chip route is walked on sys.
-func (f *Fabric) Write(from *sim.Shard, src, dst, n int, minT sim.Time, deposit func()) {
-	t := from.Now()
-	if !f.Mesh.CrossChip(src, dst) {
-		from.At(max(f.Mesh.Deliver(t, src, dst, n), minT), deposit)
-		return
-	}
-	f.OnSys(from, src, func() {
-		arrive := max(f.Mesh.DeliverSys(t, src, dst, n), minT)
-		f.Eng.Sys().Send(f.CoreShard(dst), arrive, deposit)
-	})
+// Write is the one mesh write: n bytes from core src, issued now,
+// arrive at core dst no earlier than minT, and deposit runs then. A
+// route that crosses chips books the chip-to-chip eLinks on its way.
+func (f *Fabric) Write(src, dst, n int, minT sim.Time, deposit func()) {
+	f.Eng.At(max(f.Mesh.Deliver(f.Eng.Now(), src, dst, n), minT), deposit)
 }
 
 // ELinkReadTime books n bytes on the read direction of the off-chip link
-// starting at t and returns the completion time. It must run on the sys
-// shard (the read link and its byte counter live there).
+// starting at t and returns the completion time.
 func (f *Fabric) ELinkReadTime(t sim.Time, n int) sim.Time {
 	f.readBytes += uint64(n)
 	_, end := f.ELinkRead.Use(t, sim.Time(n)*noc.ELinkBytePeriod)
@@ -212,7 +144,6 @@ const (
 type Engine struct {
 	fab  *Fabric
 	core int
-	sh   *sim.Shard // the shard owning this core
 	ch   [2]*channel
 }
 
@@ -224,10 +155,10 @@ type channel struct {
 
 // NewEngine creates the DMA engine for the given core.
 func NewEngine(fab *Fabric, core int) *Engine {
-	e := &Engine{fab: fab, core: core, sh: fab.CoreShard(core)}
+	e := &Engine{fab: fab, core: core}
 	prefixes := [2]string{"dma0:core", "dma1:core"}
 	for i := range e.ch {
-		e.ch[i] = &channel{done: sim.NewCondIdxOn(e.sh, prefixes[i], core)}
+		e.ch[i] = &channel{done: sim.NewCondIdx(fab.Eng, prefixes[i], core)}
 	}
 	return e
 }
@@ -258,18 +189,16 @@ func (e *Engine) Start(c Chan, desc *Desc) {
 		panic(fmt.Sprintf("dma: core %d channel %d started while busy", e.core, c))
 	}
 	ch.active = true
-	e.run(ch, desc, e.sh.Now())
+	e.run(ch, desc, e.fab.Eng.Now())
 }
 
-// run processes one descriptor starting at time t, then chains. It
-// executes on e.sh, the issuing core's shard, and applies the Fabric's
-// routing rule: a leg between two cores of the issuing chip runs here,
-// and any other leg - one that touches the eLink, DRAM or another chip,
-// pushes and pulls alike - runs on the sys shard (sysLeg). Either way
-// the leg completes with land.
+// run processes one descriptor starting at time t, then chains. DMA
+// pacing overlaps with every leg: a leg never completes before its
+// serialization.
 func (e *Engine) run(ch *channel, d *Desc, t sim.Time) {
+	eng := e.fab.Eng
 	if d == nil {
-		e.sh.At(t, func() {
+		eng.At(t, func() {
 			ch.active = false
 			ch.done.Broadcast()
 		})
@@ -285,91 +214,49 @@ func (e *Engine) run(ch *channel, d *Desc, t sim.Time) {
 		panic("dma: DRAM-to-DRAM transfers are not supported by the hardware")
 	}
 	mesh := e.fab.Mesh
-	if src.Kind == mem.KindDRAM || dst.Kind == mem.KindDRAM ||
-		mesh.CrossChip(e.core, src.Core) || mesh.CrossChip(e.core, dst.Core) {
-		// Inline when this shard is sys; a per-leg closure only when
-		// the leg really changes shard.
-		if sys := e.fab.Eng.Sys(); e.sh != sys {
-			e.sh.SendTagged(sys, t, e.core, func() { e.sysLeg(ch, d, t, src, dst) })
-		} else {
-			e.sysLeg(ch, d, t, src, dst)
-		}
-		return
-	}
-	// On-chip: pace at the DMA rate, book the mesh path.
-	n := d.Bytes()
-	arrive := max(mesh.Deliver(t, src.Core, dst.Core, n), t+noc.DMASerialization(n, d.Beat))
-	e.record("mesh", t, arrive, n)
-	e.land(e.sh, ch, d, src, dst, arrive)
-}
-
-// sysLeg carries out, on the sys shard, a leg issued at t that touches
-// the eLink, DRAM or another chip: the eLink arbitration, the read-link
-// booking and the mesh walk all happen here at the times the issuing
-// shard would have used, and the leg lands on sys. DMA pacing overlaps
-// with all of them: a leg never completes before its serialization.
-func (e *Engine) sysLeg(ch *channel, d *Desc, t sim.Time, src, dst mem.Target) {
-	sys := e.fab.Eng.Sys()
 	n := d.Bytes()
 	paced := t + noc.DMASerialization(n, d.Beat)
 	switch {
 	case dst.Kind == mem.KindDRAM:
 		// Off-chip write: compete for the eLink, which is the bottleneck.
 		e.fab.ELink.Submit(e.core, n, func() {
-			end := max(sys.Now(), paced)
+			end := max(eng.Now(), paced)
 			e.record("dram-write", t, end, n)
-			e.land(sys, ch, d, src, dst, end)
+			e.land(ch, d, src, dst, end)
 		})
 	case src.Kind == mem.KindDRAM:
 		// Off-chip read: the read direction of the link, then the mesh
 		// from the link corner.
 		end := e.fab.ELinkReadTime(t, n)
-		arrive := max(e.fab.Mesh.DeliverSys(end, e.linkCorner(), dst.Core, n), paced)
+		arrive := max(mesh.Deliver(end, e.linkCorner(), dst.Core, n), paced)
 		e.record("dram-read", t, arrive, n)
-		e.land(sys, ch, d, src, dst, arrive)
+		e.land(ch, d, src, dst, arrive)
 	default:
 		kind := "mesh"
-		if e.fab.Mesh.CrossChip(src.Core, dst.Core) {
+		if mesh.CrossChip(src.Core, dst.Core) {
 			kind = "mesh-x"
 		}
-		arrive := max(e.fab.Mesh.DeliverSys(t, src.Core, dst.Core, n), paced)
+		arrive := max(mesh.Deliver(t, src.Core, dst.Core, n), paced)
 		e.record(kind, t, arrive, n)
-		e.land(sys, ch, d, src, dst, arrive)
+		e.land(ch, d, src, dst, arrive)
 	}
 }
 
-// land completes a leg at time t on shard on, where the leg ran: the
-// functional copy (on may touch both memories: a chip shard owns both
-// endpoints of its on-chip legs, and the engine runs one event at a
-// time, so a sys leg may copy between chips), then the destination's
-// arrival notification and the chain continuation, each handed to its
-// own shard - inline when that is on.
-func (e *Engine) land(on *sim.Shard, ch *channel, d *Desc, src, dst mem.Target, t sim.Time) {
-	on.At(t, func() {
+// land completes a leg at time t: the functional copy, the
+// destination's arrival notification, then the chain continuation.
+func (e *Engine) land(ch *channel, d *Desc, src, dst mem.Target, t sim.Time) {
+	e.fab.Eng.At(t, func() {
 		e.copyDesc(d, src, dst)
 		if dst.Kind != mem.KindDRAM && e.fab.Notify != nil {
-			if sh := e.fab.CoreShard(dst.Core); sh == on {
-				e.fab.Notify(dst.Core)
-			} else {
-				on.Send(sh, t, func() { e.fab.Notify(dst.Core) })
-			}
+			e.fab.Notify(dst.Core)
 		}
-		if on == e.sh {
-			e.chain(ch, d, t)
-		} else {
-			on.Send(e.sh, t, func() { e.chain(ch, d, t) })
-		}
+		ch.moved += uint64(d.Bytes())
+		e.run(ch, d.Chain, t)
 	})
 }
 
-// chain accounts a landed descriptor and continues with the next one.
-func (e *Engine) chain(ch *channel, d *Desc, t sim.Time) {
-	ch.moved += uint64(d.Bytes())
-	e.run(ch, d.Chain, t)
-}
-
 // record reports one transfer leg to the attached timeline recorder, if
-// any. Safe from any shard context.
+// any.
 func (e *Engine) record(kind string, start, end sim.Time, n int) {
 	if r := e.fab.Rec; r != nil {
 		r.DMATransfer(e.core, kind, start, end, n)
@@ -439,8 +326,6 @@ func (e *Engine) copyRange(dst mem.Target, do mem.Addr, src mem.Target, so mem.A
 }
 
 // copyDesc performs the functional data movement for one descriptor.
-// It runs either in the shard owning both endpoints or on the sys shard,
-// which may touch any memory.
 //
 // A row whose beats are contiguous on both sides moves as one range,
 // charging the byte counters exactly as its beats do. The exception is

@@ -271,10 +271,7 @@ func TestDMANotifyHook(t *testing.T) {
 }
 
 // TestChainRoundAllocs budgets the allocations of one chained DMA round
-// on an unsharded board - an on-chip leg, a DRAM read and a DRAM write -
-// on a warm engine. The budget is the count from before the sys-routed
-// legs replaced the inline ones (11): routing every leg one way must
-// not cost allocations on the board that never leaves the sys shard.
+// - an on-chip leg, a DRAM read and a DRAM write - on a warm engine.
 func TestChainRoundAllocs(t *testing.T) {
 	f := newFabric()
 	e := NewEngine(f, 0)

@@ -29,27 +29,9 @@ func NewChip(eng *sim.Engine, rows, cols int) *Chip {
 	return NewChipMap(eng, mem.NewMap(rows, cols))
 }
 
-// NewChipMap builds the device fabric for an explicit address map with
-// the auto shard partition (one shard per chip on multi-chip maps; see
-// NewChipMapShards).
+// NewChipMap builds the device fabric for an explicit address map: one
+// chip or a board of them, every core on eng.
 func NewChipMap(eng *sim.Engine, amap *mem.Map) *Chip {
-	return NewChipMapShards(eng, amap, 0)
-}
-
-// NewChipMapShards builds the device fabric for an explicit address map
-// on an explicit event-engine partition. shards selects how the board's
-// chips are distributed over engine shards: 0 (auto) gives every chip
-// its own shard, 1 keeps the whole board on shard 0 (the classic
-// single-heap engine), and 2..NumChips group the chips contiguously.
-// Under any partition shard 0 stays the sys shard owning the host, the
-// eLink arbiter and DRAM, and every core, its SRAM-arrival condition,
-// and its DMA engine are owned by their chip's shard. The partition
-// never changes the simulated schedule - events execute in the same
-// canonical (time, tag, shard, seq) order, so Metrics are bit-identical
-// for every value; it only decides which heap holds each event and which
-// transfers post across shards. Single-chip maps always keep everything
-// on shard 0.
-func NewChipMapShards(eng *sim.Engine, amap *mem.Map, shardCount int) *Chip {
 	n := amap.NumCores()
 	rows, cols := amap.Rows, amap.Cols
 	fab := &dma.Fabric{
@@ -61,33 +43,12 @@ func NewChipMapShards(eng *sim.Engine, amap *mem.Map, shardCount int) *Chip {
 		SRAMs:     mem.NewSRAMs(n),
 		DRAM:      mem.NewDRAM(),
 	}
-	gridRows, gridCols := amap.ChipGrid()
-	nChips := gridRows * gridCols
-	if shardCount <= 0 || shardCount > nChips {
-		shardCount = nChips
-	}
-	if nChips > 1 && shardCount > 1 {
-		base := eng.NumShards()
-		eng.AddShards(shardCount)
-		// Chips are grouped contiguously: chip i runs on shard
-		// base + i*shardCount/nChips, which is one chip per shard when
-		// shardCount == nChips.
-		shards := make([]*sim.Shard, nChips)
-		for i := range shards {
-			shards[i] = eng.Shard(base + i*shardCount/nChips)
-		}
-		fab.ShardOf = make([]*sim.Shard, n)
-		for i := 0; i < n; i++ {
-			fab.ShardOf[i] = shards[fab.Mesh.ChipOf(i)]
-		}
-		fab.Mesh.AttachShards(shards)
-	}
 	ch := &Chip{eng: eng, fab: fab}
 	fab.Notify = ch.notifyWrite
 	ch.arrival = make([]*sim.Cond, n)
 	ch.cores = make([]*Core, n)
 	for i := 0; i < n; i++ {
-		ch.arrival[i] = sim.NewCondIdxOn(fab.CoreShard(i), "arrival:core", i)
+		ch.arrival[i] = sim.NewCondIdx(eng, "arrival:core", i)
 		ch.cores[i] = newCore(ch, i)
 	}
 	return ch
@@ -143,8 +104,7 @@ func (ch *Chip) Launch(i int, name string, kernel func(*Core)) *sim.Proc {
 	if c.proc != nil && !c.proc.Finished() {
 		panic(fmt.Sprintf("ecore: core %d launched while already running", i))
 	}
-	sys := ch.eng.Sys()
-	p := sys.SpawnOn(c.sh, sys.Now(), name, func(p *sim.Proc) {
+	p := ch.eng.Spawn(name, func(p *sim.Proc) {
 		c.proc = p
 		defer func() { c.proc = nil }()
 		kernel(c)

@@ -19,7 +19,6 @@ const PollDetectCost = 2 * sim.Cycle
 type Core struct {
 	chip   *Chip
 	idx    int
-	sh     *sim.Shard // the shard owning this core's chip
 	sram   *mem.SRAM
 	dma    *dma.Engine
 	proc   *sim.Proc
@@ -40,7 +39,6 @@ func newCore(ch *Chip, idx int) *Core {
 	return &Core{
 		chip:   ch,
 		idx:    idx,
-		sh:     ch.fab.CoreShard(idx),
 		sram:   ch.fab.SRAMs[idx],
 		dma:    dma.NewEngine(ch.fab, idx),
 		layout: mem.NewLayout(),
@@ -137,13 +135,13 @@ func (c *Core) StoreGlobal32(a mem.Addr, v uint32) {
 		c.sram.Store32(tgt.Off, v)
 		c.chip.notifyWrite(c.idx)
 	case mem.KindCore:
-		fab.Write(c.sh, c.idx, tgt.Core, 4, 0, func() {
+		fab.Write(c.idx, tgt.Core, 4, 0, func() {
 			fab.SRAMs[tgt.Core].Store32(tgt.Off, v)
 			c.chip.notifyWrite(tgt.Core)
 		})
 	case mem.KindDRAM:
 		// The DRAM store lands at eLink completion.
-		fab.WriteDRAM(c.sh, c.idx, 4, func() { fab.DRAM.Store32(tgt.Off, v) })
+		fab.ELink.Submit(c.idx, 4, func() { fab.DRAM.Store32(tgt.Off, v) })
 	default:
 		panic(fmt.Sprintf("ecore: store to unmapped address %#x", a))
 	}
@@ -167,13 +165,13 @@ func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 		c.chip.notifyWrite(c.idx)
 	case mem.KindCore:
 		data := append([]byte(nil), c.sram.View(srcOff, n)...)
-		fab.Write(c.sh, c.idx, tgt.Core, n, cpuDone, func() {
+		fab.Write(c.idx, tgt.Core, n, cpuDone, func() {
 			copy(fab.SRAMs[tgt.Core].Bytes(tgt.Off, n), data)
 			c.chip.notifyWrite(tgt.Core)
 		})
 	case mem.KindDRAM:
 		data := append([]byte(nil), c.sram.View(srcOff, n)...)
-		fab.WriteDRAM(c.sh, c.idx, n, func() { fab.DRAM.Write(tgt.Off, data) })
+		fab.ELink.Submit(c.idx, n, func() { fab.DRAM.Write(tgt.Off, data) })
 	default:
 		panic(fmt.Sprintf("ecore: copy to unmapped address %#x", dst))
 	}
@@ -192,11 +190,11 @@ func (c *Core) BlockWriteDRAM(dramOff mem.Addr, srcOff mem.Addr, n int) {
 	p := c.Proc()
 	fab := c.chip.fab
 	if c.blocked == nil {
-		c.blocked = sim.NewCondIdxOn(c.sh, "dram-block:core", c.idx)
+		c.blocked = sim.NewCondIdx(c.chip.eng, "dram-block:core", c.idx)
 	}
-	fab.WriteDRAM(c.sh, c.idx, n, func() {
+	fab.ELink.Submit(c.idx, n, func() {
 		fab.DRAM.Write(dramOff, c.sram.View(srcOff, n))
-		fab.Wake(c.blocked)
+		c.blocked.Broadcast()
 	})
 	p.WaitCond(c.blocked)
 }

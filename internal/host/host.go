@@ -9,8 +9,6 @@
 package host
 
 import (
-	"slices"
-
 	"epiphany/internal/ecore"
 	"epiphany/internal/mem"
 	"epiphany/internal/noc"
@@ -87,24 +85,11 @@ func (hp *Proc) Now() sim.Time { return hp.p.Now() }
 func (hp *Proc) Chip() *ecore.Chip { return hp.h.chip }
 
 // WriteCore copies data into core's SRAM at off through the eLink
-// (e_write), blocking for the transfer time. On a sharded board the
-// deposit and the arrival notification run in the core's shard, as an
-// event at the completion time; the host still resumes at that same
-// time, and the deposit is canonically ordered before anything the host
-// does next.
+// (e_write), blocking for the transfer time.
 func (hp *Proc) WriteCore(core int, off mem.Addr, data []byte) {
 	_, end := hp.h.down.Use(hp.p.Now(), sim.Time(len(data))*DownBytePeriod)
-	fab := hp.h.chip.Fabric()
-	sh := fab.CoreShard(core)
-	if sh != hp.p.Shard() {
-		hp.p.Shard().Send(sh, end, func() {
-			copy(fab.SRAMs[core].Bytes(off, len(data)), data)
-			fab.Notify(core)
-		})
-		hp.p.WaitUntil(end)
-		return
-	}
 	hp.p.WaitUntil(end)
+	fab := hp.h.chip.Fabric()
 	copy(fab.SRAMs[core].Bytes(off, len(data)), data)
 	fab.Notify(core)
 }
@@ -117,23 +102,12 @@ func (hp *Proc) ReadCore(core int, off mem.Addr, n int) []byte {
 }
 
 // WriteCoreF32 writes a float slice into core SRAM, as WriteCore does
-// with the values' little-endian bytes. On the host's own shard the
-// floats are encoded straight into the scratchpad; a deposit on another
-// shard carries its own copy of them.
+// with the values' little-endian bytes, encoded straight into the
+// scratchpad.
 func (hp *Proc) WriteCoreF32(core int, off mem.Addr, vals []float32) {
 	_, end := hp.h.down.Use(hp.p.Now(), sim.Time(4*len(vals))*DownBytePeriod)
-	fab := hp.h.chip.Fabric()
-	sh := fab.CoreShard(core)
-	if sh != hp.p.Shard() {
-		vals = slices.Clone(vals)
-		hp.p.Shard().Send(sh, end, func() {
-			fab.SRAMs[core].StoreF32s(off, vals)
-			fab.Notify(core)
-		})
-		hp.p.WaitUntil(end)
-		return
-	}
 	hp.p.WaitUntil(end)
+	fab := hp.h.chip.Fabric()
 	fab.SRAMs[core].StoreF32s(off, vals)
 	fab.Notify(core)
 }

@@ -180,9 +180,9 @@ func TestWriteCoreNotifiesPollers(t *testing.T) {
 	_ = mem.Addr(0)
 }
 
-// TestF32StagingAllocatesOnlyResults: on the host's own shard the float
-// staging calls encode and decode in place - the writes allocate
-// nothing, the reads only the slice they return.
+// TestF32StagingAllocatesOnlyResults: the float staging calls encode
+// and decode in place - the writes allocate nothing, the reads only the
+// slice they return.
 func TestF32StagingAllocatesOnlyResults(t *testing.T) {
 	vals := make([]float32, 256)
 	_, h := newHost()

@@ -30,11 +30,7 @@ import (
 // discussion, including the respect in which the paper's own Tables II
 // and III disagree with each other.
 type ELink struct {
-	// sh is the shard the arbiter lives on (the engine's sys shard):
-	// every tag computation, queue operation, and completion callback
-	// executes there. Submit must be called there too; cores on other
-	// shards reach it through the dma.Fabric router.
-	sh     *sim.Shard
+	eng    *sim.Engine
 	rows   int
 	cols   int
 	weight []float64
@@ -54,7 +50,7 @@ type elinkReq struct {
 	start float64 // virtual start tag
 	tag   float64 // virtual finish tag
 	seq   uint64
-	fn    func() // completion callback, run on the arbiter's shard
+	fn    func() // completion callback
 }
 
 type reqHeap []*elinkReq
@@ -87,7 +83,7 @@ func (h *reqHeap) Pop() interface{} {
 func NewELink(eng *sim.Engine, rows, cols int) *ELink {
 	n := rows * cols
 	e := &ELink{
-		sh:       eng.Sys(),
+		eng:      eng,
 		rows:     rows,
 		cols:     cols,
 		weight:   make([]float64, n),
@@ -159,8 +155,7 @@ func (e *ELink) SetUniformWeights() {
 
 // Submit books n bytes for core on the link and runs fn when the
 // transfer completes. Concurrent writers are served
-// WFQ-fashion at the 150 MB/s effective rate. It must be called on the
-// arbiter's shard (the engine's sys shard), where fn runs too.
+// WFQ-fashion at the 150 MB/s effective rate.
 func (e *ELink) Submit(core, n int, fn func()) {
 	w := e.weight[core]
 	// Start-time fair queueing: a flow's next request starts at its own
@@ -193,7 +188,7 @@ func (e *ELink) serveNext() {
 	req := heap.Pop(&e.pending).(*elinkReq)
 	e.virtual = req.start
 	dur := sim.Time(req.bytes) * ELinkBytePeriod
-	e.sh.After(dur, func() {
+	e.eng.After(dur, func() {
 		e.served[req.core]++
 		e.svcBytes[req.core] += uint64(req.bytes)
 		req.fn()

@@ -83,10 +83,6 @@ type Mesh struct {
 	gridRows, gridCols int
 	// cnt holds the delivery statistics for the whole board.
 	cnt meshCnt
-	// shards maps chip index -> owning shard once AttachShards wires a
-	// multi-chip board to a sharded engine; nil on single-chip boards
-	// and unsharded engines, where Deliver handles every route inline.
-	shards []*sim.Shard
 	// rec, when non-nil, observes eLink crossings for timeline export;
 	// attached per run via SetRecorder and cleared by Reset.
 	rec Recorder
@@ -246,21 +242,6 @@ func (m *Mesh) ChipOf(core int) int {
 	return m.chipAt(r, c)
 }
 
-// AttachShards wires a multi-chip mesh to a sharded engine: shards[i]
-// is the shard owning chip i. Once attached, routes that cross a chip
-// boundary must go through DeliverSys (Deliver panics on them; the
-// dma.Fabric router takes such routes to sys): chip shards book only
-// their own chip's links inline, and cross-chip walks run on the sys
-// shard, which may book any chip's links. The engine executes every
-// shard's events in one canonical key order, so bookings land in the
-// same order, at the same virtual times, as on the unsharded engine.
-func (m *Mesh) AttachShards(shards []*sim.Shard) {
-	if chips := m.gridRows * m.gridCols; len(shards) != chips {
-		panic(fmt.Sprintf("noc: AttachShards with %d shards for %d chips", len(shards), chips))
-	}
-	m.shards = shards
-}
-
 // CrossChip reports whether cores a and b sit on different chips (a
 // route between them crosses a chip-to-chip eLink). It is false on
 // every single-chip board without computing chip indices.
@@ -289,15 +270,6 @@ func (m *Mesh) CrossChip(a, b int) bool {
 // The XY route (X leg first, then Y) is walked inline over the flat
 // slot arrays; a call performs no allocations.
 func (m *Mesh) Deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
-	if m.shards != nil && m.ChipOf(src) != m.ChipOf(dst) {
-		panic("noc: Deliver across chips on a shard-attached mesh (use DeliverSys)")
-	}
-	return m.deliver(t, src, dst, n)
-}
-
-// deliver is the walk shared by Deliver (same-chip routes, any context)
-// and DeliverSys (any route, sys context only).
-func (m *Mesh) deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
 	m.cnt.writes++
 	m.cnt.bytes += uint64(n)
 	if src == dst || n == 0 {
@@ -329,18 +301,6 @@ func (m *Mesh) deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
 		return cur
 	}
 	return cur + ser
-}
-
-// DeliverSys is the cross-chip form of Deliver on a shard-attached
-// mesh: the same walk, booking, statistics, and arrival time, callable
-// only from the sys shard's execution context, where booking other
-// chips' links lands in canonical event order. The whole walk happens
-// at the issue time, as on the unsharded engine, which is what keeps sharded metrics
-// bit-identical to the classic ones: a segmented chip-by-chip walk
-// would book contended slots at later virtual times and redistribute
-// queueing delays.
-func (m *Mesh) DeliverSys(t sim.Time, src, dst, n int) (arrive sim.Time) {
-	return m.deliver(t, src, dst, n)
 }
 
 // Crossings returns how many chip-boundary eLink hops Deliver has routed
@@ -426,8 +386,7 @@ func (m *Mesh) ReadWord(t sim.Time, src, dst int) (done sim.Time) {
 	return t + cost
 }
 
-// Writes returns the number of delivery bookings (Deliver and
-// DeliverSys calls).
+// Writes returns the number of delivery bookings (Deliver calls).
 func (m *Mesh) Writes() uint64 {
 	return m.cnt.writes
 }

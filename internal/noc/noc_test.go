@@ -376,7 +376,7 @@ func TestELinkSingleWriterGetsFullRate(t *testing.T) {
 }
 
 // TestELinkSubmitCallback: Submit returns at once and runs its
-// callback on the arbiter's shard when the link has carried the bytes.
+// callback when the link has carried the bytes.
 func TestELinkSubmitCallback(t *testing.T) {
 	eng := sim.NewEngine()
 	el := NewELink(eng, 8, 8)

@@ -28,7 +28,7 @@
 //
 // Every topology in a request body - a job's "topo", a sweep's "topos"
 // and "baseline" - is a topology-grammar string (system.ParseTopologySpec:
-// "e64", "grid=4x4/chip=8x8", "cluster-2x2/c2c=40:600/shards=1"), the
+// "e64", "grid=4x4/chip=8x8", "cluster-2x2/c2c=40:600"), the
 // same spelling the CLIs take; the daemon canonicalizes it before
 // hashing, so alternate spellings of one board share cache entries.
 //
@@ -83,8 +83,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// SimWorkers is accepted and ignored.
 	//
-	// Deprecated: every board runs its shards as one sequential merge;
-	// Workers is the service's only simulation parallelism.
+	// Deprecated: every board runs on one event heap; Workers is the
+	// service's only simulation parallelism.
 	SimWorkers int
 	// Logger, when non-nil, receives one structured access-log line per
 	// request: method, matched route, status, stage durations, and the
@@ -183,8 +183,7 @@ type JobSpec struct {
 	// Topo is a topology-grammar spelling (system.ParseTopologySpec):
 	// a preset ("e64"), an ad-hoc mesh ("4x8"), a parameterized chip
 	// grid ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), any with an
-	// optional "/c2c=BYTE:HOP" override and then an optional
-	// "/shards=N" engine partition. Empty means e64, the library
+	// optional "/c2c=BYTE:HOP" override. Empty means e64, the library
 	// default.
 	Topo string `json:"topo,omitempty"`
 	// Power and DVFS select the energy axis (power-model preset and
@@ -728,7 +727,7 @@ func (s *Server) handleTopologies(w http.ResponseWriter, _ *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
 		"topologies": infos,
-		"note":       `the full topology grammar is accepted wherever a preset is: ad-hoc meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), c2c overrides ("cluster-2x2/c2c=40:600") and engine partitions ("cluster-2x2/shards=1")`,
+		"note":       `the full topology grammar is accepted wherever a preset is: ad-hoc meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), and c2c overrides ("cluster-2x2/c2c=40:600"); the removed "/shards=N" engine partition is refused`,
 	})
 }
 

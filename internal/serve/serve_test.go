@@ -143,6 +143,8 @@ func TestJobBadRequests(t *testing.T) {
 		{"unknown workload key", JobSpec{Workload: "stencil-tuned/rws=20"}, `did you mean \"rows\"`},
 		{"malformed workload key", JobSpec{Workload: "stencil-tuned/group=8"}, "ROWSxCOLS"},
 		{"unknown topology", JobSpec{Workload: "stencil-tuned", Topo: "e63"}, "unknown topology"},
+		{"removed shards suffix", JobSpec{Workload: "stencil-tuned", Topo: "cluster-2x2/shards=1"},
+			"the /shards= engine partition was removed; every board runs one event heap"},
 		{"unknown power model", JobSpec{Workload: "stencil-tuned", Power: "epiphany-iv-28mn"}, "did you mean"},
 		{"dvfs without power", JobSpec{Workload: "stencil-tuned", DVFS: "600@1.0"}, "power model"},
 	}
@@ -621,20 +623,20 @@ func TestJobWorkloadSpecs(t *testing.T) {
 }
 
 // TestSweepSpecAxis: sweep plans spell every axis value as a topology
-// grammar string - c2c overrides and engine partitions included - and
+// grammar string - c2c overrides included - and
 // the response carries the canonical spellings; the object form of an
 // axis value and a near-miss spelling both 400, the latter with a
 // suggestion.
 func TestSweepSpecAxis(t *testing.T) {
 	s := newTestServer(t, Config{})
 	w := do(t, s, "POST", "/v1/sweeps",
-		`{"workloads":["stencil-tuned"],"topos":["e16","grid=+2x2/chip=4x4","cluster-2x2/c2c=40:600/shards=1"]}`)
+		`{"workloads":["stencil-tuned"],"topos":["e16","grid=+2x2/chip=4x4","cluster-2x2/c2c=40:600"]}`)
 	wantStatus(t, w, http.StatusOK)
 	var res sweep.Result
 	if err := json.Unmarshal(w.Body.Bytes(), &res); err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"e16", "cluster-2x2/c2c=40:600/shards=1", "grid=2x2/chip=4x4"}
+	want := []string{"e16", "cluster-2x2/c2c=40:600", "grid=2x2/chip=4x4"}
 	if !slices.Equal(res.Plan.Topos, want) {
 		t.Errorf("sweep axis %q, want the canonical spellings %q", res.Plan.Topos, want)
 	}

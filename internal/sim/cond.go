@@ -1,56 +1,35 @@
 package sim
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // Cond is a broadcast-only condition variable for Procs. A Proc calls
 // WaitCond (or Proc-side helpers built on it) to park until another Proc
 // or an engine callback calls Broadcast. Waits are level-triggered only in
 // the sense that the waiter should re-check its predicate after waking, as
 // with sync.Cond.
-//
-// A Cond is owned by one shard: only Procs of that shard may wait on it
-// and only that shard's execution context may broadcast it. Cross-shard
-// signalling posts an event to the owner with Shard.Send, which then
-// broadcasts locally (the dma and noc packages do exactly this).
 type Cond struct {
-	sh      *Shard
+	eng     *Engine
 	name    string
 	idx     int // >= 0: the name is name+idx, formatted lazily
 	waiters []*Proc
 }
 
-// NewCond creates a condition owned by eng's shard 0. The name appears
-// in deadlock diagnostics.
+// NewCond creates a condition on eng. The name appears in deadlock
+// diagnostics.
 func NewCond(eng *Engine, name string) *Cond {
-	return NewCondOn(eng.shards[0], name)
+	return &Cond{eng: eng, name: name, idx: -1}
 }
 
-// NewCondOn creates a condition owned by sh.
-func NewCondOn(sh *Shard, name string) *Cond {
-	return &Cond{sh: sh, name: name, idx: -1}
-}
-
-// NewCondIdx creates a condition named prefix+idx on eng's shard 0. The
-// name is formatted only when diagnostics ask for it, so construction-
-// heavy callers (one condition per core, per DMA channel, per eLink
-// request) stay allocation-lean on the hot path.
+// NewCondIdx creates a condition named prefix+idx on eng. The name is
+// formatted only when diagnostics ask for it, so construction-heavy
+// callers (one condition per core, per DMA channel, per eLink request)
+// stay allocation-lean on the hot path.
 func NewCondIdx(eng *Engine, prefix string, idx int) *Cond {
-	return NewCondIdxOn(eng.shards[0], prefix, idx)
-}
-
-// NewCondIdxOn is NewCondIdx with an explicit owning shard.
-func NewCondIdxOn(sh *Shard, prefix string, idx int) *Cond {
 	if idx < 0 {
 		panic("sim: NewCondIdx with negative index")
 	}
-	return &Cond{sh: sh, name: prefix, idx: idx}
+	return &Cond{eng: eng, name: prefix, idx: idx}
 }
-
-// Shard returns the owning shard.
-func (c *Cond) Shard() *Shard { return c.sh }
 
 // Name returns the diagnostic name.
 func (c *Cond) Name() string {
@@ -62,12 +41,7 @@ func (c *Cond) Name() string {
 
 // WaitCond parks the Proc until c is broadcast. The Proc resumes at the
 // virtual time of the broadcast (plus any delay the broadcaster added).
-// The Cond must be owned by the Proc's shard.
 func (p *Proc) WaitCond(c *Cond) {
-	if c.sh != p.sh {
-		panic(fmt.Sprintf("sim: proc %q (shard %d) waiting on cond %q owned by shard %d; cross-shard waits are not supported",
-			p.name, p.sh.id, c.Name(), c.sh.id))
-	}
 	c.waiters = append(c.waiters, p)
 	p.block(c)
 }
@@ -77,10 +51,9 @@ func (c *Cond) Broadcast() { c.BroadcastAfter(0) }
 
 // BroadcastAfter wakes every waiter d after the current virtual time,
 // modelling a propagation delay between the signalling event and the
-// observer noticing it. It must run in the owning shard's execution
-// context.
+// observer noticing it.
 func (c *Cond) BroadcastAfter(d Time) {
-	t := c.sh.now + d
+	t := c.eng.now + d
 	for _, p := range c.waiters {
 		p.unblock(t)
 	}

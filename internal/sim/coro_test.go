@@ -43,16 +43,14 @@ func TestWaitOutsideBodyPanics(t *testing.T) {
 }
 
 // TestEventHeapOrderProperty checks the typed heap against a sort: with
-// interleaved pushes and pops over equal times, the untagged and core
-// tags and several sender shards, every pop returns the least key still
-// queued.
+// interleaved pushes and pops over equal times, every pop returns the
+// least (time, seq) key still queued.
 func TestEventHeapOrderProperty(t *testing.T) {
-	tags := []int32{untagged, 0, 1, 7, 63}
 	for seed := int64(1); seed <= 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var h eventHeap
 		var ref []key
-		seqs := make([]uint64, 4)
+		var seq uint64
 		pop := func() {
 			sort.Slice(ref, func(i, j int) bool { return ref[i].less(ref[j]) })
 			ev := h.pop()
@@ -67,14 +65,8 @@ func TestEventHeapOrderProperty(t *testing.T) {
 				pop()
 				continue
 			}
-			sid := rng.Intn(len(seqs))
-			ev := event{
-				t:   Time(rng.Intn(4)),
-				tag: tags[rng.Intn(len(tags))],
-				sid: int32(sid),
-				seq: seqs[sid],
-			}
-			seqs[sid]++
+			ev := event{t: Time(rng.Intn(4)), seq: seq}
+			seq++
 			h.push(ev)
 			ref = append(ref, ev.key())
 		}
@@ -87,18 +79,6 @@ func TestEventHeapOrderProperty(t *testing.T) {
 	}
 }
 
-// ticker spawns a proc on sh that waits n times in steps of 10 and
-// records its clock at the end.
-func ticker(sh *Shard, n int, end *Time) {
-	body := func(p *Proc) {
-		for range n {
-			p.Wait(10)
-		}
-		*end = p.Now()
-	}
-	sh.Engine().Sys().SpawnOn(sh, 0, fmt.Sprintf("tick%d", sh.ID()), body)
-}
-
 // runOn runs f on a fresh goroutine and waits for its result.
 func runOn(f func() error) error {
 	done := make(chan error)
@@ -108,25 +88,30 @@ func runOn(f func() error) error {
 
 // TestResumeAcrossGoroutines parks procs in RunUntil on one goroutine
 // and finishes them with Run on another: a coroutine may be resumed
-// from a different goroutine than the one that started it, on the
-// single heap and on every shard of a sharded engine.
+// from a different goroutine than the one that started it, alone or
+// interleaved with other procs.
 func TestResumeAcrossGoroutines(t *testing.T) {
 	for _, c := range []struct {
 		name  string
-		chips int
-	}{{"single", 0}, {"4-shard", 3}} {
+		procs int
+	}{{"single", 1}, {"four-procs", 4}} {
 		t.Run(c.name, func(t *testing.T) {
-			e := newSharded(c.chips)
-			ends := make([]Time, e.NumShards())
+			e := NewEngine()
+			ends := make([]Time, c.procs)
 			for i := range ends {
-				ticker(e.Shard(i), 10, &ends[i])
+				e.Spawn(fmt.Sprintf("tick%d", i), func(p *Proc) {
+					for range 10 {
+						p.Wait(10)
+					}
+					ends[i] = p.Now()
+				})
 			}
 			if err := runOn(func() error { return e.RunUntil(35) }); err != nil {
 				t.Fatal(err)
 			}
 			for i, end := range ends {
 				if end != 0 {
-					t.Fatalf("shard %d proc finished inside RunUntil at %v", i, end)
+					t.Fatalf("proc %d finished inside RunUntil at %v", i, end)
 				}
 			}
 			if err := runOn(e.Run); err != nil {
@@ -134,34 +119,10 @@ func TestResumeAcrossGoroutines(t *testing.T) {
 			}
 			for i, end := range ends {
 				if end != 100 {
-					t.Fatalf("shard %d proc ended at %v, want 100", i, end)
+					t.Fatalf("proc %d ended at %v, want 100", i, end)
 				}
 			}
 		})
-	}
-}
-
-// TestPanicOnChipShard checks that a proc panicking on any chip shard
-// of a sharded engine surfaces as Run's error instead of crashing the
-// process, and stops the merge: no later event runs.
-func TestPanicOnChipShard(t *testing.T) {
-	for chip := 1; chip <= 3; chip++ {
-		e := newSharded(3)
-		late := false
-		e.Shard(chip%3+1).At(5, func() { late = true })
-		e.At(0, func() {
-			e.Sys().SpawnOn(e.Shard(chip), 0, "boom", func(p *Proc) {
-				p.Wait(1)
-				panic("kaboom")
-			})
-		})
-		err := e.Run()
-		if err == nil || !strings.Contains(err.Error(), `proc "boom" panicked`) || !strings.Contains(err.Error(), "kaboom") {
-			t.Fatalf("chip shard %d: err = %v, want the proc's panic", chip, err)
-		}
-		if late {
-			t.Errorf("chip shard %d: an event after the panic still ran", chip)
-		}
 	}
 }
 

@@ -14,22 +14,34 @@ const (
 	evCall                    // run a callback inline in the engine
 )
 
-// event is one scheduled occurrence, keyed by (t, tag, sid, seq) - the
-// arbitration tag plus the sender shard's id and sequence number, a
-// schedule-independent total order (see key). The kind byte sits at
-// the end so an event packs into 48 bytes: the heap moves events by
-// value.
+// event is one scheduled occurrence, keyed by (t, seq): its virtual
+// time, then the engine's scheduling sequence number, so events at the
+// same time run in creation order. The kind byte sits at the end so an
+// event packs into 40 bytes: the heap moves events by value.
 type event struct {
 	t    Time
-	tag  int32
-	sid  int32
 	seq  uint64
 	proc *Proc
 	fn   func()
 	kind eventKind
 }
 
-func (ev *event) key() key { return key{t: ev.t, tag: ev.tag, sid: ev.sid, seq: ev.seq} }
+// key is the deterministic total order over events: virtual time first,
+// then creation order. Both parts are a pure function of the simulated
+// program, so the same board runs the same schedule on every run.
+type key struct {
+	t   Time
+	seq uint64
+}
+
+func (k key) less(o key) bool {
+	if k.t != o.t {
+		return k.t < o.t
+	}
+	return k.seq < o.seq
+}
+
+func (ev *event) key() key { return key{t: ev.t, seq: ev.seq} }
 
 // eventHeap is a binary min-heap of events by key. It stores values, so
 // scheduling allocates nothing once the backing array has grown. Both
@@ -82,105 +94,112 @@ func (h *eventHeap) pop() event {
 	return top
 }
 
-// Engine is a deterministic discrete-event simulator, partitioned into
-// one or more shards (see Shard). A single-shard engine is the classic
-// one-heap engine; a multi-shard engine (one shard per chip of a board,
-// plus the sys shard) executes the canonical event order - the total
-// order over (time, tag, shard, seq) keys - as a plain merge of the
-// per-shard heaps on the calling goroutine. The metrics of a run are
-// bit-identical for every shard partition, because the executed
-// schedule is the same canonical order. Host parallelism lives one
-// level up: Runner executes whole jobs concurrently, one engine each.
+// Engine is a deterministic discrete-event simulator: one event heap,
+// executed in (time, seq) order on the calling goroutine. A whole
+// board, however many chips it has, runs on one engine. Host
+// parallelism lives one level up: Runner executes whole jobs
+// concurrently, one engine each.
 //
 // Procs run as coroutines, and the engine executes at most one of them
 // at a time, always in key order, so simulations are fully
 // reproducible. The zero value is not usable; create engines with
 // NewEngine.
 type Engine struct {
-	shards []*Shard
+	heap    eventHeap
+	now     Time
+	seq     uint64
+	procs   []*Proc
+	blocked int // procs waiting on a Cond (not in the heap)
 
-	// midRun is set for the duration of Run; it arms the shard
-	// ownership assertions.
-	midRun bool
+	// curProc is the proc of the event being dispatched (nil for
+	// callback events); it backs Proc.mustBeRunning.
+	curProc *Proc
 
 	err     error // the first failure (a proc panic); ends the run
 	stopped bool  // Stop was called: blocked procs are not a deadlock
+
+	// Scheduler counters, snapshotted by Stats. Each is a single
+	// increment on a path that already does real work, so they are
+	// unconditionally on; read between runs.
+	nEvents  uint64
+	heapPeak int
 }
 
-// NewEngine returns an empty single-shard engine at virtual time zero.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.shards = []*Shard{{eng: e, id: 0}}
-	return e
+// NewEngine returns an empty engine at virtual time zero.
+func NewEngine() *Engine { return &Engine{} }
+
+// AddShards does nothing: every engine is one event heap.
+//
+// Deprecated: the shard partition was removed; the benchmark catch-up
+// deletes this shim.
+func (e *Engine) AddShards(int) {}
+
+// Shard returns e.
+//
+// Deprecated: the shard partition was removed; the benchmark catch-up
+// deletes this shim.
+func (e *Engine) Shard(int) *Engine { return e }
+
+// Send schedules fn on to at time t; it is to.At(t, fn).
+//
+// Deprecated: the shard partition was removed; the benchmark catch-up
+// deletes this shim.
+func (e *Engine) Send(to *Engine, t Time, fn func()) { to.At(t, fn) }
+
+// Now returns the current virtual time: the time of the event being
+// processed, or after a run the time of the last one.
+func (e *Engine) Now() Time { return e.now }
+
+// schedule enqueues an event, stamping it with the next sequence
+// number.
+func (e *Engine) schedule(ev event) {
+	ev.seq = e.seq
+	e.seq++
+	e.heap.push(ev)
+	if n := len(e.heap); n > e.heapPeak {
+		e.heapPeak = n
+	}
 }
 
-// AddShards grows the engine by n shards (one per chip of a multi-chip
-// board; shard 0 remains the sys shard). It must be called while the
-// engine is empty - before any event is scheduled or proc spawned - so
-// every event ever created carries a stable shard id.
-func (e *Engine) AddShards(n int) {
-	if e.midRun {
-		panic("sim: AddShards during Run")
+// At schedules fn to run inline at absolute time t (or at the current
+// time if t is in the past). Useful for timers and completions.
+func (e *Engine) At(t Time, fn func()) {
+	if t < e.now {
+		t = e.now
 	}
-	for _, s := range e.shards {
-		if len(s.heap) != 0 || len(s.procs) != 0 || s.seq != 0 {
-			panic("sim: AddShards on an engine that already scheduled events")
-		}
-	}
-	for i := 0; i < n; i++ {
-		e.shards = append(e.shards, &Shard{eng: e, id: int32(len(e.shards))})
-	}
+	e.schedule(event{t: t, kind: evCall, fn: fn})
 }
 
-// NumShards returns the number of shards (1 = classic sequential
-// engine).
-func (e *Engine) NumShards() int { return len(e.shards) }
+// After schedules fn to run d after the current virtual time.
+func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
-// Shard returns shard i. Shard 0 always exists.
-func (e *Engine) Shard(i int) *Shard { return e.shards[i] }
-
-// Sys returns shard 0, the shard owning board-global state (host,
-// eLink arbiter, DRAM) - and, on a single-chip board, everything.
-func (e *Engine) Sys() *Shard { return e.shards[0] }
-
-// Now returns the current virtual time: on a single-shard engine the
-// time of the event being processed, on a sharded one the maximum shard
-// time (the board's completion time after a run). Shard code should use
-// Shard.Now or Proc.Now, which are exact in every layout.
-func (e *Engine) Now() Time {
-	if len(e.shards) == 1 {
-		return e.shards[0].now
-	}
-	var t Time
-	for _, s := range e.shards {
-		if s.now > t {
-			t = s.now
-		}
-	}
-	return t
-}
-
-// At schedules fn on shard 0 at absolute time t (or at the current time
-// if t is in the past). Useful for timers and completions.
-func (e *Engine) At(t Time, fn func()) { e.shards[0].At(t, fn) }
-
-// After schedules fn on shard 0, d after shard 0's current time.
-func (e *Engine) After(d Time, fn func()) { e.shards[0].After(d, fn) }
-
-// Spawn creates a process named name running fn on shard 0 and
-// schedules it to start at the current virtual time. It may be called
-// before Run or from inside a running Proc or callback.
+// Spawn creates a process named name running fn and schedules it to
+// start at the current virtual time. It may be called before Run or
+// from inside a running Proc or callback.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
-	return e.shards[0].Spawn(name, fn)
+	return e.SpawnAt(e.now, name, fn)
 }
 
 // SpawnAt is Spawn with an explicit absolute start time.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
-	return e.shards[0].SpawnAt(t, name, fn)
+	if t < e.now {
+		t = e.now
+	}
+	p := &Proc{
+		eng:   e,
+		id:    len(e.procs),
+		name:  name,
+		fn:    fn,
+		state: stateNew,
+		done:  NewCond(e, "done:"+name),
+	}
+	e.procs = append(e.procs, p)
+	e.schedule(event{t: t, kind: evStart, proc: p})
+	return p
 }
 
-// Run processes events until every shard's queue drains. It returns an
-// error if a Proc panicked or if runnable work remains blocked forever
+// Run processes events until the queue drains. It returns an error if
+// a Proc panicked or if runnable work remains blocked forever
 // (deadlock: procs waiting on conditions nobody will signal).
 func (e *Engine) Run() error {
 	return e.RunUntil(^Time(0))
@@ -188,70 +207,73 @@ func (e *Engine) Run() error {
 
 // RunUntil is Run but stops (without error) once virtual time would
 // exceed limit. Events at exactly limit are still processed.
-//
-// It merges the shard heaps in global key order: each step dispatches
-// the minimum-keyed event across all shards. A single-shard engine is
-// the one-heap case of the same merge.
 func (e *Engine) RunUntil(limit Time) error {
-	e.midRun = true
-	defer func() { e.midRun = false }()
 	for e.err == nil {
-		var next *Shard
-		var best key
-		for _, s := range e.shards {
-			if len(s.heap) == 0 {
-				continue
-			}
-			if k := s.heap[0].key(); next == nil || k.less(best) {
-				next, best = s, k
-			}
-		}
-		if next == nil {
-			if e.totalBlocked() > 0 && !e.stopped {
+		if len(e.heap) == 0 {
+			if e.blocked > 0 && !e.stopped {
 				return e.deadlockError()
 			}
-			return e.err
+			return nil
 		}
-		if best.t > limit {
-			return e.err
+		if e.heap[0].t > limit {
+			return nil
 		}
-		next.dispatch(next.heap.pop())
+		e.dispatch(e.heap.pop())
 	}
 	return e.err
 }
 
-func (e *Engine) totalBlocked() int {
-	n := 0
-	for _, s := range e.shards {
-		n += s.blocked
+// dispatch runs one event. A proc event switches to the proc's
+// coroutine, which runs until it parks again.
+func (e *Engine) dispatch(ev event) {
+	e.nEvents++
+	e.now = ev.t
+	e.curProc = ev.proc
+	switch ev.kind {
+	case evCall:
+		ev.fn()
+	case evStart:
+		ev.proc.start()
+	case evResume:
+		p := ev.proc
+		if p.state == stateDone {
+			break // stale wake-up after proc ended
+		}
+		p.state = stateRunning
+		p.now = ev.t
+		p.next()
 	}
-	return n
+	e.curProc = nil
 }
 
 // Stop suppresses the deadlock check when the run winds down: after
-// Stop, Procs still blocked on conditions when the queues drain do not
+// Stop, Procs still blocked on conditions when the queue drains do not
 // count as a deadlock. (Used with RunUntil for fixed-window
 // experiments.)
 func (e *Engine) Stop() { e.stopped = true }
 
 // Reset returns a drained engine to its initial state - virtual time
-// zero, no events, no procs, fresh sequence numbers on every shard -
-// so the structures built around it (and their goroutine-free event
-// state) can be recycled instead of reconstructed. The shard layout is
-// a board property and survives. It
-// refuses engines that are not quiescent: pending events, procs parked
-// on conditions, or procs that never ran (their goroutines would leak
-// and their wake-ups would corrupt the next simulation). A successful
-// Run leaves the engine quiescent.
+// zero, no events, no procs, fresh sequence numbers - so the structures
+// built around it (and their goroutine-free event state) can be
+// recycled instead of reconstructed. It refuses engines that are not
+// quiescent: pending events, procs parked on conditions, or procs that
+// never ran (their goroutines would leak and their wake-ups would
+// corrupt the next simulation). A successful Run leaves the engine
+// quiescent.
 func (e *Engine) Reset() error {
-	for _, s := range e.shards {
-		if err := s.quiesceErr(); err != nil {
-			return err
+	if len(e.heap) != 0 || e.blocked != 0 {
+		return fmt.Errorf("sim: Reset of non-quiescent engine (%d pending events, %d blocked procs)",
+			len(e.heap), e.blocked)
+	}
+	for _, p := range e.procs {
+		if p.state != stateDone {
+			return fmt.Errorf("sim: Reset with proc %q not finished", p.name)
 		}
 	}
-	for _, s := range e.shards {
-		s.reset()
-	}
+	clear(e.procs)
+	e.procs = e.procs[:0]
+	e.now, e.seq = 0, 0
+	e.nEvents, e.heapPeak = 0, 0
 	e.err = nil
 	e.stopped = false
 	return nil
@@ -264,27 +286,16 @@ func (e *Engine) fail(err error) {
 	}
 }
 
-// deadlockError reports every blocked proc by name and, on a sharded
-// engine, each shard's low-water mark, so a stuck multi-chip run shows
-// which chip stalled where.
+// deadlockError reports every blocked proc by name and the condition
+// it waits on, sorted.
 func (e *Engine) deadlockError() error {
 	var names []string
-	for _, s := range e.shards {
-		for _, p := range s.procs {
-			if p.state == stateBlocked {
-				names = append(names, fmt.Sprintf("%s@%v", p.name, p.blockedOn.Name()))
-			}
+	for _, p := range e.procs {
+		if p.state == stateBlocked {
+			names = append(names, fmt.Sprintf("%s@%v", p.name, p.blockedOn.Name()))
 		}
 	}
 	sort.Strings(names)
-	if len(e.shards) == 1 {
-		return fmt.Errorf("sim: deadlock at t=%v: %d proc(s) blocked forever: %v",
-			e.Now(), e.totalBlocked(), names)
-	}
-	marks := make([]string, len(e.shards))
-	for i, s := range e.shards {
-		marks[i] = fmt.Sprintf("%s@t=%v", shardLabel(s.id), s.now)
-	}
-	return fmt.Errorf("sim: deadlock at t=%v: %d proc(s) blocked forever: %v (shard low-water marks: %v)",
-		e.Now(), e.totalBlocked(), names, marks)
+	return fmt.Errorf("sim: deadlock at t=%v: %d proc(s) blocked forever: %v",
+		e.now, e.blocked, names)
 }

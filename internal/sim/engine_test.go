@@ -3,7 +3,16 @@ package sim
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestEventSize pins the heap entry's layout: the heap moves events by
+// value, so a field added to event costs every push and pop.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 40 {
+		t.Errorf("event is %d bytes, want 40", got)
+	}
+}
 
 func TestTimeUnits(t *testing.T) {
 	if Cycle*600_000_000 != Second {
@@ -192,6 +201,33 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// TestDeadlockReportAndResetRefusal is the engine's deadlock fixture:
+// procs waiting on conditions nobody signals. Run returns the deadlock
+// error naming every blocked proc with its condition, sorted, and
+// Reset refuses the stuck engine.
+func TestDeadlockReportAndResetRefusal(t *testing.T) {
+	e := NewEngine()
+	a, b := NewCond(e, "never-a"), NewCond(e, "never-b")
+	for _, w := range []struct {
+		name string
+		c    *Cond
+	}{{"zeta", a}, {"mid", b}, {"alpha", a}} {
+		e.Spawn(w.name, func(p *Proc) {
+			p.Wait(42 * Nanosecond)
+			p.WaitCond(w.c)
+		})
+	}
+	e.Spawn("done", func(p *Proc) { p.Wait(7) })
+	err := e.Run()
+	const want = "sim: deadlock at t=42ns: 3 proc(s) blocked forever: [alpha@never-a mid@never-b zeta@never-a]"
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	if err := e.Reset(); err == nil {
+		t.Fatal("Reset accepted a deadlocked engine")
+	}
+}
+
 func TestStopSuppressesDeadlock(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e, "never")
@@ -205,15 +241,23 @@ func TestStopSuppressesDeadlock(t *testing.T) {
 	}
 }
 
+// TestPanicPropagates: a proc's panic surfaces as Run's error naming
+// the proc instead of crashing the process, and it ends the run: no
+// later event runs.
 func TestPanicPropagates(t *testing.T) {
 	e := NewEngine()
+	late := false
+	e.At(5, func() { late = true })
 	e.Spawn("boom", func(p *Proc) {
 		p.Wait(1)
 		panic("kaboom")
 	})
 	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), "kaboom") {
+	if err == nil || !strings.Contains(err.Error(), `proc "boom" panicked`) || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("err = %v, want panic propagation", err)
+	}
+	if late {
+		t.Error("an event after the panic still ran")
 	}
 }
 

@@ -17,14 +17,12 @@ const (
 )
 
 // Proc is a simulated process. Its function runs as an iter.Pull
-// coroutine: it still owns a goroutine, but the shard's dispatch loop
+// coroutine: it still owns a goroutine, but the engine's dispatch loop
 // switches to it and back directly, with no hand-off through the Go
-// scheduler. The owning shard runs only one of its Procs at a time, so
-// Procs may freely touch their shard's simulation state without
-// synchronization. State owned by other shards must be reached through
-// Shard.Send.
+// scheduler. The engine runs only one Proc at a time, so Procs may
+// freely touch simulation state without synchronization.
 type Proc struct {
-	sh        *Shard
+	eng       *Engine
 	id        int
 	name      string
 	now       Time
@@ -33,68 +31,52 @@ type Proc struct {
 	yield     func(struct{}) bool     // parks the body; called only from inside it
 	state     procState
 	blockedOn *Cond // the Cond being waited on (deadlock diagnostics)
-	done      *Cond // completion condition, owned by shard 0
-	// doneSys mirrors "the proc finished" into shard 0's timeline: it
-	// is set by a shard-0 event at the completion time, so host-side
-	// code (the only cross-shard reader) observes completion exactly
-	// when the done Cond broadcasts. On a single-shard engine it is
-	// set inline, identical to the classic engine.
-	doneSys bool
+	done      *Cond // completion condition
+	finished  bool  // the function returned
 }
 
 // Engine returns the engine this Proc belongs to.
-func (p *Proc) Engine() *Engine { return p.sh.eng }
-
-// Shard returns the shard this Proc runs on.
-func (p *Proc) Shard() *Shard { return p.sh }
+func (p *Proc) Engine() *Engine { return p.eng }
 
 // Name returns the name given at Spawn time.
 func (p *Proc) Name() string { return p.name }
 
-// ID returns the Proc's spawn index within its shard.
+// ID returns the Proc's spawn index within its engine.
 func (p *Proc) ID() int { return p.id }
 
 // Now returns the Proc's current virtual time.
 func (p *Proc) Now() Time { return p.now }
 
 // start creates the Proc's coroutine and runs its body until it first
-// parks or returns. Shard-side only.
+// parks or returns. Engine-side only.
 func (p *Proc) start() {
 	p.state = stateRunning
-	p.now = p.sh.now
+	p.now = p.eng.now
 	p.next, _ = iter.Pull(p.body)
 	p.next()
 }
 
 // body is the coroutine: it runs fn, turns a panic into the engine's
-// error and announces completion on shard 0's timeline.
+// error and announces completion.
 func (p *Proc) body(yield func(struct{}) bool) {
 	p.yield = yield
 	defer func() {
 		if r := recover(); r != nil {
-			p.sh.eng.fail(fmt.Errorf("sim: proc %q panicked at t=%v: %v\n%s",
+			p.eng.fail(fmt.Errorf("sim: proc %q panicked at t=%v: %v\n%s",
 				p.name, p.now, r, debug.Stack()))
 		}
 		p.state = stateDone
-		sys := p.sh.eng.shards[0]
-		if p.sh == sys {
-			p.doneSys = true
-			p.done.Broadcast()
-		} else {
-			p.sh.Send(sys, p.now, func() {
-				p.doneSys = true
-				p.done.Broadcast()
-			})
-		}
+		p.finished = true
+		p.done.Broadcast()
 	}()
 	p.fn(p)
 }
 
-// mustBeRunning panics unless p's own body is the code running on its
-// shard: parking p from a callback or from another proc's body would
+// mustBeRunning panics unless p's own body is the code the engine is
+// running: parking p from a callback or from another proc's body would
 // hand control to a coroutine that is not the one executing.
 func (p *Proc) mustBeRunning() {
-	if p.sh.curProc != p {
+	if p.eng.curProc != p {
 		panic(fmt.Sprintf("sim: proc %q waited from outside its own body", p.name))
 	}
 }
@@ -115,7 +97,7 @@ func (p *Proc) WaitUntil(t Time) {
 		t = p.now
 	}
 	p.state = stateWaiting
-	p.sh.schedule(event{t: t, kind: evResume, proc: p})
+	p.eng.schedule(event{t: t, kind: evResume, proc: p})
 	p.yield(struct{}{})
 }
 
@@ -125,34 +107,30 @@ func (p *Proc) block(c *Cond) {
 	p.mustBeRunning()
 	p.state = stateBlocked
 	p.blockedOn = c
-	p.sh.blocked++
+	p.eng.blocked++
 	p.yield(struct{}{})
 }
 
-// unblock schedules the Proc to resume at time t. Shard/Cond-side only.
+// unblock schedules the Proc to resume at time t. Engine/Cond-side only.
 func (p *Proc) unblock(t Time) {
 	if p.state != stateBlocked {
 		return
 	}
-	if t < p.sh.now {
-		t = p.sh.now
+	if t < p.eng.now {
+		t = p.eng.now
 	}
 	p.state = stateWaiting
 	p.blockedOn = nil
-	p.sh.blocked--
-	p.sh.schedule(event{t: t, kind: evResume, proc: p})
+	p.eng.blocked--
+	p.eng.schedule(event{t: t, kind: evResume, proc: p})
 }
 
 // Done returns a Cond broadcast when the Proc's function returns. Other
-// Procs can WaitCond on it to join. The Cond is owned by shard 0, where
-// joining (host-side) code runs.
+// Procs can WaitCond on it to join.
 func (p *Proc) Done() *Cond { return p.done }
 
-// Finished reports whether the Proc's function has returned, as
-// observed from shard 0's timeline (the only place cross-shard code
-// asks; on a single-shard engine this is simply "the function
-// returned").
-func (p *Proc) Finished() bool { return p.doneSys }
+// Finished reports whether the Proc's function has returned.
+func (p *Proc) Finished() bool { return p.finished }
 
 // Join blocks p until other has finished.
 func (p *Proc) Join(other *Proc) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -220,6 +221,90 @@ func TestEngineManyProcsDeterministicTrace(t *testing.T) {
 		}
 		if a[i] != 31-i {
 			t.Fatalf("wake order wrong at %d: %v", i, a[:i+1])
+		}
+	}
+}
+
+// orderRun is one execution of the random event workload: every
+// executed event in dispatch order, with the key it was scheduled
+// under.
+type orderRun []orderExec
+
+// orderExec is one executed event. made is how many events had been
+// dispatched when it was created: it was pending at every dispatch
+// index >= made.
+type orderExec struct {
+	made int
+	k    key
+}
+
+// orderEvent builds one event of the random workload, keyed k: it logs
+// its execution, then derives 1-2 children from its own seed (never
+// from shared state, so the event population is independent of
+// execution order) and schedules them at random delays, predicting the
+// key each child will carry.
+func orderEvent(e *Engine, log *orderRun, k key, seed uint64, depth int) func() {
+	made := len(*log)
+	return func() {
+		*log = append(*log, orderExec{made, k})
+		if depth == 0 {
+			return
+		}
+		r := NewRand(seed)
+		for i := range 1 + r.Intn(2) {
+			t := e.Now() + Time(r.Intn(50))
+			child := seed*0x9E3779B97F4A7C15 + uint64(i) + 1
+			e.At(t, orderEvent(e, log, key{t: t, seq: e.seq}, child, depth-1))
+		}
+	}
+}
+
+// runOrder executes the seeded random workload on e and returns its
+// dispatch log.
+func runOrder(t *testing.T, e *Engine, seed uint64, depth int) orderRun {
+	t.Helper()
+	var log orderRun
+	for i := range 5 {
+		k := key{t: Time(i), seq: e.seq}
+		e.At(Time(i), orderEvent(e, &log, k, seed+uint64(i), depth))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
+// TestEventOrderFuzz: seeded random workloads scheduling events at
+// random delays must run in non-decreasing time, and every dispatch
+// must pick the least (time, seq) key pending. The schedule must repeat
+// exactly on a fresh engine and on the same engine after Reset.
+func TestEventOrderFuzz(t *testing.T) {
+	for seed := uint64(1); seed <= 10; seed++ {
+		e := NewEngine()
+		base := runOrder(t, e, seed, 6)
+		if len(base) < 50 {
+			t.Fatalf("seed %d generated only %d events; workload degenerate", seed, len(base))
+		}
+		var now Time
+		for i, x := range base {
+			if x.k.t < now {
+				t.Fatalf("seed %d: ran t=%v after t=%v", seed, x.k.t, now)
+			}
+			now = x.k.t
+			for _, y := range base[i+1:] {
+				if y.made <= i && y.k.less(x.k) {
+					t.Fatalf("seed %d: dispatch %d ran key %+v while %+v was pending", seed, i, x.k, y.k)
+				}
+			}
+		}
+		if again := runOrder(t, NewEngine(), seed, 6); !reflect.DeepEqual(again, base) {
+			t.Errorf("seed %d: a fresh engine ran a different schedule", seed)
+		}
+		if err := e.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		if again := runOrder(t, e, seed, 6); !reflect.DeepEqual(again, base) {
+			t.Errorf("seed %d: the engine ran a different schedule after Reset", seed)
 		}
 	}
 }

@@ -7,10 +7,9 @@
 // so shared simulation state needs no locking and every run of the same
 // program produces identical results.
 //
-// An engine may be partitioned into shards (see Shard): one per chip of
-// a multi-chip board beside the sys shard, each with its own event heap.
-// A run merges the heaps in one canonical key order on the calling
-// goroutine, so the partition changes no result.
+// An engine is one event heap, executed in (time, seq) order: events
+// at the same virtual time run in creation order. A multi-chip board
+// runs on one engine like a single chip does.
 //
 // Time is measured in integer units of 1/3 nanosecond. This unit was chosen
 // so that all of the calibrated Epiphany quantities are exact integers:

@@ -122,14 +122,6 @@ func TestFingerprintDistinguishesEveryAxis(t *testing.T) {
 	variants["c2c hop latency"] = v
 
 	v = base
-	v.Topos = []string{"e16", "cluster-2x2/shards=2"}
-	variants["engine shards"] = v
-
-	v = base
-	v.Topos = []string{"e16", "cluster-2x2/shards=1"}
-	variants["engine shards classic heap"] = v
-
-	v = base
 	v.Power = "epiphany-iii-65nm"
 	v.DVFS = nil // the IV-28nm ladder's points don't all exist on the III model
 	variants["power model"] = v

@@ -1,9 +1,9 @@
 // Package sweep runs declarative experiment grids over the simulator:
 // a Plan names a set of registered workloads, a set of fabric
 // topologies spelled in the topology grammar (presets, ad-hoc meshes,
-// chip grids, chip-to-chip timing overrides, engine partitions) and
-// optionally a set of seeds; Expand turns it into the cartesian
-// job grid in a canonical order; Run executes the grid on the pooled
+// chip grids, chip-to-chip timing overrides) and optionally a set of
+// seeds; Expand turns it into the cartesian job grid in a canonical
+// order; Run executes the grid on the pooled
 // workload.Runner and derives the paper-style scaling columns
 // (speedup against a named baseline topology, parallel efficiency,
 // chip-boundary crossing share) from the per-cell Metrics.
@@ -41,7 +41,7 @@ type Plan struct {
 	Workloads []string `json:"workloads,omitempty"`
 	// Topos is the topology axis, each value spelled in the topology
 	// grammar (system.ParseTopologySpec: "e64", "4x8",
-	// "grid=4x4/chip=8x8", "cluster-2x2/c2c=40:600/shards=1"); empty
+	// "grid=4x4/chip=8x8", "cluster-2x2/c2c=40:600"); empty
 	// means the presets in scaling order (e16, e64, cluster-2x2).
 	// Normalize rewrites every value into its canonical spelling
 	// (Topology.Spec), so equal boards key, fingerprint and pool
@@ -150,7 +150,10 @@ func (p Plan) Normalize() (Plan, error) {
 		p.Baseline = p.Topos[0]
 	} else {
 		st, err := system.ParseTopologySpec(p.Baseline)
-		if err != nil || !seen[st.Spec()] {
+		if err != nil {
+			return p, fmt.Errorf("epiphany: baseline %q is not on the sweep's topology axis: %w", p.Baseline, err)
+		}
+		if !seen[st.Spec()] {
 			return p, fmt.Errorf("epiphany: baseline %q is not on the sweep's topology axis", p.Baseline)
 		}
 		p.Baseline = st.Spec() // the axis value's spelling, so Baselines matches it

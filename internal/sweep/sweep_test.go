@@ -24,18 +24,13 @@ func TestNormalizeTopoAxis(t *testing.T) {
 		{"e64/c2c=40:600", "e64/c2c=40:600"},
 		{"2x2/c2c=5:0", "2x2/c2c=5:0"},
 		{"cluster-2x2/c2c=0:0", "cluster-2x2"}, // zero overrides keep the calibrated defaults
-		{"cluster-2x2/shards=2", "cluster-2x2/shards=2"},
-		{"cluster-2x2/shards=1", "cluster-2x2/shards=1"},
-		{"cluster-2x2/c2c=40:600/shards=4", "cluster-2x2/c2c=40:600/shards=4"},
-		{"cluster-+2x2", "cluster-2x2"}, // spells the preset
+		{"cluster-+2x2", "cluster-2x2"},        // spells the preset
 		{"grid=4x4/chip=8x8", "grid=4x4/chip=8x8"},
 		{"grid=2x4", "grid=2x4/chip=8x8"}, // /chip= default made explicit
 		{"cluster-4x4", "cluster-4x4"},
 		{"e64x16", "e64x16"},
 		{"grid=1x1/chip=8x8", "grid=1x1/chip=8x8"}, // not aliased onto e64
 		{"grid=2x2/chip=4x4/c2c=40:600", "grid=2x2/chip=4x4/c2c=40:600"},
-		{"grid=4x4/chip=8x8/shards=16", "grid=4x4/chip=8x8/shards=16"},
-		{"grid=2x4/shards=4", "grid=2x4/chip=8x8/shards=4"},
 	} {
 		p, err := Plan{Workloads: []string{"stencil-tuned"}, Topos: []string{tc.in}}.Normalize()
 		if err != nil {
@@ -48,13 +43,27 @@ func TestNormalizeTopoAxis(t *testing.T) {
 	}
 	for _, bad := range []string{"", "e63", "0x4", "4x", "e64/c2c=40", "e64/c2c=a:b", "99x99",
 		"grid=0x4", "grid=8x8/chip=8x8", "cluster4x4", "e64x3", "grid=4x4/chip=ax8",
-		"cluster-2x2/shards=8",            // > NumChips
-		"cluster-2x2/shards=-1",           // negative
-		"cluster-2x2/shards=x",            // not a count
-		"cluster-2x2/shards=2/c2c=40:600", // shards must go last
 	} {
 		if _, err := (Plan{Topos: []string{bad}}).Normalize(); err == nil {
 			t.Errorf("Normalize(%q) accepted", bad)
+		}
+	}
+}
+
+// TestNormalizeRefusesShardsSuffix: the removed /shards= engine
+// partition fails Normalize with the error naming its removal, on the
+// topology axis and as the baseline, instead of reading as some other
+// board.
+func TestNormalizeRefusesShardsSuffix(t *testing.T) {
+	const want = "the /shards= engine partition was removed"
+	for _, p := range []Plan{
+		{Workloads: []string{"stencil-tuned"}, Topos: []string{"e16", "cluster-2x2/shards=1"}},
+		{Workloads: []string{"stencil-tuned"}, Topos: []string{"cluster-2x2/c2c=40:600/shards=4"}},
+		{Workloads: []string{"stencil-tuned"}, Topos: []string{"e64x16/shards=4"}},
+		{Workloads: []string{"stencil-tuned"}, Topos: []string{"e16"}, Baseline: "e16/shards=1"},
+	} {
+		if _, err := p.Normalize(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Normalize(%+v) = %v, want an error containing %q", p, err, want)
 		}
 	}
 }

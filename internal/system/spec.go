@@ -1,6 +1,7 @@
 package system
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -27,10 +28,11 @@ import (
 //	                                 chip grid; N must be a square count
 //	                                 (1, 4, 9, 16, ...)
 //	<any>/c2c=BYTE:HOP               chip-to-chip eLink timing override
-//	<any>/shards=N                   event-engine partition: 1 = single
-//	                                 heap, up to one shard per chip
-//	                                 (0/absent = auto, one per chip);
-//	                                 bit-identical metrics either way
+//
+// The /shards=N suffix of earlier releases named an event-engine
+// partition that no longer exists; every board runs one event heap, so
+// a spec carrying it is refused (errShardsRemoved) rather than quietly
+// read as something else.
 //
 // Parsed specs are canonical: dimensions re-render without redundant
 // zeros and grid= always carries its /chip= part, so Spec is a fixpoint
@@ -54,6 +56,9 @@ const (
 	clusterChipCols = 4
 )
 
+// errShardsRemoved refuses the removed /shards= suffix.
+var errShardsRemoved = errors.New("epiphany: the /shards= engine partition was removed; every board runs one event heap")
+
 // ParseTopologySpec parses the topology grammar above into a validated
 // Topology, including the optional /c2c=BYTE:HOP timing-override
 // suffix. Preset names resolve to the presets themselves; every other
@@ -61,8 +66,10 @@ const (
 // Near-miss spellings get a "did you mean" suggestion naming the
 // closest preset or grammar form.
 func ParseTopologySpec(spec string) (Topology, error) {
-	rest, shards, hasShards := strings.Cut(spec, "/shards=")
-	base, c2c, hasC2C := strings.Cut(rest, "/c2c=")
+	if strings.Contains(spec, "/shards=") {
+		return Topology{}, errShardsRemoved
+	}
+	base, c2c, hasC2C := strings.Cut(spec, "/c2c=")
 	t, err := parseBaseSpec(base)
 	if err != nil {
 		return Topology{}, err
@@ -73,13 +80,6 @@ func ParseTopologySpec(spec string) (Topology, error) {
 			return Topology{}, fmt.Errorf("epiphany: topology %q: %v", spec, err)
 		}
 		t = t.WithC2C(bp, hl)
-	}
-	if hasShards {
-		n, err := strconv.Atoi(shards)
-		if err != nil {
-			return Topology{}, fmt.Errorf("epiphany: topology %q: bad shard count: %v (the /shards= suffix goes last)", spec, err)
-		}
-		t = t.WithShards(n)
 	}
 	if err := t.Validate(); err != nil {
 		return Topology{}, err
@@ -190,9 +190,6 @@ func (t Topology) Spec() string {
 	}
 	if t.C2CBytePeriod > 0 || t.C2CHopLatency > 0 {
 		base += fmt.Sprintf("/c2c=%d:%d", t.C2CBytePeriod, t.C2CHopLatency)
-	}
-	if t.Shards > 0 {
-		base += fmt.Sprintf("/shards=%d", t.Shards)
 	}
 	return base
 }

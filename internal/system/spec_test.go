@@ -64,8 +64,9 @@ func TestParseTopologySpecGrammar(t *testing.T) {
 // TestParseTopologySpecErrors is the error-path table: zero and
 // negative dimensions, address-space overflow past the 64x64 mesh
 // ceiling, malformed dimension pairs and /c2c= payloads, non-square
-// chip counts, and near-miss spellings - which must carry a "did you
-// mean" suggestion.
+// chip counts, near-miss spellings - which must carry a "did you
+// mean" suggestion - and the removed /shards= suffix, which must name
+// its removal.
 func TestParseTopologySpecErrors(t *testing.T) {
 	cases := []struct {
 		spec    string
@@ -96,6 +97,8 @@ func TestParseTopologySpecErrors(t *testing.T) {
 		{"e64/c2c=a:5", "bad c2c byte period"},
 		{"e64/c2c=5:b", "bad c2c hop latency"},
 		{"e64/c2c=4000000000:1", "out of range"},
+		{"cluster-2x2/shards=1", errShardsRemoved.Error()},
+		{"e64x16/shards=4", errShardsRemoved.Error()},
 	}
 	for _, tc := range cases {
 		_, err := ParseTopologySpec(tc.spec)

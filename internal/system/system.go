@@ -42,24 +42,18 @@ func NewTopology(t Topology) *System {
 	}
 	eng := sim.NewEngine()
 	amap := mem.NewBoardMap(t.ChipGridRows, t.ChipGridCols, t.CoreRows, t.CoreCols)
-	chip := ecore.NewChipMapShards(eng, amap, t.Shards)
+	chip := ecore.NewChipMap(eng, amap)
 	if t.C2CBytePeriod > 0 || t.C2CHopLatency > 0 {
 		chip.Fabric().Mesh.SetC2C(t.C2CBytePeriod, t.C2CHopLatency)
 	}
 	return &System{eng: eng, chip: chip, host: host.New(chip)}
 }
 
-// SetWorkers does nothing: every board runs its shards as one
-// sequential merge.
+// SetWorkers does nothing: every board runs on one event heap.
 //
 // Deprecated: the parallel shard scheduler was removed; run whole jobs
 // concurrently with Runner.Workers instead.
 func (s *System) SetWorkers(int) {}
-
-// NumShards returns how many shards the board's event engine is
-// partitioned into: 1 on single-chip (or Shards=1) boards, 1 + the
-// shard-group count otherwise (shard 0 is the sys shard).
-func (s *System) NumShards() int { return s.eng.NumShards() }
 
 // Chip returns the device for kernel-level programming.
 func (s *System) Chip() *ecore.Chip { return s.chip }

@@ -48,18 +48,6 @@ type Topology struct {
 	// fact.
 	Power string
 	DVFS  string
-	// Shards selects the event-engine partition of a multi-chip board:
-	// 0 (auto) gives every chip its own shard (its own event heap, with
-	// cross-chip traffic posted between shards); 1 runs the whole board
-	// on the single classic event heap; 2..NumChips group the chips
-	// contiguously onto that many shards. Every value executes the same
-	// canonical event schedule, so Metrics are bit-identical across
-	// shard counts (the determinism suite pins this); the field is still
-	// part of the topology's identity because the partition is
-	// structural - it must be fixed before the first event - and so a
-	// pooled board keeps its shard layout across recycles. Single-chip
-	// boards always run on one shard.
-	Shards int
 }
 
 // Preset topologies. E64 is the paper's device and the default
@@ -116,15 +104,11 @@ func (t Topology) WithC2C(bytePeriod, hopLatency sim.Time) Topology {
 	return t
 }
 
-// WithShards returns a copy of t with the event-engine partition set:
-// 0 auto (one shard per chip), 1 the classic single heap, k in
-// [2, NumChips] a contiguous grouping of chips onto k shards. The copy
-// is a distinct board identity (the partition is structural); the
-// metrics it produces are not - they are bit-identical for every value.
-func (t Topology) WithShards(n int) Topology {
-	t.Shards = n
-	return t
-}
+// WithShards returns t unchanged: every board runs one event heap.
+//
+// Deprecated: the shard partition was removed; the benchmark catch-up
+// deletes this shim.
+func (t Topology) WithShards(int) Topology { return t }
 
 // WithPower returns a copy of t carrying the named power-model preset
 // and DVFS operating point ("" = the model's nominal). The copy is a
@@ -154,9 +138,6 @@ func (t Topology) String() string {
 		s += fmt.Sprintf(" [c2c byte=%d]", t.C2CBytePeriod)
 	case t.C2CHopLatency > 0:
 		s += fmt.Sprintf(" [c2c hop=%d]", t.C2CHopLatency)
-	}
-	if t.Shards > 0 {
-		s += fmt.Sprintf(" [shards=%d]", t.Shards)
 	}
 	return s + t.powerSuffix()
 }
@@ -195,10 +176,6 @@ func (t Topology) Validate() error {
 	if t.C2CBytePeriod > sim.Second || t.C2CHopLatency > sim.Second {
 		return fmt.Errorf("epiphany: chip-to-chip override out of range (byte=%d hop=%d units; max %d)",
 			t.C2CBytePeriod, t.C2CHopLatency, sim.Second)
-	}
-	if t.Shards < 0 || t.Shards > t.NumChips() {
-		return fmt.Errorf("epiphany: shard count %d out of range for a %d-chip board (0 = auto, 1 = single heap, up to one per chip)",
-			t.Shards, t.NumChips())
 	}
 	if t.DVFS != "" && t.Power == "" {
 		return fmt.Errorf("epiphany: DVFS point %q requires a power model", t.DVFS)

@@ -21,8 +21,7 @@ import (
 // computes bit-identical Metrics to one without. A Timeline records one
 // run, whose engine fires its hooks one at a time; it is not safe for
 // concurrent use. The written JSON is byte-deterministic for a
-// deterministic run: events are fully sorted before encoding, so the
-// shard partition cannot reorder them.
+// deterministic run: events are fully sorted before encoding.
 type Timeline struct {
 	events []tev
 	chip   *ecore.Chip
@@ -102,8 +101,8 @@ func micros(t sim.Time) float64 { return t.Nanoseconds() / 1000 }
 // Perfetto JSON document.
 func (tl *Timeline) Export(w io.Writer) error {
 	// Full-key sort: a deterministic run records a deterministic event
-	// multiset, and the total order makes the bytes identical for every
-	// shard partition.
+	// multiset, and the total order makes the bytes a function of it
+	// alone.
 	sort.Slice(tl.events, func(i, j int) bool {
 		a, b := tl.events[i], tl.events[j]
 		if a.ts != b.ts {

@@ -73,8 +73,7 @@ type Runner struct {
 	// oldest first. A board is in it only while no job holds it, and
 	// only after System.Reset certified it pristine. The match is
 	// whole-Topology equality, so every board-identity axis (C2C
-	// overrides, power model and DVFS point, shard layout) pools
-	// separately.
+	// overrides, power model and DVFS point) pools separately.
 	mu   sync.Mutex
 	idle []idleBoard
 }

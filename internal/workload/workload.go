@@ -95,8 +95,7 @@ func WithTopology(t system.Topology) Option {
 	return func(rc *runConfig) { rc.topo = t }
 }
 
-// WithWorkers does nothing: every board runs its shards as one
-// sequential merge.
+// WithWorkers does nothing: every board runs on one event heap.
 //
 // Deprecated: the parallel shard scheduler was removed; run whole jobs
 // concurrently with Runner.Workers instead.
@@ -125,10 +124,9 @@ func WithTimeline(w io.Writer) Option {
 }
 
 // WithEngineStats snapshots the event engine's scheduler counters
-// (events and heap peaks per shard, cross-shard posts, the sys shard's
-// executed-event share; see sim.EngineStats) into the result's
-// Metrics.Engine field. Purely additive: every other Metrics
-// field is bit-identical with or without it, but note that Metrics
+// (executed events and the event heap's peak; see sim.EngineStats)
+// into the result's Metrics.Engine field. Purely additive: every other
+// Metrics field is bit-identical with or without it, but note that Metrics
 // values carrying stats compare unequal to bare ones (Engine is a
 // pointer), so golden comparisons should run without.
 func WithEngineStats() Option {

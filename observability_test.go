@@ -2,17 +2,16 @@ package epiphany_test
 
 // The observability suite's core claim: recording is free of semantic
 // effect. A run with a Timeline attached, or with engine stats
-// requested, computes bit-identical Metrics to a bare run - on the
-// classic heap and on one shard per chip alike - and the recorded
-// content itself (spans, scheduler counters) is deterministic, pinned
-// against golden counts for one well-understood cell.
+// requested, computes bit-identical Metrics to a bare run, and the
+// recorded content itself (spans, scheduler counters) is
+// deterministic, pinned against golden counts for well-understood
+// cells.
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
-	"strings"
 	"testing"
 
 	"epiphany"
@@ -20,8 +19,7 @@ import (
 
 // obsWorkload returns the suite's cell: matmul-offchip on the 4-chip
 // cluster. It pages operands through shared DRAM (DMA legs) and crosses
-// chip boundaries (c2c spans, cross-shard posts) - every recorder hook
-// fires.
+// chip boundaries (c2c spans) - every recorder hook fires.
 func obsWorkload(t *testing.T) (epiphany.Workload, epiphany.Topology) {
 	t.Helper()
 	w, ok := epiphany.WorkloadByName("matmul-offchip")
@@ -36,38 +34,36 @@ func obsWorkload(t *testing.T) (epiphany.Workload, epiphany.Topology) {
 }
 
 // TestTimelineDoesNotPerturbMetrics: attaching a Timeline must not
-// change a single Metrics bit, on the classic heap and on one shard per
-// chip, with and without the inert WithWorkers shim.
+// change a single Metrics bit, with and without the inert WithWorkers
+// shim.
 func TestTimelineDoesNotPerturbMetrics(t *testing.T) {
 	w, topo := obsWorkload(t)
-	for _, shards := range []int{1, 0} { // classic heap, one shard per chip
-		for _, workers := range []int{1, 4} {
-			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
-				base := []epiphany.Option{
-					epiphany.WithTopology(topo.WithShards(shards)),
-					epiphany.WithWorkers(workers),
-				}
-				bare, err := epiphany.Run(context.Background(), w, base...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var buf bytes.Buffer
-				traced, err := epiphany.Run(context.Background(), w,
-					append(base, epiphany.WithTimeline(&buf))...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got, want := traced.Metrics(), bare.Metrics(); got != want {
-					t.Errorf("timeline perturbed Metrics:\n got  %+v\n want %+v", got, want)
-				}
-				if buf.Len() == 0 {
-					t.Fatal("timeline writer got no bytes")
-				}
-				if !json.Valid(buf.Bytes()) {
-					t.Errorf("timeline is not valid JSON")
-				}
-			})
-		}
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			base := []epiphany.Option{
+				epiphany.WithTopology(topo),
+				epiphany.WithWorkers(workers),
+			}
+			bare, err := epiphany.Run(context.Background(), w, base...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			traced, err := epiphany.Run(context.Background(), w,
+				append(base, epiphany.WithTimeline(&buf))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := traced.Metrics(), bare.Metrics(); got != want {
+				t.Errorf("timeline perturbed Metrics:\n got  %+v\n want %+v", got, want)
+			}
+			if buf.Len() == 0 {
+				t.Fatal("timeline writer got no bytes")
+			}
+			if !json.Valid(buf.Bytes()) {
+				t.Errorf("timeline is not valid JSON")
+			}
+		})
 	}
 }
 
@@ -86,7 +82,7 @@ type timelineDoc struct {
 }
 
 // TestTimelineContentClusterOffchip checks the recorded content of the
-// suite's cell on one shard per chip: core-activity spans, DMA legs and
+// suite's cell: core-activity spans, DMA legs and
 // chip-to-chip crossings, with every span carrying a sane extent.
 func TestTimelineContentClusterOffchip(t *testing.T) {
 	w, topo := obsWorkload(t)
@@ -157,42 +153,12 @@ func TestTimelineByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestTimelineShardInvariance: the shard partition leaves no trace in
-// the timeline either. Every partition routes a DMA leg the same way, so
-// the classic heap labels its cross-chip legs "mesh-x" exactly as one
-// shard per chip does.
-func TestTimelineShardInvariance(t *testing.T) {
-	w, topo := obsWorkload(t)
-	capture := func(shards int) []byte {
-		var buf bytes.Buffer
-		_, err := epiphany.Run(context.Background(), w,
-			epiphany.WithTopology(topo.WithShards(shards)),
-			epiphany.WithTimeline(&buf))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	heap := capture(1)
-	if !bytes.Contains(heap, []byte(`"mesh-x"`)) {
-		t.Error("shards=1 timeline records no cross-chip DMA legs")
-	}
-	for _, shards := range []int{2, 0} {
-		if !bytes.Equal(capture(shards), heap) {
-			t.Errorf("shards=%d timeline differs from shards=1", shards)
-		}
-	}
-}
-
-// TestEngineStatsGolden pins the scheduler counters of a few cells
-// against golden values. The first is the suite's cell at shards=auto
-// (sys + 4 chips): every field is deterministic for a fixed board and
-// partition, so a drift there means the sharded schedule changed and
-// the goldens need conscious regeneration. The others run the
-// DRAM-paging workloads on the classic single heap, one chip and four,
-// where every DMA leg to or from DRAM and every cross-chip leg takes the
-// sys route inline: their event counts pin that the route adds no event
-// and posts nothing across shards.
+// TestEngineStatsGolden pins the scheduler counters of the
+// DRAM-paging workloads on one chip and on the 4-chip cluster, where
+// every DMA leg to or from DRAM and every cross-chip leg runs inline:
+// every field is deterministic for a fixed board, so a drift here
+// means the schedule changed and the goldens need conscious
+// regeneration.
 func TestEngineStatsGolden(t *testing.T) {
 	run := func(w epiphany.Workload, topo epiphany.Topology, opts ...epiphany.Option) *epiphany.EngineStats {
 		res, err := epiphany.Run(context.Background(), w,
@@ -210,12 +176,10 @@ func TestEngineStatsGolden(t *testing.T) {
 		workload, topo string
 		want           epiphany.EngineStats
 	}{
-		{"matmul-offchip", "cluster-2x2", epiphany.EngineStats{
-			Shards: 5, Events: 14966, SysEvents: 1580, CrossPosts: 2272, TaggedPosts: 896}},
-		{"matmul-offchip", "e64", epiphany.EngineStats{Shards: 1, Events: 12941, SysEvents: 12941}},
-		{"stream-stencil", "e64", epiphany.EngineStats{Shards: 1, Events: 5047, SysEvents: 5047}},
-		{"matmul-offchip", "cluster-2x2/shards=1", epiphany.EngineStats{Shards: 1, Events: 13238, SysEvents: 13238}},
-		{"stream-stencil", "cluster-2x2/shards=1", epiphany.EngineStats{Shards: 1, Events: 4984, SysEvents: 4984}},
+		{"matmul-offchip", "cluster-2x2", epiphany.EngineStats{Events: 13238, HeapPeak: 72}},
+		{"matmul-offchip", "e64", epiphany.EngineStats{Events: 12941, HeapPeak: 103}},
+		{"stream-stencil", "e64", epiphany.EngineStats{Events: 5047, HeapPeak: 65}},
+		{"stream-stencil", "cluster-2x2", epiphany.EngineStats{Events: 4984, HeapPeak: 65}},
 	} {
 		t.Run(tc.workload+"@"+tc.topo, func(t *testing.T) {
 			w, ok := epiphany.WorkloadByName(tc.workload)
@@ -227,56 +191,23 @@ func TestEngineStatsGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			st := run(w, topo)
-			if st.Shards != tc.want.Shards {
-				t.Fatalf("%d shards, want %d", st.Shards, tc.want.Shards)
+			if *st != tc.want {
+				t.Errorf("stats %+v, want %+v", *st, tc.want)
 			}
-			pins := []struct {
-				name      string
-				got, want uint64
-			}{
-				{"Events", st.Events, tc.want.Events},
-				{"SysEvents", st.SysEvents, tc.want.SysEvents},
-				{"CrossPosts", st.CrossPosts, tc.want.CrossPosts},
-				{"TaggedPosts", st.TaggedPosts, tc.want.TaggedPosts},
+			// The deprecated WithWorkers shim changes nothing.
+			if st4 := run(w, topo, epiphany.WithWorkers(4)); *st4 != *st {
+				t.Errorf("WithWorkers(4) counters diverge: %+v, want %+v", *st4, *st)
 			}
-			for _, p := range pins {
-				if p.got != p.want {
-					t.Errorf("%s = %d, want %d", p.name, p.got, p.want)
-				}
-			}
-			if st.Shards == 1 {
-				return
-			}
-			if st.SysShare <= 0 || st.SysShare >= 1 {
-				t.Errorf("SysShare = %v, want in (0,1)", st.SysShare)
-			}
-			if len(st.PerShard) != st.Shards {
-				t.Fatalf("PerShard has %d entries, want %d", len(st.PerShard), st.Shards)
-			}
-			if st.PerShard[0].Label != "sys" || st.PerShard[1].Label != "chip0" {
-				t.Errorf("shard labels %q,%q, want sys,chip0", st.PerShard[0].Label, st.PerShard[1].Label)
-			}
-
-			// The deprecated WithWorkers shim changes nothing, down to
-			// the per-shard heap peaks.
-			st4 := run(w, topo, epiphany.WithWorkers(4))
-			ajs, _ := json.Marshal(st)
-			bjs, _ := json.Marshal(st4)
-			if !bytes.Equal(ajs, bjs) {
-				t.Errorf("WithWorkers(4) counters diverge:\n %s\n %s", bjs, ajs)
-			}
-
-			// And the report renders the layout header the bench flag prints.
-			if s := st.String(); !strings.Contains(s, fmt.Sprintf("engine: 5 shard(s), %d events", st.Events)) {
-				t.Errorf("stats report missing layout header:\n%s", s)
+			// And the report renders the header the bench flag prints.
+			if s, want := st.String(), fmt.Sprintf("engine: %d events, heap peak %d\n", tc.want.Events, tc.want.HeapPeak); s != want {
+				t.Errorf("stats report %q, want %q", s, want)
 			}
 		})
 	}
 }
 
-// TestEngineStatsSequential: on a single-chip board the whole run sits
-// on one shard - stats still report the run's events, and nothing is
-// posted across shards.
+// TestEngineStatsSequential: a single-chip run reports its events, and
+// the deprecated partition counters stay zero.
 func TestEngineStatsSequential(t *testing.T) {
 	w, ok := epiphany.WorkloadByName("stencil-tuned")
 	if !ok {
@@ -293,8 +224,8 @@ func TestEngineStatsSequential(t *testing.T) {
 	if st.Events == 0 {
 		t.Error("sequential run reported zero events")
 	}
-	if st.Shards != 1 || st.CrossPosts != 0 {
-		t.Errorf("single-chip run used %d shards and posted %d events across them", st.Shards, st.CrossPosts)
+	if st.Shards != 0 || st.SysEvents != 0 || st.CrossPosts != 0 {
+		t.Errorf("deprecated counters set: %+v", *st)
 	}
 	// Metrics equality with a bare run still holds field-for-field once
 	// the Engine pointer is cleared (it is the one intentional addition).

@@ -42,11 +42,8 @@ type (
 	Topology = system.Topology
 	// EngineStats is the event engine's scheduler-counter snapshot,
 	// reported in Metrics.Engine when a run asks for it with
-	// WithEngineStats: per-shard executed events, heap peaks and
-	// cross-shard posts, and the sys shard's executed-event share.
+	// WithEngineStats: executed events and the event heap's peak.
 	EngineStats = sim.EngineStats
-	// ShardStats is one shard's slice of EngineStats.
-	ShardStats = sim.ShardStats
 
 	// StencilWorkload runs the §VI heat stencil as a Workload.
 	StencilWorkload = workload.Stencil
@@ -110,10 +107,9 @@ func TopologyByName(name string) (Topology, bool) { return system.TopologyByName
 // parameterized chip grids ("grid=4x4/chip=8x8", where /chip= defaults
 // to 8x8), cluster boards of E16 chips ("cluster-4x4"), square chip
 // arrays ("e16x4", "e64x16"), all with an optional "/c2c=BYTE:HOP"
-// chip-to-chip timing-override suffix and then an optional "/shards=N"
-// event-engine partition (Topology.WithShards is its Go form). Every
-// consumer of a topology
-// spelling - WithTopology callers, the sweep topo axis, the serve
+// chip-to-chip timing-override suffix. The "/shards=N" suffix of
+// earlier releases is refused with an error naming its removal. Every
+// consumer of a topology spelling - WithTopology callers, the sweep topo axis, the serve
 // daemon's job and plan specs, and the CLIs - resolves through this
 // one grammar; near-miss spellings get a "did you mean"
 // suggestion, and geometry is validated against the 64x64 mesh
@@ -147,8 +143,7 @@ func WithTimeline(w io.Writer) Option { return workload.WithTimeline(w) }
 // field is bit-identical with or without it.
 func WithEngineStats() Option { return workload.WithEngineStats() }
 
-// WithWorkers does nothing: every board runs its shards as one
-// sequential merge of their event heaps.
+// WithWorkers does nothing: every board runs on one event heap.
 //
 // Deprecated: the parallel shard scheduler was removed; run whole jobs
 // concurrently with Runner.Workers instead.
