@@ -34,36 +34,38 @@ func obsWorkload(t *testing.T) (epiphany.Workload, epiphany.Topology) {
 }
 
 // TestTimelineDoesNotPerturbMetrics: attaching a Timeline must not
-// change a single Metrics bit, with and without the inert WithWorkers
-// shim.
+// change a single Metrics bit, with and without the inert WithShards
+// and WithWorkers shims that perfbench still calls.
 func TestTimelineDoesNotPerturbMetrics(t *testing.T) {
 	w, topo := obsWorkload(t)
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			base := []epiphany.Option{
-				epiphany.WithTopology(topo),
-				epiphany.WithWorkers(workers),
-			}
-			bare, err := epiphany.Run(context.Background(), w, base...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			traced, err := epiphany.Run(context.Background(), w,
-				append(base, epiphany.WithTimeline(&buf))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, want := traced.Metrics(), bare.Metrics(); got != want {
-				t.Errorf("timeline perturbed Metrics:\n got  %+v\n want %+v", got, want)
-			}
-			if buf.Len() == 0 {
-				t.Fatal("timeline writer got no bytes")
-			}
-			if !json.Valid(buf.Bytes()) {
-				t.Errorf("timeline is not valid JSON")
-			}
-		})
+	for _, shards := range []int{1, 0} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("shards=%d/workers=%d", shards, workers), func(t *testing.T) {
+				base := []epiphany.Option{
+					epiphany.WithTopology(topo.WithShards(shards)),
+					epiphany.WithWorkers(workers),
+				}
+				bare, err := epiphany.Run(context.Background(), w, base...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				traced, err := epiphany.Run(context.Background(), w,
+					append(base, epiphany.WithTimeline(&buf))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got, want := traced.Metrics(), bare.Metrics(); got != want {
+					t.Errorf("timeline perturbed Metrics:\n got  %+v\n want %+v", got, want)
+				}
+				if buf.Len() == 0 {
+					t.Fatal("timeline writer got no bytes")
+				}
+				if !json.Valid(buf.Bytes()) {
+					t.Errorf("timeline is not valid JSON")
+				}
+			})
+		}
 	}
 }
 
@@ -198,6 +200,13 @@ func TestEngineStatsGolden(t *testing.T) {
 			if st4 := run(w, topo, epiphany.WithWorkers(4)); *st4 != *st {
 				t.Errorf("WithWorkers(4) counters diverge: %+v, want %+v", *st4, *st)
 			}
+			// Nor does the deprecated WithShards shim, which perfbench's
+			// board jobs call: they count the same events as the golden.
+			t.Run("shards=1", func(t *testing.T) {
+				if st1 := run(w, topo.WithShards(1)); *st1 != tc.want {
+					t.Errorf("WithShards(1) stats %+v, want %+v", *st1, tc.want)
+				}
+			})
 			// And the report renders the header the bench flag prints.
 			if s, want := st.String(), fmt.Sprintf("engine: %d events, heap peak %d\n", tc.want.Events, tc.want.HeapPeak); s != want {
 				t.Errorf("stats report %q, want %q", s, want)
