@@ -66,9 +66,9 @@ func TestAPISmokeWorkloadFile(t *testing.T) {
 	st, _ := epiphany.WorkloadByName("stencil-tuned")
 	var _ epiphany.Reseeder
 	var _ epiphany.TopologyFitter
-	var trace bytes.Buffer
+	var timeline bytes.Buffer
 	res, err := epiphany.Run(context.Background(), st,
-		epiphany.WithTopology(e16), epiphany.WithSeed(3), epiphany.WithTrace(&trace))
+		epiphany.WithTopology(e16), epiphany.WithSeed(3), epiphany.WithTimeline(&timeline))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,8 +76,8 @@ func TestAPISmokeWorkloadFile(t *testing.T) {
 	if m.Elapsed == 0 || m.GFLOPS <= 0 {
 		t.Fatalf("degenerate metrics %+v", m)
 	}
-	if trace.Len() == 0 {
-		t.Error("WithTrace wrote nothing")
+	if timeline.Len() == 0 {
+		t.Error("WithTimeline wrote nothing")
 	}
 	mesh, err := epiphany.ParseTopology("4x4")
 	if err != nil {

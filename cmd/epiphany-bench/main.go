@@ -45,13 +45,12 @@ func main() {
 	topo := flag.String("topo", "", `fabric topology for -workloads: a preset ("e16", "e64", "cluster-2x2"), a mesh ("4x8") or a chip grid ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), optionally with "/c2c=BYTE:HOP" (the removed "/shards=N" engine partition is refused)`)
 	powerModel := flag.String("power", "", `power-model preset for -workloads energy columns (e.g. "epiphany-iv-28nm"; defaults to it when -dvfs is given)`)
 	dvfs := flag.String("dvfs", "", `DVFS operating point for -workloads, "FREQ[MHz]@VOLT[V]" (requires/implies -power)`)
-	traceFile := flag.String("trace", "", `write each -workloads run's activity and link heatmaps to FILE (several workloads: FILE's name gains a -<workload> suffix per run)`)
 	timelineFile := flag.String("timeline", "", `write each -workloads run as a Perfetto / Chrome trace-event JSON timeline to FILE (several workloads: a -<workload> suffix per run); open in ui.perfetto.dev`)
 	engineStats := flag.Bool("engine-stats", false, "print the event engine's scheduler counters (executed events, event-heap peak) after the -workloads table")
 	flag.Parse()
 
-	if (*topo != "" || *powerModel != "" || *dvfs != "" || *traceFile != "" || *timelineFile != "" || *engineStats) && *workloads == "" {
-		fmt.Fprintln(os.Stderr, "-topo/-power/-dvfs/-trace/-timeline/-engine-stats only apply to -workloads; the paper experiments are defined on the default board")
+	if (*topo != "" || *powerModel != "" || *dvfs != "" || *timelineFile != "" || *engineStats) && *workloads == "" {
+		fmt.Fprintln(os.Stderr, "-topo/-power/-dvfs/-timeline/-engine-stats only apply to -workloads; the paper experiments are defined on the default board")
 		os.Exit(2)
 	}
 	if *dvfs != "" && *powerModel == "" {
@@ -104,7 +103,7 @@ func main() {
 			fmt.Printf("  %s: nominal %s, ladder %v\n", name, m.Nominal, m.Points)
 		}
 	case *workloads != "":
-		runWorkloads(*workloads, *jobs, *topo, *powerModel, *dvfs, *traceFile, *timelineFile, *engineStats)
+		runWorkloads(*workloads, *jobs, *topo, *powerModel, *dvfs, *timelineFile, *engineStats)
 	case *run != "":
 		e, ok := bench.ByName(*run)
 		if !ok {
@@ -137,10 +136,10 @@ func main() {
 // runWorkloads parses the selection's workload specs, drops repeats of
 // one canonical spelling, and executes the rest as one concurrent batch,
 // each job on its own fresh System built on the selected topology, with
-// energy columns when a power model is attached. Heatmap traces and
-// Perfetto timelines are captured per job into memory (jobs run
-// concurrently) and written out after the batch.
-func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile, timelineFile string, engineStats bool) {
+// energy columns when a power model is attached. Perfetto timelines are
+// captured per job into memory (jobs run concurrently) and written out
+// after the batch.
+func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, timelineFile string, engineStats bool) {
 	var ws []epiphany.Workload
 	if sel == "all" {
 		ws = epiphany.Workloads()
@@ -175,14 +174,9 @@ func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile
 		runner.Options = append(runner.Options, epiphany.WithEngineStats())
 	}
 	jobs := make([]epiphany.Job, len(ws))
-	traces := make([]*bytes.Buffer, len(ws))
 	timelines := make([]*bytes.Buffer, len(ws))
 	for i, w := range ws {
 		jobs[i] = epiphany.Job{Workload: w}
-		if traceFile != "" {
-			traces[i] = &bytes.Buffer{}
-			jobs[i].Options = append(jobs[i].Options, epiphany.WithTrace(traces[i]))
-		}
 		if timelineFile != "" {
 			timelines[i] = &bytes.Buffer{}
 			jobs[i].Options = append(jobs[i].Options, epiphany.WithTimeline(timelines[i]))
@@ -243,8 +237,7 @@ func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile
 		op, _ := m.Point(dvfs)
 		fmt.Printf("[power model %s at %s]\n", powerModel, op)
 	}
-	writeCaptures(traceFile, "trace", traces, batch)
-	writeCaptures(timelineFile, "timeline", timelines, batch)
+	writeCaptures(timelineFile, timelines, batch)
 	fmt.Printf("[%d workloads in %v wall clock]\n", len(batch.Results), time.Since(start).Round(time.Millisecond))
 	if err := batch.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -259,7 +252,7 @@ func runWorkloads(sel string, workers int, topoName, powerModel, dvfs, traceFile
 // capture never lands in a subdirectory.
 var unsafeInName = regexp.MustCompile(`[^A-Za-z0-9._=-]`)
 
-func writeCaptures(base, what string, bufs []*bytes.Buffer, batch *epiphany.BatchResult) {
+func writeCaptures(base string, bufs []*bytes.Buffer, batch *epiphany.BatchResult) {
 	if base == "" {
 		return
 	}
@@ -277,7 +270,7 @@ func writeCaptures(base, what string, bufs []*bytes.Buffer, batch *epiphany.Batc
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Printf("[%s written to %s]\n", what, path)
+		fmt.Printf("[timeline written to %s]\n", path)
 	}
 }
 

@@ -4,8 +4,8 @@
 // double-precision hardware - charging the modelled cycle cost of its
 // escape-time loop. The workload implements epiphany.Workload, is
 // registered alongside the paper's built-ins, and is looked up and
-// executed through the registry exactly like they are. The per-core
-// activity trace makes the work imbalance across tiles visible.
+// executed through the registry exactly like they are. A per-core
+// compute-load map makes the work imbalance across tiles visible.
 //
 //	go run ./examples/mandelbrot
 package main
@@ -15,11 +15,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 
 	"epiphany"
 	"epiphany/internal/ecore"
 	"epiphany/internal/mem"
-	"epiphany/internal/trace"
 )
 
 const (
@@ -45,11 +45,13 @@ func (mandelbrot) Validate() error {
 	return nil
 }
 
-// mandelResult carries the rendered image alongside the common metrics.
+// mandelResult carries the rendered image and each tile's compute
+// cycles (row-major over the 8x8 workgroup) alongside the common
+// metrics.
 type mandelResult struct {
 	metrics epiphany.Metrics
 	img     []byte
-	snap    *trace.Snapshot
+	cycles  [64]uint64
 }
 
 func (r *mandelResult) Metrics() epiphany.Metrics { return r.metrics }
@@ -67,6 +69,8 @@ func (mandelbrot) Run(ctx context.Context, sys *epiphany.System) (epiphany.Resul
 	}
 	tw, th := width/8, height/8
 
+	res := &mandelResult{img: make([]byte, width*height)}
+	var totalFlops uint64
 	procs := w.Launch("mandel", func(c *ecore.Core, gr, gc int) {
 		// Escape-time loop: ~5 single-precision ops per iteration. The
 		// FPU dependency chain (zr2 -> zr -> zr2) prevents the 2-op/cycle
@@ -92,16 +96,17 @@ func (mandelbrot) Run(ctx context.Context, sys *epiphany.System) (epiphany.Resul
 			}
 		}
 		c.Compute(cycles, flops)
+		res.cycles[gr*8+gc] = cycles
+		totalFlops += flops
 	})
 
-	img := make([]byte, width*height)
 	sys.Host().Spawn("gather", func(hp *epiphany.HostProc) {
 		hp.Join(procs) // step 5 of §III: the host waits, then collects
 		for gr := 0; gr < 8; gr++ {
 			for gc := 0; gc < 8; gc++ {
 				tile := hp.ReadCore(w.CoreIndex(gr, gc), outOff, tw*th)
 				for py := 0; py < th; py++ {
-					copy(img[(gr*th+py)*width+gc*tw:], tile[py*tw:(py+1)*tw])
+					copy(res.img[(gr*th+py)*width+gc*tw:], tile[py*tw:(py+1)*tw])
 				}
 			}
 		}
@@ -109,15 +114,12 @@ func (mandelbrot) Run(ctx context.Context, sys *epiphany.System) (epiphany.Resul
 	if err := sys.Engine().Run(); err != nil {
 		return nil, err
 	}
-	snap := trace.Take(sys.Chip())
-	return &mandelResult{
-		metrics: epiphany.Metrics{
-			Elapsed: snap.Now,
-			GFLOPS:  snap.GFLOPS(),
-		},
-		img:  img,
-		snap: snap,
-	}, nil
+	elapsed := sys.Engine().Now()
+	res.metrics = epiphany.Metrics{
+		Elapsed: elapsed,
+		GFLOPS:  float64(totalFlops) / elapsed.Nanoseconds(),
+	}
+	return res, nil
 }
 
 func main() {
@@ -149,37 +151,27 @@ func main() {
 	fmt.Printf("\n%.2f simulated ms, %.2f GFLOPS achieved\n",
 		m.Elapsed.Seconds()*1e3, m.GFLOPS)
 	fmt.Println("per-core compute load (the set's interior is expensive):")
-	fmt.Print(extractHeat(res.snap))
+	fmt.Print(loadMap(res.cycles))
 }
 
-// extractHeat pulls just the compute heatmap from the snapshot rendering.
-func extractHeat(s *trace.Snapshot) string {
-	full := s.String()
-	out := ""
-	emit := false
-	for _, line := range splitLines(full) {
-		if emit {
-			if len(line) > 0 && line[0] == ' ' {
-				out += line + "\n"
+// loadMap renders the 8x8 tile loads as digits 0-9 scaled to the
+// busiest tile ('.' for a tile that did no work).
+func loadMap(cycles [64]uint64) string {
+	var maxC uint64
+	for _, c := range cycles {
+		maxC = max(maxC, c)
+	}
+	var b strings.Builder
+	for r := 0; r < 8; r++ {
+		b.WriteString("  ")
+		for _, c := range cycles[r*8 : r*8+8] {
+			if c == 0 {
+				b.WriteByte('.')
 				continue
 			}
-			break
+			b.WriteByte(byte('0' + min(9, c*9/maxC)))
 		}
-		if len(line) >= 12 && line[:12] == "compute time" {
-			emit = true
-		}
+		b.WriteByte('\n')
 	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
-		}
-	}
-	return lines
+	return b.String()
 }

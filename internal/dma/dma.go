@@ -150,7 +150,6 @@ type Engine struct {
 type channel struct {
 	active bool
 	done   *sim.Cond
-	moved  uint64 // total bytes moved, stats
 }
 
 // NewEngine creates the DMA engine for the given core.
@@ -163,20 +162,16 @@ func NewEngine(fab *Fabric, core int) *Engine {
 	return e
 }
 
-// Reset clears both channels' transfer state and statistics (the shared
-// fabric is reset separately, by its owner).
+// Reset clears both channels' transfer state (the shared fabric is
+// reset separately, by its owner).
 func (e *Engine) Reset() {
 	for _, ch := range e.ch {
 		ch.active = false
-		ch.moved = 0
 	}
 }
 
 // Busy reports whether the channel has an active transfer.
 func (e *Engine) Busy(c Chan) bool { return e.ch[c].active }
-
-// Moved returns the total bytes the channel has transferred.
-func (e *Engine) Moved(c Chan) uint64 { return e.ch[c].moved }
 
 // Start launches desc (and its chain) on channel c at the current engine
 // time. The caller is responsible for charging the CPU cost of
@@ -250,7 +245,6 @@ func (e *Engine) land(ch *channel, d *Desc, src, dst mem.Target, t sim.Time) {
 		if dst.Kind != mem.KindDRAM && e.fab.Notify != nil {
 			e.fab.Notify(dst.Core)
 		}
-		ch.moved += uint64(d.Bytes())
 		e.run(ch, d.Chain, t)
 	})
 }

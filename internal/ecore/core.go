@@ -25,14 +25,12 @@ type Core struct {
 	layout *mem.Layout
 	timers [2]sim.Time
 	flops  uint64
-	descs  uint64 // e_dma_set_desc calls, stats
+	// computeTime is the modelled compute time, the energy model's
+	// active-cycle count.
+	computeTime sim.Time
 	// blocked wakes the core from BlockWriteDRAM; built on first use
 	// and reused, since the CPU has at most one block in flight.
 	blocked *sim.Cond
-	// Time accounting by activity, for the trace package.
-	computeTime  sim.Time
-	dmaWaitTime  sim.Time
-	flagWaitTime sim.Time
 }
 
 func newCore(ch *Chip, idx int) *Core {
@@ -45,14 +43,13 @@ func newCore(ch *Chip, idx int) *Core {
 	}
 }
 
-// reset clears all per-core run state: timers, statistics, the activity
-// accounting, the scratchpad layout plan and both DMA channels.
+// reset clears all per-core run state: timers, the flop and compute
+// counters, the scratchpad layout plan and both DMA channels.
 func (c *Core) reset() {
 	c.proc = nil
 	c.layout.Reset()
 	c.timers = [2]sim.Time{}
-	c.flops, c.descs = 0, 0
-	c.computeTime, c.dmaWaitTime, c.flagWaitTime = 0, 0, 0
+	c.flops, c.computeTime = 0, 0
 	c.dma.Reset()
 }
 
@@ -209,21 +206,6 @@ func (c *Core) WaitLocal32GE(off mem.Addr, v uint32) {
 		p.WaitCond(c.chip.arrival[c.idx])
 	}
 	p.Wait(PollDetectCost)
-	c.flagWaitTime += p.Now() - start
-	if r := c.chip.fab.Rec; r != nil {
-		r.CoreSpan(c.idx, noc.ActFlagSpin, start, p.Now())
-	}
-}
-
-// WaitLocal32 spins until the local word at off equals v exactly.
-func (c *Core) WaitLocal32(off mem.Addr, v uint32) {
-	p := c.Proc()
-	start := p.Now()
-	for c.sram.Load32(off) != v {
-		p.WaitCond(c.chip.arrival[c.idx])
-	}
-	p.Wait(PollDetectCost)
-	c.flagWaitTime += p.Now() - start
 	if r := c.chip.fab.Rec; r != nil {
 		r.CoreSpan(c.idx, noc.ActFlagSpin, start, p.Now())
 	}
@@ -234,7 +216,6 @@ func (c *Core) WaitLocal32(off mem.Addr, v uint32) {
 // DMASetDesc charges the CPU cost of building a descriptor in memory and
 // returns it. Benchmarks that reuse descriptors call this once.
 func (c *Core) DMASetDesc(d *dma.Desc) *dma.Desc {
-	c.descs++
 	c.Proc().Wait(noc.DMADescriptorBuildCost)
 	return d
 }
@@ -251,23 +232,15 @@ func (c *Core) DMAWait(ch dma.Chan) {
 	p := c.Proc()
 	start := p.Now()
 	c.dma.Wait(p, ch)
-	c.dmaWaitTime += p.Now() - start
 	if r := c.chip.fab.Rec; r != nil && p.Now() > start {
 		r.CoreSpan(c.idx, noc.ActDMAWait, start, p.Now())
 	}
 }
 
-// Activity returns the core's accumulated time by category: modelled
-// compute, blocking on DMA completion, and spinning on flags.
-func (c *Core) Activity() (compute, dmaWait, flagWait sim.Time) {
-	return c.computeTime, c.dmaWaitTime, c.flagWaitTime
-}
-
-// DMABusy reports whether the channel is still transferring.
-func (c *Core) DMABusy(ch dma.Chan) bool { return c.dma.Busy(ch) }
-
-// DMAMoved returns the bytes the channel has moved (statistics).
-func (c *Core) DMAMoved(ch dma.Chan) uint64 { return c.dma.Moved(ch) }
+// ComputeTime returns the core's accumulated modelled compute time (the
+// sum of its Compute calls since the board was built or reset). A
+// Timeline's per-core compute spans carry the same time span by span.
+func (c *Core) ComputeTime() sim.Time { return c.computeTime }
 
 // --- Event timers (e_ctimer_*). ---
 

@@ -367,8 +367,20 @@ func TestStoreToUnmappedAddressPanics(t *testing.T) {
 	}
 }
 
+// spanSums is a noc.Recorder that totals each core activity kind's
+// span time.
+type spanSums map[noc.ActivityKind]sim.Time
+
+func (s spanSums) CoreSpan(_ int, k noc.ActivityKind, start, end sim.Time) {
+	s[k] += end - start
+}
+func (spanSums) DMATransfer(int, string, sim.Time, sim.Time, int) {}
+func (spanSums) ELinkCross(int, sim.Time, sim.Time, int)          {}
+
 func TestActivityAccounting(t *testing.T) {
 	eng, ch := newChip()
+	spans := spanSums{}
+	ch.Fabric().Rec = spans
 	ch.Launch(0, "k", func(c *Core) {
 		c.Compute(50, 100)
 		d := c.DMASetDesc(dma.Desc1D(0, c.GlobalOn(0, 1, 0), 512, 8))
@@ -378,14 +390,16 @@ func TestActivityAccounting(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	compute, dmaWait, flagWait := ch.Core(0).Activity()
-	if compute != sim.Cycles(50) {
+	if compute := ch.Core(0).ComputeTime(); compute != sim.Cycles(50) {
 		t.Fatalf("compute = %v", compute)
 	}
-	if dmaWait == 0 {
+	if spans[noc.ActCompute] != sim.Cycles(50) {
+		t.Fatalf("compute spans = %v, want %v", spans[noc.ActCompute], sim.Cycles(50))
+	}
+	if spans[noc.ActDMAWait] == 0 {
 		t.Fatal("dma wait not recorded")
 	}
-	if flagWait != 0 {
-		t.Fatalf("phantom flag wait %v", flagWait)
+	if flagWait, ok := spans[noc.ActFlagSpin]; ok {
+		t.Fatalf("phantom flag spin %v", flagWait)
 	}
 }

@@ -17,7 +17,6 @@ package isa
 type Pipeline struct {
 	readyAt [NumRegs]uint64
 	cycle   uint64
-	flops   uint64
 	issued  uint64
 	stalls  uint64
 }
@@ -27,9 +26,6 @@ func NewPipeline() *Pipeline { return &Pipeline{} }
 
 // Cycle returns the current cycle count.
 func (p *Pipeline) Cycle() uint64 { return p.cycle }
-
-// FlopCount returns the floating-point operations performed so far.
-func (p *Pipeline) FlopCount() uint64 { return p.flops }
 
 // Issued returns the number of instructions issued so far.
 func (p *Pipeline) Issued() uint64 { return p.issued }
@@ -56,7 +52,6 @@ func (p *Pipeline) ready(op Op) bool {
 // retire updates the scoreboard for an issued op.
 func (p *Pipeline) retire(op Op) {
 	p.issued++
-	p.flops += op.Kind.Flops()
 	if op.writesDst() {
 		p.readyAt[op.Dst] = p.cycle + op.latency()
 		if op.Kind == LOAD64 && int(op.Dst)+1 < NumRegs {

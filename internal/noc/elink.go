@@ -125,9 +125,6 @@ func elinkWeight(rows, cols, r, c int) float64 {
 	return 0.10 * math.Pow(2, -(colDist+1.2*float64(r)))
 }
 
-// Weight exposes the arbitration weight for core, for tests and docs.
-func (e *ELink) Weight(core int) float64 { return e.weight[core] }
-
 // Reset drops all queued requests, clears the WFQ state and statistics,
 // and restores the calibrated arbitration weights (undoing
 // SetUniformWeights), returning the arbiter to its just-built state.

@@ -22,18 +22,6 @@ func (d Dir) String() string {
 	return [...]string{"east", "west", "north", "south"}[d]
 }
 
-// linkState is the occupancy record of one physical link slot: the same
-// bandwidth-accounting model as sim.Resource (begin = max(t, freeAt),
-// busy until begin+d), held as a plain value in the mesh's flat slot
-// array so building and resetting a fabric allocates nothing per link.
-// Diagnostic names are derived lazily from grid position (LinkName);
-// the state itself carries none.
-type linkState struct {
-	freeAt sim.Time
-	busy   sim.Time // cumulative occupancy, for utilization stats
-	uses   uint64
-}
-
 // Mesh is the eMesh fabric of one board: a rows x cols grid of routers
 // with separate physical links per direction. The Epiphany has three
 // mesh networks (on-chip write, off-chip write, read request); we model
@@ -54,11 +42,16 @@ type Mesh struct {
 	amap               *mem.Map
 	rows, cols         int
 	chipRows, chipCols int
-	// links holds every distinct physical link slot: private on-chip
-	// directed links in [0, crossBase), then the shared chip-to-chip
-	// eLink slots in [crossBase, len). A slot index >= crossBase is what
-	// marks a hop as a chip-boundary crossing.
-	links     []linkState
+	// links holds the time each distinct physical link slot next falls
+	// free: private on-chip directed links in [0, crossBase), then the
+	// shared chip-to-chip eLink slots in [crossBase, len). A slot index
+	// >= crossBase is what marks a hop as a chip-boundary crossing. A
+	// hop books a slot with the same bandwidth-accounting model as
+	// sim.Resource (begin = max(t, free), busy until begin+d), held as
+	// plain values so building and resetting a fabric allocates nothing
+	// per link. Diagnostic names are derived lazily from grid position
+	// (LinkName).
+	links     []sim.Time
 	crossBase int32
 	// hIdx[(r*(cols-1)+c)*2+d] is the slot of the horizontal link between
 	// routers (r,c) and (r,c+1): d=0 eastbound, d=1 westbound. Boundary
@@ -89,11 +82,9 @@ type Mesh struct {
 }
 
 // meshCnt is the mesh's delivery statistics; the exported accessors
-// (Writes, Bytes, HopBytes, CrossReadBytes, Crossings, CrossBytes,
-// CrossTime) document each counter.
+// (HopBytes, CrossReadBytes, Crossings, CrossBytes, CrossTime) document
+// each counter.
 type meshCnt struct {
-	writes         uint64
-	bytes          uint64
 	hopBytes       uint64
 	crossReadBytes uint64
 	crossings      uint64
@@ -121,7 +112,7 @@ func NewMesh(eng *sim.Engine, amap *mem.Map) *Mesh {
 	nV := (m.rows - 1) * m.cols
 	onChip := (nH+nV)*2 - m.rows*(gridCols-1)*2 - m.cols*(gridRows-1)*2
 	m.crossBase = int32(onChip)
-	m.links = make([]linkState, onChip+nVCross+nHCross)
+	m.links = make([]sim.Time, onChip+nVCross+nHCross)
 	m.hIdx = make([]int32, nH*2)
 	m.vIdx = make([]int32, nV*2)
 	next := int32(0)
@@ -205,15 +196,9 @@ func abs(x int) int {
 // the serialization time. Boundary hops store-and-forward: the returned
 // time is the tail's arrival on the far chip.
 func (m *Mesh) hop(slot int32, cur, ser, serX sim.Time, n int) (sim.Time, bool) {
-	ls := &m.links[slot]
-	begin := cur
-	if ls.freeAt > begin {
-		begin = ls.freeAt
-	}
+	begin := max(cur, m.links[slot])
 	if slot >= m.crossBase {
-		ls.freeAt = begin + serX
-		ls.busy += serX
-		ls.uses++
+		m.links[slot] = begin + serX
 		next := begin + serX + m.c2cHop
 		m.cnt.crossings++
 		m.cnt.crossBytes += uint64(n)
@@ -223,9 +208,7 @@ func (m *Mesh) hop(slot int32, cur, ser, serX sim.Time, n int) (sim.Time, bool) 
 		}
 		return next, true
 	}
-	ls.freeAt = begin + ser
-	ls.busy += ser
-	ls.uses++
+	m.links[slot] = begin + ser
 	m.cnt.hopBytes += uint64(n)
 	return begin + HopLatency, false
 }
@@ -270,8 +253,6 @@ func (m *Mesh) CrossChip(a, b int) bool {
 // The XY route (X leg first, then Y) is walked inline over the flat
 // slot arrays; a call performs no allocations.
 func (m *Mesh) Deliver(t sim.Time, src, dst, n int) (arrive sim.Time) {
-	m.cnt.writes++
-	m.cnt.bytes += uint64(n)
 	if src == dst || n == 0 {
 		return t
 	}
@@ -386,16 +367,6 @@ func (m *Mesh) ReadWord(t sim.Time, src, dst int) (done sim.Time) {
 	return t + cost
 }
 
-// Writes returns the number of delivery bookings (Deliver calls).
-func (m *Mesh) Writes() uint64 {
-	return m.cnt.writes
-}
-
-// Bytes returns the total bytes delivered.
-func (m *Mesh) Bytes() uint64 {
-	return m.cnt.bytes
-}
-
 // HopBytes returns the accumulated payload bytes x on-chip hops routed
 // by Deliver plus the read network's round trips - the quantity the
 // energy model prices per byte-hop. Chip-boundary traffic accrues to
@@ -442,17 +413,6 @@ func (m *Mesh) linkSlot(r, c int, d Dir) (slot int32, ok bool) {
 		return m.vIdx[((r-1)*m.cols+c)*2+1], true
 	}
 	return 0, false
-}
-
-// LinkUtilization returns the utilization of the link leaving router
-// (r,c) towards d at time now, for diagnostics. Links that point off the
-// mesh edge (or coordinates outside the mesh) report 0.
-func (m *Mesh) LinkUtilization(r, c int, d Dir, now sim.Time) float64 {
-	slot, ok := m.linkSlot(r, c, d)
-	if !ok || now == 0 {
-		return 0
-	}
-	return float64(m.links[slot].busy) / float64(now)
 }
 
 // LinkName builds the diagnostic name of the link leaving router (r,c)

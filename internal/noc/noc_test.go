@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -116,8 +117,8 @@ func TestDeliverWestAndNorthRoutes(t *testing.T) {
 	if want := 5*HopLatency + ser; a != want {
 		t.Fatalf("west/north arrival %v, want %v", a, want)
 	}
-	if m.Writes() != 1 || m.Bytes() != 64 {
-		t.Fatalf("stats writes=%d bytes=%d", m.Writes(), m.Bytes())
+	if got := m.HopBytes(); got != 5*64 {
+		t.Fatalf("byte-hops %d, want %d", got, 5*64)
 	}
 }
 
@@ -401,47 +402,35 @@ func TestMeshDirString(t *testing.T) {
 	}
 }
 
-func TestLinkUtilizationAccounting(t *testing.T) {
-	eng, m := newTestMesh()
-	idx := m.Map().CoreIndex
-	m.Deliver(0, idx(2, 2), idx(2, 3), 8*100) // 100 cycles on link (2,2)e
-	now := sim.Cycles(200)
-	_ = eng
-	if u := m.LinkUtilization(2, 2, East, now); u != 0.5 {
-		t.Fatalf("east link utilization %v, want 0.5", u)
-	}
-	m.Deliver(0, idx(2, 3), idx(2, 2), 8*50)
-	if u := m.LinkUtilization(2, 3, West, now); u != 0.25 {
-		t.Fatalf("west link utilization %v, want 0.25", u)
-	}
-}
-
-// TestLinkUtilizationEdgeRouters sweeps every direction at all four mesh
+// TestLinkNameEdgeRouters sweeps every direction at all four mesh
 // corners: directions that point off the mesh edge (West at column 0,
 // North at row 0, East at the last column, South at the last row) must
-// report 0 instead of panicking, and out-of-range coordinates likewise.
-func TestLinkUtilizationEdgeRouters(t *testing.T) {
+// name an off-mesh link instead of panicking, and out-of-range
+// coordinates likewise; the corners' in-range links keep their names.
+func TestLinkNameEdgeRouters(t *testing.T) {
 	_, m := newTestMesh()
-	now := sim.Cycles(100)
 	last := m.Rows() - 1
+	offEdge := func(r, c int, d Dir) bool {
+		return (d == West && c == 0) || (d == North && r == 0) ||
+			(d == East && c == last) || (d == South && r == last)
+	}
 	corners := [][2]int{{0, 0}, {0, last}, {last, 0}, {last, last}}
 	for _, rc := range corners {
 		for _, d := range []Dir{East, West, North, South} {
-			if u := m.LinkUtilization(rc[0], rc[1], d, now); u != 0 {
-				t.Errorf("idle corner (%d,%d) %v utilization = %v, want 0", rc[0], rc[1], d, u)
+			want := fmt.Sprintf("link(%d,%d)%s", rc[0], rc[1], d)
+			if offEdge(rc[0], rc[1], d) {
+				want = fmt.Sprintf("off-mesh(%d,%d)%s", rc[0], rc[1], d)
+			}
+			if got := m.LinkName(rc[0], rc[1], d); got != want {
+				t.Errorf("corner (%d,%d) %v link named %q, want %q", rc[0], rc[1], d, got, want)
 			}
 		}
 	}
 	for _, rc := range [][2]int{{-1, 0}, {0, -1}, {last + 1, 0}, {0, last + 1}} {
-		if u := m.LinkUtilization(rc[0], rc[1], East, now); u != 0 {
-			t.Errorf("off-mesh router (%d,%d) utilization = %v, want 0", rc[0], rc[1], u)
+		want := fmt.Sprintf("off-mesh(%d,%d)east", rc[0], rc[1])
+		if got := m.LinkName(rc[0], rc[1], East); got != want {
+			t.Errorf("off-mesh router (%d,%d) link named %q, want %q", rc[0], rc[1], got, want)
 		}
-	}
-	// An in-range link at a corner still reports real utilization.
-	idx := m.Map().CoreIndex
-	m.Deliver(0, idx(0, 0), idx(0, 1), 8*50) // 50 cycles on link (0,0)e
-	if u := m.LinkUtilization(0, 0, East, now); u != 0.5 {
-		t.Errorf("corner east link utilization = %v, want 0.5", u)
 	}
 }
 
@@ -465,11 +454,18 @@ func TestMeshResetRestoresPristineState(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, mem.NewBoardMap(2, 2, 4, 4))
 	idx := m.Map().CoreIndex
+	// A second message on the same route queues behind the first's link
+	// bookings; a reset mesh must book and queue exactly as a fresh one.
 	first := m.Deliver(0, idx(0, 0), idx(3, 7), 512)
+	second := m.Deliver(0, idx(0, 0), idx(3, 7), 512)
+	if second <= first {
+		t.Fatalf("fresh mesh: second delivery arrives at %v, not queued behind %v", second, first)
+	}
+	m.ReadWord(0, idx(0, 0), idx(3, 7))
 	m.SetErrata0(true)
 	m.Reset()
-	if m.Writes() != 0 || m.Bytes() != 0 || m.Crossings() != 0 || m.CrossBytes() != 0 || m.CrossTime() != 0 {
-		t.Fatalf("stats survived Reset: writes=%d bytes=%d crossings=%d", m.Writes(), m.Bytes(), m.Crossings())
+	if m.HopBytes() != 0 || m.CrossReadBytes() != 0 || m.Crossings() != 0 || m.CrossBytes() != 0 || m.CrossTime() != 0 {
+		t.Fatalf("stats survived Reset: hop bytes=%d crossings=%d", m.HopBytes(), m.Crossings())
 	}
 	if m.Errata0() {
 		t.Fatal("errata model survived Reset")
@@ -477,8 +473,8 @@ func TestMeshResetRestoresPristineState(t *testing.T) {
 	if again := m.Deliver(0, idx(0, 0), idx(3, 7), 512); again != first {
 		t.Fatalf("post-Reset delivery arrives at %v, fresh mesh gave %v", again, first)
 	}
-	if u := m.LinkUtilization(0, 0, East, sim.Cycles(100)); u == 0 {
-		t.Fatal("post-Reset delivery booked no link time")
+	if again := m.Deliver(0, idx(0, 0), idx(3, 7), 512); again != second {
+		t.Fatalf("post-Reset second delivery arrives at %v, fresh mesh gave %v", again, second)
 	}
 }
 

@@ -60,9 +60,6 @@ func (c *Cond) BroadcastAfter(d Time) {
 	c.waiters = c.waiters[:0]
 }
 
-// Waiters reports how many Procs are currently parked on c.
-func (c *Cond) Waiters() int { return len(c.waiters) }
-
 // WaitFor repeatedly waits on c until pred() is true. It returns the
 // number of wake-ups that were needed. pred is evaluated once before any
 // waiting, so no wake-up happens if it already holds.

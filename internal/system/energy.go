@@ -20,8 +20,7 @@ func (s *System) EnergyCounters(elapsed sim.Time) power.Counters {
 	var flops uint64
 	for i := 0; i < s.chip.NumCores(); i++ {
 		c := s.chip.Core(i)
-		compute, _, _ := c.Activity()
-		active += compute
+		active += c.ComputeTime()
 		flops += c.Flops()
 	}
 	var sramBytes uint64

@@ -1,3 +1,7 @@
+// Package trace records what a simulation did as a Perfetto timeline:
+// where each core's time went (compute vs DMA waits vs flag spins), the
+// DMA transfer legs, and chip-to-chip eLink crossings - the "where did
+// the time go" view of kernels running on the simulated chip.
 package trace
 
 import (

@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"epiphany/internal/dma"
@@ -146,11 +145,10 @@ func TestTimelineDetachStopsRecording(t *testing.T) {
 	}
 }
 
-// TestClusterLinkHeatAndCrossings exercises the board-level views on
-// the 4-chip cluster: a DMA from chip 0 into chip 1 must show up in
-// LinkHeat's eastbound map (rendered at board geometry, 8 rows of 7
-// links) and as c2c spans on an attached Timeline.
-func TestClusterLinkHeatAndCrossings(t *testing.T) {
+// TestClusterCrossingSpans exercises the board-level view on the
+// 4-chip cluster: a DMA from chip 0 into chip 1 must show up as c2c
+// spans on an attached Timeline, carrying every byte it moved.
+func TestClusterCrossingSpans(t *testing.T) {
 	s := system.NewTopology(system.Cluster2x2)
 	ch := s.Chip()
 	tl := NewTimeline()
@@ -168,24 +166,6 @@ func TestClusterLinkHeatAndCrossings(t *testing.T) {
 	})
 	if err := s.Engine().Run(); err != nil {
 		t.Fatal(err)
-	}
-
-	out := LinkHeat(ch)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 9 { // title + 8 board rows
-		t.Fatalf("cluster heatmap has %d lines, want 9:\n%s", len(lines), out)
-	}
-	for i, line := range lines[1:] {
-		if len(strings.TrimSpace(line)) != 7 { // 8 columns -> 7 eastbound links
-			t.Fatalf("row %d has %q, want 7 link digits", i, line)
-		}
-	}
-	// The on-chip legs of the route (row 0, cols 0..2) are used links.
-	if strings.TrimSpace(lines[1]) == "0000000" {
-		t.Errorf("route row shows no eastbound utilization:\n%s", out)
-	}
-	if mustTrim := strings.TrimSpace(lines[8]); mustTrim != "0000000" {
-		t.Errorf("idle row 7 shows utilization %q:\n%s", mustTrim, out)
 	}
 
 	doc := exportDoc(t, tl)

@@ -3,7 +3,7 @@
 // can validate its configuration and execute against a fresh System,
 // reporting the paper-style Metrics. The package also keeps the
 // process-wide registry of named workloads and the functional options
-// (topology, seed, trace) shared by the one-shot Run helper and the
+// (topology, seed, timeline) shared by the one-shot Run helper and the
 // concurrent batch Runner.
 package workload
 
@@ -75,7 +75,6 @@ type TopologyFitter interface {
 type runConfig struct {
 	topo        system.Topology
 	seed        *uint64
-	trace       io.Writer
 	timeline    io.Writer
 	engineStats bool
 	power       string
@@ -105,12 +104,6 @@ func WithWorkers(int) Option { return func(*runConfig) {} }
 // workload must implement Reseeder (the built-ins do).
 func WithSeed(seed uint64) Option {
 	return func(rc *runConfig) { s := seed; rc.seed = &s }
-}
-
-// WithTrace writes the per-core activity heatmaps and the mesh-link
-// heatmap to w after the run.
-func WithTrace(w io.Writer) Option {
-	return func(rc *runConfig) { rc.trace = w }
 }
 
 // WithTimeline records the run as a Chrome trace-event / Perfetto JSON
@@ -194,9 +187,10 @@ func prepare(w Workload, opts []Option) (Workload, runConfig, error) {
 }
 
 // runOn executes a prepared workload on sys (fresh from NewTopology, or
-// recycled through System.Reset) and emits the optional trace. Trace
-// write failures are surfaced as run errors, not dropped: a caller who
-// asked for the heatmaps and silently got none would misread the run.
+// recycled through System.Reset) and emits the optional timeline.
+// Timeline write failures are surfaced as run errors, not dropped: a
+// caller who asked for the timeline and silently got none would misread
+// the run.
 func runOn(ctx context.Context, w Workload, sys *system.System, rc *runConfig) (Result, error) {
 	var tl *trace.Timeline
 	if rc.timeline != nil {
@@ -212,14 +206,6 @@ func runOn(ctx context.Context, w Workload, sys *system.System, rc *runConfig) (
 	}
 	if res, err = decorate(res, sys, rc); err != nil {
 		return nil, fmt.Errorf("epiphany: energy accounting for %q: %w", w.Name(), err)
-	}
-	if rc.trace != nil {
-		if _, err := io.WriteString(rc.trace, trace.Take(sys.Chip()).String()); err != nil {
-			return nil, fmt.Errorf("epiphany: writing trace for %q: %w", w.Name(), err)
-		}
-		if _, err := io.WriteString(rc.trace, trace.LinkHeat(sys.Chip())); err != nil {
-			return nil, fmt.Errorf("epiphany: writing trace for %q: %w", w.Name(), err)
-		}
 	}
 	if tl != nil {
 		if err := tl.Export(rc.timeline); err != nil {

@@ -155,17 +155,6 @@ func TestRunOptionPlumbing(t *testing.T) {
 	if _, err := Run(context.Background(), nonReseeder{}, WithSeed(1)); err == nil {
 		t.Fatal("WithSeed on a non-Reseeder succeeded")
 	}
-
-	// WithTrace emits the heatmaps after a real run.
-	var buf bytes.Buffer
-	w := &Stencil{Config: core.StencilConfig{
-		Rows: 4, Cols: 4, Iters: 1, GroupRows: 1, GroupCols: 1, Seed: 1}}
-	if _, err := Run(context.Background(), w, WithTrace(&buf)); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("WithTrace wrote nothing")
-	}
 }
 
 type seedProbe struct {
@@ -269,28 +258,38 @@ func (w *errWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
+// TestRunSurfacesTraceWriteErrors checks that a failing WithTimeline
+// writer fails the run with the writer's error wrapped, on Run and on a
+// Runner job alike, and that the failed job still hands its board back
+// to the Runner's pool in a state that reproduces a fresh run.
 func TestRunSurfacesTraceWriteErrors(t *testing.T) {
+	ctx := context.Background()
 	w := &Stencil{Config: core.StencilConfig{
 		Rows: 4, Cols: 4, Iters: 1, GroupRows: 1, GroupCols: 1, Seed: 1}}
 	boom := fmt.Errorf("disk full")
 
-	// A writer that fails immediately (mid first heatmap).
-	if _, err := Run(context.Background(), w, WithTrace(&errWriter{err: boom})); !errors.Is(err, boom) {
+	if _, err := Run(ctx, w, WithTimeline(&errWriter{err: boom})); !errors.Is(err, boom) {
 		t.Fatalf("Run error = %v, want wrapped %v", err, boom)
 	}
 
-	// A writer that fails only on the second emission (the link heatmap):
-	// the first WriteString succeeding must not mask the second failing.
-	var probe bytes.Buffer
-	if _, err := Run(context.Background(), w, WithTrace(&probe)); err != nil {
+	r := &Runner{Workers: 1}
+	jr := r.RunJob(ctx, Job{Workload: w, Options: []Option{WithTimeline(&errWriter{err: boom})}})
+	if !errors.Is(jr.Err, boom) {
+		t.Fatalf("RunJob error = %v, want wrapped %v", jr.Err, boom)
+	}
+	if n := len(r.idle); n != 1 {
+		t.Fatalf("failed timeline write left %d boards in the pool, want 1", n)
+	}
+	fresh, err := Run(ctx, w)
+	if err != nil {
 		t.Fatal(err)
 	}
-	headLen := bytes.Index(probe.Bytes(), []byte("eastbound link utilization"))
-	if headLen <= 0 {
-		t.Fatalf("trace output missing link heatmap:\n%s", probe.String())
+	jr = r.RunJob(ctx, Job{Workload: w})
+	if jr.Err != nil {
+		t.Fatal(jr.Err)
 	}
-	if _, err := Run(context.Background(), w, WithTrace(&errWriter{limit: headLen, err: boom})); !errors.Is(err, boom) {
-		t.Fatalf("Run error = %v, want wrapped %v from the second trace write", err, boom)
+	if got, want := jr.Result.Metrics(), fresh.Metrics(); got != want {
+		t.Fatalf("recycled board after a failed write: %+v, fresh run: %+v", got, want)
 	}
 }
 

@@ -27,8 +27,8 @@ type (
 	// and - when a power model is attached - the energy domain (joules,
 	// watts, GFLOPS/W, EDP, per-component breakdown).
 	Metrics = workload.Metrics
-	// Option configures a run: WithTopology, WithSeed, WithTrace,
-	// WithTimeline, WithEngineStats and WithPowerModel.
+	// Option configures a run: WithTopology, WithSeed, WithTimeline,
+	// WithEngineStats and WithPowerModel.
 	Option = workload.Option
 	// Reseeder is implemented by workloads whose inputs derive from a
 	// seed; WithSeed requires it.
@@ -126,10 +126,6 @@ func WithTopology(t Topology) Option { return workload.WithTopology(t) }
 // WithSeed rebases the workload's deterministic inputs onto seed; the
 // workload must implement Reseeder (the built-ins do).
 func WithSeed(seed uint64) Option { return workload.WithSeed(seed) }
-
-// WithTrace writes the per-core activity heatmaps and the mesh-link
-// heatmap to w after the run.
-func WithTrace(w io.Writer) Option { return workload.WithTrace(w) }
 
 // WithTimeline records the run as a Chrome trace-event / Perfetto JSON
 // timeline written to w after the run: per-core activity spans
