@@ -27,6 +27,7 @@ type cannon struct {
 	cur        int    // double-buffer scheme current buffer
 	compute    sim.Time
 	transfer   sim.Time
+	desc       [2]dma.Desc // one rotation descriptor per channel
 }
 
 func newCannon(c *ecore.Core, w *sdk.Workgroup, gr, gc int, m, n, k int, plan *matmulPlan, tuned bool) *cannon {
@@ -126,12 +127,13 @@ func (ca *cannon) zeroC() {
 }
 
 // sendBlock DMA-transfers sz bytes from a local offset to a neighbour's
-// offset, building the descriptor each round as the alternating buffer
-// addresses require.
+// offset, rewriting the channel's descriptor each round as the
+// alternating buffer addresses require.
 func (ca *cannon) sendBlock(ch dma.Chan, target int, src, dst mem.Addr, sz int) {
 	r, c := ca.c.Chip().Map().CoreCoords(target)
-	d := ca.c.DMASetDesc(dma.Desc1D(src, ca.c.GlobalOn(r, c, dst), sz, 8))
-	ca.c.DMAStart(ch, d)
+	d := &ca.desc[ch]
+	d.Set1D(src, ca.c.GlobalOn(r, c, dst), sz, 8)
+	ca.c.DMAStart(ch, ca.c.DMASetDesc(d))
 	ca.c.DMAWait(ch)
 }
 

@@ -44,6 +44,7 @@ type summa struct {
 	step     uint32
 	compute  sim.Time
 	transfer sim.Time
+	desc     [2]dma.Desc // one send descriptor per channel
 }
 
 func newSumma(c *ecore.Core, w *sdk.Workgroup, gr, gc, m, n, k int, plan *matmulPlan, tuned bool) *summa {
@@ -61,8 +62,9 @@ func (s *summa) await(slot int, v uint32) {
 
 // send DMA-copies sz bytes to workgroup position (row, col).
 func (s *summa) send(ch dma.Chan, row, col int, src, dst mem.Addr, sz int) {
-	s.c.DMAStart(ch, s.c.DMASetDesc(dma.Desc1D(src,
-		s.c.GlobalOn(s.w.OriginRow+row, s.w.OriginCol+col, dst), sz, 8)))
+	d := &s.desc[ch]
+	d.Set1D(src, s.c.GlobalOn(s.w.OriginRow+row, s.w.OriginCol+col, dst), sz, 8)
+	s.c.DMAStart(ch, s.c.DMASetDesc(d))
 	s.c.DMAWait(ch)
 }
 

@@ -79,6 +79,19 @@ func TestMulBlockAllocsZero(t *testing.T) {
 	}
 }
 
+// TestTimingModelLookupAllocsZero: the warm timing-cache lookups a
+// block multiply and a matmul plan make allocate nothing.
+func TestTimingModelLookupAllocsZero(t *testing.T) {
+	MatmulBlockModel(32, 32, 32, true) // fill the cache
+	matmulCodeBytes(32, 32)
+	if allocs := testing.AllocsPerRun(20, func() {
+		MatmulBlockModel(32, 32, 32, true)
+		matmulCodeBytes(32, 32)
+	}); allocs != 0 {
+		t.Fatalf("timing-cache lookups allocate %.1f times", allocs)
+	}
+}
+
 // BenchmarkMulBlock times one 32x32x32 block product, the paper's
 // per-core Cannon step, against the word-at-a-time loop it replaced.
 func BenchmarkMulBlock(b *testing.B) {

@@ -199,6 +199,8 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 	// r, the inputs read from row r+1 and the updated row r.
 	rowBuf := make([]float32, 4*maxExt)
 	prev, cur, next, out := rowBuf[:maxExt], rowBuf[maxExt:2*maxExt], rowBuf[2*maxExt:3*maxExt], rowBuf[3*maxExt:]
+	// The one DMA0 descriptor, rewritten for every tile in and out.
+	tile := new(dma.Desc)
 
 	for done := 0; done < cfg.Iters; done += cfg.TBlock {
 		T := cfg.TBlock
@@ -221,7 +223,7 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 			rows, cols := wr1-wr0, wc1-wc0
 
 			// Page the window in (2D doubleword DMA over the eLink).
-			c.DMAStart(dma.DMA0, c.DMASetDesc(tileDesc(
+			c.DMAStart(dma.DMA0, c.DMASetDesc(tileDesc(tile,
 				mem.DRAMBase+srcOff+mem.Addr(4*(wr0*pitch+wc0)), c.Global(stencilGridOff),
 				rows, cols, pitch, cols)))
 			c.DMAWait(dma.DMA0)
@@ -265,7 +267,7 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 
 			// Write the interior block back to the destination array.
 			ir, ic := br0-wr0, bc0-wc0
-			c.DMAStart(dma.DMA0, c.DMASetDesc(tileDesc(
+			c.DMAStart(dma.DMA0, c.DMASetDesc(tileDesc(tile,
 				c.Global(at(ir, ic)), mem.DRAMBase+dstOff+mem.Addr(4*(br0*pitch+bc0)),
 				cfg.BlockRows, cfg.BlockCols, cols, pitch)))
 			c.DMAWait(dma.DMA0)
@@ -276,15 +278,15 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 	}
 }
 
-// tileDesc builds a 2D descriptor moving rows x cols float32 between a
-// strided source and destination.
-func tileDesc(src, dst mem.Addr, rows, cols, srcPitch, dstPitch int) *dma.Desc {
+// tileDesc makes d a 2D descriptor moving rows x cols float32 between a
+// strided source and destination, and returns it.
+func tileDesc(d *dma.Desc, src, dst mem.Addr, rows, cols, srcPitch, dstPitch int) *dma.Desc {
 	beat := 8
 	inner := cols * 4 / beat
 	if cols*4%beat != 0 {
 		beat, inner = 4, cols
 	}
-	return &dma.Desc{
+	*d = dma.Desc{
 		Beat:           beat,
 		InnerCount:     inner,
 		OuterCount:     rows,
@@ -295,6 +297,7 @@ func tileDesc(src, dst mem.Addr, rows, cols, srcPitch, dstPitch int) *dma.Desc {
 		Src:            src,
 		Dst:            dst,
 	}
+	return d
 }
 
 func maxInt(a, b int) int {

@@ -32,7 +32,16 @@ const (
 // timingCache memoizes pipeline simulations keyed by a small config.
 var timingCache sync.Map
 
-func cached(key string, f func() [2]uint64) [2]uint64 {
+// timingKey names one memoized pipeline simulation: a model and its
+// block shape. It is a comparable value, so a lookup - one per block
+// multiply - allocates nothing.
+type timingKey struct {
+	model string
+	n, k  int
+	tuned bool
+}
+
+func cached(key timingKey, f func() [2]uint64) [2]uint64 {
 	if v, ok := timingCache.Load(key); ok {
 		return v.([2]uint64)
 	}
@@ -51,7 +60,7 @@ func cached(key string, f func() [2]uint64) [2]uint64 {
 func StencilComputeModel(rows, cols int, tuned bool) (cycles, flops uint64) {
 	flops = uint64(rows) * uint64(cols) * 10 // 5 FMADDs per point
 	if !tuned {
-		v := cached("stencil-naive", func() [2]uint64 {
+		v := cached(timingKey{model: "stencil-naive"}, func() [2]uint64 {
 			body := isa.StencilNaiveBody()
 			const probe = 64
 			return [2]uint64{isa.LoopCycles(body, probe) / probe, 0}
@@ -64,7 +73,7 @@ func StencilComputeModel(rows, cols int, tuned bool) (cycles, flops uint64) {
 	}
 	stripes := cols / isa.StencilStripeWidth
 	bodies := uint64(rows+1) / 2
-	v := cached("stencil-tuned", func() [2]uint64 {
+	v := cached(timingKey{model: "stencil-tuned"}, func() [2]uint64 {
 		pro := isa.NewPipeline()
 		proCycles := pro.Run(isa.StencilPrologue())
 		body := isa.StencilLoopBody()
@@ -85,8 +94,7 @@ func StencilComputeModel(rows, cols int, tuned bool) (cycles, flops uint64) {
 // exceed the register file's 32 accumulators.
 func MatmulBlockModel(m, n, k int, tuned bool) (cycles, flops uint64) {
 	flops = 2 * uint64(m) * uint64(n) * uint64(k)
-	key := fmt.Sprintf("matmul-%d-%d-%v", n, k, tuned)
-	v := cached(key, func() [2]uint64 {
+	v := cached(timingKey{model: "matmul", n: n, k: k, tuned: tuned}, func() [2]uint64 {
 		var body []isa.Op
 		if tuned {
 			body = isa.MatmulRowBodyNK(n, k)
@@ -106,7 +114,7 @@ func MatmulBlockModel(m, n, k int, tuned bool) (cycles, flops uint64) {
 // memoized so a plan does not build the macro-expanded program on
 // every run only to measure it.
 func matmulCodeBytes(n, k int) int {
-	v := cached(fmt.Sprintf("matmul-code-%d-%d", n, k), func() [2]uint64 {
+	v := cached(timingKey{model: "matmul-code", n: n, k: k}, func() [2]uint64 {
 		return [2]uint64{uint64(isa.CodeBytes(isa.MatmulRowBodyNK(n, k))), 0}
 	})
 	return int(v[0])

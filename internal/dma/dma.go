@@ -9,6 +9,15 @@
 // (the engine paces at the calibrated 2 GB/s doubleword rate, books
 // occupancy on the mesh links it crosses, and competes through the eLink
 // arbiter for off-chip destinations).
+//
+// The package also owns the other inter-core primitive, the posted
+// remote write of §V-A: Fabric.Post is the one posted write, to another
+// core's SRAM or to shared DRAM, behind the ecore package's
+// StoreGlobal32 and CopyWordsTo.
+//
+// Neither primitive allocates per event on a warm board: a channel
+// keeps its leg in flight and schedules handlers bound once, and posted
+// writes are recycled records.
 package dma
 
 import (
@@ -21,8 +30,8 @@ import (
 
 // Fabric bundles the board-level facilities a DMA engine needs. The
 // ecore package constructs one per board and shares it among all
-// engines. Write is the entry point for the ecore package's mesh
-// stores.
+// engines. Post is the one posted write, the entry point for the ecore
+// package's remote stores.
 type Fabric struct {
 	Eng       *sim.Engine
 	Map       *mem.Map
@@ -44,13 +53,59 @@ type Fabric struct {
 	// than inferred from the resource's busy time, so the energy term
 	// stays correct if the read link's timing model ever changes.
 	readBytes uint64
+	// posts holds landed posted writes for reuse (Post).
+	posts []*post
 }
 
-// Write is the one mesh write: n bytes from core src, issued now,
-// arrive at core dst no earlier than minT, and deposit runs then. A
-// route that crosses chips books the chip-to-chip eLinks on its way.
-func (f *Fabric) Write(src, dst, n int, minT sim.Time, deposit func()) {
-	f.Eng.At(max(f.Mesh.Deliver(f.Eng.Now(), src, dst, n), minT), deposit)
+// post is one posted write in flight: the bytes as they were at issue
+// and where they land. land, bound once when the record is made, is
+// the event or eLink callback that deposits them.
+type post struct {
+	fab  *Fabric
+	dst  mem.Target
+	data []byte
+	land func()
+}
+
+// Post is the one posted write: data from core src, issued now, lands
+// at dst, a core's SRAM (KindCore) or shared DRAM (KindDRAM). The bytes
+// are copied at issue, so the caller may overwrite its source at once.
+// A core write crosses the mesh and lands no earlier than minT, booking
+// the chip-to-chip eLinks on a route that crosses chips; a DRAM write
+// competes for the off-chip link and lands when it completes, whatever
+// minT. Records are recycled once they land, so a warm fabric posts
+// without allocating.
+func (f *Fabric) Post(src int, dst mem.Target, data []byte, minT sim.Time) {
+	var p *post
+	if k := len(f.posts); k > 0 {
+		p = f.posts[k-1]
+		f.posts = f.posts[:k-1]
+	} else {
+		p = &post{fab: f}
+		p.land = p.deposit
+	}
+	p.dst = dst
+	p.data = append(p.data[:0], data...)
+	if dst.Kind == mem.KindDRAM {
+		f.ELink.Submit(src, len(data), p.land)
+	} else {
+		f.Eng.At(max(f.Mesh.Deliver(f.Eng.Now(), src, dst.Core, len(data)), minT), p.land)
+	}
+}
+
+// deposit lands a posted write: the bytes are stored, a core
+// destination's pollers are notified, and the record is recycled.
+func (p *post) deposit() {
+	f := p.fab
+	if p.dst.Kind == mem.KindDRAM {
+		f.DRAM.Write(p.dst.Off, p.data)
+	} else {
+		copy(f.SRAMs[p.dst.Core].Bytes(p.dst.Off, len(p.data)), p.data)
+		if f.Notify != nil {
+			f.Notify(p.dst.Core)
+		}
+	}
+	f.posts = append(f.posts, p)
 }
 
 // ELinkReadTime books n bytes on the read direction of the off-chip link
@@ -100,10 +155,18 @@ type Desc struct {
 
 // Desc1D builds a contiguous transfer of n bytes with the given beat.
 func Desc1D(src, dst mem.Addr, n, beat int) *Desc {
+	d := new(Desc)
+	d.Set1D(src, dst, n, beat)
+	return d
+}
+
+// Set1D makes d a contiguous transfer of n bytes with the given beat and
+// no chain, the way SDK code rewrites one descriptor between transfers.
+func (d *Desc) Set1D(src, dst mem.Addr, n, beat int) {
 	if n%beat != 0 {
 		panic(fmt.Sprintf("dma: %d bytes not a multiple of beat %d", n, beat))
 	}
-	return &Desc{
+	*d = Desc{
 		Beat: beat, InnerCount: n / beat, OuterCount: 1,
 		SrcInnerStride: beat, DstInnerStride: beat,
 		Src: src, Dst: dst,
@@ -147,9 +210,28 @@ type Engine struct {
 	ch   [2]*channel
 }
 
+// channel is one DMA channel. It runs one leg - one descriptor of a
+// chain - at a time, so the leg in flight lives in the channel, and the
+// handlers its events run are bound once, in NewEngine: a warm channel
+// schedules without allocating.
 type channel struct {
+	eng    *Engine
 	active bool
 	done   *sim.Cond
+
+	// The leg in flight: its descriptor, decoded ends and byte count,
+	// the time it started, the time its pacing allows it to finish, and
+	// the time it lands.
+	d        *Desc
+	src, dst mem.Target
+	n        int
+	start    sim.Time
+	paced    sim.Time
+	at       sim.Time
+
+	// Bound handlers: land completes the leg at at, finish ends the
+	// chain, and dramWritten is the eLink completion of a DRAM write.
+	land, finish, dramWritten func()
 }
 
 // NewEngine creates the DMA engine for the given core.
@@ -157,7 +239,9 @@ func NewEngine(fab *Fabric, core int) *Engine {
 	e := &Engine{fab: fab, core: core}
 	prefixes := [2]string{"dma0:core", "dma1:core"}
 	for i := range e.ch {
-		e.ch[i] = &channel{done: sim.NewCondIdx(fab.Eng, prefixes[i], core)}
+		ch := &channel{eng: e, done: sim.NewCondIdx(fab.Eng, prefixes[i], core)}
+		ch.land, ch.finish, ch.dramWritten = ch.landLeg, ch.finishChain, ch.dramWriteDone
+		e.ch[i] = ch
 	}
 	return e
 }
@@ -167,6 +251,7 @@ func NewEngine(fab *Fabric, core int) *Engine {
 func (e *Engine) Reset() {
 	for _, ch := range e.ch {
 		ch.active = false
+		ch.d = nil
 	}
 }
 
@@ -193,10 +278,7 @@ func (e *Engine) Start(c Chan, desc *Desc) {
 func (e *Engine) run(ch *channel, d *Desc, t sim.Time) {
 	eng := e.fab.Eng
 	if d == nil {
-		eng.At(t, func() {
-			ch.active = false
-			ch.done.Broadcast()
-		})
+		eng.At(t, ch.finish)
 		return
 	}
 	d.validate()
@@ -210,43 +292,61 @@ func (e *Engine) run(ch *channel, d *Desc, t sim.Time) {
 	}
 	mesh := e.fab.Mesh
 	n := d.Bytes()
-	paced := t + noc.DMASerialization(n, d.Beat)
+	ch.d, ch.src, ch.dst, ch.n, ch.start = d, src, dst, n, t
+	ch.paced = t + noc.DMASerialization(n, d.Beat)
 	switch {
 	case dst.Kind == mem.KindDRAM:
 		// Off-chip write: compete for the eLink, which is the bottleneck.
-		e.fab.ELink.Submit(e.core, n, func() {
-			end := max(eng.Now(), paced)
-			e.record("dram-write", t, end, n)
-			e.land(ch, d, src, dst, end)
-		})
+		e.fab.ELink.Submit(e.core, n, ch.dramWritten)
 	case src.Kind == mem.KindDRAM:
 		// Off-chip read: the read direction of the link, then the mesh
 		// from the link corner.
 		end := e.fab.ELinkReadTime(t, n)
-		arrive := max(mesh.Deliver(end, e.linkCorner(), dst.Core, n), paced)
+		arrive := max(mesh.Deliver(end, e.linkCorner(), dst.Core, n), ch.paced)
 		e.record("dram-read", t, arrive, n)
-		e.land(ch, d, src, dst, arrive)
+		e.land(ch, arrive)
 	default:
 		kind := "mesh"
 		if mesh.CrossChip(src.Core, dst.Core) {
 			kind = "mesh-x"
 		}
-		arrive := max(mesh.Deliver(t, src.Core, dst.Core, n), paced)
+		arrive := max(mesh.Deliver(t, src.Core, dst.Core, n), ch.paced)
 		e.record(kind, t, arrive, n)
-		e.land(ch, d, src, dst, arrive)
+		e.land(ch, arrive)
 	}
 }
 
-// land completes a leg at time t: the functional copy, the
+// land schedules the channel's leg to complete at time t.
+func (e *Engine) land(ch *channel, t sim.Time) {
+	ch.at = t
+	e.fab.Eng.At(t, ch.land)
+}
+
+// dramWriteDone runs when the eLink has carried a DRAM write leg: the
+// leg lands once its pacing allows.
+func (ch *channel) dramWriteDone() {
+	e := ch.eng
+	end := max(e.fab.Eng.Now(), ch.paced)
+	e.record("dram-write", ch.start, end, ch.n)
+	e.land(ch, end)
+}
+
+// landLeg completes the leg in flight: the functional copy, the
 // destination's arrival notification, then the chain continuation.
-func (e *Engine) land(ch *channel, d *Desc, src, dst mem.Target, t sim.Time) {
-	e.fab.Eng.At(t, func() {
-		e.copyDesc(d, src, dst)
-		if dst.Kind != mem.KindDRAM && e.fab.Notify != nil {
-			e.fab.Notify(dst.Core)
-		}
-		e.run(ch, d.Chain, t)
-	})
+func (ch *channel) landLeg() {
+	e := ch.eng
+	e.copyDesc(ch.d, ch.src, ch.dst)
+	if ch.dst.Kind != mem.KindDRAM && e.fab.Notify != nil {
+		e.fab.Notify(ch.dst.Core)
+	}
+	e.run(ch, ch.d.Chain, ch.at)
+}
+
+// finishChain ends the channel's chain and wakes its waiters.
+func (ch *channel) finishChain() {
+	ch.active = false
+	ch.d = nil
+	ch.done.Broadcast()
 }
 
 // record reports one transfer leg to the attached timeline recorder, if

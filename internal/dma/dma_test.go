@@ -271,7 +271,9 @@ func TestDMANotifyHook(t *testing.T) {
 }
 
 // TestChainRoundAllocs budgets the allocations of one chained DMA round
-// - an on-chip leg, a DRAM read and a DRAM write - on a warm engine.
+// - an on-chip leg, a DRAM read and a DRAM write - on a warm engine:
+// none, since every leg runs handlers bound once to its channel and the
+// eLink recycles its requests.
 func TestChainRoundAllocs(t *testing.T) {
 	f := newFabric()
 	e := NewEngine(f, 0)
@@ -287,7 +289,7 @@ func TestChainRoundAllocs(t *testing.T) {
 	if e.Busy(DMA0) {
 		t.Fatal("chain did not complete")
 	}
-	if allocs > 11 {
-		t.Errorf("one chained round allocates %v times, budget 11", allocs)
+	if allocs != 0 {
+		t.Errorf("one chained round allocates %v times, budget 0", allocs)
 	}
 }

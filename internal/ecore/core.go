@@ -1,6 +1,7 @@
 package ecore
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"epiphany/internal/dma"
@@ -131,14 +132,12 @@ func (c *Core) StoreGlobal32(a mem.Addr, v uint32) {
 	case mem.KindLocal:
 		c.sram.Store32(tgt.Off, v)
 		c.chip.notifyWrite(c.idx)
-	case mem.KindCore:
-		fab.Write(c.idx, tgt.Core, 4, 0, func() {
-			fab.SRAMs[tgt.Core].Store32(tgt.Off, v)
-			c.chip.notifyWrite(tgt.Core)
-		})
-	case mem.KindDRAM:
-		// The DRAM store lands at eLink completion.
-		fab.ELink.Submit(c.idx, 4, func() { fab.DRAM.Store32(tgt.Off, v) })
+	case mem.KindCore, mem.KindDRAM:
+		// Post copies the word at issue; a DRAM store lands at eLink
+		// completion.
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		fab.Post(c.idx, tgt, b[:], 0)
 	default:
 		panic(fmt.Sprintf("ecore: store to unmapped address %#x", a))
 	}
@@ -160,15 +159,8 @@ func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 	case mem.KindLocal:
 		mem.Copy(c.sram, tgt.Off, c.sram, srcOff, n)
 		c.chip.notifyWrite(c.idx)
-	case mem.KindCore:
-		data := append([]byte(nil), c.sram.View(srcOff, n)...)
-		fab.Write(c.idx, tgt.Core, n, cpuDone, func() {
-			copy(fab.SRAMs[tgt.Core].Bytes(tgt.Off, n), data)
-			c.chip.notifyWrite(tgt.Core)
-		})
-	case mem.KindDRAM:
-		data := append([]byte(nil), c.sram.View(srcOff, n)...)
-		fab.ELink.Submit(c.idx, n, func() { fab.DRAM.Write(tgt.Off, data) })
+	case mem.KindCore, mem.KindDRAM:
+		fab.Post(c.idx, tgt, c.sram.View(srcOff, n), cpuDone)
 	default:
 		panic(fmt.Sprintf("ecore: copy to unmapped address %#x", dst))
 	}

@@ -42,6 +42,13 @@ type ELink struct {
 	served   []uint64 // completed requests per core
 	svcBytes []uint64 // bytes served per core
 	total    uint64
+
+	// cur is the request in service; complete, bound once in NewELink,
+	// finishes it. free holds served requests for reuse, so a warm
+	// arbiter allocates nothing per transfer.
+	cur      *elinkReq
+	complete func()
+	free     []*elinkReq
 }
 
 type elinkReq struct {
@@ -91,6 +98,7 @@ func NewELink(eng *sim.Engine, rows, cols int) *ELink {
 		served:   make([]uint64, n),
 		svcBytes: make([]uint64, n),
 	}
+	e.complete = e.finish
 	e.calibrate()
 	return e
 }
@@ -134,6 +142,7 @@ func (e *ELink) Reset() {
 	clear(e.lastTag)
 	e.virtual = 0
 	e.busy = false
+	e.cur = nil
 	clear(e.served)
 	clear(e.svcBytes)
 	e.total = 0
@@ -160,7 +169,14 @@ func (e *ELink) Submit(core, n int, fn func()) {
 	// system advanced rejoins at the server's virtual time rather than
 	// accumulating unbounded catch-up credit.
 	start := math.Max(e.lastTag[core], e.virtual)
-	req := &elinkReq{
+	var req *elinkReq
+	if k := len(e.free); k > 0 {
+		req = e.free[k-1]
+		e.free = e.free[:k-1]
+	} else {
+		req = new(elinkReq)
+	}
+	*req = elinkReq{
 		core:  core,
 		bytes: n,
 		start: start,
@@ -176,6 +192,8 @@ func (e *ELink) Submit(core, n int, fn func()) {
 	}
 }
 
+// serveNext puts the lowest-tag pending request in service, or idles
+// the link when none is queued.
 func (e *ELink) serveNext() {
 	if e.pending.Len() == 0 {
 		e.busy = false
@@ -184,13 +202,24 @@ func (e *ELink) serveNext() {
 	e.busy = true
 	req := heap.Pop(&e.pending).(*elinkReq)
 	e.virtual = req.start
-	dur := sim.Time(req.bytes) * ELinkBytePeriod
-	e.eng.After(dur, func() {
-		e.served[req.core]++
-		e.svcBytes[req.core] += uint64(req.bytes)
-		req.fn()
-		e.serveNext()
-	})
+	e.cur = req
+	e.eng.After(sim.Time(req.bytes)*ELinkBytePeriod, e.complete)
+}
+
+// finish completes the request in service. It reads the request and
+// recycles it before running the callback, which may Submit again and
+// so reuse the record; the link stays busy until serveNext, so such a
+// Submit only queues.
+func (e *ELink) finish() {
+	req := e.cur
+	core, n, fn := req.core, req.bytes, req.fn
+	*req = elinkReq{}
+	e.free = append(e.free, req)
+	e.cur = nil
+	e.served[core]++
+	e.svcBytes[core] += uint64(n)
+	fn()
+	e.serveNext()
 }
 
 // Served returns how many write requests completed for core.

@@ -352,17 +352,8 @@ func TestResourceSerializes(t *testing.T) {
 	if b3 != 50 || e3 != 60 {
 		t.Fatalf("third use [%v,%v), want [50,60)", b3, e3)
 	}
-	if r.BusyTime() != 30 {
-		t.Fatalf("busy = %v, want 30", r.BusyTime())
-	}
-	if got := r.Utilization(60); got != 0.5 {
-		t.Fatalf("utilization = %v, want 0.5", got)
-	}
-	if r.Uses() != 3 {
-		t.Fatalf("uses = %d, want 3", r.Uses())
-	}
 	r.Reset()
-	if r.FreeAt() != 0 || r.BusyTime() != 0 {
+	if r.FreeAt() != 0 {
 		t.Fatal("reset did not clear state")
 	}
 }

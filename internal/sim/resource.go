@@ -12,8 +12,6 @@ package sim
 type Resource struct {
 	name   string
 	freeAt Time
-	busy   Time // cumulative busy time, for utilization stats
-	uses   uint64
 }
 
 // NewResource creates a named resource that is free at time zero.
@@ -35,27 +33,11 @@ func (r *Resource) Use(t, d Time) (begin, end Time) {
 	}
 	end = begin + d
 	r.freeAt = end
-	r.busy += d
-	r.uses++
 	return begin, end
 }
 
 // FreeAt returns the earliest time a new request could begin service.
 func (r *Resource) FreeAt() Time { return r.freeAt }
 
-// BusyTime returns the cumulative time the resource has been occupied.
-func (r *Resource) BusyTime() Time { return r.busy }
-
-// Uses returns the number of Use calls.
-func (r *Resource) Uses() uint64 { return r.uses }
-
-// Utilization returns busy time divided by the window [0, now].
-func (r *Resource) Utilization(now Time) float64 {
-	if now == 0 {
-		return 0
-	}
-	return float64(r.busy) / float64(now)
-}
-
-// Reset makes the resource free immediately and clears statistics.
-func (r *Resource) Reset() { r.freeAt, r.busy, r.uses = 0, 0, 0 }
+// Reset makes the resource free immediately.
+func (r *Resource) Reset() { r.freeAt = 0 }
