@@ -22,21 +22,42 @@
 //	epiphany-sweep -power epiphany-iv-28nm      # energy columns on every cell
 //	epiphany-sweep -dvfs 300MHz@0.8V,600MHz@1.0V,800MHz@1.2V   # frequency-scaling axis
 //	epiphany-sweep -plan scaling-1024           # registered plan: the 1024-core scaling study
+//	epiphany-sweep -workloads matmul-offchip -topos cluster-2x2 -engine-stats -timeline t.json
+//
+// -engine-stats prints each cell's event-engine counters to stderr, and
+// -timeline writes each cell's Perfetto timeline to a file, so stdout
+// carries only the table in every -format.
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
+	"regexp"
 	"strconv"
 	"strings"
 
 	"epiphany"
+	"epiphany/internal/workload"
 )
 
+// formats renders a sweep result in each -format spelling.
+var formats = map[string]func(*epiphany.SweepResult) ([]byte, error){
+	"text":     func(r *epiphany.SweepResult) ([]byte, error) { return []byte(r.Text()), nil },
+	"markdown": func(r *epiphany.SweepResult) ([]byte, error) { return []byte(r.Markdown()), nil },
+	"md":       func(r *epiphany.SweepResult) ([]byte, error) { return []byte(r.Markdown()), nil },
+	"csv":      func(r *epiphany.SweepResult) ([]byte, error) { return []byte(r.CSV()), nil },
+	"json": func(r *epiphany.SweepResult) ([]byte, error) {
+		b, err := r.JSON()
+		return append(b, '\n'), err
+	},
+}
+
 func main() {
-	workloads := flag.String("workloads", "all", `workloads to sweep: "all" or a comma-separated list of workload specs, each a registered name with optional "/key=value" config overrides (keys under epiphany-bench -list)`)
+	workloads := flag.String("workloads", "all", `workloads to sweep: "all" or a comma-separated list of workload specs, each a registered name with optional "/key=value" config overrides (keys under -list)`)
 	topos := flag.String("topos", "", `topology axis: comma-separated presets ("e16"), meshes ("4x8"), chip grids ("grid=4x4/chip=8x8", "cluster-4x4", "e64x16"), each with an optional "/c2c=BYTE:HOP" override (the removed "/shards=N" engine partition is refused); empty = all presets`)
 	seeds := flag.String("seeds", "", "seed axis: comma-separated uint64s; empty = each workload's default seed")
 	baseline := flag.String("baseline", "", "topology the speedup/efficiency columns compare against, in any spelling of a -topos value (default: smallest on the axis)")
@@ -46,13 +67,24 @@ func main() {
 	format := flag.String("format", "text", "output format: text, markdown, csv or json")
 	out := flag.String("o", "", "write output to this file instead of stdout")
 	planName := flag.String("plan", "", `registered plan to run (e.g. "scaling-1024"); the axis flags override its fields`)
-	list := flag.Bool("list", false, "list registered workloads, topology presets and plans")
+	list := flag.Bool("list", false, "list registered workloads, workload spec keys, topology presets, power models and plans")
+	timelineFile := flag.String("timeline", "", `write each cell's run as a Perfetto / Chrome trace-event JSON timeline to FILE (several cells: a -<cell> suffix each); open in ui.perfetto.dev`)
+	engineStats := flag.Bool("engine-stats", false, "print each cell's event-engine counters (executed events, event-heap peak) to stderr")
 	flag.Parse()
+	if flag.NArg() != 0 {
+		fmt.Fprintf(os.Stderr, "epiphany-sweep: unexpected arguments %q\n", flag.Args())
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *list {
 		fmt.Println("workloads:")
 		for _, w := range epiphany.Workloads() {
 			fmt.Printf("  %s\n", w.Name())
+		}
+		fmt.Println("workload keys (NAME/key=value/..., by the preset's kind):")
+		for _, line := range workload.KeyUsage() {
+			fmt.Printf("  %s\n", line)
 		}
 		fmt.Println("topology presets (the grammar also accepts ad-hoc meshes like 4x8, chip grids like grid=4x4/chip=8x8, cluster-4x4 or e64x16 and /c2c=BYTE:HOP overrides):")
 		for _, t := range epiphany.Topologies() {
@@ -70,6 +102,10 @@ func main() {
 		return
 	}
 
+	render, ok := formats[*format]
+	if !ok {
+		fail(fmt.Errorf("unknown -format %q (text, markdown, csv, json)", *format))
+	}
 	// A DVFS axis without a model means the caller wants the frequency
 	// scaling of the reference device; default to the calibrated preset.
 	if *dvfs != "" && *powerModel == "" {
@@ -89,27 +125,27 @@ func main() {
 		}
 		plan = overlayPlan(named.Plan, flagPlan)
 	}
-	res, err := epiphany.Sweep(context.Background(), plan, *workers)
+	// Timelines are captured per cell into memory (cells run
+	// concurrently) and written out after the sweep; Sweep calls the
+	// option functions in expansion order, so timelines[i] is cell i's.
+	var cellOpts []func(epiphany.SweepCell) epiphany.Option
+	if *engineStats {
+		cellOpts = append(cellOpts, func(epiphany.SweepCell) epiphany.Option { return epiphany.WithEngineStats() })
+	}
+	var timelines []*bytes.Buffer
+	if *timelineFile != "" {
+		cellOpts = append(cellOpts, func(epiphany.SweepCell) epiphany.Option {
+			buf := &bytes.Buffer{}
+			timelines = append(timelines, buf)
+			return epiphany.WithTimeline(buf)
+		})
+	}
+	res, err := epiphany.Sweep(context.Background(), plan, *workers, cellOpts...)
 	if err != nil {
 		fail(err)
 	}
 
-	var rendered []byte
-	switch *format {
-	case "text":
-		rendered = []byte(res.Text())
-	case "markdown", "md":
-		rendered = []byte(res.Markdown())
-	case "csv":
-		rendered = []byte(res.CSV())
-	case "json":
-		rendered, err = res.JSON()
-		if err == nil {
-			rendered = append(rendered, '\n')
-		}
-	default:
-		err = fmt.Errorf("unknown -format %q (text, markdown, csv, json)", *format)
-	}
+	rendered, err := render(res)
 	if err != nil {
 		fail(err)
 	}
@@ -117,6 +153,25 @@ func main() {
 		os.Stdout.Write(rendered)
 	} else if err := os.WriteFile(*out, rendered, 0o644); err != nil {
 		fail(err)
+	}
+	for i, c := range res.Cells {
+		if c.Err != "" {
+			continue
+		}
+		if st := c.Metrics.Engine; st != nil {
+			fmt.Fprintf(os.Stderr, "%s %s", cellLabel(c), st)
+		}
+		if timelines != nil {
+			path := *timelineFile
+			if len(res.Cells) > 1 {
+				ext := filepath.Ext(path)
+				path = strings.TrimSuffix(path, ext) + "-" + unsafeInName.ReplaceAllString(cellLabel(c), "_") + ext
+			}
+			if err := os.WriteFile(path, timelines[i].Bytes(), 0o644); err != nil {
+				fail(err)
+			}
+			fmt.Fprintf(os.Stderr, "[timeline written to %s]\n", path)
+		}
 	}
 
 	// Failed cells keep the table shape but must fail the invocation:
@@ -128,6 +183,24 @@ func main() {
 		}
 	}
 }
+
+// cellLabel names a cell by its coordinates: workload and topology,
+// then the DVFS point and seed when the plan has those axes.
+func cellLabel(c epiphany.SweepCellResult) string {
+	label := c.Workload + "@" + c.Topology
+	if c.DVFS != "" {
+		label += "@" + c.DVFS
+	}
+	if c.Seed != nil {
+		label += "@seed=" + strconv.FormatUint(*c.Seed, 10)
+	}
+	return label
+}
+
+// unsafeInName matches every byte a timeline file suffix must not
+// carry - the "/" of a workload or topology spec above all - so a
+// capture never lands in a subdirectory; each maps to "_".
+var unsafeInName = regexp.MustCompile(`[^A-Za-z0-9._=-]`)
 
 // overlayPlan starts from a registered plan and overrides whichever
 // axes the flags spelled explicitly, so `-plan scaling-1024 -workloads

@@ -27,7 +27,7 @@ type cannon struct {
 	cur        int    // double-buffer scheme current buffer
 	compute    sim.Time
 	transfer   sim.Time
-	desc       [2]dma.Desc // one rotation descriptor per channel
+	desc       [2]dma.Desc // one descriptor per channel: rotations and off-chip tiles
 }
 
 func newCannon(c *ecore.Core, w *sdk.Workgroup, gr, gc int, m, n, k int, plan *matmulPlan, tuned bool) *cannon {
@@ -396,7 +396,10 @@ func runMatmulOffChip(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
 }
 
 // offChipKernel is the device-side top level: page tile operands in from
-// shared memory, run the on-chip product, page the C tile back out.
+// shared memory, run the on-chip product, page the C tile back out. Each
+// tile transfer refills its channel's rotation descriptor in place: the
+// transfer waits for its channel before returning, so the descriptor is
+// free again.
 func offChipKernel(ca *cannon, cfg *MatmulConfig, Q, S int, aOff, bOff, cOff mem.Addr) {
 	g := ca.w.Rows
 	n := ca.n
@@ -404,7 +407,8 @@ func offChipKernel(ca *cannon, cfg *MatmulConfig, Q, S int, aOff, bOff, cOff mem
 	readTile := func(ch dma.Chan, dramBase mem.Addr, row, col int, local mem.Addr) {
 		t0 := ca.c.Now()
 		src := dramBase + mem.Addr(4*(row*G+col))
-		d := &dma.Desc{
+		d := &ca.desc[ch]
+		*d = dma.Desc{
 			Beat:           8,
 			InnerCount:     n / 2,
 			OuterCount:     n,
@@ -423,7 +427,8 @@ func offChipKernel(ca *cannon, cfg *MatmulConfig, Q, S int, aOff, bOff, cOff mem
 	writeTile := func(dramBase mem.Addr, row, col int, local mem.Addr) {
 		t0 := ca.c.Now()
 		dst := dramBase + mem.Addr(4*(row*G+col))
-		d := &dma.Desc{
+		d := &ca.desc[dma.DMA0]
+		*d = dma.Desc{
 			Beat:           8,
 			InnerCount:     n / 2,
 			OuterCount:     n,

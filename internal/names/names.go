@@ -2,10 +2,9 @@
 // Every registry in the simulator (workloads, topology presets, power
 // models) is looked up by exact string, and an off-by-one-letter flag
 // value used to fail with a bare "unknown X" - leaving the user to go
-// find the listing themselves. The CLIs (epiphany-sweep,
-// epiphany-bench) and the epiphany-serve HTTP 400s all route their
-// unknown-name errors through Unknown, so a typo gets the same
-// "did you mean" suggestion everywhere.
+// find the listing themselves. The epiphany-sweep CLI and the
+// epiphany-serve HTTP 400s both route their unknown-name errors through
+// Unknown, so a typo gets the same "did you mean" suggestion everywhere.
 package names
 
 import (

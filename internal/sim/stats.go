@@ -40,7 +40,7 @@ func (e *Engine) Stats() EngineStats {
 	return EngineStats{Events: e.nEvents, HeapPeak: e.heapPeak}
 }
 
-// String renders the snapshot as the epiphany-bench -engine-stats
+// String renders the snapshot as the epiphany-sweep -engine-stats
 // report.
 func (st EngineStats) String() string {
 	return fmt.Sprintf("engine: %d events, heap peak %d\n", st.Events, st.HeapPeak)

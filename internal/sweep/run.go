@@ -60,7 +60,12 @@ type Result struct {
 // errors and context cancellation. The result is bit-deterministic:
 // the same plan produces identical cells (and therefore identical
 // rendered output) on every run, with any worker count.
-func Run(ctx context.Context, p Plan, workers int) (*Result, error) {
+//
+// Each cellOpts function is called once per cell, in expansion order
+// and before any cell runs, and the option it returns is appended to
+// that cell's job: the epiphany-sweep CLI attaches engine counters and
+// a per-cell timeline buffer this way.
+func Run(ctx context.Context, p Plan, workers int, cellOpts ...func(Cell) workload.Option) (*Result, error) {
 	p, err := p.Normalize()
 	if err != nil {
 		return nil, err
@@ -72,6 +77,9 @@ func Run(ctx context.Context, p Plan, workers int) (*Result, error) {
 		jobs[i], cores[i], err = p.CellJob(c)
 		if err != nil {
 			return nil, err
+		}
+		for _, f := range cellOpts {
+			jobs[i].Options = append(jobs[i].Options, f(c))
 		}
 	}
 	r := &workload.Runner{Workers: workers}
@@ -199,7 +207,7 @@ func (r *Result) prettyHeader() []string {
 		h = append(h, "dvfs")
 	}
 	h = append(h, "seed", "cores", "time (ms)", "GFLOPS", "% peak",
-		"speedup", "efficiency", "x-chip %")
+		"% compute", "% transfer", "speedup", "efficiency", "x-chip %")
 	if r.energyOn() {
 		h = append(h, "wall (ms)", "energy (mJ)", "avg W", "GFLOPS/W", "energy rel", "EDP rel")
 	}
@@ -217,12 +225,17 @@ func (r *Result) prettyRows() [][]string {
 			if energy {
 				row = append(row, c.DVFS)
 			}
-			row = append(row, seedLabel(c.Seed), "-", "-", "-", "-", "-", "-", "-")
+			row = append(row, seedLabel(c.Seed), "-", "-", "-", "-", "-", "-", "-", "-", "-")
 			if energy {
 				row = append(row, "-", "-", "-", "-", "-", "-")
 			}
 			rows = append(rows, append(row, c.Err))
 			continue
+		}
+		compute, transfer := "-", "-"
+		if c.Metrics.ComputeTime+c.Metrics.TransferTime > 0 {
+			compute = fmt.Sprintf("%.1f", c.Metrics.PctCompute())
+			transfer = fmt.Sprintf("%.1f", c.Metrics.PctTransfer())
 		}
 		xchip := "-"
 		if c.Metrics.ELinkCrossings > 0 {
@@ -238,6 +251,8 @@ func (r *Result) prettyRows() [][]string {
 			fmt.Sprintf("%.3f", c.Metrics.Elapsed.Seconds()*1e3),
 			fmt.Sprintf("%.2f", c.Metrics.GFLOPS),
 			fmt.Sprintf("%.1f", c.Metrics.PctPeak),
+			compute,
+			transfer,
 			fmt.Sprintf("%.2f", c.Speedup),
 			fmt.Sprintf("%.2f", c.Efficiency),
 			xchip,

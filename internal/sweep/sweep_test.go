@@ -270,6 +270,43 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
+// TestRunCellOptions: each per-cell option function is called once per
+// cell in expansion order, its option reaches that cell's run, and the
+// CSV bytes stay those of a run without it.
+func TestRunCellOptions(t *testing.T) {
+	plan := Plan{
+		Workloads: []string{"stencil-tuned", "matmul-cannon"},
+		Topos:     []string{"e16", "e64"},
+	}
+	var calls []Cell
+	res, err := Run(context.Background(), plan, 2, func(c Cell) workload.Option {
+		calls = append(calls, c)
+		return workload.WithEngineStats()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) != len(res.Cells) {
+		t.Fatalf("%d option calls for %d cells", len(calls), len(res.Cells))
+	}
+	for i, c := range res.Cells {
+		if calls[i].Workload != c.Workload || calls[i].Topo != c.Topology {
+			t.Errorf("call %d was for %s@%s, cell %d is %s@%s",
+				i, calls[i].Workload, calls[i].Topo, i, c.Workload, c.Topology)
+		}
+		if c.Metrics.Engine == nil {
+			t.Errorf("cell %s@%s ran without its option", c.Workload, c.Topology)
+		}
+	}
+	plain, err := Run(context.Background(), plan, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.CSV() != plain.CSV() {
+		t.Error("a per-cell option changed the CSV bytes")
+	}
+}
+
 // TestRunRecordsCellErrors: a cell whose workload cannot run on its
 // topology fails alone; the rest of the grid still executes and the
 // failed cell keeps its position with empty derived columns.

@@ -67,7 +67,7 @@ var streamKeys = []key[core.StreamStencilConfig]{
 
 // Parse resolves a workload spec, NAME[/key=value]...: the one spelling
 // of a kernel configuration that ParseWorkload, the sweep workload axis,
-// the serve daemon's JobSpec and epiphany-bench -workloads share. NAME
+// the serve daemon's JobSpec and epiphany-sweep -workloads share. NAME
 // is a registered workload, returned itself when no keys follow. Each
 // key overrides one config field, from the key table of the preset's
 // type above; seeds are not keys (WithSeed sets them) and other types

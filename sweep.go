@@ -62,7 +62,9 @@ func ScalingStudyPlan() SweepPlan { return sweep.ScalingStudy() }
 // given number of concurrent workers (<= 0 means GOMAXPROCS) and
 // returns the aggregated result. Per-cell failures are recorded in the
 // result's cells; the returned error is reserved for plan errors and
-// context cancellation.
-func Sweep(ctx context.Context, p SweepPlan, workers int) (*SweepResult, error) {
-	return sweep.Run(ctx, p, workers)
+// context cancellation. Each cellOpts function is called once per cell,
+// in expansion order before any cell runs, and adds its option to that
+// cell's run (WithEngineStats, or a per-cell WithTimeline buffer).
+func Sweep(ctx context.Context, p SweepPlan, workers int, cellOpts ...func(SweepCell) Option) (*SweepResult, error) {
+	return sweep.Run(ctx, p, workers, cellOpts...)
 }

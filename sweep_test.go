@@ -218,7 +218,7 @@ func TestSweepTableHasScalingColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := res.Text()
-	for _, col := range []string{"workload", "topology", "speedup", "efficiency", "x-chip %"} {
+	for _, col := range []string{"workload", "topology", "% compute", "% transfer", "speedup", "efficiency", "x-chip %"} {
 		if !strings.Contains(text, col) {
 			t.Errorf("sweep table lacks %q column:\n%s", col, text)
 		}

@@ -72,11 +72,12 @@ func WorkloadByName(name string) (Workload, bool) { return workload.ByName(name)
 // ParseWorkload resolves a workload spec: a registered name
 // ("matmul-offchip"), optionally followed by "/key=value" overrides of
 // that preset's config ("matmul-offchip/m=512/n=512/k=512"). The keys
-// depend on the preset's type (epiphany-bench -list prints them); seeds
+// depend on the preset's type (epiphany-sweep -list prints them); seeds
 // are set with WithSeed, and custom workload types take no keys. The
-// sweep axis, the serve daemon and epiphany-bench -workloads all resolve
-// workloads through it. The result's Name is the canonical spelling, so
-// a spec restating its preset returns the registered preset itself.
+// sweep axis (and so epiphany-sweep -workloads) and the serve daemon
+// resolve workloads through it. The result's Name is the canonical
+// spelling, so a spec restating its preset returns the registered preset
+// itself.
 func ParseWorkload(spec string) (Workload, error) { return workload.Parse(spec) }
 
 // Run validates w and executes it on a fresh System built according to
