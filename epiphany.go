@@ -14,8 +14,9 @@
 //     stencil - ship as StencilWorkload, MatmulWorkload and
 //     StreamStencilWorkload, with ready-made presets in the registry
 //     (Register, Workloads, WorkloadByName). Run executes one workload;
-//     Runner.RunBatch executes many concurrently, each on its own fresh
-//     System.
+//     Runner.RunBatch executes many concurrently, each on a pristine
+//     System: a fresh one, or a pooled board recycled through
+//     System.Reset, which is bit-identical to a fresh one.
 //
 //   - Kernel level: Chip, Workgroup and Core expose an Epiphany-SDK-like
 //     programming surface (direct remote stores, DMA descriptors with

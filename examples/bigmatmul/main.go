@@ -32,8 +32,8 @@ func main() {
 	res := r.(*epiphany.MatmulResult)
 	fmt.Printf("simulated time        : %v\n", res.Elapsed)
 	fmt.Printf("performance           : %.2f GFLOPS (%.1f%% of 76.8 peak)\n", res.GFLOPS, res.PctPeak)
-	fmt.Printf("core time in compute  : %.1f%%\n", res.PctCompute())
-	fmt.Printf("core time in transfers: %.1f%%  <- the 150 MB/s eLink dominates (paper: 87.2%%)\n", res.PctTransfer())
+	fmt.Printf("core time in compute  : %.1f%%\n", res.Metrics().PctCompute())
+	fmt.Printf("core time in transfers: %.1f%%  <- the 150 MB/s eLink dominates (paper: 87.2%%)\n", res.Metrics().PctTransfer())
 	d := epiphany.MaxAbsDiff(res.C, epiphany.MatmulReference(cfg))
 	fmt.Printf("max |diff| vs host ref: %g\n", d)
 	if d != 0 {

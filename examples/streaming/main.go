@@ -57,7 +57,7 @@ func main() {
 		res := jr.Result.(*epiphany.StreamStencilResult)
 		fmt.Printf("%-4d %-12v %-10.2f %-10.1f +%.1f%%\n",
 			tblocks[i], res.Elapsed, res.GFLOPS, float64(res.DRAMBytes)/1e6,
-			100*float64(res.RedundantFlops)/float64(res.UsefulFlops))
+			100*float64(res.RedundantFlops)/float64(res.TotalFlops))
 		if first == nil {
 			first = res.Global
 			cfg := base

@@ -37,7 +37,7 @@ func ExtStreamStencil() *Table {
 			panic(err)
 		}
 		res := r.(*core.StreamStencilResult)
-		redundant := 100 * float64(res.RedundantFlops) / float64(res.UsefulFlops)
+		redundant := 100 * float64(res.RedundantFlops) / float64(res.TotalFlops)
 		t.AddRow(fmt.Sprint(T), f3(res.Elapsed.Seconds()*1e3), f2(res.GFLOPS),
 			f1(float64(res.DRAMBytes)/1e6), f1(redundant))
 	}

@@ -81,7 +81,7 @@ func Table6(includeLarge bool) *Table {
 			OffChip: true, OffChipEdge: s.edge, Tuned: true,
 		})
 		t.AddRow(fmt.Sprintf("%d x %d", s.G, s.G), f2(res.GFLOPS), f1(res.PctPeak),
-			f1(res.PctCompute()), f1(res.PctTransfer()),
+			f1(res.Metrics().PctCompute()), f1(res.Metrics().PctTransfer()),
 			f2(power.GFLOPSPerWatt(res.GFLOPS)))
 	}
 	t.AddNote("paper: 8.32 / 8.52 / 6.34 GFLOPS with 87.2 / 86.9 / 89.1%% in shared-memory transfers")

@@ -112,7 +112,48 @@ func (cfg *MatmulConfig) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown algorithm %q (want cannon or summa)", cfg.Algorithm)
 	}
+	if !cfg.OffChip {
+		return nil
+	}
+	if _, err := cfg.offChipTile(); err != nil {
+		return err
+	}
+	if _, _, cOff := matmulDRAMOffsets(cfg); int(cOff)+4*cfg.M*cfg.K > mem.DRAMSize {
+		return fmt.Errorf("core: %d^2 operands exceed the 32 MB shared window", cfg.M)
+	}
 	return nil
+}
+
+// offChipTile returns the per-core tile edge of an off-chip run: the
+// configured OffChipEdge, or else the largest of 32, 24, 16 and 8 that
+// divides the per-group share M/G. The pager needs square operands.
+func (cfg *MatmulConfig) offChipTile() (int, error) {
+	if cfg.M != cfg.N || cfg.N != cfg.K {
+		return 0, fmt.Errorf("core: off-chip matmul supports square matrices, got %dx%dx%d",
+			cfg.M, cfg.N, cfg.K)
+	}
+	share := cfg.M / cfg.G
+	if e := cfg.OffChipEdge; e != 0 {
+		if e < 1 || e > 32 || share%e != 0 {
+			return 0, fmt.Errorf("core: off-chip tile edge %d does not divide per-group share %d", e, share)
+		}
+		return e, nil
+	}
+	for _, e := range []int{32, 24, 16, 8} {
+		if share%e == 0 {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("core: matrix edge %d not tileable over a %dx%d group", cfg.M, cfg.G, cfg.G)
+}
+
+// matmulDRAMOffsets returns where the off-chip run stages A, B and C
+// in the shared window.
+func matmulDRAMOffsets(cfg *MatmulConfig) (aOff, bOff, cOff mem.Addr) {
+	aOff = 0
+	bOff = aOff + mem.Addr(4*cfg.M*cfg.N)
+	cOff = bOff + mem.Addr(4*cfg.N*cfg.K)
+	return
 }
 
 // matmulScheme picks the buffering scheme for a per-core block size.
@@ -204,27 +245,13 @@ func planMatmul(m, n, k, g int) (*matmulPlan, error) {
 	return p, nil
 }
 
-// MatmulResult reports one run.
+// MatmulResult reports one run. Its ComputeTime and TransferTime
+// decompose the run as Table VI does (summed over cores).
 type MatmulResult struct {
-	Elapsed    sim.Time
-	TotalFlops uint64
-	GFLOPS     float64
-	PctPeak    float64
-	// ComputeTime and TransferTime decompose off-chip runs as Table VI
-	// does (summed over cores; percentages are of their sum).
-	ComputeTime  sim.Time
-	TransferTime sim.Time
+	Summary
 	// C is the gathered result, row-major M x K.
 	C []float32
-	// NoC reports chip-boundary eLink traffic on multi-chip boards.
-	NoC NoCStats
 }
-
-// PctCompute returns the Table VI "% Computation" column.
-func (r *MatmulResult) PctCompute() float64 { return r.Metrics().PctCompute() }
-
-// PctTransfer returns the Table VI "% Shared Mem Transfers" column.
-func (r *MatmulResult) PctTransfer() float64 { return r.Metrics().PctTransfer() }
 
 // makeMatmulInput builds deterministic operands. With Verify, entries are
 // small integers so that float32 accumulation is exact in any order.
@@ -277,16 +304,44 @@ func MaxAbsDiff(x, y []float32) float64 {
 	return worst
 }
 
-// RunMatmul dispatches to the configured driver.
+// RunMatmul runs the configured multiplication: Cannon's rotation or
+// SUMMA's broadcasts on chip (§VII level 2, Table V; §VIII), or Cannon
+// over tiles paged through shared DRAM (§VII level 3, Table VI).
 func RunMatmul(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Algorithm == "summa" {
-		return runMatmulSumma(h, cfg)
+	m, n, k, _ := cfg.blockDims()
+	g := cfg.G
+	r := &matmulRun{cfg: cfg, cores: make([]*blockCore, g*g), res: &MatmulResult{}}
+	planG := g
+	switch {
+	case cfg.OffChip:
+		edge, _ := cfg.offChipTile()
+		m, n, k = edge, edge, edge
+		r.tileEdge = g * edge
+		r.aOff, r.bOff, r.cOff = matmulDRAMOffsets(&cfg)
+	case r.summa():
+		// SUMMA needs the panel workspace even on one core, which
+		// broadcasts nothing; the plan stays uniform.
+		planG = max(g, 2)
 	}
-	if cfg.OffChip {
-		return runMatmulOffChip(h, cfg)
+	plan, err := planMatmul(m, n, k, planG)
+	if err != nil {
+		return nil, err
 	}
-	return runMatmulOnChip(h, cfg)
+	if r.summa() && plan.scheme != schemeDouble {
+		return nil, fmt.Errorf("core: SUMMA needs panel workspace; %dx%dx%d per-core blocks leave no room (Cannon's half-buffer trick does not apply)", m, n, k)
+	}
+	r.m, r.n, r.k, r.plan = m, n, k, plan
+	r.a, r.b = makeMatmulInput(&cfg)
+	name := "matmul"
+	if r.summa() {
+		name = "summa"
+	}
+	flops := 2 * uint64(cfg.M) * uint64(cfg.N) * uint64(cfg.K)
+	if err := r.res.run(h, launch{name, g, g, matmulCodeSize, flops}, r); err != nil {
+		return nil, err
+	}
+	return r.res, nil
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"epiphany/internal/dma"
@@ -12,30 +11,78 @@ import (
 	"epiphany/internal/sim"
 )
 
+// blockCore is the per-core state both on-chip algorithms share: the
+// core's place in the group, its m x n x k block and scratchpad plan,
+// one DMA descriptor per channel, and its Table VI decomposition - the
+// time it spent in block compute and in transfers.
+type blockCore struct {
+	c        *ecore.Core
+	w        *sdk.Workgroup
+	gr, gc   int
+	m, n, k  int
+	plan     *matmulPlan
+	tuned    bool
+	desc     [2]dma.Desc // one descriptor per channel: block sends and off-chip tiles
+	compute  sim.Time
+	transfer sim.Time
+}
+
+// postAt stores a flag value into the flag slot of the core at chip
+// coordinates (row, col).
+func (b *blockCore) postAt(row, col, slot int, v uint32) {
+	b.c.StoreGlobal32(b.c.GlobalOn(row, col, matmulFlagsOff+mem.Addr(4*slot)), v)
+}
+
+// await blocks until the local flag slot reaches v.
+func (b *blockCore) await(slot int, v uint32) {
+	b.c.WaitLocal32GE(matmulFlagsOff+mem.Addr(4*slot), v)
+}
+
+// sendAt DMA-transfers sz bytes from a local offset to an offset on the
+// core at chip coordinates (row, col), rewriting the channel's
+// descriptor as each send's addresses require.
+func (b *blockCore) sendAt(ch dma.Chan, row, col int, src, dst mem.Addr, sz int) {
+	d := &b.desc[ch]
+	d.Set1D(src, b.c.GlobalOn(row, col, dst), sz, 8)
+	b.c.DMAStart(ch, b.c.DMASetDesc(d))
+	b.c.DMAWait(ch)
+}
+
+// multiplyAdd performs C += A*B on the blocks at a and bb functionally
+// and charges the pipeline model's cycles.
+func (b *blockCore) multiplyAdd(a, bb mem.Addr) {
+	start := b.c.Now()
+	mulBlock(b.c.Local(), a, bb, b.plan.c, b.m, b.n, b.k)
+	cycles, flops := MatmulBlockModel(b.m, b.n, b.k, b.tuned)
+	b.c.Compute(cycles, flops)
+	b.compute += b.c.Now() - start
+}
+
+// zeroC clears the product block (doubleword stores: 2 floats/cycle).
+func (b *blockCore) zeroC() {
+	sram := b.c.Local()
+	for i := 0; i < b.m*b.k; i++ {
+		sram.StoreF32(b.plan.c+mem.Addr(4*i), 0)
+	}
+	b.c.Compute(uint64(b.m*b.k/2+10), 0)
+}
+
 // cannon is the per-core state of the on-chip Cannon multiplication.
 type cannon struct {
-	c          *ecore.Core
-	w          *sdk.Workgroup
-	gr, gc     int
-	m, n, k    int
-	plan       *matmulPlan
-	tuned      bool
+	blockCore
 	left, up   int    // rotation targets (torus)
 	right, dwn int    // rotation sources
 	round      uint32 // completed compute rounds, monotone over the run
 	parity     int    // half-buffer scheme base parity
 	cur        int    // double-buffer scheme current buffer
-	compute    sim.Time
-	transfer   sim.Time
-	desc       [2]dma.Desc // one descriptor per channel: rotations and off-chip tiles
 }
 
-func newCannon(c *ecore.Core, w *sdk.Workgroup, gr, gc int, m, n, k int, plan *matmulPlan, tuned bool) *cannon {
-	ca := &cannon{c: c, w: w, gr: gr, gc: gc, m: m, n: n, k: k, plan: plan, tuned: tuned}
-	ca.left, _ = w.Neighbour(gr, gc, 0, -1, sdk.Wrap)
-	ca.right, _ = w.Neighbour(gr, gc, 0, 1, sdk.Wrap)
-	ca.up, _ = w.Neighbour(gr, gc, -1, 0, sdk.Wrap)
-	ca.dwn, _ = w.Neighbour(gr, gc, 1, 0, sdk.Wrap)
+func newCannon(b blockCore) *cannon {
+	ca := &cannon{blockCore: b}
+	ca.left, _ = b.w.Neighbour(b.gr, b.gc, 0, -1, sdk.Wrap)
+	ca.right, _ = b.w.Neighbour(b.gr, b.gc, 0, 1, sdk.Wrap)
+	ca.up, _ = b.w.Neighbour(b.gr, b.gc, -1, 0, sdk.Wrap)
+	ca.dwn, _ = b.w.Neighbour(b.gr, b.gc, 1, 0, sdk.Wrap)
 	return ca
 }
 
@@ -63,22 +110,7 @@ func (ca *cannon) bBase() mem.Addr {
 // post stores a flag value into a neighbour's flag slot.
 func (ca *cannon) post(target int, slot int, v uint32) {
 	r, c := ca.c.Chip().Map().CoreCoords(target)
-	ca.c.StoreGlobal32(ca.c.GlobalOn(r, c, matmulFlagsOff+mem.Addr(4*slot)), v)
-}
-
-// await blocks until the local flag slot reaches v.
-func (ca *cannon) await(slot int, v uint32) {
-	ca.c.WaitLocal32GE(matmulFlagsOff+mem.Addr(4*slot), v)
-}
-
-// blockCompute performs C += A*B functionally and charges the pipeline
-// model's cycles.
-func (ca *cannon) blockCompute() {
-	start := ca.c.Now()
-	mulBlock(ca.c.Local(), ca.aBase(), ca.bBase(), ca.plan.c, ca.m, ca.n, ca.k)
-	cycles, flops := MatmulBlockModel(ca.m, ca.n, ca.k, ca.tuned)
-	ca.c.Compute(cycles, flops)
-	ca.compute += ca.c.Now() - start
+	ca.postAt(r, c, slot, v)
 }
 
 // mulScratch recycles mulBlock's operand buffers across blocks, cores
@@ -117,24 +149,11 @@ func mulBlock(sram *mem.SRAM, a, b, c mem.Addr, m, n, k int) {
 	mulScratch.Put(buf)
 }
 
-// zeroC clears the product block (doubleword stores: 2 floats/cycle).
-func (ca *cannon) zeroC() {
-	sram := ca.c.Local()
-	for i := 0; i < ca.m*ca.k; i++ {
-		sram.StoreF32(ca.plan.c+mem.Addr(4*i), 0)
-	}
-	ca.c.Compute(uint64(ca.m*ca.k/2+10), 0)
-}
-
 // sendBlock DMA-transfers sz bytes from a local offset to a neighbour's
-// offset, rewriting the channel's descriptor each round as the
-// alternating buffer addresses require.
+// offset.
 func (ca *cannon) sendBlock(ch dma.Chan, target int, src, dst mem.Addr, sz int) {
 	r, c := ca.c.Chip().Map().CoreCoords(target)
-	d := &ca.desc[ch]
-	d.Set1D(src, ca.c.GlobalOn(r, c, dst), sz, 8)
-	ca.c.DMAStart(ch, ca.c.DMASetDesc(d))
-	ca.c.DMAWait(ch)
+	ca.sendAt(ch, r, c, src, dst, sz)
 }
 
 // rotate performs one Cannon rotation (A one step left, B one step up)
@@ -222,7 +241,7 @@ func (ca *cannon) multiply() {
 	g := ca.w.Rows
 	for step := 0; step < g; step++ {
 		ca.round++
-		ca.blockCompute()
+		ca.multiplyAdd(ca.aBase(), ca.bBase())
 		if g > 1 && ca.plan.scheme == schemeHalf {
 			ca.post(ca.right, flagCDFromLeft, ca.round)
 			ca.post(ca.dwn, flagCDFromUp, ca.round)
@@ -236,163 +255,87 @@ func (ca *cannon) multiply() {
 	}
 }
 
-// --- On-chip driver (§VII level 2, Table V) ---
-
-func runMatmulOnChip(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
-	m, n, k, err := cfg.blockDims()
-	if err != nil {
-		return nil, err
-	}
-	plan, err := planMatmul(m, n, k, cfg.G)
-	if err != nil {
-		return nil, err
-	}
-	g := cfg.G
-	w, err := sdk.NewWorkgroup(h.Chip(), 0, 0, g, g)
-	if err != nil {
-		return nil, err
-	}
-	a, b := makeMatmulInput(&cfg)
-	res := &MatmulResult{}
-
-	h.Spawn("matmul-host", func(hp *host.Proc) {
-		cores := make([]int, 0, g*g)
-		for i := 0; i < g; i++ {
-			for j := 0; j < g; j++ {
-				cores = append(cores, w.CoreIndex(i, j))
-			}
-		}
-		hp.LoadImage(cores, matmulCodeSize)
-		// Distribute with Cannon's initial skew: core (i,j) gets A block
-		// (i, (i+j) mod g) and B block ((i+j) mod g, j).
-		for i := 0; i < g; i++ {
-			for j := 0; j < g; j++ {
-				s := (i + j) % g
-				hp.WriteCoreF32(w.CoreIndex(i, j), plan.a0, subBlock(a, cfg.N, i*m, s*n, m, n))
-				hp.WriteCoreF32(w.CoreIndex(i, j), plan.b0, subBlock(b, cfg.K, s*n, j*k, n, k))
-			}
-		}
-
-		start := hp.Now()
-		// One slot per core, in group order; the host sums them after
-		// Join.
-		cannons := make([]*cannon, g*g)
-		procs := w.Launch("matmul", func(c *ecore.Core, gr, gc int) {
-			ca := newCannon(c, w, gr, gc, m, n, k, plan, cfg.Tuned)
-			cannons[gr*g+gc] = ca
-			ca.zeroC()
-			ca.multiply()
-		})
-		hp.Join(procs)
-		res.Elapsed = hp.Now() - start
-		for _, ca := range cannons {
-			res.ComputeTime += ca.compute
-			res.TransferTime += ca.transfer
-		}
-
-		res.C = make([]float32, cfg.M*cfg.K)
-		for i := 0; i < g; i++ {
-			for j := 0; j < g; j++ {
-				blk := hp.ReadCoreF32(w.CoreIndex(i, j), plan.c, m*k)
-				pasteBlock(res.C, cfg.K, i*m, j*k, m, k, blk)
-			}
-		}
-	})
-	if err := h.Chip().Engine().Run(); err != nil {
-		return nil, err
-	}
-	finishMatmulResult(h, res, &cfg, g*g)
-	return res, nil
+// matmulRun is the multiplication's part of the host program, for all
+// three drivers: Cannon or SUMMA over blocks resident on chip, or
+// Cannon over tiles paged through shared DRAM.
+type matmulRun struct {
+	cfg MatmulConfig
+	// m x n x k is the per-core block; off chip, every side is the
+	// tile edge, and tileEdge is the on-chip tile (G tiles per side).
+	m, n, k  int
+	tileEdge int
+	plan     *matmulPlan
+	a, b     []float32
+	// aOff, bOff and cOff stage the off-chip operands in DRAM.
+	aOff, bOff, cOff mem.Addr
+	// cores holds one slot per core, in group order.
+	cores []*blockCore
+	res   *MatmulResult
 }
 
-// --- Off-chip driver (§VII level 3, Table VI) ---
+func (r *matmulRun) summa() bool { return r.cfg.Algorithm == "summa" }
 
-// DRAM staging offsets.
-func matmulDRAMOffsets(cfg *MatmulConfig) (aOff, bOff, cOff mem.Addr) {
-	aOff = 0
-	bOff = aOff + mem.Addr(4*cfg.M*cfg.N)
-	cOff = bOff + mem.Addr(4*cfg.N*cfg.K)
-	return
+// stage distributes the operands: off chip into shared DRAM, on chip
+// one block of each per core - with Cannon's initial skew, core (i,j)
+// gets A block (i, (i+j) mod g) and B block ((i+j) mod g, j), while
+// SUMMA's distribution is unskewed: A block (i,j) and B block (i,j).
+func (r *matmulRun) stage(hp *host.Proc, w *sdk.Workgroup) {
+	if r.cfg.OffChip {
+		hp.WriteDRAMF32(r.aOff, r.a)
+		hp.WriteDRAMF32(r.bOff, r.b)
+		return
+	}
+	g, m, n, k := r.cfg.G, r.m, r.n, r.k
+	for i := 0; i < g; i++ {
+		for j := 0; j < g; j++ {
+			aCol, bRow := (i+j)%g, (i+j)%g
+			if r.summa() {
+				aCol, bRow = j, i
+			}
+			hp.WriteCoreF32(w.CoreIndex(i, j), r.plan.a0, subBlock(r.a, r.cfg.N, i*m, aCol*n, m, n))
+			hp.WriteCoreF32(w.CoreIndex(i, j), r.plan.b0, subBlock(r.b, r.cfg.K, bRow*n, j*k, n, k))
+		}
+	}
 }
 
-func runMatmulOffChip(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
-	if cfg.M != cfg.N || cfg.N != cfg.K {
-		return nil, fmt.Errorf("core: off-chip matmul supports square matrices, got %dx%dx%d",
-			cfg.M, cfg.N, cfg.K)
+func (r *matmulRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
+	b := blockCore{c: c, w: w, gr: gr, gc: gc, m: r.m, n: r.n, k: r.k, plan: r.plan, tuned: r.cfg.Tuned}
+	if r.summa() {
+		su := &summa{blockCore: b}
+		r.cores[gr*w.Cols+gc] = &su.blockCore
+		su.zeroC()
+		su.multiply()
+		return
 	}
-	g := cfg.G
-	G := cfg.M
-	// Per-core edge: the largest of {32, 24, 16, 8} that divides G/g,
-	// unless the configuration pins one (as the paper did with 24 for
-	// 1536x1536).
-	edge := 0
-	if cfg.OffChipEdge != 0 {
-		edge = cfg.OffChipEdge
-		if edge < 1 || edge > 32 || (G/g)%edge != 0 {
-			return nil, fmt.Errorf("core: off-chip tile edge %d does not divide per-group share %d", edge, G/g)
-		}
-	} else {
-		for _, e := range []int{32, 24, 16, 8} {
-			if (G/g)%e == 0 {
-				edge = e
-				break
-			}
-		}
+	ca := newCannon(b)
+	r.cores[gr*w.Cols+gc] = &ca.blockCore
+	if r.cfg.OffChip {
+		r.offChipKernel(ca)
+		return
 	}
-	if edge == 0 {
-		return nil, fmt.Errorf("core: matrix edge %d not tileable over a %dx%d group", G, g, g)
-	}
-	n := edge
-	S := g * n // on-chip tile edge
-	Q := G / S // tiles per matrix dimension
-	plan, err := planMatmul(n, n, n, g)
-	if err != nil {
-		return nil, err
-	}
-	w, err := sdk.NewWorkgroup(h.Chip(), 0, 0, g, g)
-	if err != nil {
-		return nil, err
-	}
-	aOff, bOff, cOff := matmulDRAMOffsets(&cfg)
-	if int(cOff)+4*cfg.M*cfg.K > mem.DRAMSize {
-		return nil, fmt.Errorf("core: %d^2 operands exceed the 32 MB shared window", G)
-	}
-	a, b := makeMatmulInput(&cfg)
-	res := &MatmulResult{}
+	ca.zeroC()
+	ca.multiply()
+}
 
-	h.Spawn("matmul-host", func(hp *host.Proc) {
-		cores := make([]int, 0, g*g)
-		for i := 0; i < g; i++ {
-			for j := 0; j < g; j++ {
-				cores = append(cores, w.CoreIndex(i, j))
-			}
-		}
-		hp.LoadImage(cores, matmulCodeSize)
-		hp.WriteDRAMF32(aOff, a)
-		hp.WriteDRAMF32(bOff, b)
-
-		start := hp.Now()
-		// One slot per core, in group order; the host sums them after
-		// Join.
-		cannons := make([]*cannon, g*g)
-		procs := w.Launch("matmul", func(c *ecore.Core, gr, gc int) {
-			ca := newCannon(c, w, gr, gc, n, n, n, plan, cfg.Tuned)
-			cannons[gr*g+gc] = ca
-			offChipKernel(ca, &cfg, Q, S, aOff, bOff, cOff)
-		})
-		hp.Join(procs)
-		res.Elapsed = hp.Now() - start
-		for _, ca := range cannons {
-			res.ComputeTime += ca.compute
-			res.TransferTime += ca.transfer
-		}
-		res.C = hp.ReadDRAMF32(cOff, cfg.M*cfg.K)
-	})
-	if err := h.Chip().Engine().Run(); err != nil {
-		return nil, err
+// gather sums the cores' compute/transfer times and reads C back.
+func (r *matmulRun) gather(hp *host.Proc, w *sdk.Workgroup) {
+	res := r.res
+	for _, b := range r.cores {
+		res.ComputeTime += b.compute
+		res.TransferTime += b.transfer
 	}
-	finishMatmulResult(h, res, &cfg, g*g)
-	return res, nil
+	if r.cfg.OffChip {
+		res.C = hp.ReadDRAMF32(r.cOff, r.cfg.M*r.cfg.K)
+		return
+	}
+	g, m, k := r.cfg.G, r.m, r.k
+	res.C = make([]float32, r.cfg.M*r.cfg.K)
+	for i := 0; i < g; i++ {
+		for j := 0; j < g; j++ {
+			blk := hp.ReadCoreF32(w.CoreIndex(i, j), r.plan.c, m*k)
+			pasteBlock(res.C, r.cfg.K, i*m, j*k, m, k, blk)
+		}
+	}
 }
 
 // offChipKernel is the device-side top level: page tile operands in from
@@ -400,48 +343,20 @@ func runMatmulOffChip(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
 // tile transfer refills its channel's rotation descriptor in place: the
 // transfer waits for its channel before returning, so the descriptor is
 // free again.
-func offChipKernel(ca *cannon, cfg *MatmulConfig, Q, S int, aOff, bOff, cOff mem.Addr) {
-	g := ca.w.Rows
-	n := ca.n
-	G := cfg.M
-	readTile := func(ch dma.Chan, dramBase mem.Addr, row, col int, local mem.Addr) {
+func (r *matmulRun) offChipKernel(ca *cannon) {
+	g, n, G, S, Q := ca.w.Rows, ca.n, r.cfg.M, r.tileEdge, r.cfg.M/r.tileEdge
+	// page moves one n x n tile between local and the DRAM matrix at
+	// dramBase, whose tile origin is (row, col).
+	page := func(ch dma.Chan, dramBase mem.Addr, row, col int, local mem.Addr, out bool) {
 		t0 := ca.c.Now()
-		src := dramBase + mem.Addr(4*(row*G+col))
-		d := &ca.desc[ch]
-		*d = dma.Desc{
-			Beat:           8,
-			InnerCount:     n / 2,
-			OuterCount:     n,
-			SrcInnerStride: 8,
-			DstInnerStride: 8,
-			SrcOuterStride: 4*G - (n/2-1)*8,
-			DstOuterStride: 8,
-			Src:            mem.DRAMBase + src,
-			Dst:            ca.c.Global(local),
+		dram, sram := mem.DRAMBase+dramBase+mem.Addr(4*(row*G+col)), ca.c.Global(local)
+		if out {
+			tileDesc(&ca.desc[ch], sram, dram, n, n, n, G)
+		} else {
+			tileDesc(&ca.desc[ch], dram, sram, n, n, G, n)
 		}
-		ca.c.DMASetDesc(d)
-		ca.c.DMAStart(ch, d)
+		ca.c.DMAStart(ch, ca.c.DMASetDesc(&ca.desc[ch]))
 		ca.c.DMAWait(ch)
-		ca.transfer += ca.c.Now() - t0
-	}
-	writeTile := func(dramBase mem.Addr, row, col int, local mem.Addr) {
-		t0 := ca.c.Now()
-		dst := dramBase + mem.Addr(4*(row*G+col))
-		d := &ca.desc[dma.DMA0]
-		*d = dma.Desc{
-			Beat:           8,
-			InnerCount:     n / 2,
-			OuterCount:     n,
-			SrcInnerStride: 8,
-			DstInnerStride: 8,
-			SrcOuterStride: 8,
-			DstOuterStride: 4*G - (n/2-1)*8,
-			Src:            ca.c.Global(local),
-			Dst:            mem.DRAMBase + dst,
-		}
-		ca.c.DMASetDesc(d)
-		ca.c.DMAStart(dma.DMA0, d)
-		ca.c.DMAWait(dma.DMA0)
 		ca.transfer += ca.c.Now() - t0
 	}
 
@@ -451,11 +366,11 @@ func offChipKernel(ca *cannon, cfg *MatmulConfig, Q, S int, aOff, bOff, cOff mem
 			ca.zeroC()
 			for bk := 0; bk < Q; bk++ {
 				s := (i + j) % g
-				readTile(dma.DMA0, aOff, bi*S+i*n, bk*S+s*n, ca.aBase())
-				readTile(dma.DMA1, bOff, bk*S+s*n, bj*S+j*n, ca.bBase())
+				page(dma.DMA0, r.aOff, bi*S+i*n, bk*S+s*n, ca.aBase(), false)
+				page(dma.DMA1, r.bOff, bk*S+s*n, bj*S+j*n, ca.bBase(), false)
 				ca.multiply()
 			}
-			writeTile(cOff, bi*S+i*n, bj*S+j*n, ca.plan.c)
+			page(dma.DMA0, r.cOff, bi*S+i*n, bj*S+j*n, ca.plan.c, true)
 		}
 	}
 }
@@ -474,13 +389,4 @@ func pasteBlock(m []float32, pitch, r0, c0, rows, cols int, blk []float32) {
 	for r := 0; r < rows; r++ {
 		copy(m[(r0+r)*pitch+c0:(r0+r)*pitch+c0+cols], blk[r*cols:(r+1)*cols])
 	}
-}
-
-func finishMatmulResult(h *host.Host, res *MatmulResult, cfg *MatmulConfig, cores int) {
-	res.TotalFlops = 2 * uint64(cfg.M) * uint64(cfg.N) * uint64(cfg.K)
-	if res.Elapsed > 0 {
-		res.GFLOPS = float64(res.TotalFlops) / res.Elapsed.Nanoseconds()
-		res.PctPeak = 100 * res.GFLOPS / peakGFLOPS(cores)
-	}
-	res.NoC = captureNoC(h)
 }

@@ -175,8 +175,8 @@ func TestMatmulOffChipCorrectness(t *testing.T) {
 func TestMatmulOffChipDominatedByTransfers(t *testing.T) {
 	// Table VI shape: shared-memory transfers take ~87% of core time.
 	res := runMM(t, MatmulConfig{M: 512, N: 512, K: 512, G: 8, OffChip: true, Tuned: true})
-	if res.PctTransfer() < 75 || res.PctTransfer() > 95 {
-		t.Errorf("transfer share %.1f%%, paper: 87.2%%", res.PctTransfer())
+	if pct := res.Metrics().PctTransfer(); pct < 75 || pct > 95 {
+		t.Errorf("transfer share %.1f%%, paper: 87.2%%", pct)
 	}
 	// Paper: 8.32 GFLOPS (10.8% of peak).
 	if res.GFLOPS < 6.5 || res.GFLOPS > 11 {

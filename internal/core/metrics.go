@@ -1,7 +1,6 @@
 package core
 
 import (
-	"epiphany/internal/host"
 	"epiphany/internal/power"
 	"epiphany/internal/sim"
 )
@@ -66,24 +65,6 @@ type Metrics struct {
 	Engine *sim.EngineStats `json:"Engine,omitempty"`
 }
 
-// NoCStats is the interconnect summary captured from the mesh after a
-// run; results embed it so Metrics can report chip-boundary costs.
-type NoCStats struct {
-	ELinkCrossings  uint64
-	ELinkCrossBytes uint64
-	ELinkCrossTime  sim.Time
-}
-
-// captureNoC snapshots the board's chip-boundary counters.
-func captureNoC(h *host.Host) NoCStats {
-	m := h.Chip().Fabric().Mesh
-	return NoCStats{
-		ELinkCrossings:  m.Crossings(),
-		ELinkCrossBytes: m.CrossBytes(),
-		ELinkCrossTime:  m.CrossTime(),
-	}
-}
-
 // PctCompute returns the Table VI "% Computation" column.
 func (m Metrics) PctCompute() float64 {
 	total := m.ComputeTime + m.TransferTime
@@ -117,52 +98,4 @@ func (m *Metrics) AttachEnergy(u power.Usage) {
 	}
 	m.EDPJs = u.EDPJs
 	m.Energy = u.Breakdown
-}
-
-// cross copies the chip-boundary counters into a Metrics.
-func (m *Metrics) cross(n NoCStats) {
-	m.ELinkCrossings = n.ELinkCrossings
-	m.ELinkCrossBytes = n.ELinkCrossBytes
-	m.ELinkCrossTime = n.ELinkCrossTime
-}
-
-// Metrics summarises a stencil run.
-func (r *StencilResult) Metrics() Metrics {
-	m := Metrics{
-		Elapsed:    r.Elapsed,
-		TotalFlops: r.TotalFlops,
-		GFLOPS:     r.GFLOPS,
-		PctPeak:    r.PctPeak,
-	}
-	m.cross(r.NoC)
-	return m
-}
-
-// Metrics summarises a matmul run, including the off-chip
-// compute/transfer split when it was measured.
-func (r *MatmulResult) Metrics() Metrics {
-	m := Metrics{
-		Elapsed:      r.Elapsed,
-		TotalFlops:   r.TotalFlops,
-		GFLOPS:       r.GFLOPS,
-		PctPeak:      r.PctPeak,
-		ComputeTime:  r.ComputeTime,
-		TransferTime: r.TransferTime,
-	}
-	m.cross(r.NoC)
-	return m
-}
-
-// Metrics summarises a streamed stencil run. TotalFlops counts only the
-// useful interior updates (GFLOPS is useful flops over elapsed time);
-// the redundant overlapped-halo work stays in RedundantFlops.
-func (r *StreamStencilResult) Metrics() Metrics {
-	m := Metrics{
-		Elapsed:    r.Elapsed,
-		TotalFlops: r.UsefulFlops,
-		GFLOPS:     r.GFLOPS,
-		PctPeak:    r.PctPeak,
-	}
-	m.cross(r.NoC)
-	return m
 }

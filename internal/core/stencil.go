@@ -145,21 +145,11 @@ func stencilLayout(cfg *StencilConfig) (*mem.Layout, error) {
 
 // StencilResult reports a run.
 type StencilResult struct {
-	Elapsed    sim.Time
-	TotalFlops uint64
-	GFLOPS     float64
-	PctPeak    float64
+	Summary
 	// Global holds the gathered interior grid (GroupRows*Rows rows by
 	// GroupCols*Cols cols) when cfg.Comm is set; for replicated runs it
 	// holds core (0,0)'s interior.
 	Global [][]float32
-	// NoC reports chip-boundary eLink traffic on multi-chip boards.
-	NoC NoCStats
-}
-
-// peakGFLOPS is 2 flops/cycle/core at the 600 MHz modelled clock.
-func peakGFLOPS(cores int) float64 {
-	return 2 * float64(cores) / sim.Cycle.Nanoseconds()
 }
 
 // stencilKernel is the device-side program for one core.
@@ -376,85 +366,77 @@ func RunStencil(h *host.Host, cfg StencilConfig) (*StencilResult, error) {
 	if _, err := stencilLayout(&cfg); err != nil {
 		return nil, err
 	}
-	w, err := sdk.NewWorkgroup(h.Chip(), 0, 0, cfg.GroupRows, cfg.GroupCols)
-	if err != nil {
+	r := &stencilRun{cfg: cfg, global: makeStencilInput(&cfg), res: &StencilResult{}}
+	flops := uint64(cfg.GroupRows*cfg.GroupCols) * uint64(cfg.Rows) * uint64(cfg.Cols) * 10 * uint64(cfg.Iters)
+	if err := r.res.run(h, launch{"stencil", cfg.GroupRows, cfg.GroupCols, stencilCodeSize, flops}, r); err != nil {
 		return nil, err
 	}
+	return r.res, nil
+}
 
-	global := makeStencilInput(&cfg)
-	res := &StencilResult{}
-	hostErr := error(nil)
-	h.Spawn("stencil-host", func(hp *host.Proc) {
-		pitch := cfg.Cols + 2
-		// Step 2-4 of §III: load the image, then each core's grid block
-		// (interior plus halo) directly into its local memory.
-		cores := make([]int, 0, w.Size())
+// stencilRun is the stencil's part of the host program.
+type stencilRun struct {
+	cfg    StencilConfig
+	global [][]float32
+	res    *StencilResult
+}
+
+// stage writes each core's grid block, interior plus halo, directly
+// into its local memory.
+func (r *stencilRun) stage(hp *host.Proc, w *sdk.Workgroup) {
+	cfg := &r.cfg
+	pitch := cfg.Cols + 2
+	for gr := 0; gr < cfg.GroupRows; gr++ {
+		for gc := 0; gc < cfg.GroupCols; gc++ {
+			block := make([]float32, (cfg.Rows+2)*pitch)
+			for row := 0; row < cfg.Rows+2; row++ {
+				gRow := gr*cfg.Rows + row
+				for col := 0; col < pitch; col++ {
+					gCol := gc*cfg.Cols + col
+					block[row*pitch+col] = r.global[gRow][gCol]
+				}
+			}
+			hp.WriteCoreF32(w.CoreIndex(gr, gc), stencilGridOff, block)
+		}
+	}
+}
+
+func (r *stencilRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
+	stencilKernel(c, w, gr, gc, &r.cfg)
+}
+
+// gather reads back the global interior, or core (0,0)'s for a
+// replicated run.
+func (r *stencilRun) gather(hp *host.Proc, w *sdk.Workgroup) {
+	cfg := &r.cfg
+	pitch := cfg.Cols + 2
+	res := r.res
+	if cfg.Comm {
+		res.Global = make([][]float32, cfg.GroupRows*cfg.Rows)
 		for gr := 0; gr < cfg.GroupRows; gr++ {
 			for gc := 0; gc < cfg.GroupCols; gc++ {
-				cores = append(cores, w.CoreIndex(gr, gc))
-			}
-		}
-		hp.LoadImage(cores, stencilCodeSize)
-		for gr := 0; gr < cfg.GroupRows; gr++ {
-			for gc := 0; gc < cfg.GroupCols; gc++ {
-				block := make([]float32, (cfg.Rows+2)*pitch)
-				for r := 0; r < cfg.Rows+2; r++ {
-					gRow := gr*cfg.Rows + r
-					for col := 0; col < pitch; col++ {
-						gCol := gc*cfg.Cols + col
-						block[r*pitch+col] = global[gRow][gCol]
+				blk := hp.ReadCoreF32(w.CoreIndex(gr, gc), stencilGridOff, (cfg.Rows+2)*pitch)
+				for row := 1; row <= cfg.Rows; row++ {
+					gRow := gr*cfg.Rows + row - 1
+					if res.Global[gRow] == nil {
+						res.Global[gRow] = make([]float32, cfg.GroupCols*cfg.Cols)
 					}
-				}
-				hp.WriteCoreF32(w.CoreIndex(gr, gc), stencilGridOff, block)
-			}
-		}
-
-		start := hp.Now()
-		procs := w.Launch("stencil", func(c *ecore.Core, gr, gc int) {
-			stencilKernel(c, w, gr, gc, &cfg)
-		})
-		hp.Join(procs)
-		res.Elapsed = hp.Now() - start
-
-		// Gather (step 5).
-		if cfg.Comm {
-			res.Global = make([][]float32, cfg.GroupRows*cfg.Rows)
-			for gr := 0; gr < cfg.GroupRows; gr++ {
-				for gc := 0; gc < cfg.GroupCols; gc++ {
-					blk := hp.ReadCoreF32(w.CoreIndex(gr, gc), stencilGridOff, (cfg.Rows+2)*pitch)
-					for r := 1; r <= cfg.Rows; r++ {
-						gRow := gr*cfg.Rows + r - 1
-						if res.Global[gRow] == nil {
-							res.Global[gRow] = make([]float32, cfg.GroupCols*cfg.Cols)
-						}
-						for col := 1; col <= cfg.Cols; col++ {
-							res.Global[gRow][gc*cfg.Cols+col-1] = blk[r*pitch+col]
-						}
+					for col := 1; col <= cfg.Cols; col++ {
+						res.Global[gRow][gc*cfg.Cols+col-1] = blk[row*pitch+col]
 					}
 				}
 			}
-		} else {
-			blk := hp.ReadCoreF32(w.CoreIndex(0, 0), stencilGridOff, (cfg.Rows+2)*pitch)
-			res.Global = make([][]float32, cfg.Rows)
-			for r := 1; r <= cfg.Rows; r++ {
-				res.Global[r-1] = make([]float32, cfg.Cols)
-				for col := 1; col <= cfg.Cols; col++ {
-					res.Global[r-1][col-1] = blk[r*pitch+col]
-				}
-			}
 		}
-	})
-	if err := h.Chip().Engine().Run(); err != nil {
-		return nil, err
+		return
 	}
-	if hostErr != nil {
-		return nil, hostErr
+	blk := hp.ReadCoreF32(w.CoreIndex(0, 0), stencilGridOff, (cfg.Rows+2)*pitch)
+	res.Global = make([][]float32, cfg.Rows)
+	for row := 1; row <= cfg.Rows; row++ {
+		res.Global[row-1] = make([]float32, cfg.Cols)
+		for col := 1; col <= cfg.Cols; col++ {
+			res.Global[row-1][col-1] = blk[row*pitch+col]
+		}
 	}
-	res.TotalFlops = uint64(w.Size()) * uint64(cfg.Rows) * uint64(cfg.Cols) * 10 * uint64(cfg.Iters)
-	res.GFLOPS = float64(res.TotalFlops) / res.Elapsed.Nanoseconds()
-	res.PctPeak = 100 * res.GFLOPS / peakGFLOPS(w.Size())
-	res.NoC = captureNoC(h)
-	return res, nil
 }
 
 // makeStencilInput builds the deterministic global temperature field,

@@ -81,20 +81,15 @@ func (cfg *StreamStencilConfig) validate() error {
 	return nil
 }
 
-// StreamStencilResult reports a streamed run.
+// StreamStencilResult reports a streamed run. Its TotalFlops (and so
+// GFLOPS) counts interior-point updates only.
 type StreamStencilResult struct {
-	Elapsed sim.Time
-	// UsefulFlops counts interior-point updates only; RedundantFlops the
-	// overlapped-halo recomputation.
-	UsefulFlops    uint64
+	Summary
+	// RedundantFlops counts the overlapped-halo recomputation.
 	RedundantFlops uint64
-	GFLOPS         float64 // useful flops over elapsed time
-	PctPeak        float64
 	// DRAMBytes is the total traffic paged over the eLink.
 	DRAMBytes uint64
 	Global    [][]float32
-	// NoC reports chip-boundary eLink traffic on multi-chip boards.
-	NoC NoCStats
 }
 
 // streamComputeRate is the modelled compute cost for the generic-shape
@@ -118,65 +113,72 @@ func RunStreamStencil(h *host.Host, cfg StreamStencilConfig) (*StreamStencilResu
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	w, err := sdk.NewWorkgroup(h.Chip(), 0, 0, cfg.GroupRows, cfg.GroupCols)
-	if err != nil {
+	r := &streamRun{
+		cfg:    cfg,
+		field:  makeStreamInput(&cfg),
+		dstOff: mem.Addr(4 * (cfg.GlobalRows + 2) * (cfg.GlobalCols + 2)),
+		stats:  make([]streamStats, cfg.GroupRows*cfg.GroupCols),
+		res:    &StreamStencilResult{},
+	}
+	flops := uint64(cfg.GlobalRows) * uint64(cfg.GlobalCols) * 10 * uint64(cfg.Iters)
+	// No image load is modelled for the streamed run.
+	if err := r.res.run(h, launch{"stream-stencil", cfg.GroupRows, cfg.GroupCols, 0, flops}, r); err != nil {
 		return nil, err
 	}
-	gR, gC := cfg.GlobalRows+2, cfg.GlobalCols+2 // with boundary ring
-	pitch := gC
-	arrBytes := mem.Addr(4 * gR * gC)
-	srcOff, dstOff := mem.Addr(0), arrBytes
+	return r.res, nil
+}
 
-	field := makeStreamInput(&cfg)
-	res := &StreamStencilResult{}
+// streamRun is the streamed stencil's part of the host program. The
+// field, with its boundary ring, ping-pongs between two DRAM arrays,
+// at offset 0 and at dstOff.
+type streamRun struct {
+	cfg    StreamStencilConfig
+	field  [][]float32
+	dstOff mem.Addr
+	// stats holds one slot per core, in group order.
+	stats []streamStats
+	res   *StreamStencilResult
+}
 
-	h.Spawn("stream-host", func(hp *host.Proc) {
-		flat := make([]float32, gR*gC)
-		for r := 0; r < gR; r++ {
-			copy(flat[r*gC:], field[r])
-		}
-		// Stage the field into both ping-pong arrays (the ring must be
-		// present in each; interiors get overwritten).
-		hp.WriteDRAMF32(srcOff, flat)
-		hp.WriteDRAMF32(dstOff, flat)
-
-		start := hp.Now()
-		// Per-core traffic counters, one slot per core; the host sums
-		// them after Join.
-		stats := make([]streamStats, cfg.GroupRows*cfg.GroupCols)
-		procs := w.Launch("stream-stencil", func(c *ecore.Core, gr, gc int) {
-			streamKernel(c, w, gr, gc, &cfg, pitch, srcOff, dstOff, &stats[gr*cfg.GroupCols+gc])
-		})
-		hp.Join(procs)
-		res.Elapsed = hp.Now() - start
-		for _, st := range stats {
-			res.DRAMBytes += st.dramBytes
-			res.RedundantFlops += st.redundantFlops
-		}
-
-		// The final array depends on how many time-chunks ran.
-		chunks := (cfg.Iters + cfg.TBlock - 1) / cfg.TBlock
-		final := srcOff
-		if chunks%2 == 1 {
-			final = dstOff
-		}
-		out := hp.ReadDRAMF32(final, gR*gC)
-		// Each row is a capped window of the one staging read, so a
-		// caller appending to a row cannot spill into the next.
-		res.Global = make([][]float32, cfg.GlobalRows)
-		for r := 1; r <= cfg.GlobalRows; r++ {
-			a, b := r*gC+1, r*gC+1+cfg.GlobalCols
-			res.Global[r-1] = out[a:b:b]
-		}
-	})
-	if err := h.Chip().Engine().Run(); err != nil {
-		return nil, err
+// stage writes the field into both ping-pong arrays (the ring must be
+// present in each; interiors get overwritten).
+func (r *streamRun) stage(hp *host.Proc, _ *sdk.Workgroup) {
+	gC := r.cfg.GlobalCols + 2
+	flat := make([]float32, len(r.field)*gC)
+	for row, vals := range r.field {
+		copy(flat[row*gC:], vals)
 	}
-	res.UsefulFlops = uint64(cfg.GlobalRows) * uint64(cfg.GlobalCols) * 10 * uint64(cfg.Iters)
-	res.GFLOPS = float64(res.UsefulFlops) / res.Elapsed.Nanoseconds()
-	res.PctPeak = 100 * res.GFLOPS / peakGFLOPS(w.Size())
-	res.NoC = captureNoC(h)
-	return res, nil
+	hp.WriteDRAMF32(0, flat)
+	hp.WriteDRAMF32(r.dstOff, flat)
+}
+
+func (r *streamRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
+	streamKernel(c, w, gr, gc, &r.cfg, r.cfg.GlobalCols+2, 0, r.dstOff, &r.stats[gr*w.Cols+gc])
+}
+
+// gather sums the per-core traffic and reads the interior back from
+// the array the last time-chunk wrote.
+func (r *streamRun) gather(hp *host.Proc, _ *sdk.Workgroup) {
+	cfg := &r.cfg
+	res := r.res
+	for _, st := range r.stats {
+		res.DRAMBytes += st.dramBytes
+		res.RedundantFlops += st.redundantFlops
+	}
+	chunks := (cfg.Iters + cfg.TBlock - 1) / cfg.TBlock
+	final := mem.Addr(0)
+	if chunks%2 == 1 {
+		final = r.dstOff
+	}
+	gC := cfg.GlobalCols + 2
+	out := hp.ReadDRAMF32(final, (cfg.GlobalRows+2)*gC)
+	// Each row is a capped window of the one staging read, so a caller
+	// appending to a row cannot spill into the next.
+	res.Global = make([][]float32, cfg.GlobalRows)
+	for row := 1; row <= cfg.GlobalRows; row++ {
+		a, b := row*gC+1, row*gC+1+cfg.GlobalCols
+		res.Global[row-1] = out[a:b:b]
+	}
 }
 
 // streamStats are one core's private traffic counters; the host sums
@@ -216,10 +218,10 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 			br0 := 1 + (si*cfg.GroupRows+gr)*cfg.BlockRows
 			bc0 := 1 + (sj*cfg.GroupCols+gc)*cfg.BlockCols
 			// Halo window clamped to the array (ring included).
-			wr0 := maxInt(br0-T, 0)
-			wc0 := maxInt(bc0-T, 0)
-			wr1 := minInt(br0+cfg.BlockRows+T, cfg.GlobalRows+2)
-			wc1 := minInt(bc0+cfg.BlockCols+T, cfg.GlobalCols+2)
+			wr0 := max(br0-T, 0)
+			wc0 := max(bc0-T, 0)
+			wr1 := min(br0+cfg.BlockRows+T, cfg.GlobalRows+2)
+			wc1 := min(bc0+cfg.BlockCols+T, cfg.GlobalCols+2)
 			rows, cols := wr1-wr0, wc1-wc0
 
 			// Page the window in (2D doubleword DMA over the eLink).
@@ -241,10 +243,10 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 			}
 			points := 0
 			for k := 1; k <= T; k++ {
-				r0 := wr0 + maxInt(edge(wr0, 0, k), 1)
-				r1 := wr1 - maxInt(edge(wr1, cfg.GlobalRows+2, k), 1)
-				c0 := wc0 + maxInt(edge(wc0, 0, k), 1)
-				c1 := wc1 - maxInt(edge(wc1, cfg.GlobalCols+2, k), 1)
+				r0 := wr0 + max(edge(wr0, 0, k), 1)
+				r1 := wr1 - max(edge(wr1, cfg.GlobalRows+2, k), 1)
+				c0 := wc0 + max(edge(wc0, 0, k), 1)
+				c1 := wc1 - max(edge(wc1, cfg.GlobalCols+2, k), 1)
 				r0, r1, c0, c1 = r0-wr0, r1-wr0, c0-wc0, c1-wc0
 				sram.LoadF32s(at(r0-1, c0-1), prev[c0-1:c1+1])
 				for r := r0; r < r1; r++ {
@@ -298,20 +300,6 @@ func tileDesc(d *dma.Desc, src, dst mem.Addr, rows, cols, srcPitch, dstPitch int
 		Dst:            dst,
 	}
 	return d
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // makeStreamInput builds the global field with boundary ring.

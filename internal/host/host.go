@@ -63,12 +63,6 @@ func (h *Host) Spawn(name string, fn func(hp *Proc)) *sim.Proc {
 	})
 }
 
-// Run spawns the host program and drives the simulation to completion.
-func (h *Host) Run(fn func(hp *Proc)) error {
-	h.Spawn("host", fn)
-	return h.chip.Engine().Run()
-}
-
 // Proc is the host program's execution context.
 type Proc struct {
 	h *Host
@@ -149,10 +143,10 @@ func (hp *Proc) ReadDRAMF32(off mem.Addr, n int) []float32 {
 	return out
 }
 
-// LoadImage models resetting cores and loading a device executable of
-// imageBytes onto each of them (§III steps 1-2).
-func (hp *Proc) LoadImage(cores []int, imageBytes int) {
-	for range cores {
+// LoadImage models resetting n cores and loading a device executable
+// of imageBytes onto each of them (§III steps 1-2).
+func (hp *Proc) LoadImage(n, imageBytes int) {
+	for range n {
 		_, end := hp.h.down.Use(hp.p.Now(), sim.Time(imageBytes)*DownBytePeriod)
 		hp.p.WaitUntil(end)
 		hp.p.Wait(LoadImageOverhead)

@@ -17,11 +17,18 @@ func newHost() (*sim.Engine, *Host) {
 	return eng, New(ecore.NewChip(eng, 8, 8))
 }
 
+// run spawns the host program fn and drives the simulation to
+// completion.
+func run(h *Host, fn func(hp *Proc)) error {
+	h.Spawn("host", fn)
+	return h.Chip().Engine().Run()
+}
+
 func TestWriteReadCoreRoundTrip(t *testing.T) {
 	_, h := newHost()
 	data := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	var got []byte
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		hp.WriteCore(5, 0x1000, data)
 		got = hp.ReadCore(5, 0x1000, len(data))
 	})
@@ -37,7 +44,7 @@ func TestWriteCoreTiming(t *testing.T) {
 	_, h := newHost()
 	var end sim.Time
 	data := make([]byte, 1500)
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		hp.WriteCore(0, 0, data)
 		end = hp.Now()
 	})
@@ -53,7 +60,7 @@ func TestHostWritesSerializeOnDownLink(t *testing.T) {
 	// Two sequential writes to different cores share the link.
 	_, h := newHost()
 	var end sim.Time
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		hp.WriteCore(0, 0, make([]byte, 1000))
 		hp.WriteCore(1, 0, make([]byte, 1000))
 		end = hp.Now()
@@ -70,7 +77,7 @@ func TestFloat32Marshalling(t *testing.T) {
 	_, h := newHost()
 	vals := []float32{0, 1.5, -2.25, 3e7, -0.0001}
 	var got []float32
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		hp.WriteCoreF32(3, 0x2000, vals)
 		got = hp.ReadCoreF32(3, 0x2000, len(vals))
 	})
@@ -91,7 +98,7 @@ func TestFloat32Marshalling(t *testing.T) {
 func TestDRAMStagingFasterThanELink(t *testing.T) {
 	_, h := newHost()
 	var dramT, coreT sim.Time
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		t0 := hp.Now()
 		hp.WriteDRAM(0, make([]byte, 4096))
 		dramT = hp.Now() - t0
@@ -111,7 +118,7 @@ func TestDRAMF32RoundTrip(t *testing.T) {
 	_, h := newHost()
 	vals := []float32{9, 8, 7}
 	var got []float32
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		hp.WriteDRAMF32(0x100, vals)
 		got = hp.ReadDRAMF32(0x100, 3)
 	})
@@ -128,8 +135,8 @@ func TestDRAMF32RoundTrip(t *testing.T) {
 func TestLoadImageCost(t *testing.T) {
 	_, h := newHost()
 	var end sim.Time
-	err := h.Run(func(hp *Proc) {
-		hp.LoadImage([]int{0, 1, 2, 3}, 8192)
+	err := run(h, func(hp *Proc) {
+		hp.LoadImage(4, 8192)
 		end = hp.Now()
 	})
 	if err != nil {
@@ -144,7 +151,7 @@ func TestLoadImageCost(t *testing.T) {
 func TestJoinWaitsForKernels(t *testing.T) {
 	_, h := newHost()
 	var end sim.Time
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		p := hp.Chip().Launch(0, "worker", func(c *ecore.Core) {
 			c.Idle(sim.Millisecond)
 		})
@@ -166,7 +173,7 @@ func TestWriteCoreNotifiesPollers(t *testing.T) {
 		c.WaitLocal32GE(0x600, 1)
 		seen = c.Now()
 	})
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		hp.Sim().Wait(100 * sim.Cycle)
 		buf := []byte{1, 0, 0, 0}
 		hp.WriteCore(0, 0x600, buf)
@@ -187,7 +194,7 @@ func TestF32StagingAllocatesOnlyResults(t *testing.T) {
 	vals := make([]float32, 256)
 	_, h := newHost()
 	var allocs [4]float64
-	err := h.Run(func(hp *Proc) {
+	err := run(h, func(hp *Proc) {
 		allocs[0] = testing.AllocsPerRun(20, func() { hp.WriteDRAMF32(0x100, vals) })
 		allocs[1] = testing.AllocsPerRun(20, func() { hp.WriteCoreF32(3, 0x2000, vals) })
 		allocs[2] = testing.AllocsPerRun(20, func() { _ = hp.ReadDRAMF32(0x100, len(vals)) })
@@ -216,10 +223,10 @@ func TestF32StagingMatchesBytePath(t *testing.T) {
 		fromDRAM   []float32
 		fromCore   []float32
 	}
-	run := func(f32 bool) outcome {
+	transfer := func(f32 bool) outcome {
 		_, h := newHost()
 		var o outcome
-		err := h.Run(func(hp *Proc) {
+		err := run(h, func(hp *Proc) {
 			if f32 {
 				hp.WriteDRAMF32(0x1002, vals)
 				hp.WriteCoreF32(6, 0x3004, vals)
@@ -244,7 +251,7 @@ func TestF32StagingMatchesBytePath(t *testing.T) {
 		o.sram, o.dram = fab.SRAMs[6].AccessedBytes(), fab.DRAM.AccessedBytes()
 		return o
 	}
-	got, want := run(true), run(false)
+	got, want := transfer(true), transfer(false)
 	if got.end != want.end || got.sram != want.sram || got.dram != want.dram {
 		t.Fatalf("float path: t=%v SRAM %d B DRAM %d B; byte path: t=%v SRAM %d B DRAM %d B",
 			got.end, got.sram, got.dram, want.end, want.sram, want.dram)

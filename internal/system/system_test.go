@@ -249,9 +249,10 @@ func TestNewTopologyE64AllocBudget(t *testing.T) {
 func TestResetZeroesLastDRAMPage(t *testing.T) {
 	sys := NewTopology(E64)
 	vals := []float32{1, -2, 3.5, 4}
-	if err := sys.Host().Run(func(hp *host.Proc) {
+	sys.Host().Spawn("host", func(hp *host.Proc) {
 		hp.WriteDRAMF32(mem.DRAMSize-4*mem.Addr(len(vals)), vals)
-	}); err != nil {
+	})
+	if err := sys.Engine().Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := sys.Chip().DRAM().LoadF32(mem.DRAMSize - 4); got != 4 {

@@ -155,11 +155,12 @@ func TestTimelineByteDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineStatsGolden pins the scheduler counters of the
-// DRAM-paging workloads on one chip and on the 4-chip cluster, where
-// every DMA leg to or from DRAM and every cross-chip leg runs inline:
-// every field is deterministic for a fixed board, so a drift here
-// means the schedule changed and the goldens need conscious
+// TestEngineStatsGolden pins the scheduler counters of every built-in
+// driver: the DRAM-paging workloads on one chip and on the 4-chip
+// cluster, where every DMA leg to or from DRAM and every cross-chip
+// leg runs inline, and the on-chip stencil, Cannon and SUMMA runs on
+// e64. Every field is deterministic for a fixed board, so a drift
+// here means the schedule changed and the goldens need conscious
 // regeneration.
 func TestEngineStatsGolden(t *testing.T) {
 	run := func(w epiphany.Workload, topo epiphany.Topology, opts ...epiphany.Option) *epiphany.EngineStats {
@@ -182,6 +183,9 @@ func TestEngineStatsGolden(t *testing.T) {
 		{"matmul-offchip", "e64", epiphany.EngineStats{Events: 12941, HeapPeak: 103}},
 		{"stream-stencil", "e64", epiphany.EngineStats{Events: 5047, HeapPeak: 65}},
 		{"stream-stencil", "cluster-2x2", epiphany.EngineStats{Events: 4984, HeapPeak: 65}},
+		{"stencil-tuned", "e64", epiphany.EngineStats{Events: 910, HeapPeak: 12}},
+		{"matmul-cannon", "e64", epiphany.EngineStats{Events: 1342, HeapPeak: 68}},
+		{"matmul-summa", "e64", epiphany.EngineStats{Events: 1654, HeapPeak: 30}},
 	} {
 		t.Run(tc.workload+"@"+tc.topo, func(t *testing.T) {
 			w, ok := epiphany.WorkloadByName(tc.workload)

@@ -50,8 +50,7 @@ func SweepPlanByName(name string) (NamedSweepPlan, bool) { return sweep.PlanByNa
 func ResolveSweepPlan(name string) (NamedSweepPlan, error) { return sweep.ResolvePlan(name) }
 
 // ScalingStudyPlan returns the 1024-core scaling study grid: every
-// built-in workload except the off-chip matmul (excluded from
-// 8x8-chip grids until a known DMA-ordering race is fixed), swept over
+// built-in workload, the off-chip matmul included, swept over
 // e16 -> cluster-2x2/e64 -> grid=2x4/chip=8x8 (512 cores) ->
 // grid=4x4/chip=8x8 (1024 cores) with the epiphany-iv-28nm power
 // model at its nominal point, speedup and efficiency derived against

@@ -97,6 +97,38 @@ func TestRunWithMeshSize(t *testing.T) {
 	}
 }
 
+// TestOffChipTileChecksInValidate: the off-chip pager's tile checks run
+// in Validate, so topology fitting sees them. A 40^3 product tiles 8-wide
+// only over a 1x1 group: on e16 FitTopology steps past G=4 and G=2 to
+// G=1, which runs; on e64 G=8 fits the board, so Validate refuses the
+// spec before a board is taken.
+func TestOffChipTileChecksInValidate(t *testing.T) {
+	w, err := ParseWorkload("matmul-offchip/m=40/n=40/k=40")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := w.(*MatmulWorkload).Config
+	e16 := mustTopology(t, "e16")
+	if g := w.(TopologyFitter).FitTopology(e16.Rows(), e16.Cols()).(*MatmulWorkload).Config.G; g != 1 {
+		t.Fatalf("e16 fitted the group edge to %d, want 1", g)
+	}
+	res, err := Run(context.Background(), w, WithTopology(e16))
+	if err != nil {
+		t.Fatalf("e16: %v", err)
+	}
+	if d := MaxAbsDiff(res.(*MatmulResult).C, MatmulReference(cfg)); d != 0 {
+		t.Fatalf("e16: max |diff| %g vs the host reference", d)
+	}
+
+	const want = "matrix edge 40 not tileable over a 8x8 group"
+	if err := w.(TopologyFitter).FitTopology(8, 8).Validate(); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("e64 Validate: %v, want %q", err, want)
+	}
+	if _, err := Run(context.Background(), w); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("e64 Run: %v, want %q", err, want)
+	}
+}
+
 func TestRunWithSeed(t *testing.T) {
 	w := &StencilWorkload{Config: StencilConfig{
 		Rows: 20, Cols: 20, Iters: 2, GroupRows: 1, GroupCols: 1, Tuned: true, Seed: 1,
