@@ -312,8 +312,8 @@ func TestDeterminismRemoteDMAPull(t *testing.T) {
 // lands on the pooled board the first one recycled. Every run must
 // match its host reference bit for bit, every run of a workload must
 // produce the same Metrics and EngineStats, and no fresh run may leave
-// a goroutine behind (the engine starts no scheduler goroutines, and a
-// finished proc's coroutine exits).
+// a goroutine behind (the engine starts no scheduler goroutines, and
+// the dropped board's pooled coroutines stop once it is collected).
 func TestDeterminismBoard1024(t *testing.T) {
 	topo, err := epiphany.ParseTopology("grid=4x4/chip=8x8")
 	if err != nil {
@@ -428,13 +428,17 @@ func mustWorkload(t *testing.T, name string) epiphany.Workload {
 }
 
 // settledGoroutines returns the goroutine count once it drops to want
-// or a second passes: a goroutine that has finished its work may still
-// be on its way out when the run returns.
+// or five seconds pass, collecting garbage as it polls: a dropped
+// board's idle coroutines stop only after a collection finds its
+// engine unreachable, and the cleanup that stops them runs
+// asynchronously.
 func settledGoroutines(want int) int {
-	deadline := time.Now().Add(time.Second)
+	deadline := time.Now().Add(5 * time.Second)
+	runtime.GC()
 	n := runtime.NumGoroutine()
 	for n > want && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
+		runtime.GC()
 		n = runtime.NumGoroutine()
 	}
 	return n

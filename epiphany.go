@@ -16,7 +16,9 @@
 //     (Register, Workloads, WorkloadByName). Run executes one workload;
 //     Runner.RunBatch executes many concurrently, each on a pristine
 //     System: a fresh one, or a pooled board recycled through
-//     System.Reset, which is bit-identical to a fresh one.
+//     System.Reset, which is bit-identical to a fresh one - also after
+//     a deadlocked, panicked or stopped run, whose parked procs are
+//     unwound.
 //
 //   - Kernel level: Chip, Workgroup and Core expose an Epiphany-SDK-like
 //     programming surface (direct remote stores, DMA descriptors with

@@ -1,9 +1,13 @@
 package bench
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"epiphany/internal/sim"
 )
 
 // cell parses a numeric cell.
@@ -286,5 +290,27 @@ func TestAblationCommSmoke(t *testing.T) {
 		if adv := cell(t, tab, i, 3); adv <= 0 {
 			t.Errorf("row %d: DMA should win (adv %.1f%%)", i, adv)
 		}
+	}
+}
+
+// TestLeakELinkWindows: the eLink experiments stop their writers at the
+// window's end, mid-transfer; the writers are unwound, so no goroutine
+// outlives the run once the chip is collected.
+func TestLeakELinkWindows(t *testing.T) {
+	runtime.GC()
+	base := runtime.NumGoroutine()
+	Table2()
+	elinkFairnessRun(false, 2*sim.Millisecond)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		runtime.GC()
+		n := runtime.NumGoroutine()
+		if n <= base {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the eLink windows, %d before", n, base)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

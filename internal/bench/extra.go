@@ -111,6 +111,11 @@ func elinkFairnessRun(fair bool, window sim.Time) (starved int, top4Share, mbps 
 	if err := eng.RunUntil(window); err != nil {
 		panic(err)
 	}
+	// Unwind the writers the window cut off, so their coroutines stop
+	// with the chip; the eLink keeps its counters.
+	if err := eng.Reset(); err != nil {
+		panic(err)
+	}
 	el := ch.Fabric().ELink
 	var total uint64
 	for i := 0; i < 64; i++ {

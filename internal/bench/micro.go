@@ -195,6 +195,11 @@ func elinkExperiment(cores []int, window sim.Time) (*ecore.Chip, error) {
 	if err := eng.RunUntil(window); err != nil {
 		return nil, err
 	}
+	// Unwind the writers the window cut off, so their coroutines stop
+	// with the chip; the eLink keeps its counters.
+	if err := eng.Reset(); err != nil {
+		return nil, err
+	}
 	return ch, nil
 }
 

@@ -100,28 +100,50 @@ func (cfg *MatmulConfig) blockDims() (m, n, k int, err error) {
 
 // Validate checks the configuration without running it.
 func (cfg *MatmulConfig) Validate() error {
-	if _, _, _, err := cfg.blockDims(); err != nil {
-		return err
+	_, _, _, err := cfg.stepBlock()
+	return err
+}
+
+// stepBlock returns the block one core multiplies per step - its
+// operand block on chip, its paged tile off chip - after every check a
+// run makes before placing it in the scratchpad.
+func (cfg *MatmulConfig) stepBlock() (m, n, k int, err error) {
+	if m, n, k, err = cfg.blockDims(); err != nil {
+		return 0, 0, 0, err
 	}
+	summa := false
 	switch cfg.Algorithm {
 	case "", "cannon":
 	case "summa":
 		if cfg.OffChip {
-			return fmt.Errorf("core: the off-chip pager is built on Cannon; SUMMA is on-chip only")
+			return 0, 0, 0, fmt.Errorf("core: the off-chip pager is built on Cannon; SUMMA is on-chip only")
 		}
+		summa = true
 	default:
-		return fmt.Errorf("core: unknown algorithm %q (want cannon or summa)", cfg.Algorithm)
+		return 0, 0, 0, fmt.Errorf("core: unknown algorithm %q (want cannon or summa)", cfg.Algorithm)
 	}
-	if !cfg.OffChip {
-		return nil
+	if cfg.OffChip {
+		edge, err := cfg.offChipTile()
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if _, _, cOff := matmulDRAMOffsets(cfg); int(cOff)+4*cfg.M*cfg.K > mem.DRAMSize {
+			return 0, 0, 0, fmt.Errorf("core: %d^2 operands exceed the 32 MB shared window", cfg.M)
+		}
+		m, n, k = edge, edge, edge
 	}
-	if _, err := cfg.offChipTile(); err != nil {
-		return err
+	// Cannon's rotation and SUMMA's broadcasts move whole A and B blocks
+	// with doubleword DMA sends.
+	if cfg.G > 1 && (4*m*n%8 != 0 || 4*n*k%8 != 0) {
+		return 0, 0, 0, fmt.Errorf("core: %dx%dx%d per-core blocks (%d-byte A, %d-byte B) are not whole 8-byte DMA beats",
+			m, n, k, 4*m*n, 4*n*k)
 	}
-	if _, _, cOff := matmulDRAMOffsets(cfg); int(cOff)+4*cfg.M*cfg.K > mem.DRAMSize {
-		return fmt.Errorf("core: %d^2 operands exceed the 32 MB shared window", cfg.M)
+	// SUMMA needs the panel workspace even on one core, which
+	// broadcasts nothing; the plan stays uniform.
+	if summa && halfBuffered(m, n, k, max(cfg.G, 2)) {
+		return 0, 0, 0, fmt.Errorf("core: SUMMA needs panel workspace; %dx%dx%d per-core blocks leave no room (Cannon's half-buffer trick does not apply)", m, n, k)
 	}
-	return nil
+	return m, n, k, nil
 }
 
 // offChipTile returns the per-core tile edge of an off-chip run: the
@@ -156,6 +178,11 @@ func matmulDRAMOffsets(cfg *MatmulConfig) (aOff, bOff, cOff mem.Addr) {
 	return
 }
 
+// halfBuffered reports whether planMatmul gives an m x n x k block on a
+// g x g group the paper's half-buffer placement, which leaves no room
+// for second buffers.
+func halfBuffered(m, n, k, g int) bool { return g > 1 && m == 32 && n == 32 && k == 32 }
+
 // matmulScheme picks the buffering scheme for a per-core block size.
 type matmulScheme int
 
@@ -183,7 +210,7 @@ type matmulPlan struct {
 func planMatmul(m, n, k, g int) (*matmulPlan, error) {
 	aSz, bSz, cSz := 4*m*n, 4*n*k, 4*m*k
 	l := mem.NewLayout()
-	if g > 1 && m == 32 && n == 32 && k == 32 {
+	if halfBuffered(m, n, k, g) {
 		// The paper's fixed plan: 13 KB code, stack in bank 1, operands
 		// with 2 KB rotation buffers at the documented addresses.
 		for _, r := range []struct {
@@ -308,30 +335,23 @@ func MaxAbsDiff(x, y []float32) float64 {
 // SUMMA's broadcasts on chip (§VII level 2, Table V; §VIII), or Cannon
 // over tiles paged through shared DRAM (§VII level 3, Table VI).
 func RunMatmul(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
-	if err := cfg.Validate(); err != nil {
+	m, n, k, err := cfg.stepBlock()
+	if err != nil {
 		return nil, err
 	}
-	m, n, k, _ := cfg.blockDims()
 	g := cfg.G
 	r := &matmulRun{cfg: cfg, cores: make([]*blockCore, g*g), res: &MatmulResult{}}
 	planG := g
 	switch {
 	case cfg.OffChip:
-		edge, _ := cfg.offChipTile()
-		m, n, k = edge, edge, edge
-		r.tileEdge = g * edge
+		r.tileEdge = g * m
 		r.aOff, r.bOff, r.cOff = matmulDRAMOffsets(&cfg)
 	case r.summa():
-		// SUMMA needs the panel workspace even on one core, which
-		// broadcasts nothing; the plan stays uniform.
-		planG = max(g, 2)
+		planG = max(g, 2) // the panel workspace, see stepBlock
 	}
 	plan, err := planMatmul(m, n, k, planG)
 	if err != nil {
 		return nil, err
-	}
-	if r.summa() && plan.scheme != schemeDouble {
-		return nil, fmt.Errorf("core: SUMMA needs panel workspace; %dx%dx%d per-core blocks leave no room (Cannon's half-buffer trick does not apply)", m, n, k)
 	}
 	r.m, r.n, r.k, r.plan = m, n, k, plan
 	r.a, r.b = makeMatmulInput(&cfg)

@@ -57,8 +57,8 @@ func NewChipMap(eng *sim.Engine, amap *mem.Map) *Chip {
 // Reset returns the chip to its just-constructed state - fabric
 // occupancy and statistics cleared, memories zeroed, per-core state
 // blank - so a recycled board replays any experiment bit-identically to
-// a fresh one. The engine must be reset (or quiescent) first; cores with
-// kernels still running make the recycled state undefined.
+// a fresh one. The engine must be reset first, which unwinds any kernel
+// still parked.
 func (ch *Chip) Reset() {
 	ch.fab.Reset()
 	for _, c := range ch.cores {
@@ -100,15 +100,26 @@ func (ch *Chip) notifyWrite(core int) {
 // begins at the current virtual time (the host model adds program-load
 // costs before calling Launch). It returns the process for joining.
 func (ch *Chip) Launch(i int, name string, kernel func(*Core)) *sim.Proc {
+	c := ch.loading(i, kernel)
+	c.proc = ch.eng.Spawn(name, c.run)
+	return c.proc
+}
+
+// LaunchIdx is Launch for a process named prefix(row,col), such as one
+// kernel of a workgroup; the name is formatted only if diagnostics ask
+// for it.
+func (ch *Chip) LaunchIdx(i int, prefix string, row, col int, kernel func(*Core)) *sim.Proc {
+	c := ch.loading(i, kernel)
+	c.proc = ch.eng.SpawnIdx(prefix, row, col, c.run)
+	return c.proc
+}
+
+// loading checks that core i is free and hands it kernel.
+func (ch *Chip) loading(i int, kernel func(*Core)) *Core {
 	c := ch.cores[i]
 	if c.proc != nil && !c.proc.Finished() {
 		panic(fmt.Sprintf("ecore: core %d launched while already running", i))
 	}
-	p := ch.eng.Spawn(name, func(p *sim.Proc) {
-		c.proc = p
-		defer func() { c.proc = nil }()
-		kernel(c)
-	})
-	c.proc = p
-	return p
+	c.kernel = kernel
+	return c
 }

@@ -23,6 +23,8 @@ type Core struct {
 	sram   *mem.SRAM
 	dma    *dma.Engine
 	proc   *sim.Proc
+	kernel func(*Core)     // the launched kernel, until it ends
+	run    func(*sim.Proc) // runKernel, bound once so a launch allocates no closure
 	layout *mem.Layout
 	timers [2]sim.Time
 	flops  uint64
@@ -35,19 +37,29 @@ type Core struct {
 }
 
 func newCore(ch *Chip, idx int) *Core {
-	return &Core{
+	c := &Core{
 		chip:   ch,
 		idx:    idx,
 		sram:   ch.fab.SRAMs[idx],
 		dma:    dma.NewEngine(ch.fab, idx),
 		layout: mem.NewLayout(),
 	}
+	c.run = c.runKernel
+	return c
+}
+
+// runKernel is the body of the process Launch starts: the launched
+// kernel, with the core marked idle once it ends (or is unwound).
+func (c *Core) runKernel(p *sim.Proc) {
+	defer func() { c.proc, c.kernel = nil, nil }()
+	c.proc = p
+	c.kernel(c)
 }
 
 // reset clears all per-core run state: timers, the flop and compute
 // counters, the scratchpad layout plan and both DMA channels.
 func (c *Core) reset() {
-	c.proc = nil
+	c.proc, c.kernel = nil, nil
 	c.layout.Reset()
 	c.timers = [2]sim.Time{}
 	c.flops, c.computeTime = 0, 0

@@ -115,14 +115,14 @@ func (w *Workgroup) Neighbour(gr, gc, dr, dc int, mode NeighbourMode) (idx int, 
 // Launch starts kernel on every core of the group and returns the procs
 // in rank order. The kernel receives its core and group position.
 func (w *Workgroup) Launch(name string, kernel func(c *ecore.Core, gr, gc int)) []*sim.Proc {
+	run := func(c *ecore.Core) {
+		gr, gc, _ := w.GroupCoords(c)
+		kernel(c, gr, gc)
+	}
 	procs := make([]*sim.Proc, 0, w.Size())
 	for gr := 0; gr < w.Rows; gr++ {
 		for gc := 0; gc < w.Cols; gc++ {
-			gr, gc := gr, gc
-			idx := w.CoreIndex(gr, gc)
-			procs = append(procs, w.Chip.Launch(idx,
-				fmt.Sprintf("%s(%d,%d)", name, gr, gc),
-				func(c *ecore.Core) { kernel(c, gr, gc) }))
+			procs = append(procs, w.Chip.LaunchIdx(w.CoreIndex(gr, gc), name, gr, gc, run))
 		}
 	}
 	return procs

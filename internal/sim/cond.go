@@ -10,7 +10,8 @@ import "strconv"
 type Cond struct {
 	eng     *Engine
 	name    string
-	idx     int // >= 0: the name is name+idx, formatted lazily
+	idx     int   // >= 0: the name is name+idx, formatted lazily
+	of      *Proc // a Proc's done condition: the name is "done:"+of.Name()
 	waiters []*Proc
 }
 
@@ -33,6 +34,9 @@ func NewCondIdx(eng *Engine, prefix string, idx int) *Cond {
 
 // Name returns the diagnostic name.
 func (c *Cond) Name() string {
+	if c.of != nil {
+		return "done:" + c.of.Name()
+	}
 	if c.idx < 0 {
 		return c.name
 	}
@@ -42,8 +46,12 @@ func (c *Cond) Name() string {
 // WaitCond parks the Proc until c is broadcast. The Proc resumes at the
 // virtual time of the broadcast (plus any delay the broadcaster added).
 func (p *Proc) WaitCond(c *Cond) {
+	p.mustBeRunning()
 	c.waiters = append(c.waiters, p)
-	p.block(c)
+	p.state = stateBlocked
+	p.blockedOn = c
+	p.eng.blocked++
+	p.park()
 }
 
 // Broadcast wakes every waiter at the current virtual time.

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 )
 
@@ -102,21 +104,26 @@ func (h *eventHeap) pop() event {
 //
 // Procs run as coroutines, and the engine executes at most one of them
 // at a time, always in key order, so simulations are fully
-// reproducible. The zero value is not usable; create engines with
-// NewEngine.
+// reproducible. The engine owns its coroutines: a proc's coroutine
+// returns to the engine's pool when the proc ends, a failed run or a
+// Reset unwinds every proc still parked, and the idle coroutines stop
+// once the engine is unreachable, so no goroutine outlives its engine.
+// The zero value is not usable; create engines with NewEngine.
 type Engine struct {
 	heap    eventHeap
 	now     Time
 	seq     uint64
 	procs   []*Proc
 	blocked int // procs waiting on a Cond (not in the heap)
+	pool    *coroPool
 
 	// curProc is the proc of the event being dispatched (nil for
 	// callback events); it backs Proc.mustBeRunning.
 	curProc *Proc
 
-	err     error // the first failure (a proc panic); ends the run
+	err     error // the first failure (a proc panic or a deadlock); ends the run
 	stopped bool  // Stop was called: blocked procs are not a deadlock
+	running bool  // inside RunUntil
 
 	// Scheduler counters, snapshotted by Stats. Each is a single
 	// increment on a path that already does real work, so they are
@@ -125,8 +132,13 @@ type Engine struct {
 	heapPeak int
 }
 
-// NewEngine returns an empty engine at virtual time zero.
-func NewEngine() *Engine { return &Engine{} }
+// NewEngine returns an empty engine at virtual time zero. Its idle
+// coroutines stop once the engine becomes unreachable.
+func NewEngine() *Engine {
+	e := &Engine{pool: new(coroPool)}
+	runtime.AddCleanup(e, (*coroPool).close, e.pool)
+	return e
+}
 
 // AddShards does nothing: every engine is one event heap.
 //
@@ -182,40 +194,71 @@ func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 
 // SpawnAt is Spawn with an explicit absolute start time.
 func (e *Engine) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
+	return e.spawn(t, name, -1, 0, fn)
+}
+
+// SpawnIdx is Spawn for a process named prefix(row,col), such as one
+// kernel of a workgroup. The name is formatted only when diagnostics
+// ask for it, so launching a large group stays allocation-lean.
+func (e *Engine) SpawnIdx(prefix string, row, col int, fn func(p *Proc)) *Proc {
+	if row < 0 || col < 0 {
+		panic("sim: SpawnIdx with negative index")
+	}
+	return e.spawn(e.now, prefix, row, col, fn)
+}
+
+func (e *Engine) spawn(t Time, name string, row, col int, fn func(p *Proc)) *Proc {
 	if t < e.now {
 		t = e.now
 	}
 	p := &Proc{
 		eng:   e,
-		id:    len(e.procs),
-		name:  name,
 		fn:    fn,
+		name:  name,
+		row:   row,
+		col:   col,
+		id:    len(e.procs),
 		state: stateNew,
-		done:  NewCond(e, "done:"+name),
 	}
+	p.done = Cond{eng: e, idx: -1, of: p}
 	e.procs = append(e.procs, p)
 	e.schedule(event{t: t, kind: evStart, proc: p})
 	return p
 }
 
 // Run processes events until the queue drains. It returns an error if
-// a Proc panicked or if runnable work remains blocked forever
-// (deadlock: procs waiting on conditions nobody will signal).
+// a Proc panicked (a *PanicError) or if runnable work remains blocked
+// forever (deadlock: procs waiting on conditions nobody will signal).
+// A failed run unwinds every proc still parked once its error is
+// built, so the engine holds no parked coroutine; it keeps returning
+// the same error until Reset.
 func (e *Engine) Run() error {
 	return e.RunUntil(^Time(0))
 }
 
 // RunUntil is Run but stops (without error) once virtual time would
-// exceed limit. Events at exactly limit are still processed.
+// exceed limit. Events at exactly limit are still processed. A panic
+// out of a callback unwinds the parked procs too before it propagates.
 func (e *Engine) RunUntil(limit Time) error {
+	e.running = true
+	ok := false
+	defer func() {
+		if !ok {
+			e.teardown()
+		}
+		e.running = false
+	}()
 	for e.err == nil {
 		if len(e.heap) == 0 {
-			if e.blocked > 0 && !e.stopped {
-				return e.deadlockError()
+			if e.blocked == 0 || e.stopped {
+				ok = true
+				return nil
 			}
-			return nil
+			e.fail(e.deadlockError())
+			break
 		}
 		if e.heap[0].t > limit {
+			ok = true
 			return nil
 		}
 		e.dispatch(e.heap.pop())
@@ -241,7 +284,7 @@ func (e *Engine) dispatch(ev event) {
 		}
 		p.state = stateRunning
 		p.now = ev.t
-		p.next()
+		p.co.next()
 	}
 	e.curProc = nil
 }
@@ -252,24 +295,17 @@ func (e *Engine) dispatch(ev event) {
 // experiments.)
 func (e *Engine) Stop() { e.stopped = true }
 
-// Reset returns a drained engine to its initial state - virtual time
-// zero, no events, no procs, fresh sequence numbers - so the structures
-// built around it (and their goroutine-free event state) can be
-// recycled instead of reconstructed. It refuses engines that are not
-// quiescent: pending events, procs parked on conditions, or procs that
-// never ran (their goroutines would leak and their wake-ups would
-// corrupt the next simulation). A successful Run leaves the engine
-// quiescent.
+// Reset returns the engine to its initial state - virtual time zero,
+// no events, no procs, fresh sequence numbers - so the structures built
+// around it can be recycled instead of reconstructed. Procs that a
+// Stopped or RunUntil-limited run left parked are unwound first, their
+// coroutines going back to the pool, and pending events are dropped.
+// Reset fails only when called from inside a run.
 func (e *Engine) Reset() error {
-	if len(e.heap) != 0 || e.blocked != 0 {
-		return fmt.Errorf("sim: Reset of non-quiescent engine (%d pending events, %d blocked procs)",
-			len(e.heap), e.blocked)
+	if e.running {
+		return errors.New("sim: Reset during a run")
 	}
-	for _, p := range e.procs {
-		if p.state != stateDone {
-			return fmt.Errorf("sim: Reset with proc %q not finished", p.name)
-		}
-	}
+	e.teardown()
 	clear(e.procs)
 	e.procs = e.procs[:0]
 	e.now, e.seq = 0, 0
@@ -277,6 +313,37 @@ func (e *Engine) Reset() error {
 	e.err = nil
 	e.stopped = false
 	return nil
+}
+
+// teardown unwinds every parked proc and drops the pending events. A
+// parked proc's park returns into the unwind panic, which runs its
+// deferred calls and which its body's recover drops, and its coroutine
+// goes back to the pool; a proc that never started just ends. Nothing
+// an unwinding proc schedules survives, and the counters keep the
+// failed run's values.
+func (e *Engine) teardown() {
+	peak, seq := e.heapPeak, e.seq
+	for i := 0; i < len(e.procs); i++ { // unwinding may spawn
+		p := e.procs[i]
+		switch p.state {
+		case stateNew:
+			p.state, p.finished = stateDone, true
+		case stateWaiting, stateBlocked:
+			if c := p.blockedOn; c != nil {
+				clear(c.waiters) // every waiter is parked here too
+				c.waiters = c.waiters[:0]
+				p.blockedOn = nil
+			}
+			p.unwinding = true
+			e.curProc = p
+			p.co.next()
+		}
+	}
+	e.curProc = nil
+	clear(e.heap)
+	e.heap = e.heap[:0]
+	e.blocked = 0
+	e.heapPeak, e.seq = peak, seq
 }
 
 // fail records the first error, which ends the run.
@@ -292,7 +359,7 @@ func (e *Engine) deadlockError() error {
 	var names []string
 	for _, p := range e.procs {
 		if p.state == stateBlocked {
-			names = append(names, fmt.Sprintf("%s@%v", p.name, p.blockedOn.Name()))
+			names = append(names, p.Name()+"@"+p.blockedOn.Name())
 		}
 	}
 	sort.Strings(names)

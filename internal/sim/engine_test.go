@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -201,20 +203,25 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
-// TestDeadlockReportAndResetRefusal is the engine's deadlock fixture:
-// procs waiting on conditions nobody signals. Run returns the deadlock
-// error naming every blocked proc with its condition, sorted, and
-// Reset refuses the stuck engine.
-func TestDeadlockReportAndResetRefusal(t *testing.T) {
+// TestDeadlockReportAndRecycle is the engine's deadlock fixture: procs
+// waiting on conditions nobody signals. Run returns the deadlock error
+// naming every blocked proc with its condition, sorted, then unwinds
+// them (their deferred calls run), and keeps returning that error
+// until Reset. After Reset the engine replays a fresh engine's
+// schedule exactly, counters included.
+func TestDeadlockReportAndRecycle(t *testing.T) {
 	e := NewEngine()
 	a, b := NewCond(e, "never-a"), NewCond(e, "never-b")
+	unwound := 0
 	for _, w := range []struct {
 		name string
 		c    *Cond
 	}{{"zeta", a}, {"mid", b}, {"alpha", a}} {
 		e.Spawn(w.name, func(p *Proc) {
+			defer func() { unwound++ }()
 			p.Wait(42 * Nanosecond)
 			p.WaitCond(w.c)
+			t.Errorf("%s resumed after the deadlock", w.name)
 		})
 	}
 	e.Spawn("done", func(p *Proc) { p.Wait(7) })
@@ -223,8 +230,30 @@ func TestDeadlockReportAndResetRefusal(t *testing.T) {
 	if err == nil || err.Error() != want {
 		t.Fatalf("err = %v, want %q", err, want)
 	}
-	if err := e.Reset(); err == nil {
-		t.Fatal("Reset accepted a deadlocked engine")
+	if unwound != 3 {
+		t.Fatalf("%d of 3 blocked procs unwound", unwound)
+	}
+	for _, p := range e.procs {
+		if !p.Finished() {
+			t.Errorf("proc %q not finished after the failed run", p.Name())
+		}
+	}
+	if again := e.Run(); again == nil || again.Error() != want {
+		t.Fatalf("second Run = %v, want the same deadlock", again)
+	}
+	if len(e.pool.idle) != 4 {
+		t.Errorf("%d idle coroutines, want all 4 back in the pool", len(e.pool.idle))
+	}
+	if err := e.Reset(); err != nil {
+		t.Fatalf("Reset of a deadlocked engine: %v", err)
+	}
+	fresh := NewEngine()
+	want2, got := runSchedule(t, fresh), runSchedule(t, e)
+	if !slices.Equal(got, want2) {
+		t.Fatalf("recycled engine ran %v, fresh %v", got, want2)
+	}
+	if got, want := e.Stats(), fresh.Stats(); got != want {
+		t.Fatalf("recycled engine stats %+v, fresh %+v", got, want)
 	}
 }
 
@@ -243,18 +272,24 @@ func TestStopSuppressesDeadlock(t *testing.T) {
 
 // TestPanicPropagates: a proc's panic surfaces as Run's error naming
 // the proc instead of crashing the process, and it ends the run: no
-// later event runs.
+// later event runs. The error is a *PanicError whose message is one
+// line; the stack rides in its Stack field.
 func TestPanicPropagates(t *testing.T) {
 	e := NewEngine()
 	late := false
 	e.At(5, func() { late = true })
 	e.Spawn("boom", func(p *Proc) {
-		p.Wait(1)
+		p.Wait(Nanosecond)
 		panic("kaboom")
 	})
 	err := e.Run()
-	if err == nil || !strings.Contains(err.Error(), `proc "boom" panicked`) || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("err = %v, want panic propagation", err)
+	const want = `sim: proc "boom" panicked at t=1ns: kaboom`
+	if err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Value != "kaboom" || !strings.Contains(string(pe.Stack), "TestPanicPropagates") {
+		t.Fatalf("err = %#v, want a *PanicError carrying the value and the stack", err)
 	}
 	if late {
 		t.Error("an event after the panic still ran")
@@ -464,25 +499,63 @@ func TestEngineResetReplaysIdentically(t *testing.T) {
 	}
 }
 
-func TestEngineResetRefusesNonQuiescent(t *testing.T) {
-	// Pending event.
+// TestEngineResetUnwindsParkedProcs: Reset unwinds what a Stopped or
+// RunUntil-limited run left behind - a proc parked on a Cond, one
+// waiting on a timer, one that never started, and a pending callback -
+// and the recycled engine then replays a fresh one exactly.
+func TestEngineResetUnwindsParkedProcs(t *testing.T) {
 	e := NewEngine()
-	e.At(100, func() {})
-	if err := e.Reset(); err == nil {
-		t.Fatal("Reset accepted an engine with pending events")
-	}
-
-	// Proc parked on a Cond after Stop (no deadlock error, but the
-	// goroutine is still blocked).
-	e = NewEngine()
 	c := NewCond(e, "never")
-	e.Spawn("parked", func(p *Proc) { p.WaitCond(c) })
+	var unwound []string
+	e.Spawn("parked", func(p *Proc) {
+		defer func() { unwound = append(unwound, "parked") }()
+		p.WaitCond(c)
+	})
+	e.Spawn("sleeper", func(p *Proc) {
+		defer func() {
+			unwound = append(unwound, "sleeper")
+			p.Wait(1) // a park while unwinding unwinds again
+			t.Error("sleeper parked while unwinding")
+		}()
+		p.Wait(1000)
+	})
+	late := e.SpawnAt(500, "late", func(p *Proc) { t.Error("late started") })
+	e.At(700, func() { t.Error("pending callback ran after Reset") })
 	e.At(1, func() { e.Stop() })
 	if err := e.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Reset(); err == nil {
-		t.Fatal("Reset accepted an engine with a blocked proc")
+	if err := e.Reset(); err != nil {
+		t.Fatalf("Reset: %v", err)
+	}
+	if !slices.Equal(unwound, []string{"parked", "sleeper"}) {
+		t.Fatalf("unwound %v, want [parked sleeper]", unwound)
+	}
+	if !late.Finished() {
+		t.Error("a never-started proc is not finished after Reset")
+	}
+	if len(c.waiters) != 0 {
+		t.Errorf("Reset left %d waiters on the cond", len(c.waiters))
+	}
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run after Reset: %v", err)
+	}
+	if e.Now() != 0 || e.Stats().Events != 0 {
+		t.Fatalf("Reset left work behind: now %v, %d events", e.Now(), e.Stats().Events)
+	}
+	if got, want := runSchedule(t, e), runSchedule(t, NewEngine()); !slices.Equal(got, want) {
+		t.Fatalf("recycled engine ran %v, fresh %v", got, want)
+	}
+
+	// Reset from inside the run is refused.
+	e = NewEngine()
+	var inRun error
+	e.At(1, func() { inRun = e.Reset() })
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if inRun == nil {
+		t.Fatal("Reset inside a run succeeded")
 	}
 }
 

@@ -2,8 +2,8 @@ package sim
 
 import (
 	"fmt"
-	"iter"
 	"runtime/debug"
+	"strconv"
 )
 
 type procState uint8
@@ -16,30 +16,61 @@ const (
 	stateDone
 )
 
-// Proc is a simulated process. Its function runs as an iter.Pull
-// coroutine: it still owns a goroutine, but the engine's dispatch loop
-// switches to it and back directly, with no hand-off through the Go
-// scheduler. The engine runs only one Proc at a time, so Procs may
-// freely touch simulation state without synchronization.
+// Proc is a simulated process. Its function runs on a coroutine that
+// the engine keeps in a pool: the engine's dispatch loop switches to it
+// and back directly, with no hand-off through the Go scheduler, and
+// hands the coroutine to a later Proc once this one's function returns.
+// The engine runs only one Proc at a time, so Procs may freely touch
+// simulation state without synchronization.
+//
+// A Proc still parked when its engine's run fails (a deadlock or a
+// panic), or when the engine is Reset, is unwound: its function
+// returns through its deferred calls without simulating anything
+// more, and its coroutine goes back to the pool.
 type Proc struct {
-	eng       *Engine
-	id        int
+	eng *Engine
+	co  *coro // the coroutine running fn; nil before start and after fn ends
+	fn  func(*Proc)
+	// name, with row >= 0, is the prefix of the name name(row,col),
+	// formatted only when diagnostics ask for it.
 	name      string
+	row, col  int
+	id        int
 	now       Time
-	fn        func(*Proc)
-	next      func() (struct{}, bool) // resumes the body until it parks or returns
-	yield     func(struct{}) bool     // parks the body; called only from inside it
-	state     procState
 	blockedOn *Cond // the Cond being waited on (deadlock diagnostics)
-	done      *Cond // completion condition
-	finished  bool  // the function returned
+	done      Cond  // completion condition
+	state     procState
+	finished  bool // fn returned or was unwound
+	unwinding bool // a teardown is unwinding fn
+}
+
+// unwind is the private panic value that unwinds a parked proc.
+type unwind struct{}
+
+// PanicError is a run's error when a proc panicked. Its message is one
+// line; the panicking goroutine's stack is kept in Stack for a debug
+// view.
+type PanicError struct {
+	Proc  string // the proc's name
+	At    Time   // the proc's virtual time
+	Value any    // the value passed to panic
+	Stack []byte // debug.Stack() at the recover
+}
+
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("sim: proc %q panicked at t=%v: %v", e.Proc, e.At, e.Value)
 }
 
 // Engine returns the engine this Proc belongs to.
 func (p *Proc) Engine() *Engine { return p.eng }
 
 // Name returns the name given at Spawn time.
-func (p *Proc) Name() string { return p.name }
+func (p *Proc) Name() string {
+	if p.row < 0 {
+		return p.name
+	}
+	return p.name + "(" + strconv.Itoa(p.row) + "," + strconv.Itoa(p.col) + ")"
+}
 
 // ID returns the Proc's spawn index within its engine.
 func (p *Proc) ID() int { return p.id }
@@ -47,37 +78,55 @@ func (p *Proc) ID() int { return p.id }
 // Now returns the Proc's current virtual time.
 func (p *Proc) Now() Time { return p.now }
 
-// start creates the Proc's coroutine and runs its body until it first
+// start runs the Proc's body on a pooled coroutine until it first
 // parks or returns. Engine-side only.
 func (p *Proc) start() {
 	p.state = stateRunning
 	p.now = p.eng.now
-	p.next, _ = iter.Pull(p.body)
-	p.next()
+	p.eng.pool.run(p)
 }
 
-// body is the coroutine: it runs fn, turns a panic into the engine's
-// error and announces completion.
-func (p *Proc) body(yield func(struct{}) bool) {
-	p.yield = yield
-	defer func() {
-		if r := recover(); r != nil {
-			p.eng.fail(fmt.Errorf("sim: proc %q panicked at t=%v: %v\n%s",
-				p.name, p.now, r, debug.Stack()))
-		}
-		p.state = stateDone
-		p.finished = true
-		p.done.Broadcast()
-	}()
+// body runs fn on the Proc's coroutine.
+func (p *Proc) body() {
+	defer p.finish()
 	p.fn(p)
+}
+
+// finish ends the body: it turns a panic into the engine's error, drops
+// the unwind signal and announces completion.
+func (p *Proc) finish() {
+	if r := recover(); r != nil {
+		if _, ok := r.(unwind); !ok {
+			p.eng.fail(&PanicError{Proc: p.Name(), At: p.now, Value: r, Stack: debug.Stack()})
+		}
+	}
+	p.state = stateDone
+	p.finished = true
+	if !p.unwinding {
+		p.done.Broadcast()
+	}
 }
 
 // mustBeRunning panics unless p's own body is the code the engine is
 // running: parking p from a callback or from another proc's body would
-// hand control to a coroutine that is not the one executing.
+// hand control to a coroutine that is not the one executing. While a
+// teardown unwinds p, a park (from a deferred call) unwinds again
+// instead.
 func (p *Proc) mustBeRunning() {
+	if p.unwinding {
+		panic(unwind{})
+	}
 	if p.eng.curProc != p {
-		panic(fmt.Sprintf("sim: proc %q waited from outside its own body", p.name))
+		panic(fmt.Sprintf("sim: proc %q waited from outside its own body", p.Name()))
+	}
+}
+
+// park switches back to the engine until p is resumed, and unwinds p
+// if the resume came from a teardown.
+func (p *Proc) park() {
+	p.co.yield(struct{}{})
+	if p.unwinding {
+		panic(unwind{})
 	}
 }
 
@@ -98,17 +147,7 @@ func (p *Proc) WaitUntil(t Time) {
 	}
 	p.state = stateWaiting
 	p.eng.schedule(event{t: t, kind: evResume, proc: p})
-	p.yield(struct{}{})
-}
-
-// Block parks the Proc with no scheduled wake-up; something must later call
-// unblock (via Cond signalling). c's name appears in deadlock reports.
-func (p *Proc) block(c *Cond) {
-	p.mustBeRunning()
-	p.state = stateBlocked
-	p.blockedOn = c
-	p.eng.blocked++
-	p.yield(struct{}{})
+	p.park()
 }
 
 // unblock schedules the Proc to resume at time t. Engine/Cond-side only.
@@ -127,9 +166,10 @@ func (p *Proc) unblock(t Time) {
 
 // Done returns a Cond broadcast when the Proc's function returns. Other
 // Procs can WaitCond on it to join.
-func (p *Proc) Done() *Cond { return p.done }
+func (p *Proc) Done() *Cond { return &p.done }
 
-// Finished reports whether the Proc's function has returned.
+// Finished reports whether the Proc's function has returned, or was
+// unwound by a failed run or a Reset.
 func (p *Proc) Finished() bool { return p.finished }
 
 // Join blocks p until other has finished.

@@ -75,9 +75,10 @@ func (s *System) NewWorkgroup(originRow, originCol, rows, cols int) (*sdk.Workgr
 // wrote) can be recycled across experiments instead of reallocated. A
 // recycled System is bit-deterministic with a fresh one: the same
 // workload produces byte-identical Metrics either way (the conformance
-// harness pins this). Reset refuses a board whose engine is not
-// quiescent (a run that deadlocked, was stopped mid-flight, or
-// panicked); such a System must be discarded. The workload Runner uses
+// harness pins this). That holds after a failed run too: a deadlocked
+// or panicked run has already unwound its procs, and Reset unwinds the
+// ones a stopped run left parked, so every board is recyclable. Reset
+// fails only when called from inside a run. The workload Runner uses
 // Reset to pool boards across jobs.
 func (s *System) Reset() error {
 	if err := s.eng.Reset(); err != nil {

@@ -187,7 +187,8 @@ func (r *Runner) get(topo system.Topology) *system.System {
 
 // put returns a board after its job, keeping it only if System.Reset
 // certifies it pristine. At most one board per worker slot stays idle;
-// beyond that one is evicted, as it would only hold memory: the oldest
+// beyond that one is evicted, as it would only hold memory (its pooled
+// coroutines stop once it is garbage collected): the oldest
 // whose topology a newer idle board shares, else the oldest. Keeping
 // distinct topologies means a mixed stream (a daemon serving several
 // board shapes) rebuilds fewer boards when concurrent jobs happen to
@@ -248,9 +249,8 @@ func (r *Runner) runJob(ctx context.Context, job Job) (jr JobResult) {
 	}
 	sys := r.get(rc.topo)
 	jr.Result, jr.Err = runOn(ctx, w, sys, &rc)
-	// Reset certifies the board is recyclable even after a run error
-	// (a deadlocked or stopped board fails certification and is
-	// dropped).
+	// Reset recycles the board after a run error too: a failed run
+	// unwound its procs, and Reset unwinds what a stopped one parked.
 	r.put(rc.topo, sys)
 	return jr
 }

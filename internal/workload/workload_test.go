@@ -542,7 +542,7 @@ func TestRunnerPoolSharedConcurrently(t *testing.T) {
 }
 
 // deadlocker parks a proc on a condition nobody signals, so its run ends
-// in a deadlock and leaves a board System.Reset refuses.
+// in a deadlock, which unwinds the proc.
 type deadlocker struct {
 	seen *[]*system.System
 }
@@ -559,10 +559,10 @@ func (d *deadlocker) Run(ctx context.Context, sys *system.System) (Result, error
 	return fixedResult{}, sys.Engine().Run()
 }
 
-// TestRunnerNeverPoolsFailedBoards: a board whose run deadlocked fails
-// Reset and is dropped, so the next same-topology job gets a different
-// System and reproduces a fresh run exactly.
-func TestRunnerNeverPoolsFailedBoards(t *testing.T) {
+// TestRunnerRecyclesFailedBoards: a board whose run deadlocked passes
+// Reset and goes back to the pool, so the next same-topology job gets
+// the same System and reproduces a fresh run exactly.
+func TestRunnerRecyclesFailedBoards(t *testing.T) {
 	ctx := context.Background()
 	st, ok := ByName("stencil-tuned")
 	if !ok {
@@ -582,8 +582,8 @@ func TestRunnerNeverPoolsFailedBoards(t *testing.T) {
 	if jr.Err != nil {
 		t.Fatal(jr.Err)
 	}
-	if seen[0] == seen[1] {
-		t.Fatal("the deadlocked board was pooled and handed to the next job")
+	if seen[0] != seen[1] {
+		t.Fatal("the deadlocked board was dropped instead of recycled")
 	}
 	if got, want := jr.Result.Metrics(), fresh.Metrics(); got != want {
 		t.Fatalf("job after a failed board drifted:\n got  %+v\n want %+v", got, want)

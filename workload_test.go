@@ -129,6 +129,49 @@ func TestOffChipTileChecksInValidate(t *testing.T) {
 	}
 }
 
+// TestMatmulBlockChecksInValidate: shapes a matmul run cannot execute
+// fail Validate, not the run. Blocks whose byte size is not whole
+// 8-byte DMA beats (5x5 floats are 100 bytes) would panic in the
+// rotation's sends; a SUMMA shape with 32^3 per-core blocks has no room
+// for the panel workspace. Off chip on e16, fitting steps past the
+// unmovable 5-wide tiles of G=4 and G=2 to G=1, which rotates nothing
+// and runs.
+func TestMatmulBlockChecksInValidate(t *testing.T) {
+	const beats = "are not whole 8-byte DMA beats"
+	for _, c := range []struct{ spec, want string }{
+		{"matmul-cannon/m=20/n=20/k=20/g=4", "core: 5x5x5 per-core blocks (100-byte A, 100-byte B) " + beats},
+		{"matmul-summa/m=20/n=20/k=20/g=4", "core: 5x5x5 per-core blocks (100-byte A, 100-byte B) " + beats},
+		{"matmul-offchip/m=40/n=40/k=40/g=8/edge=5", "core: 5x5x5 per-core blocks (100-byte A, 100-byte B) " + beats},
+		{"matmul-summa/m=128/n=128/k=128/g=4", "core: SUMMA needs panel workspace; 32x32x32 per-core blocks leave no room (Cannon's half-buffer trick does not apply)"},
+	} {
+		w, err := ParseWorkload(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.spec, err, c.want)
+		}
+		if _, err := Run(context.Background(), w); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Run on e64 = %v, want %q", c.spec, err, c.want)
+		}
+	}
+	w, err := ParseWorkload("matmul-offchip/m=40/n=40/k=40/g=8/edge=5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e16 := mustTopology(t, "e16")
+	if g := w.(TopologyFitter).FitTopology(e16.Rows(), e16.Cols()).(*MatmulWorkload).Config.G; g != 1 {
+		t.Fatalf("e16 fitted the group edge to %d, want 1", g)
+	}
+	res, err := Run(context.Background(), w, WithTopology(e16))
+	if err != nil {
+		t.Fatalf("e16: %v", err)
+	}
+	if d := MaxAbsDiff(res.(*MatmulResult).C, MatmulReference(w.(*MatmulWorkload).Config)); d != 0 {
+		t.Fatalf("e16: max |diff| %g vs the host reference", d)
+	}
+}
+
 func TestRunWithSeed(t *testing.T) {
 	w := &StencilWorkload{Config: StencilConfig{
 		Rows: 20, Cols: 20, Iters: 2, GroupRows: 1, GroupCols: 1, Tuned: true, Seed: 1,
