@@ -20,7 +20,6 @@ const (
 	matmulStackSize          = 0x0B00
 	matmulFlagsOff  mem.Addr = 0x3F00
 	matmulFlagsSize          = 0x100
-	matmulDataOff   mem.Addr = 0x4000
 	// The paper's exact 32x32 placement (§VII "Memory Considerations").
 	matmulA32    mem.Addr = 0x4000 // A: 0x4000-0x4FFF, buffer 0x5000-0x57FF
 	matmulB32    mem.Addr = 0x5800 // B: 0x5800-0x67FF, buffer 0x6800-0x6FFF
@@ -198,7 +197,6 @@ const (
 type matmulPlan struct {
 	scheme            matmulScheme
 	a0, a1, b0, b1, c mem.Addr
-	layout            *mem.Layout
 }
 
 // planMatmul computes the scratchpad placement for an m x n x k per-core
@@ -229,10 +227,7 @@ func planMatmul(m, n, k, g int) (*matmulPlan, error) {
 				return nil, err
 			}
 		}
-		return &matmulPlan{
-			scheme: schemeHalf, layout: l,
-			a0: matmulA32, b0: matmulB32, c: matmulC32,
-		}, nil
+		return &matmulPlan{scheme: schemeHalf, a0: matmulA32, b0: matmulB32, c: matmulC32}, nil
 	}
 	// Adaptive plan: the macro-expanded code size tracks the block shape.
 	codeSz := matmulCodeBytes(n, k) + 3*1024
@@ -258,7 +253,7 @@ func planMatmul(m, n, k, g int) (*matmulPlan, error) {
 	if _, e := l.PlaceAt("flags", matmulFlagsOff, matmulFlagsSize); e != nil && err == nil {
 		err = e
 	}
-	p := &matmulPlan{scheme: schemeDouble, layout: l}
+	p := &matmulPlan{scheme: schemeDouble}
 	p.a0 = place("A0", aSz)
 	p.b0 = place("B0", bSz)
 	if g > 1 {

@@ -8,7 +8,6 @@ import (
 	"epiphany/internal/host"
 	"epiphany/internal/mem"
 	"epiphany/internal/sdk"
-	"epiphany/internal/sim"
 )
 
 // Streaming stencil with temporal blocking - the paper's §IX future work
@@ -113,9 +112,10 @@ func RunStreamStencil(h *host.Host, cfg StreamStencilConfig) (*StreamStencilResu
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	sc := cfg.stencil()
 	r := &streamRun{
 		cfg:    cfg,
-		field:  makeStreamInput(&cfg),
+		field:  makeStencilInput(&sc),
 		dstOff: mem.Addr(4 * (cfg.GlobalRows + 2) * (cfg.GlobalCols + 2)),
 		stats:  make([]streamStats, cfg.GroupRows*cfg.GroupCols),
 		res:    &StreamStencilResult{},
@@ -302,58 +302,19 @@ func tileDesc(d *dma.Desc, src, dst mem.Addr, rows, cols, srcPitch, dstPitch int
 	return d
 }
 
-// makeStreamInput builds the global field with boundary ring.
-func makeStreamInput(cfg *StreamStencilConfig) [][]float32 {
-	if cfg.Initial != nil {
-		if len(cfg.Initial) != cfg.GlobalRows+2 || len(cfg.Initial[0]) != cfg.GlobalCols+2 {
-			panic("core: Initial field has wrong shape")
-		}
-		g := make([][]float32, len(cfg.Initial))
-		for r := range g {
-			g[r] = append([]float32(nil), cfg.Initial[r]...)
-		}
-		return g
+// stencil is the one-block stencil run whose field and Jacobi
+// iteration the streamed run reproduces: the overlapped-tiling kernel
+// computes plain global Jacobi exactly, redundant halo work and all.
+func (cfg *StreamStencilConfig) stencil() StencilConfig {
+	return StencilConfig{
+		Rows: cfg.GlobalRows, Cols: cfg.GlobalCols, Iters: cfg.Iters,
+		GroupRows: 1, GroupCols: 1,
+		Coefs: cfg.Coefs, Seed: cfg.Seed, Initial: cfg.Initial,
 	}
-	rng := sim.NewRand(cfg.Seed + 1)
-	g := make([][]float32, cfg.GlobalRows+2)
-	for r := range g {
-		g[r] = make([]float32, cfg.GlobalCols+2)
-		for c := range g[r] {
-			g[r][c] = rng.Float32() * 100
-		}
-	}
-	return g
 }
 
-// StreamStencilReference computes the exact expected output: plain global
-// Jacobi iteration (the overlapped-tiling kernel reproduces it exactly,
-// redundant halo work and all).
+// StreamStencilReference computes the exact expected output with the
+// stencil's host reference.
 func StreamStencilReference(cfg StreamStencilConfig) [][]float32 {
-	if cfg.Coefs == ([5]float32{}) {
-		cfg.Coefs = DefaultCoefs
-	}
-	g := makeStreamInput(&cfg)
-	rows, cols := cfg.GlobalRows, cfg.GlobalCols
-	curr := g
-	next := make([][]float32, len(g))
-	for r := range next {
-		next[r] = append([]float32(nil), g[r]...)
-	}
-	for it := 0; it < cfg.Iters; it++ {
-		for r := 1; r <= rows; r++ {
-			for c := 1; c <= cols; c++ {
-				next[r][c] = cfg.Coefs[0]*curr[r-1][c] +
-					cfg.Coefs[1]*curr[r][c-1] +
-					cfg.Coefs[2]*curr[r][c] +
-					cfg.Coefs[3]*curr[r][c+1] +
-					cfg.Coefs[4]*curr[r+1][c]
-			}
-		}
-		curr, next = next, curr
-	}
-	out := make([][]float32, rows)
-	for r := 1; r <= rows; r++ {
-		out[r-1] = append([]float32(nil), curr[r][1:cols+1]...)
-	}
-	return out
+	return StencilReference(cfg.stencil())
 }

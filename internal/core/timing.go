@@ -77,10 +77,8 @@ func StencilComputeModel(rows, cols int, tuned bool) (cycles, flops uint64) {
 		pro := isa.NewPipeline()
 		proCycles := pro.Run(isa.StencilPrologue())
 		body := isa.StencilLoopBody()
-		// First iteration and steady-state iteration costs.
-		c1 := isa.LoopCycles(body, 1)
+		// The steady-state iteration cost.
 		c8, c9 := isa.LoopCycles(body, 8), isa.LoopCycles(body, 9)
-		_ = c1
 		return [2]uint64{proCycles, c9 - c8}
 	})
 	proCycles, steady := v[0], v[1]

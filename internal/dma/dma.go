@@ -176,15 +176,6 @@ func (d *Desc) Set1D(src, dst mem.Addr, n, beat int) {
 // Bytes returns the payload size of the descriptor (without chains).
 func (d *Desc) Bytes() int { return d.Beat * d.InnerCount * d.OuterCount }
 
-// TotalBytes returns the payload of the descriptor and all its chains.
-func (d *Desc) TotalBytes() int {
-	n := 0
-	for ; d != nil; d = d.Chain {
-		n += d.Bytes()
-	}
-	return n
-}
-
 func (d *Desc) validate() {
 	if d.Beat != 4 && d.Beat != 8 {
 		panic(fmt.Sprintf("dma: beat %d not 4 or 8", d.Beat))

@@ -25,24 +25,24 @@ type Core struct {
 	proc   *sim.Proc
 	kernel func(*Core)     // the launched kernel, until it ends
 	run    func(*sim.Proc) // runKernel, bound once so a launch allocates no closure
-	layout *mem.Layout
 	timers [2]sim.Time
 	flops  uint64
 	// computeTime is the modelled compute time, the energy model's
 	// active-cycle count.
 	computeTime sim.Time
-	// blocked wakes the core from BlockWriteDRAM; built on first use
-	// and reused, since the CPU has at most one block in flight.
+	// blocked wakes the core from BlockWriteDRAM, and block holds the
+	// bytes of the block in flight; both are reused, since the CPU has
+	// at most one block in flight.
 	blocked *sim.Cond
+	block   []byte
 }
 
 func newCore(ch *Chip, idx int) *Core {
 	c := &Core{
-		chip:   ch,
-		idx:    idx,
-		sram:   ch.fab.SRAMs[idx],
-		dma:    dma.NewEngine(ch.fab, idx),
-		layout: mem.NewLayout(),
+		chip: ch,
+		idx:  idx,
+		sram: ch.fab.SRAMs[idx],
+		dma:  dma.NewEngine(ch.fab, idx),
 	}
 	c.run = c.runKernel
 	return c
@@ -57,10 +57,9 @@ func (c *Core) runKernel(p *sim.Proc) {
 }
 
 // reset clears all per-core run state: timers, the flop and compute
-// counters, the scratchpad layout plan and both DMA channels.
+// counters and both DMA channels.
 func (c *Core) reset() {
 	c.proc, c.kernel = nil, nil
-	c.layout.Reset()
 	c.timers = [2]sim.Time{}
 	c.flops, c.computeTime = 0, 0
 	c.dma.Reset()
@@ -98,9 +97,6 @@ func (c *Core) Now() sim.Time {
 // charged separately through Compute with cycle counts from the isa
 // package's pipeline model.
 func (c *Core) Local() *mem.SRAM { return c.sram }
-
-// Layout returns the core's scratchpad allocation plan.
-func (c *Core) Layout() *mem.Layout { return c.layout }
 
 // Global returns the global address of local offset off on this core.
 func (c *Core) Global(off mem.Addr) mem.Addr { return c.chip.fab.Map.GlobalOf(c.idx, off) }
@@ -186,15 +182,17 @@ func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 func (c *Core) BlockWriteDRAM(dramOff mem.Addr, srcOff mem.Addr, n int) {
 	// The CPU blocks until the eLink carries the block: the write queues
 	// between here and the link are tiny compared to a 2 KB block, so
-	// back-pressure stalls the store loop almost immediately. The block
-	// is copied into DRAM at eLink completion.
+	// back-pressure stalls the store loop almost immediately. Like every
+	// posted write, the block is copied at issue and lands in DRAM at
+	// eLink completion.
 	p := c.Proc()
 	fab := c.chip.fab
 	if c.blocked == nil {
 		c.blocked = sim.NewCondIdx(c.chip.eng, "dram-block:core", c.idx)
 	}
+	c.block = append(c.block[:0], c.sram.View(srcOff, n)...)
 	fab.ELink.Submit(c.idx, n, func() {
-		fab.DRAM.Write(dramOff, c.sram.View(srcOff, n))
+		fab.DRAM.Write(dramOff, c.block)
 		c.blocked.Broadcast()
 	})
 	p.WaitCond(c.blocked)

@@ -159,6 +159,9 @@ func TestDMAThroughCoreAPI(t *testing.T) {
 	}
 }
 
+// TestBlockWriteDRAM: a block lands at the eLink's rate with the bytes
+// its source held at issue, even though another proc overwrites the
+// source while the block is on the link.
 func TestBlockWriteDRAM(t *testing.T) {
 	eng, ch := newChip()
 	c := ch.Core(7) // (0,7): best eLink position
@@ -169,6 +172,12 @@ func TestBlockWriteDRAM(t *testing.T) {
 	ch.Launch(7, "k", func(c *Core) {
 		c.BlockWriteDRAM(0x8000, 0, 2048)
 		done = c.Now()
+	})
+	eng.Spawn("scribbler", func(p *sim.Proc) {
+		p.Wait(1024 * noc.ELinkBytePeriod)
+		for i := 0; i < 512; i++ {
+			c.Local().Store32(mem.Addr(4*i), 0xDEADBEEF)
+		}
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)

@@ -123,7 +123,7 @@ func TestPipelineBranchPenalty(t *testing.T) {
 }
 
 func TestLoopCyclesMatchesExplicitSimulation(t *testing.T) {
-	body := MatmulRowBody(16)
+	body := MatmulRowBodyNK(16, 16)
 	for _, iters := range []uint64{1, 2, 3, 4, 5, 9, 17} {
 		p := NewPipeline()
 		for k := uint64(0); k < iters; k++ {
@@ -183,6 +183,16 @@ func TestStencilLoopBody(t *testing.T) {
 	if steady < 203 || steady > 206 {
 		t.Fatalf("steady loop iteration = %d cycles, want 203-206", steady)
 	}
+	// The paper's schedule sustains full issue: once warm, an iteration
+	// never waits on a hazard.
+	p := NewPipeline()
+	p.Run(body)
+	p.Run(body)
+	warm := p.Stalls()
+	p.Run(body)
+	if stalls := p.Stalls() - warm; stalls != 0 {
+		t.Fatalf("warm loop iteration stalls %d cycles, want 0", stalls)
+	}
 	// Code size ~1300 bytes (paper: "approximately 1300 bytes").
 	if sz := CodeBytes(body); sz < 1100 || sz > 1500 {
 		t.Fatalf("loop body code = %d bytes, want ~1300", sz)
@@ -209,6 +219,15 @@ func TestStencilNaiveMuchSlower(t *testing.T) {
 	fpc := 10.0 / float64(steady)
 	if fpc > 0.6 {
 		t.Fatalf("naive stencil %.2f flops/cycle, want < 0.6", fpc)
+	}
+	// The single accumulator chain is why: even warm, the dependent
+	// FMADDs wait on each other.
+	p := NewPipeline()
+	p.Run(naive)
+	p.Run(naive)
+	warm := p.Stalls()
+	if p.Run(naive); p.Stalls() == warm {
+		t.Fatal("warm naive body never stalls; its FMADDs form one dependent chain")
 	}
 }
 
@@ -269,10 +288,10 @@ func TestMatmulRowEfficiencyTableIVShape(t *testing.T) {
 	}
 	prev := 0.0
 	for _, c := range cases {
-		body := MatmulRowBody(c.n)
+		body := MatmulRowBodyNK(c.n, c.n)
 		iters := uint64(c.n)
 		cyc := LoopCycles(body, iters)
-		fpc := float64(LoopFlops(body, iters)) / float64(cyc)
+		fpc := float64(Flops(body)*iters) / float64(cyc)
 		if fpc < c.lo || fpc > c.hi {
 			t.Errorf("n=%d: %.3f flops/cycle, want [%.2f,%.2f]", c.n, fpc, c.lo, c.hi)
 		}
@@ -286,8 +305,8 @@ func TestMatmulRowEfficiencyTableIVShape(t *testing.T) {
 func TestMatmulNaiveAbout60Percent(t *testing.T) {
 	// §VII: the C version "gave only 60% of peak performance".
 	n := 32
-	tuned := LoopCycles(MatmulRowBody(n), 32)
-	naive := LoopCycles(MatmulNaiveRowBody(n), 32)
+	tuned := LoopCycles(MatmulRowBodyNK(n, n), 32)
+	naive := LoopCycles(MatmulNaiveRowBodyNK(n, n), 32)
 	ratio := float64(tuned) / float64(naive)
 	if ratio < 0.50 || ratio > 0.75 {
 		t.Fatalf("naive/tuned speed ratio %.2f, want ~0.6", ratio)
@@ -296,7 +315,7 @@ func TestMatmulNaiveAbout60Percent(t *testing.T) {
 
 func TestMatmulRowFlops(t *testing.T) {
 	for _, n := range []int{8, 16, 20, 24, 32} {
-		body := MatmulRowBody(n)
+		body := MatmulRowBodyNK(n, n)
 		if got, want := Flops(body), uint64(2*n*n); got != want {
 			t.Fatalf("n=%d row flops = %d, want %d", n, got, want)
 		}
@@ -306,7 +325,7 @@ func TestMatmulRowFlops(t *testing.T) {
 func TestMatmulCodeSizePaperEstimate(t *testing.T) {
 	// Paper: "the macro is expanded 32 times ... resulting in around
 	// 6.5 KBytes of assembly code" for one row of a 32x32 product.
-	row := MatmulRowBody(32)
+	row := MatmulRowBodyNK(32, 32)
 	sz := CodeBytes(row)
 	if sz < 5000 || sz > 8000 {
 		t.Fatalf("32x32 row code = %d bytes, want ~6.5 KB", sz)

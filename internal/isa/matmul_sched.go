@@ -69,15 +69,11 @@ func MatmulMacro(n int, aReg, nextA Reg) []Op {
 	return prog
 }
 
-// MatmulRowBody emits the loop body computing one row of C for an n x n
-// block: n macros (cycling through the four A-element registers) plus the
+// MatmulRowBodyNK emits the loop body computing one row of a
+// C(m x k) += A(m x n) * B(n x k) block multiply: n macros of k FMADDs
+// each (cycling through the four A-element registers), then the k-wide
 // row epilogue (store the row, clear the accumulators, advance pointers,
-// branch back).
-func MatmulRowBody(n int) []Op { return MatmulRowBodyNK(n, n) }
-
-// MatmulRowBodyNK is the rectangular generalization used by the scaling
-// experiments: one row of a C(m x k) += A(m x n) * B(n x k) block
-// multiply, i.e. n macros of k FMADDs each, then the k-wide row epilogue.
+// branch back). The paper's square n x n blocks take k = n.
 func MatmulRowBodyNK(n, k int) []Op {
 	var prog []Op
 	for i := 0; i < n; i++ {
@@ -116,14 +112,11 @@ func MatmulPrologue(n int) []Op {
 	return prog
 }
 
-// MatmulNaiveRowBody emits the compiler-quality version of a C row: the
-// same work, but with the loads clustered ahead of the FMADD runs instead
-// of interleaved, so the two lanes almost never dual-issue. This is what
-// "gave only 60% of peak performance" (§VII) before the inner loop was
-// hand-tuned.
-func MatmulNaiveRowBody(n int) []Op { return MatmulNaiveRowBodyNK(n, n) }
-
-// MatmulNaiveRowBodyNK is the rectangular naive-schedule variant.
+// MatmulNaiveRowBodyNK emits the compiler-quality version of a C row:
+// the same work, but with the loads clustered ahead of the FMADD runs
+// instead of interleaved, so the two lanes almost never dual-issue. This
+// is what "gave only 60% of peak performance" (§VII) before the inner
+// loop was hand-tuned.
 func MatmulNaiveRowBodyNK(n, k int) []Op {
 	var prog []Op
 	for i := 0; i < n; i++ {

@@ -119,6 +119,3 @@ func LoopCycles(body []Op, iters uint64) uint64 {
 	steady := marks[probe-1] - marks[probe-2]
 	return marks[probe-1] + (iters-probe)*steady
 }
-
-// LoopFlops returns the floating-point work of iters iterations of body.
-func LoopFlops(body []Op, iters uint64) uint64 { return Flops(body) * iters }

@@ -1,15 +1,12 @@
 package isa
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Validate checks a schedule for structural errors: register numbers out
 // of range, register-pair operations running off the end of the file, and
-// loads/stores of impossible widths. Kernels validate their generated
-// schedules once at construction, so builder bugs fail loudly rather than
-// silently mis-costing.
+// loads/stores of impossible widths. The kernels do not call it: tests
+// validate each schedule the builders emit, so a builder bug fails a test
+// rather than silently mis-costing a kernel.
 func Validate(prog []Op) error {
 	for i, o := range prog {
 		if o.writesDst() && int(o.Dst) >= NumRegs {
@@ -28,103 +25,4 @@ func Validate(prog []Op) error {
 		}
 	}
 	return nil
-}
-
-// Disassemble renders a schedule as assembly-like text, one op per line,
-// for inspection and documentation.
-func Disassemble(prog []Op) string {
-	var b strings.Builder
-	for i, o := range prog {
-		switch o.Kind {
-		case FMADD:
-			fmt.Fprintf(&b, "%4d  fmadd r%d, r%d, r%d\n", i, o.Dst, o.Src[0], o.Src[1])
-		case FMUL:
-			fmt.Fprintf(&b, "%4d  fmul  r%d, r%d, r%d\n", i, o.Dst, o.Src[0], o.Src[1])
-		case FADD:
-			fmt.Fprintf(&b, "%4d  fadd  r%d, r%d, r%d\n", i, o.Dst, o.Src[0], o.Src[1])
-		case IALU:
-			if len(o.Src) > 0 {
-				fmt.Fprintf(&b, "%4d  add   r%d, r%d\n", i, o.Dst, o.Src[0])
-			} else {
-				fmt.Fprintf(&b, "%4d  mov   r%d, 0\n", i, o.Dst)
-			}
-		case LOAD32:
-			fmt.Fprintf(&b, "%4d  ldr   r%d, [..]\n", i, o.Dst)
-		case LOAD64:
-			fmt.Fprintf(&b, "%4d  ldrd  r%d:r%d, [..]\n", i, o.Dst, o.Dst+1)
-		case STORE32:
-			fmt.Fprintf(&b, "%4d  str   r%d, [..]\n", i, o.Src[0])
-		case STORE64:
-			fmt.Fprintf(&b, "%4d  strd  r%d:r%d, [..]\n", i, o.Src[0], o.Src[0]+1)
-		case BRANCH:
-			fmt.Fprintf(&b, "%4d  bne   loop\n", i)
-		case NOP:
-			fmt.Fprintf(&b, "%4d  nop\n", i)
-		}
-	}
-	return b.String()
-}
-
-// StallEvent records one pipeline stall while profiling a schedule.
-type StallEvent struct {
-	OpIndex int
-	Op      Op
-	Cycles  uint64
-}
-
-// Profile runs a schedule (after warming the pipeline with warmup
-// repetitions) and reports where it stalls, the tool used to tune the
-// hand-written kernels: an empty result means the schedule sustains
-// full issue.
-func Profile(prog []Op, warmup int) []StallEvent {
-	p := NewPipeline()
-	for w := 0; w < warmup; w++ {
-		p.Run(prog)
-	}
-	var events []StallEvent
-	i := 0
-	for i < len(prog) {
-		op := prog[i]
-		if op.Kind == BRANCH {
-			p.cycle += BranchPenalty
-			p.issued++
-			i++
-			continue
-		}
-		stall := uint64(0)
-		for !p.ready(op) {
-			p.cycle++
-			stall++
-		}
-		if stall > 0 {
-			events = append(events, StallEvent{OpIndex: i, Op: op, Cycles: stall})
-		}
-		p.retire(op)
-		if i+1 < len(prog) {
-			nxt := prog[i+1]
-			if nxt.Kind != BRANCH && nxt.Kind.FPU() != op.Kind.FPU() && p.ready(nxt) {
-				p.retire(nxt)
-				i++
-			}
-		}
-		p.cycle++
-		i++
-	}
-	return events
-}
-
-// IssueEfficiency reports the fraction of cycles that issued at least one
-// instruction over iters steady-state iterations of body.
-func IssueEfficiency(body []Op, iters uint64) float64 {
-	if iters == 0 {
-		return 0
-	}
-	p := NewPipeline()
-	for k := uint64(0); k < iters; k++ {
-		p.Run(body)
-	}
-	if p.Cycle() == 0 {
-		return 0
-	}
-	return 1 - float64(p.Stalls())/float64(p.Cycle())
 }

@@ -1,18 +1,15 @@
 package isa
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestValidateAcceptsBuiltSchedules(t *testing.T) {
 	for name, prog := range map[string][]Op{
 		"stencil-body":     StencilLoopBody(),
 		"stencil-prologue": StencilPrologue(),
 		"stencil-naive":    StencilNaiveBody(),
-		"matmul-32":        MatmulRowBody(32),
+		"matmul-32":        MatmulRowBodyNK(32, 32),
 		"matmul-8x16":      MatmulRowBodyNK(8, 16),
-		"matmul-naive":     MatmulNaiveRowBody(24),
+		"matmul-naive":     MatmulNaiveRowBodyNK(24, 24),
 	} {
 		if err := Validate(prog); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -31,62 +28,5 @@ func TestValidateRejectsBadOps(t *testing.T) {
 		if err := Validate(prog); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
-	}
-}
-
-func TestDisassembleCoversAllKinds(t *testing.T) {
-	prog := []Op{
-		Fmadd(32, 2, 16),
-		{Kind: FMUL, Dst: 33, Src: []Reg{2, 16}},
-		{Kind: FADD, Dst: 34, Src: []Reg{2, 16}},
-		Iadd(0, 1), Imov(5),
-		Load32(16), Load64(18),
-		Store32(32), Store64(34),
-		Branch(),
-		{Kind: NOP},
-	}
-	out := Disassemble(prog)
-	for _, want := range []string{"fmadd", "fmul", "fadd", "add", "mov", "ldr", "ldrd", "str", "strd", "bne", "nop"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("disassembly misses %q:\n%s", want, out)
-		}
-	}
-	if lines := strings.Count(out, "\n"); lines != len(prog) {
-		t.Errorf("%d lines for %d ops", lines, len(prog))
-	}
-}
-
-func TestProfileFindsNoStallsInTunedStencil(t *testing.T) {
-	// The whole point of the paper's schedule: zero stalls in steady state.
-	events := Profile(StencilLoopBody(), 2)
-	if len(events) != 0 {
-		t.Fatalf("tuned stencil body stalls %d times in steady state; first: %+v", len(events), events[0])
-	}
-}
-
-func TestProfileFindsStallsInNaive(t *testing.T) {
-	events := Profile(StencilNaiveBody(), 2)
-	if len(events) == 0 {
-		t.Fatal("naive body should stall (single accumulator chain)")
-	}
-	// The stalls must be on the dependent FMADDs.
-	for _, e := range events {
-		if e.Op.Kind != FMADD && e.Op.Kind != STORE32 {
-			t.Fatalf("unexpected stall on %v", e.Op)
-		}
-	}
-}
-
-func TestIssueEfficiencyOrdering(t *testing.T) {
-	tuned := IssueEfficiency(StencilLoopBody(), 8)
-	naive := IssueEfficiency(StencilNaiveBody(), 64)
-	if tuned < 0.99 {
-		t.Fatalf("tuned issue efficiency %.3f, want ~1.0", tuned)
-	}
-	if naive >= tuned {
-		t.Fatalf("naive efficiency %.3f should trail tuned %.3f", naive, tuned)
-	}
-	if IssueEfficiency(nil, 0) != 0 {
-		t.Fatal("empty body should report 0")
 	}
 }

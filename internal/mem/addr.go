@@ -161,12 +161,6 @@ func (m *Map) ChipGrid() (rows, cols int) {
 	return m.Rows / cr, m.Cols / cc
 }
 
-// NumChips returns the number of chips on the board.
-func (m *Map) NumChips() int {
-	r, c := m.ChipGrid()
-	return r * c
-}
-
 // ChipCoords returns which chip (chip-grid row and column) owns the core
 // with the given linear index.
 func (m *Map) ChipCoords(idx int) (chipRow, chipCol int) {
@@ -180,14 +174,6 @@ func (m *Map) ChipOf(idx int) int {
 	_, gc := m.ChipGrid()
 	r, c := m.ChipCoords(idx)
 	return r*gc + c
-}
-
-// SameChip reports whether two cores sit on the same physical chip (their
-// traffic never crosses a chip-to-chip eLink).
-func (m *Map) SameChip(a, b int) bool {
-	ar, ac := m.ChipCoords(a)
-	br, bc := m.ChipCoords(b)
-	return ar == br && ac == bc
 }
 
 // ChipCrossings returns how many chip boundaries the XY route from src to
@@ -204,14 +190,6 @@ func (m *Map) ChipCrossings(src, dst int) int {
 		dy = -dy
 	}
 	return dx + dy
-}
-
-// ChipOriginID returns the architectural CoreID of chip (chipRow,
-// chipCol)'s core (0,0) - the value programmed into that chip's mesh
-// origin register so the board shares one flat address space.
-func (m *Map) ChipOriginID(chipRow, chipCol int) CoreID {
-	cr, cc := m.ChipDims()
-	return MakeCoreID(FirstRow+chipRow*cr, FirstCol+chipCol*cc)
 }
 
 // CoreIndex converts chip-relative (row, col) to the linear core index.

@@ -36,9 +36,6 @@ type Layout struct {
 // NewLayout returns an empty plan.
 func NewLayout() *Layout { return &Layout{} }
 
-// Reset discards every reservation, returning the plan to empty.
-func (l *Layout) Reset() { l.regions = l.regions[:0] }
-
 // PlaceAt reserves [off, off+size) under name. It fails if the range
 // leaves the 32 KB scratchpad or collides with an earlier reservation.
 func (l *Layout) PlaceAt(name string, off Addr, size int) (Region, error) {
@@ -59,16 +56,6 @@ func (l *Layout) PlaceAt(name string, off Addr, size int) (Region, error) {
 	l.regions = append(l.regions, r)
 	sort.Slice(l.regions, func(i, j int) bool { return l.regions[i].Off < l.regions[j].Off })
 	return r, nil
-}
-
-// MustPlaceAt is PlaceAt that panics on error, for layouts that are
-// statically known to fit (kernel construction).
-func (l *Layout) MustPlaceAt(name string, off Addr, size int) Region {
-	r, err := l.PlaceAt(name, off, size)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // Alloc reserves size bytes in the lowest free gap that starts in bank
@@ -108,35 +95,6 @@ func (l *Layout) Alloc(name string, size int, bank int, align Addr) (Region, err
 	}
 	return l.PlaceAt(name, cursor, size)
 }
-
-// Region returns the reservation under name, if present.
-func (l *Layout) Region(name string) (Region, bool) {
-	for _, r := range l.regions {
-		if r.Name == name {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
-
-// Regions returns all reservations in address order.
-func (l *Layout) Regions() []Region {
-	out := make([]Region, len(l.regions))
-	copy(out, l.regions)
-	return out
-}
-
-// Used returns the total reserved bytes.
-func (l *Layout) Used() int {
-	n := 0
-	for _, r := range l.regions {
-		n += r.Size
-	}
-	return n
-}
-
-// Free returns the unreserved bytes in the scratchpad.
-func (l *Layout) Free() int { return SRAMSize - l.Used() }
 
 // BankUse returns the reserved byte count per bank.
 func (l *Layout) BankUse() [NumBanks]int {

@@ -16,14 +16,14 @@ func newBoardMesh() (*sim.Engine, *Mesh) {
 
 func TestBoardMapChipGeometry(t *testing.T) {
 	m := mem.NewBoardMap(2, 2, 4, 4)
-	if m.Rows != 8 || m.Cols != 8 || m.NumChips() != 4 {
-		t.Fatalf("board %dx%d/%d chips", m.Rows, m.Cols, m.NumChips())
+	if gr, gc := m.ChipGrid(); m.Rows != 8 || m.Cols != 8 || gr != 2 || gc != 2 {
+		t.Fatalf("board %dx%d/%dx%d chips", m.Rows, m.Cols, gr, gc)
 	}
 	idx := m.CoreIndex
-	if !m.SameChip(idx(0, 0), idx(3, 3)) {
+	if m.ChipOf(idx(0, 0)) != m.ChipOf(idx(3, 3)) {
 		t.Error("(0,0) and (3,3) are on the same chip")
 	}
-	if m.SameChip(idx(0, 3), idx(0, 4)) {
+	if m.ChipOf(idx(0, 3)) == m.ChipOf(idx(0, 4)) {
 		t.Error("(0,3) and (0,4) straddle the column boundary")
 	}
 	if got := m.ChipOf(idx(5, 6)); got != 3 {
@@ -36,7 +36,7 @@ func TestBoardMapChipGeometry(t *testing.T) {
 		t.Errorf("intra-chip crossings = %d, want 0", got)
 	}
 	// The chips' address origins tile the global mesh space contiguously.
-	if got := m.ChipOriginID(1, 1); got != mem.MakeCoreID(mem.FirstRow+4, mem.FirstCol+4) {
+	if got := m.CoreIDOf(idx(4, 4)); got != mem.MakeCoreID(mem.FirstRow+4, mem.FirstCol+4) {
 		t.Errorf("chip (1,1) origin = %v", got)
 	}
 	// Addressing is unchanged: core (5,6)'s global window decodes back.
@@ -52,7 +52,7 @@ func TestBoardDeliverChargesCrossing(t *testing.T) {
 	idx := m.Map().CoreIndex
 	n := 64
 	ser := LinkSerialization(n)
-	serX := C2CSerialization(n)
+	serX := sim.Time(n) * C2CBytePeriod
 
 	// Intra-chip delivery is priced exactly like a single-chip mesh.
 	if got := m.Deliver(0, idx(0, 0), idx(0, 3), n); got != 3*HopLatency+ser {
@@ -96,7 +96,7 @@ func TestBoardFinalHopChargedOnce(t *testing.T) {
 	idx := m.Map().CoreIndex
 	n := 128
 	ser := LinkSerialization(n)
-	serX := C2CSerialization(n)
+	serX := sim.Time(n) * C2CBytePeriod
 
 	// One on-chip hop: cut-through. Head arrives after HopLatency, tail
 	// ser later.
@@ -133,8 +133,8 @@ func TestBoardBoundaryLinkIsSharedPerChipEdge(t *testing.T) {
 	if b <= a {
 		t.Fatalf("same-edge crossings did not contend: %v then %v", a, b)
 	}
-	if b-a < C2CSerialization(n) {
-		t.Fatalf("second crossing queued only %v, want >= one serialization %v", b-a, C2CSerialization(n))
+	if serX := sim.Time(n) * C2CBytePeriod; b-a < serX {
+		t.Fatalf("second crossing queued only %v, want >= one serialization %v", b-a, serX)
 	}
 
 	// A crossing on the other chip row uses that boundary's own eLink.

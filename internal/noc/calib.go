@@ -90,11 +90,6 @@ const (
 	C2CHopLatency sim.Time = 12 * sim.Cycle
 )
 
-// C2CSerialization returns the chip-to-chip eLink occupancy for n bytes.
-func C2CSerialization(n int) sim.Time {
-	return sim.Time(n) * C2CBytePeriod
-}
-
 // LinkSerialization returns the on-chip link occupancy for n bytes.
 func LinkSerialization(n int) sim.Time {
 	beats := (n + LinkBytesPerCycle - 1) / LinkBytesPerCycle

@@ -7,21 +7,6 @@ import (
 	"epiphany/internal/sim"
 )
 
-// Dir is a mesh link direction.
-type Dir uint8
-
-// Link directions out of a router.
-const (
-	East Dir = iota
-	West
-	North
-	South
-)
-
-func (d Dir) String() string {
-	return [...]string{"east", "west", "north", "south"}[d]
-}
-
 // Mesh is the eMesh fabric of one board: a rows x cols grid of routers
 // with separate physical links per direction. The Epiphany has three
 // mesh networks (on-chip write, off-chip write, read request); we model
@@ -49,8 +34,7 @@ type Mesh struct {
 	// hop books a slot with the same bandwidth-accounting model as
 	// sim.Resource (begin = max(t, free), busy until begin+d), held as
 	// plain values so building and resetting a fabric allocates nothing
-	// per link. Diagnostic names are derived lazily from grid position
-	// (LinkName).
+	// per link.
 	links     []sim.Time
 	crossBase int32
 	// hIdx[(r*(cols-1)+c)*2+d] is the slot of the horizontal link between
@@ -60,11 +44,6 @@ type Mesh struct {
 	// (r,c) and (r+1,c): d=0 southbound, d=1 northbound.
 	hIdx []int32
 	vIdx []int32
-	// errata0 enables the E64G401 Errata #0 model: "Duplicate IO
-	// Transaction" makes instruction fetches and data reads from cores in
-	// (chip-relative) row 2 and column 2 issue twice, halving their read
-	// throughput. DMA and writes are unaffected, per the datasheet.
-	errata0 bool
 	// c2cByte and c2cHop are this board's chip-to-chip eLink timing
 	// parameters, defaulting to the calibrated C2CBytePeriod and
 	// C2CHopLatency. They are construction-time properties of the fabric
@@ -151,12 +130,10 @@ func NewMesh(eng *sim.Engine, amap *mem.Map) *Mesh {
 }
 
 // Reset clears every link's occupancy and all delivery statistics,
-// returning the fabric to its just-constructed state (including the
-// errata model, which defaults off) so a recycled board is
-// bit-deterministic with a fresh one.
+// returning the fabric to its just-constructed state so a recycled board
+// is bit-deterministic with a fresh one.
 func (m *Mesh) Reset() {
 	clear(m.links)
-	m.errata0 = false
 	m.cnt = meshCnt{}
 	m.rec = nil
 }
@@ -323,47 +300,23 @@ func (m *Mesh) C2C() (bytePeriod, hopLatency sim.Time) {
 	return m.c2cByte, m.c2cHop
 }
 
-// SetErrata0 toggles the Errata #0 duplicate-read model (off by default;
-// the paper's benchmarks avoid the affected paths, as do ours).
-func (m *Mesh) SetErrata0(on bool) { m.errata0 = on }
-
-// Errata0 reports whether the duplicate-read erratum is being modelled.
-func (m *Mesh) Errata0() bool { return m.errata0 }
-
-// errata0Hits reports whether a read issued by core src duplicates under
-// Errata #0 (the issuing core sits in chip-relative row 2 or column 2;
-// on a multi-chip board the erratum is per chip).
-func (m *Mesh) errata0Hits(src int) bool {
-	if !m.errata0 {
-		return false
-	}
-	r, c := m.amap.CoreCoords(src)
-	return r%m.chipRows == 2 || c%m.chipCols == 2
-}
-
 // ReadWord models a single remote 32-bit load from src's CPU to dst's
 // memory: a full request/response round trip on the read network. Each
 // chip boundary on the route adds a round trip over the chip-to-chip
 // eLink's crossing latency. The word's traversals are charged to the
 // energy counters (4 bytes each way per hop; boundary legs to the
-// chip-to-chip read counter), doubled when the errata makes the
-// transaction issue twice.
+// chip-to-chip read counter).
 func (m *Mesh) ReadWord(t sim.Time, src, dst int) (done sim.Time) {
 	hops := m.Distance(src, dst)
 	crossings := m.amap.ChipCrossings(src, dst)
 	cost := ReadWordRoundTrip + 2*sim.Time(hops)*HopLatency
-	trips := uint64(2)
 	if crossings > 0 {
 		cost += 2 * sim.Time(crossings) * m.c2cHop
 	}
-	if m.errata0Hits(src) {
-		cost *= 2 // the transaction issues twice
-		trips = 4
-	}
 	// Distance counts boundary hops too; keep the split Deliver uses
 	// (on-chip byte-hops vs chip-to-chip bytes).
-	m.cnt.hopBytes += 4 * trips * uint64(hops-crossings)
-	m.cnt.crossReadBytes += 4 * trips * uint64(crossings)
+	m.cnt.hopBytes += 8 * uint64(hops-crossings)
+	m.cnt.crossReadBytes += 8 * uint64(crossings)
 	return t + cost
 }
 
@@ -380,53 +333,4 @@ func (m *Mesh) HopBytes() uint64 {
 // frozen time-domain metric); the energy capture prices their sum.
 func (m *Mesh) CrossReadBytes() uint64 {
 	return m.cnt.crossReadBytes
-}
-
-// linkSlot resolves the directed link leaving router (r,c) towards d to
-// its slot index. ok is false when no such link exists: coordinates off
-// the mesh, or a direction pointing off the board's edge (West at column
-// 0, North at row 0, East at the last column, South at the last row).
-func (m *Mesh) linkSlot(r, c int, d Dir) (slot int32, ok bool) {
-	if r < 0 || r >= m.rows || c < 0 || c >= m.cols {
-		return 0, false
-	}
-	switch d {
-	case East:
-		if c == m.cols-1 {
-			return 0, false
-		}
-		return m.hIdx[(r*(m.cols-1)+c)*2], true
-	case West:
-		if c == 0 {
-			return 0, false
-		}
-		return m.hIdx[(r*(m.cols-1)+c-1)*2+1], true
-	case South:
-		if r == m.rows-1 {
-			return 0, false
-		}
-		return m.vIdx[(r*m.cols+c)*2], true
-	case North:
-		if r == 0 {
-			return 0, false
-		}
-		return m.vIdx[((r-1)*m.cols+c)*2+1], true
-	}
-	return 0, false
-}
-
-// LinkName builds the diagnostic name of the link leaving router (r,c)
-// towards d. Names are derived on demand from grid position (the link
-// state itself is name-free); chip-boundary links report the shared
-// chip-to-chip eLink they alias.
-func (m *Mesh) LinkName(r, c int, d Dir) string {
-	slot, ok := m.linkSlot(r, c, d)
-	switch {
-	case !ok:
-		return fmt.Sprintf("off-mesh(%d,%d)%s", r, c, d)
-	case slot >= m.crossBase:
-		return fmt.Sprintf("c2c(%d,%d)%s", r/m.chipRows, c/m.chipCols, d)
-	default:
-		return fmt.Sprintf("link(%d,%d)%s", r, c, d)
-	}
 }

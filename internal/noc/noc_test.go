@@ -1,7 +1,6 @@
 package noc
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"testing"
@@ -397,60 +396,6 @@ func TestELinkSubmitCallback(t *testing.T) {
 	}
 }
 
-func TestMeshDirString(t *testing.T) {
-	if East.String() != "east" || North.String() != "north" {
-		t.Fatal("Dir strings wrong")
-	}
-}
-
-// TestLinkNameEdgeRouters sweeps every direction at all four mesh
-// corners: directions that point off the mesh edge (West at column 0,
-// North at row 0, East at the last column, South at the last row) must
-// name an off-mesh link instead of panicking, and out-of-range
-// coordinates likewise; the corners' in-range links keep their names.
-func TestLinkNameEdgeRouters(t *testing.T) {
-	_, m := newTestMesh()
-	last := m.Rows() - 1
-	offEdge := func(r, c int, d Dir) bool {
-		return (d == West && c == 0) || (d == North && r == 0) ||
-			(d == East && c == last) || (d == South && r == last)
-	}
-	corners := [][2]int{{0, 0}, {0, last}, {last, 0}, {last, last}}
-	for _, rc := range corners {
-		for _, d := range []Dir{East, West, North, South} {
-			want := fmt.Sprintf("link(%d,%d)%s", rc[0], rc[1], d)
-			if offEdge(rc[0], rc[1], d) {
-				want = fmt.Sprintf("off-mesh(%d,%d)%s", rc[0], rc[1], d)
-			}
-			if got := m.LinkName(rc[0], rc[1], d); got != want {
-				t.Errorf("corner (%d,%d) %v link named %q, want %q", rc[0], rc[1], d, got, want)
-			}
-		}
-	}
-	for _, rc := range [][2]int{{-1, 0}, {0, -1}, {last + 1, 0}, {0, last + 1}} {
-		want := fmt.Sprintf("off-mesh(%d,%d)east", rc[0], rc[1])
-		if got := m.LinkName(rc[0], rc[1], East); got != want {
-			t.Errorf("off-mesh router (%d,%d) link named %q, want %q", rc[0], rc[1], got, want)
-		}
-	}
-}
-
-func TestLinkNamesAreLazy(t *testing.T) {
-	eng := sim.NewEngine()
-	m := NewMesh(eng, mem.NewBoardMap(2, 2, 4, 4))
-	if got := m.LinkName(0, 0, East); got != "link(0,0)east" {
-		t.Errorf("on-chip link name %q", got)
-	}
-	// Column 3 -> 4 crosses the vertical chip boundary: the name reports
-	// the shared chip-to-chip eLink.
-	if got := m.LinkName(1, 3, East); got != "c2c(0,0)east" {
-		t.Errorf("boundary link name %q", got)
-	}
-	if got := m.LinkName(0, 0, West); got != "off-mesh(0,0)west" {
-		t.Errorf("edge link name %q", got)
-	}
-}
-
 func TestMeshResetRestoresPristineState(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewMesh(eng, mem.NewBoardMap(2, 2, 4, 4))
@@ -463,38 +408,15 @@ func TestMeshResetRestoresPristineState(t *testing.T) {
 		t.Fatalf("fresh mesh: second delivery arrives at %v, not queued behind %v", second, first)
 	}
 	m.ReadWord(0, idx(0, 0), idx(3, 7))
-	m.SetErrata0(true)
 	m.Reset()
 	if m.HopBytes() != 0 || m.CrossReadBytes() != 0 || m.Crossings() != 0 || m.CrossBytes() != 0 || m.CrossTime() != 0 {
 		t.Fatalf("stats survived Reset: hop bytes=%d crossings=%d", m.HopBytes(), m.Crossings())
-	}
-	if m.Errata0() {
-		t.Fatal("errata model survived Reset")
 	}
 	if again := m.Deliver(0, idx(0, 0), idx(3, 7), 512); again != first {
 		t.Fatalf("post-Reset delivery arrives at %v, fresh mesh gave %v", again, first)
 	}
 	if again := m.Deliver(0, idx(0, 0), idx(3, 7), 512); again != second {
 		t.Fatalf("post-Reset second delivery arrives at %v, fresh mesh gave %v", again, second)
-	}
-}
-
-func TestErrata0DoublesAffectedReads(t *testing.T) {
-	_, m := newTestMesh()
-	idx := m.Map().CoreIndex
-	if m.Errata0() {
-		t.Fatal("erratum should default off")
-	}
-	clean := m.ReadWord(0, idx(2, 5), idx(2, 6))
-	m.SetErrata0(true)
-	hit := m.ReadWord(0, idx(2, 5), idx(2, 6))        // row 2: affected
-	hitCol := m.ReadWord(0, idx(5, 2), idx(5, 3))     // column 2: affected
-	unaffected := m.ReadWord(0, idx(3, 5), idx(3, 6)) // neither
-	if hit != 2*clean || hitCol != 2*clean {
-		t.Fatalf("errata read = %v/%v, want %v (2x %v)", hit, hitCol, 2*clean, clean)
-	}
-	if unaffected != clean {
-		t.Fatalf("unaffected read changed: %v != %v", unaffected, clean)
 	}
 }
 

@@ -175,8 +175,8 @@ func TestPrintedPeakEfficiencies(t *testing.T) {
 }
 
 // TestComputedComparison checks the computed Epiphany row replaces the
-// transcribed one and leads the table, and that the renderer carries
-// every system.
+// transcribed one, leads the table, and carries the model's peak
+// figures.
 func TestComputedComparison(t *testing.T) {
 	rows := ComputedComparison(&EpiphanyIV28nm, 64)
 	if len(rows) != len(Comparison) {
@@ -198,12 +198,11 @@ func TestComputedComparison(t *testing.T) {
 				s.Name, s.PeakEfficiency(), last.PeakEfficiency())
 		}
 	}
-	tab := ComparisonTable(&EpiphanyIV28nm, 64)
-	if len(tab.Rows) != len(rows) {
-		t.Errorf("rendered table has %d rows, want %d", len(tab.Rows), len(rows))
+	if last.Cores != 64 || last.ClockGHz != 0.6 {
+		t.Errorf("computed row has %d cores at %.2f GHz, want 64 at 0.60", last.Cores, last.ClockGHz)
 	}
-	if text := tab.Text(); !strings.Contains(text, "GFLOPS/W") {
-		t.Errorf("rendered table lacks the efficiency column:\n%s", text)
+	if got, want := last.PeakEfficiency(), EpiphanyIV28nm.PeakEfficiency(64, EpiphanyIV28nm.Nominal); got != want {
+		t.Errorf("computed row at %.3f GFLOPS/W, the model computes %.3f", got, want)
 	}
 }
 

@@ -7,11 +7,7 @@
 // row computable from the model rather than transcribed.
 package power
 
-import (
-	"fmt"
-
-	"epiphany/internal/tabular"
-)
+import "fmt"
 
 // ChipWatts is the Epiphany-IV chip power the paper assumes ("assuming 2
 // watts power usage"; the authors note the actual draw was not yet
@@ -76,24 +72,4 @@ func ComputedComparison(m *Model, cores int) []System {
 		ClockGHz:  m.Nominal.FreqMHz / 1e3,
 	})
 	return rows
-}
-
-// ComparisonTable renders ComputedComparison as the paper's Table VII:
-// one row per system with its peak GFLOPS/Watt, the Epiphany row
-// computed from the model.
-func ComparisonTable(m *Model, cores int) *tabular.Table {
-	t := &tabular.Table{Header: []string{
-		"system", "cores", "clock (GHz)", "chip power (W)", "max GFLOPS", "GFLOPS/W",
-	}}
-	for _, s := range ComputedComparison(m, cores) {
-		t.Rows = append(t.Rows, []string{
-			s.Name,
-			fmt.Sprintf("%d", s.Cores),
-			fmt.Sprintf("%.2f", s.ClockGHz),
-			fmt.Sprintf("%.2f", s.ChipWatts),
-			fmt.Sprintf("%.1f", s.MaxGFLOPS),
-			fmt.Sprintf("%.2f", s.PeakEfficiency()),
-		})
-	}
-	return t
 }

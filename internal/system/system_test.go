@@ -55,9 +55,10 @@ func TestNewTopologyGeometry(t *testing.T) {
 	for _, c := range cases {
 		s := NewTopology(c.topo)
 		m := s.Chip().Map()
-		if m.Rows != c.rows || m.Cols != c.cols || m.NumChips() != c.chips {
+		gr, gc := m.ChipGrid()
+		if m.Rows != c.rows || m.Cols != c.cols || gr*gc != c.chips {
 			t.Errorf("%v: board %dx%d/%d chips, want %dx%d/%d",
-				c.topo, m.Rows, m.Cols, m.NumChips(), c.rows, c.cols, c.chips)
+				c.topo, m.Rows, m.Cols, gr*gc, c.rows, c.cols, c.chips)
 		}
 		if s.Engine() == nil || s.Host() == nil {
 			t.Errorf("%v: missing engine or host", c.topo)

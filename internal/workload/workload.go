@@ -149,7 +149,15 @@ func Run(ctx context.Context, w Workload, opts ...Option) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return runOn(ctx, w, system.NewTopology(rc.topo), &rc)
+	sys := system.NewTopology(rc.topo)
+	res, err := runOn(ctx, w, sys, &rc)
+	// A workload that Stops the engine with kernels still parked would
+	// otherwise strand their coroutines, and the dropped board with
+	// them. Resetting only the engine unwinds them once the result and
+	// its derived metrics are taken, and leaves the board's memory to a
+	// result that still reads it.
+	_ = sys.Engine().Reset() // fails only inside a run, and the run has returned
+	return res, err
 }
 
 // prepare applies the options and readies w for execution: topology

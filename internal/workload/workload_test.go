@@ -39,7 +39,8 @@ func (p *probe) Run(ctx context.Context, sys *system.System) (Result, error) {
 	}
 	m := sys.Chip().Map()
 	if p.rows != nil {
-		*p.rows, *p.cols, *p.chips = m.Rows, m.Cols, m.NumChips()
+		gr, gc := m.ChipGrid()
+		*p.rows, *p.cols, *p.chips = m.Rows, m.Cols, gr*gc
 	}
 	return fixedResult{}, nil
 }

@@ -12,8 +12,10 @@ import (
 
 // stuckKernels is a custom workload whose 64 kernels all park on a
 // condition nobody signals, one of them panicking first when panics is
-// set: a one-shot run of it fails with a deadlock or a panic.
-type stuckKernels struct{ panics bool }
+// set: a one-shot run of it fails with a deadlock or a panic. When
+// stops is set, the host Stops the engine instead of joining them, and
+// the run succeeds with every kernel still parked.
+type stuckKernels struct{ panics, stops bool }
 
 func (s stuckKernels) Name() string    { return "stuck-kernels" }
 func (s stuckKernels) Validate() error { return nil }
@@ -27,13 +29,18 @@ func (s stuckKernels) Run(ctx context.Context, sys *epiphany.System) (epiphany.R
 	}
 	never := sim.NewCond(sys.Engine(), "never")
 	sys.Host().Spawn("host", func(hp *epiphany.HostProc) {
-		for _, p := range w.Launch("k", func(c *epiphany.Core, gr, gc int) {
+		procs := w.Launch("k", func(c *epiphany.Core, gr, gc int) {
 			c.Idle(epiphany.Time(1 + gr*8 + gc))
 			if s.panics && gr == 3 && gc == 5 {
 				panic("kernel fault")
 			}
 			c.Proc().WaitCond(never)
-		}) {
+		})
+		if s.stops {
+			sys.Engine().Stop()
+			return
+		}
+		for _, p := range procs {
 			hp.Sim().Join(p)
 		}
 	})
@@ -41,10 +48,10 @@ func (s stuckKernels) Run(ctx context.Context, sys *epiphany.System) (epiphany.R
 }
 
 // TestLeakOneShotSystems pins that dropped one-shot Systems free their
-// goroutines and their boards: a loop of deadlocked, panicked and
-// successful one-shot runs returns runtime.NumGoroutine to its baseline
-// once garbage is collected, and the live heap does not keep the
-// boards.
+// goroutines and their boards: a loop of deadlocked, panicked, stopped
+// with kernels parked, and successful one-shot runs returns
+// runtime.NumGoroutine to its baseline once garbage is collected, and
+// the live heap does not keep the boards.
 func TestLeakOneShotSystems(t *testing.T) {
 	ctx := context.Background()
 	st := mustWorkload(t, "stencil-tuned")
@@ -67,6 +74,7 @@ func TestLeakOneShotSystems(t *testing.T) {
 		}{
 			{stuckKernels{}, "sim: deadlock at t="},
 			{stuckKernels{panics: true}, `sim: proc "k(3,5)" panicked at t=`},
+			{stuckKernels{stops: true}, ""},
 			{st, ""},
 		} {
 			_, err := epiphany.Run(ctx, c.w)
@@ -79,10 +87,11 @@ func TestLeakOneShotSystems(t *testing.T) {
 		}
 	}
 	if n := settledGoroutines(base); n > base {
-		t.Fatalf("%d goroutines after 12 dropped one-shot Systems, %d before", n, base)
+		t.Fatalf("%d goroutines after 16 dropped one-shot Systems, %d before", n, base)
 	}
-	// Eight failed e64 boards, had they leaked, would hold over 19 MB.
+	// Twelve failed or stopped e64 boards, had they leaked, would hold
+	// over 28 MB.
 	if grown := int64(heapInuse()) - int64(heap0); grown > 8<<20 {
-		t.Fatalf("live heap grew %d bytes over 12 dropped one-shot Systems", grown)
+		t.Fatalf("live heap grew %d bytes over 16 dropped one-shot Systems", grown)
 	}
 }
