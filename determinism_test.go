@@ -260,7 +260,9 @@ func runRemotePull(t *testing.T, sys *epiphany.System) remotePull {
 		if rc == [2]int{0, 0} {
 			size = 2 * n // both pulled blocks
 		}
-		out.data = append(out.data, chip.CoreAt(rc[0], rc[1]).Local().Bytes(dst, size)...)
+		b := make([]byte, size)
+		chip.CoreAt(rc[0], rc[1]).Local().Read(dst, b)
+		out.data = append(out.data, b...)
 	}
 	mesh := chip.Fabric().Mesh
 	out.crossings, out.crossTime = mesh.Crossings(), mesh.CrossTime()

@@ -286,14 +286,15 @@ func (r *matmulRun) stage(hp *host.Proc, w *sdk.Workgroup) {
 		return
 	}
 	g, m, n, k := r.cfg.G, r.m, r.n, r.k
+	blk := make([]float32, max(m*n, n*k)) // reused: each write copies it
 	for i := 0; i < g; i++ {
 		for j := 0; j < g; j++ {
 			aCol, bRow := (i+j)%g, (i+j)%g
 			if r.summa() {
 				aCol, bRow = j, i
 			}
-			hp.WriteCoreF32(w.CoreIndex(i, j), r.plan.a0, subBlock(r.a, r.cfg.N, i*m, aCol*n, m, n))
-			hp.WriteCoreF32(w.CoreIndex(i, j), r.plan.b0, subBlock(r.b, r.cfg.K, bRow*n, j*k, n, k))
+			hp.WriteCoreF32(w.CoreIndex(i, j), r.plan.a0, subBlock(blk, r.a, r.cfg.N, i*m, aCol*n, m, n))
+			hp.WriteCoreF32(w.CoreIndex(i, j), r.plan.b0, subBlock(blk, r.b, r.cfg.K, bRow*n, j*k, n, k))
 		}
 	}
 }
@@ -330,9 +331,10 @@ func (r *matmulRun) gather(hp *host.Proc, w *sdk.Workgroup) {
 	}
 	g, m, k := r.cfg.G, r.m, r.k
 	res.C = make([]float32, r.cfg.M*r.cfg.K)
+	blk := make([]float32, m*k) // reused for every core
 	for i := 0; i < g; i++ {
 		for j := 0; j < g; j++ {
-			blk := hp.ReadCoreF32(w.CoreIndex(i, j), r.plan.c, m*k)
+			hp.ReadCoreF32(w.CoreIndex(i, j), r.plan.c, blk)
 			pasteBlock(res.C, r.cfg.K, i*m, j*k, m, k, blk)
 		}
 	}
@@ -377,8 +379,10 @@ func (r *matmulRun) offChipKernel(ca *cannon) {
 
 // --- shared helpers ---
 
-func subBlock(m []float32, pitch, r0, c0, rows, cols int) []float32 {
-	out := make([]float32, rows*cols)
+// subBlock copies the rows x cols block of m (row pitch pitch) at
+// (r0, c0) into the front of dst and returns that part of dst.
+func subBlock(dst, m []float32, pitch, r0, c0, rows, cols int) []float32 {
+	out := dst[:rows*cols]
 	for r := 0; r < rows; r++ {
 		copy(out[r*cols:(r+1)*cols], m[(r0+r)*pitch+c0:(r0+r)*pitch+c0+cols])
 	}

@@ -59,7 +59,10 @@ func TestMulBlockMatchesWordLoop(t *testing.T) {
 			if g, w := got.AccessedBytes(), want.AccessedBytes(); g != w {
 				t.Fatalf("AccessedBytes = %d, word loop charges %d", g, w)
 			}
-			if !bytes.Equal(got.Bytes(0, mem.SRAMSize), want.Bytes(0, mem.SRAMSize)) {
+			g, w := make([]byte, mem.SRAMSize), make([]byte, mem.SRAMSize)
+			got.Read(0, g)
+			want.Read(0, w)
+			if !bytes.Equal(g, w) {
 				t.Fatal("scratchpad bytes differ from the word loop")
 			}
 		})

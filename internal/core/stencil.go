@@ -386,9 +386,9 @@ type stencilRun struct {
 func (r *stencilRun) stage(hp *host.Proc, w *sdk.Workgroup) {
 	cfg := &r.cfg
 	pitch := cfg.Cols + 2
+	block := make([]float32, (cfg.Rows+2)*pitch) // reused: the write copies it
 	for gr := 0; gr < cfg.GroupRows; gr++ {
 		for gc := 0; gc < cfg.GroupCols; gc++ {
-			block := make([]float32, (cfg.Rows+2)*pitch)
 			for row := 0; row < cfg.Rows+2; row++ {
 				gRow := gr*cfg.Rows + row
 				for col := 0; col < pitch; col++ {
@@ -411,32 +411,35 @@ func (r *stencilRun) gather(hp *host.Proc, w *sdk.Workgroup) {
 	cfg := &r.cfg
 	pitch := cfg.Cols + 2
 	res := r.res
+	blk := make([]float32, (cfg.Rows+2)*pitch) // reused for every core
 	if cfg.Comm {
-		res.Global = make([][]float32, cfg.GroupRows*cfg.Rows)
+		res.Global = grid(cfg.GroupRows*cfg.Rows, cfg.GroupCols*cfg.Cols)
 		for gr := 0; gr < cfg.GroupRows; gr++ {
 			for gc := 0; gc < cfg.GroupCols; gc++ {
-				blk := hp.ReadCoreF32(w.CoreIndex(gr, gc), stencilGridOff, (cfg.Rows+2)*pitch)
+				hp.ReadCoreF32(w.CoreIndex(gr, gc), stencilGridOff, blk)
 				for row := 1; row <= cfg.Rows; row++ {
-					gRow := gr*cfg.Rows + row - 1
-					if res.Global[gRow] == nil {
-						res.Global[gRow] = make([]float32, cfg.GroupCols*cfg.Cols)
-					}
-					for col := 1; col <= cfg.Cols; col++ {
-						res.Global[gRow][gc*cfg.Cols+col-1] = blk[row*pitch+col]
-					}
+					copy(res.Global[gr*cfg.Rows+row-1][gc*cfg.Cols:], blk[row*pitch+1:row*pitch+1+cfg.Cols])
 				}
 			}
 		}
 		return
 	}
-	blk := hp.ReadCoreF32(w.CoreIndex(0, 0), stencilGridOff, (cfg.Rows+2)*pitch)
-	res.Global = make([][]float32, cfg.Rows)
+	hp.ReadCoreF32(w.CoreIndex(0, 0), stencilGridOff, blk)
+	res.Global = grid(cfg.Rows, cfg.Cols)
 	for row := 1; row <= cfg.Rows; row++ {
-		res.Global[row-1] = make([]float32, cfg.Cols)
-		for col := 1; col <= cfg.Cols; col++ {
-			res.Global[row-1][col-1] = blk[row*pitch+col]
-		}
+		copy(res.Global[row-1], blk[row*pitch+1:row*pitch+1+cfg.Cols])
 	}
+}
+
+// grid returns a zeroed rows x cols field whose rows share one backing
+// array; each row's capacity ends at its own last element.
+func grid(rows, cols int) [][]float32 {
+	backing := make([]float32, rows*cols)
+	g := make([][]float32, rows)
+	for r := range g {
+		g[r] = backing[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return g
 }
 
 // makeStencilInput builds the deterministic global temperature field,
@@ -457,9 +460,8 @@ func makeStencilInput(cfg *StencilConfig) [][]float32 {
 		return g
 	}
 	rng := sim.NewRand(cfg.Seed + 1)
-	g := make([][]float32, gRows)
+	g := grid(gRows, gCols)
 	for r := range g {
-		g[r] = make([]float32, gCols)
 		for c := range g[r] {
 			g[r][c] = rng.Float32() * 100
 		}

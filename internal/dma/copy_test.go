@@ -37,13 +37,22 @@ const dramSpan = 0x4000
 func seededFabric(seed int64) *Fabric {
 	f := newFabric()
 	rng := rand.New(rand.NewSource(seed))
+	img := make([]byte, mem.SRAMSize)
 	for _, s := range f.SRAMs[:4] {
-		rng.Read(s.Bytes(0, mem.SRAMSize))
+		rng.Read(img)
+		s.Write(0, img)
 	}
 	buf := make([]byte, dramSpan)
 	rng.Read(buf)
 	f.DRAM.Write(0, buf)
 	return f
+}
+
+// sramImage returns a copy of a scratchpad's 32 KB.
+func sramImage(s *mem.SRAM) []byte {
+	b := make([]byte, mem.SRAMSize)
+	s.Read(0, b)
+	return b
 }
 
 // dramPrefix returns a copy of the first n bytes of f's DRAM.
@@ -103,7 +112,7 @@ func TestCopyDescMatchesBeatOrder(t *testing.T) {
 				t.Fatalf("DRAM AccessedBytes = %d, beat order charges %d", g, w)
 			}
 			for i := range got.SRAMs {
-				if !bytes.Equal(got.SRAMs[i].Bytes(0, mem.SRAMSize), want.SRAMs[i].Bytes(0, mem.SRAMSize)) {
+				if !bytes.Equal(sramImage(got.SRAMs[i]), sramImage(want.SRAMs[i])) {
 					t.Fatalf("core %d SRAM bytes differ from beat order", i)
 				}
 			}

@@ -22,6 +22,7 @@ package dma
 
 import (
 	"fmt"
+	"slices"
 
 	"epiphany/internal/mem"
 	"epiphany/internal/noc"
@@ -30,7 +31,8 @@ import (
 
 // Fabric bundles the board-level facilities a DMA engine needs. The
 // ecore package constructs one per board and shares it among all
-// engines. Post is the one posted write, the entry point for the ecore
+// engines. Post, with PostFrom its form that reads the bytes from a
+// scratchpad, is the one posted write, the entry point for the ecore
 // package's remote stores.
 type Fabric struct {
 	Eng       *sim.Engine
@@ -76,6 +78,22 @@ type post struct {
 // minT. Records are recycled once they land, so a warm fabric posts
 // without allocating.
 func (f *Fabric) Post(src int, dst mem.Target, data []byte, minT sim.Time) {
+	p := f.newPost(dst, len(data))
+	copy(p.data, data)
+	f.send(src, p, minT)
+}
+
+// PostFrom is Post with the n bytes read from core src's scratchpad at
+// off, charged as a load of n bytes, straight into the posted record.
+func (f *Fabric) PostFrom(src int, dst mem.Target, off mem.Addr, n int, minT sim.Time) {
+	p := f.newPost(dst, n)
+	f.SRAMs[src].Read(off, p.data)
+	f.send(src, p, minT)
+}
+
+// newPost returns a posted-write record for n bytes landing at dst,
+// recycled when one has landed.
+func (f *Fabric) newPost(dst mem.Target, n int) *post {
 	var p *post
 	if k := len(f.posts); k > 0 {
 		p = f.posts[k-1]
@@ -85,11 +103,17 @@ func (f *Fabric) Post(src int, dst mem.Target, data []byte, minT sim.Time) {
 		p.land = p.deposit
 	}
 	p.dst = dst
-	p.data = append(p.data[:0], data...)
-	if dst.Kind == mem.KindDRAM {
-		f.ELink.Submit(src, len(data), p.land)
+	p.data = slices.Grow(p.data[:0], n)[:n]
+	return p
+}
+
+// send puts p on its way from core src: over the off-chip link to DRAM,
+// or across the mesh to a core, landing no earlier than minT.
+func (f *Fabric) send(src int, p *post, minT sim.Time) {
+	if p.dst.Kind == mem.KindDRAM {
+		f.ELink.Submit(src, len(p.data), p.land)
 	} else {
-		f.Eng.At(max(f.Mesh.Deliver(f.Eng.Now(), src, dst.Core, len(data)), minT), p.land)
+		f.Eng.At(max(f.Mesh.Deliver(f.Eng.Now(), src, p.dst.Core, len(p.data)), minT), p.land)
 	}
 }
 
@@ -100,7 +124,7 @@ func (p *post) deposit() {
 	if p.dst.Kind == mem.KindDRAM {
 		f.DRAM.Write(p.dst.Off, p.data)
 	} else {
-		copy(f.SRAMs[p.dst.Core].Bytes(p.dst.Off, len(p.data)), p.data)
+		f.SRAMs[p.dst.Core].Write(p.dst.Off, p.data)
 		if f.Notify != nil {
 			f.Notify(p.dst.Core)
 		}
@@ -397,16 +421,16 @@ func (e *Engine) writeBeat(t mem.Target, off mem.Addr, beat int, v uint64) {
 
 // copyRange moves n contiguous bytes from src's memory at so to dst's
 // at do, charging the byte counters as the beats covering them would.
-// DRAM is reached by copying through its Read/Write accessors; the
-// caller has already refused DRAM-to-DRAM transfers.
+// The bytes move block by block between the memories, with no staging
+// copy; the caller has already refused DRAM-to-DRAM transfers.
 func (e *Engine) copyRange(dst mem.Target, do mem.Addr, src mem.Target, so mem.Addr, n int) {
 	switch {
 	case dst.Kind == mem.KindDRAM:
-		e.fab.DRAM.Write(do, e.fab.SRAMs[src.Core].View(so, n))
+		mem.CopyToDRAM(e.fab.DRAM, do, e.fab.SRAMs[src.Core], so, n)
 	case src.Kind == mem.KindDRAM:
-		e.fab.DRAM.Read(so, e.fab.SRAMs[dst.Core].Bytes(do, n))
+		mem.CopyFromDRAM(e.fab.SRAMs[dst.Core], do, e.fab.DRAM, so, n)
 	default:
-		copy(e.fab.SRAMs[dst.Core].Bytes(do, n), e.fab.SRAMs[src.Core].View(so, n))
+		mem.Copy(e.fab.SRAMs[dst.Core], do, e.fab.SRAMs[src.Core], so, n)
 	}
 }
 

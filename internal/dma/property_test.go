@@ -53,7 +53,7 @@ func TestDesc2DCopyProperty(t *testing.T) {
 		for i := range srcImg {
 			srcImg[i] = byte(i*7 + 3)
 		}
-		copy(f2.SRAMs[0].Bytes(0, mem.SRAMSize), srcImg)
+		f2.SRAMs[0].Write(0, srcImg)
 		e := NewEngine(f2, 0)
 		f2.Eng.Spawn("t", func(p *sim.Proc) {
 			e.Start(DMA0, d)
@@ -64,7 +64,7 @@ func TestDesc2DCopyProperty(t *testing.T) {
 		}
 		want := make([]byte, mem.SRAMSize)
 		refCopy(srcImg, want, d, 0x0400, 0x0400)
-		got := f2.SRAMs[1].Bytes(0, mem.SRAMSize)
+		got := sramImage(f2.SRAMs[1])
 		for i := range want {
 			if want[i] != got[i] {
 				return false

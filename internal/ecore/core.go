@@ -3,6 +3,7 @@ package ecore
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"epiphany/internal/dma"
 	"epiphany/internal/mem"
@@ -30,11 +31,14 @@ type Core struct {
 	// computeTime is the modelled compute time, the energy model's
 	// active-cycle count.
 	computeTime sim.Time
-	// blocked wakes the core from BlockWriteDRAM, and block holds the
-	// bytes of the block in flight; both are reused, since the CPU has
-	// at most one block in flight.
-	blocked *sim.Cond
-	block   []byte
+	// blocked wakes the core from BlockWriteDRAM; block and blockOff
+	// hold the bytes of the block in flight and where they land, and
+	// landBlock, bound once, is the eLink completion that stores them.
+	// All are reused, since the CPU has at most one block in flight.
+	blocked   *sim.Cond
+	block     []byte
+	blockOff  mem.Addr
+	landBlock func()
 }
 
 func newCore(ch *Chip, idx int) *Core {
@@ -45,6 +49,7 @@ func newCore(ch *Chip, idx int) *Core {
 		dma:  dma.NewEngine(ch.fab, idx),
 	}
 	c.run = c.runKernel
+	c.landBlock = c.blockLanded
 	return c
 }
 
@@ -168,7 +173,7 @@ func (c *Core) CopyWordsTo(dst mem.Addr, srcOff mem.Addr, words int) {
 		mem.Copy(c.sram, tgt.Off, c.sram, srcOff, n)
 		c.chip.notifyWrite(c.idx)
 	case mem.KindCore, mem.KindDRAM:
-		fab.Post(c.idx, tgt, c.sram.View(srcOff, n), cpuDone)
+		fab.PostFrom(c.idx, tgt, srcOff, n, cpuDone)
 	default:
 		panic(fmt.Sprintf("ecore: copy to unmapped address %#x", dst))
 	}
@@ -190,12 +195,17 @@ func (c *Core) BlockWriteDRAM(dramOff mem.Addr, srcOff mem.Addr, n int) {
 	if c.blocked == nil {
 		c.blocked = sim.NewCondIdx(c.chip.eng, "dram-block:core", c.idx)
 	}
-	c.block = append(c.block[:0], c.sram.View(srcOff, n)...)
-	fab.ELink.Submit(c.idx, n, func() {
-		fab.DRAM.Write(dramOff, c.block)
-		c.blocked.Broadcast()
-	})
+	c.block, c.blockOff = slices.Grow(c.block[:0], n)[:n], dramOff
+	c.sram.Read(srcOff, c.block)
+	fab.ELink.Submit(c.idx, n, c.landBlock)
 	p.WaitCond(c.blocked)
+}
+
+// blockLanded stores the block in flight in DRAM once the eLink has
+// carried it and wakes the core.
+func (c *Core) blockLanded() {
+	c.chip.fab.DRAM.Write(c.blockOff, c.block)
+	c.blocked.Broadcast()
 }
 
 // --- Flag polling (the `while (*flag < loopcount);` idiom). ---

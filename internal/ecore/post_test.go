@@ -13,6 +13,19 @@ import (
 // shared DRAM. round runs the engine until everything has landed; stop
 // ends the kernel.
 func postedRounds(tb testing.TB) (ch *Chip, round, stop func()) {
+	return kernelRounds(tb, func(c *Core) {
+		c.StoreGlobal32(c.GlobalOn(1, 1, 0x100), 1)
+		c.StoreGlobal32(mem.DRAMBase+0x100, 2)
+		c.CopyWordsTo(c.GlobalOn(1, 1, 0x200), 0, 16)
+		c.CopyWordsTo(mem.DRAMBase+0x200, 0, 16)
+	})
+}
+
+// kernelRounds launches a kernel on core 0 of an e64 chip, whose first
+// 16 SRAM words hold 1..16, that runs body once each time round is
+// called. round runs the engine until the kernel parks again; stop
+// ends the kernel.
+func kernelRounds(tb testing.TB, body func(c *Core)) (ch *Chip, round, stop func()) {
 	tb.Helper()
 	eng, ch := newChip()
 	for i := 0; i < 16; i++ {
@@ -26,10 +39,7 @@ func postedRounds(tb testing.TB) (ch *Chip, round, stop func()) {
 			if done {
 				return
 			}
-			c.StoreGlobal32(c.GlobalOn(1, 1, 0x100), 1)
-			c.StoreGlobal32(mem.DRAMBase+0x100, 2)
-			c.CopyWordsTo(c.GlobalOn(1, 1, 0x200), 0, 16)
-			c.CopyWordsTo(mem.DRAMBase+0x200, 0, 16)
+			body(c)
 		}
 	})
 	eng.Stop() // the poster parks on gate between rounds
@@ -67,6 +77,22 @@ func TestPostedWriteAllocs(t *testing.T) {
 	}
 	if got := ch.DRAM().Load32(0x100); got != 2 {
 		t.Fatalf("DRAM flag = %d, want 2", got)
+	}
+}
+
+// TestBlockWriteDRAMAllocs: on a warm board a §V-B block write - a
+// 2 KB block carried by the eLink into DRAM - allocates nothing: the
+// block is staged in a reused per-core buffer and lands through a
+// completion handler bound once per core.
+func TestBlockWriteDRAMAllocs(t *testing.T) {
+	ch, round, stop := kernelRounds(t, func(c *Core) { c.BlockWriteDRAM(0x8000, 0, 2048) })
+	defer stop()
+	allocs := testing.AllocsPerRun(20, round)
+	if allocs != 0 {
+		t.Errorf("one block-write round allocates %v times, budget 0", allocs)
+	}
+	if got := ch.DRAM().Load32(0x8000 + 4*15); got != 16 {
+		t.Fatalf("DRAM word 15 = %d, want 16", got)
 	}
 }
 

@@ -84,7 +84,7 @@ func (hp *Proc) WriteCore(core int, off mem.Addr, data []byte) {
 	_, end := hp.h.down.Use(hp.p.Now(), sim.Time(len(data))*DownBytePeriod)
 	hp.p.WaitUntil(end)
 	fab := hp.h.chip.Fabric()
-	copy(fab.SRAMs[core].Bytes(off, len(data)), data)
+	fab.SRAMs[core].Write(off, data)
 	fab.Notify(core)
 }
 
@@ -92,7 +92,9 @@ func (hp *Proc) WriteCore(core int, off mem.Addr, data []byte) {
 func (hp *Proc) ReadCore(core int, off mem.Addr, n int) []byte {
 	_, end := hp.h.up.Use(hp.p.Now(), sim.Time(n)*UpBytePeriod)
 	hp.p.WaitUntil(end)
-	return append([]byte(nil), hp.h.chip.Fabric().SRAMs[core].View(off, n)...)
+	out := make([]byte, n)
+	hp.h.chip.Fabric().SRAMs[core].Read(off, out)
+	return out
 }
 
 // WriteCoreF32 writes a float slice into core SRAM, as WriteCore does
@@ -106,13 +108,13 @@ func (hp *Proc) WriteCoreF32(core int, off mem.Addr, vals []float32) {
 	fab.Notify(core)
 }
 
-// ReadCoreF32 reads n floats from core SRAM, as ReadCore does.
-func (hp *Proc) ReadCoreF32(core int, off mem.Addr, n int) []float32 {
-	_, end := hp.h.up.Use(hp.p.Now(), sim.Time(4*n)*UpBytePeriod)
+// ReadCoreF32 reads len(dst) floats from core SRAM into dst, as
+// ReadCore does, so a host gathering many cores' blocks can reuse one
+// buffer.
+func (hp *Proc) ReadCoreF32(core int, off mem.Addr, dst []float32) {
+	_, end := hp.h.up.Use(hp.p.Now(), sim.Time(4*len(dst))*UpBytePeriod)
 	hp.p.WaitUntil(end)
-	out := make([]float32, n)
-	hp.h.chip.Fabric().SRAMs[core].LoadF32s(off, out)
-	return out
+	hp.h.chip.Fabric().SRAMs[core].LoadF32s(off, dst)
 }
 
 // WriteDRAM stages data into the shared window at off.

@@ -87,6 +87,18 @@ func (d *DRAM) write(off Addr, src []byte) {
 // interface since construction or Reset (the energy model's DRAM term).
 func (d *DRAM) AccessedBytes() uint64 { return d.accessed }
 
+// AllocatedBytes returns the bytes of the pages allocated so far: what
+// the window holds on the heap beyond its page table.
+func (d *DRAM) AllocatedBytes() int {
+	n := 0
+	for _, p := range d.pages {
+		if p != nil {
+			n += dramPageSize
+		}
+	}
+	return n
+}
+
 // Reset zeroes every page written since the last Reset, keeping it
 // allocated, and clears the access statistics.
 func (d *DRAM) Reset() {
@@ -135,40 +147,14 @@ func (d *DRAM) StoreF32(off Addr, v float32) { d.Store32(off, math.Float32bits(v
 // at off, charging 4 bytes per float as LoadF32 does.
 func (d *DRAM) LoadF32s(off Addr, dst []float32) {
 	d.check(off, 4*len(dst))
-	for len(dst) > 0 {
-		i, o := int(off/dramPageSize), int(off%dramPageSize)
-		n := min(len(dst), (dramPageSize-o)/4)
-		switch p := d.pages[i]; {
-		case n == 0: // an unaligned float straddling two pages
-			var b [4]byte
-			d.read(off, b[:])
-			dst[0], n = math.Float32frombits(binary.LittleEndian.Uint32(b[:])), 1
-		case p == nil:
-			clear(dst[:n])
-		default:
-			decodeF32s(dst[:n], p[o:])
-		}
-		dst, off = dst[n:], off+Addr(4*n)
-	}
+	loadF32s(d.read, off, dst)
 }
 
 // StoreF32s encodes src as consecutive single-precision floats starting
 // at off, charging 4 bytes per float as StoreF32 does.
 func (d *DRAM) StoreF32s(off Addr, src []float32) {
 	d.check(off, 4*len(src))
-	for len(src) > 0 {
-		i, o := int(off/dramPageSize), int(off%dramPageSize)
-		n := min(len(src), (dramPageSize-o)/4)
-		if n == 0 { // an unaligned float straddling two pages
-			var b [4]byte
-			binary.LittleEndian.PutUint32(b[:], math.Float32bits(src[0]))
-			d.write(off, b[:])
-			n = 1
-		} else {
-			encodeF32s(d.page(i)[o:], src[:n])
-		}
-		src, off = src[n:], off+Addr(4*n)
-	}
+	storeF32s(d.write, off, src)
 }
 
 // Size returns the window size in bytes.

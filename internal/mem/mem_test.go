@@ -179,7 +179,7 @@ func TestSRAMBulkF32MatchesPerElement(t *testing.T) {
 					tc.off, tc.n, i, math.Float32bits(got[i]), math.Float32bits(w))
 			}
 		}
-		if !bytes.Equal(bulk.data[:], elem.data[:]) {
+		if !bytes.Equal(sramImage(bulk), sramImage(elem)) {
 			t.Fatalf("off %#x n %d: scratchpad bytes differ", tc.off, tc.n)
 		}
 		if b, e := bulk.AccessedBytes(), elem.AccessedBytes(); b != e || b != uint64(8*tc.n) {

@@ -217,6 +217,11 @@ func (m *httpMetrics) render(w io.Writer, st Stats) {
 	writeHeader(w, "epiphany_in_flight", "Simulations executing right now.", "gauge")
 	fmt.Fprintf(w, "epiphany_in_flight %d\n", st.InFlight)
 
+	writeHeader(w, "epiphany_boards_built_total", "Boards built fresh for simulations (the pool held none of the topology).", "counter")
+	fmt.Fprintf(w, "epiphany_boards_built_total %d\n", st.BoardsBuilt)
+	writeHeader(w, "epiphany_boards_reused_total", "Boards recycled from the idle pool for simulations.", "counter")
+	fmt.Fprintf(w, "epiphany_boards_reused_total %d\n", st.BoardsReused)
+
 	writeHeader(w, "epiphany_simulated_wall_seconds_total", "Cumulative host wall time spent simulating.", "counter")
 	fmt.Fprintf(w, "epiphany_simulated_wall_seconds_total %s\n", promFloat(float64(st.SimulatedWallNS)/1e9))
 	writeHeader(w, "epiphany_served_wall_seconds_total", "Cumulative wall time cache hits saved re-simulating.", "counter")

@@ -45,6 +45,8 @@ func TestMetricsExposition(t *testing.T) {
 		"epiphany_cache_misses_total 1\n",
 		"epiphany_cache_entries 1\n",
 		"epiphany_draining 0\n",
+		"epiphany_boards_built_total 1\n",
+		"epiphany_boards_reused_total 0\n",
 		`epiphany_http_requests_total{endpoint="POST /v1/jobs",code="200"} 2` + "\n",
 		`epiphany_http_requests_total{endpoint="unmatched",code="404"} 1` + "\n",
 		`epiphany_request_stage_seconds_bucket{stage="simulate",le="+Inf"} 3` + "\n",
@@ -90,6 +92,32 @@ func TestStatsUptimeAndRequests(t *testing.T) {
 	}
 	if got := st.Requests["GET /v1/healthz"]["200"]; got != 1 {
 		t.Errorf("requests[GET /v1/healthz][200] = %d, want 1", got)
+	}
+}
+
+// TestStatsBoardCounters: two misses on one topology build one board
+// and recycle it once; a hit simulates nothing. /v1/stats and /metrics
+// report the same counts.
+func TestStatsBoardCounters(t *testing.T) {
+	s := newTestServer(t, Config{Workers: 1})
+	for _, seed := range []uint64{1, 2, 2} {
+		spec := JobSpec{Workload: "stencil-tuned", Topo: "e16", Seed: &seed}
+		wantStatus(t, do(t, s, "POST", "/v1/jobs", spec), http.StatusOK)
+	}
+	w := do(t, s, "GET", "/v1/stats", nil)
+	wantStatus(t, w, http.StatusOK)
+	var st Stats
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.BoardsBuilt != 1 || st.BoardsReused != 1 {
+		t.Errorf("boards_built %d, boards_reused %d; want 1 and 1", st.BoardsBuilt, st.BoardsReused)
+	}
+	body := do(t, s, "GET", "/metrics", nil).Body.String()
+	for _, want := range []string{"epiphany_boards_built_total 1\n", "epiphany_boards_reused_total 1\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("exposition missing %q", want)
+		}
 	}
 }
 

@@ -156,6 +156,11 @@ type Stats struct {
 	QueueCapacity int `json:"queue_capacity"`
 	// InFlight is the simulations executing right now.
 	InFlight int64 `json:"in_flight"`
+	// BoardsBuilt and BoardsReused count how simulations got their
+	// boards from the Runner's pool: built fresh, or recycled from an
+	// earlier job of the same topology (workload.Runner.Boards).
+	BoardsBuilt  int64 `json:"boards_built"`
+	BoardsReused int64 `json:"boards_reused"`
 	// SimulatedWallNS is cumulative host wall time spent simulating;
 	// ServedWallNS is the wall time cache hits saved (the sum of the
 	// original simulation cost of every entry served). Their ratio is
@@ -334,6 +339,7 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Stats snapshots the service counters.
 func (s *Server) Stats() Stats {
+	boards := s.runner.Boards()
 	return Stats{
 		CacheEntries:       s.cache.len(),
 		CacheHits:          s.hits.Load(),
@@ -343,6 +349,8 @@ func (s *Server) Stats() Stats {
 		QueueDepth:         len(s.queue),
 		QueueCapacity:      s.cfg.QueueDepth,
 		InFlight:           s.inFlight.Load(),
+		BoardsBuilt:        boards.Built,
+		BoardsReused:       boards.Reused,
 		SimulatedWallNS:    s.simNS.Load(),
 		ServedWallNS:       s.servedNS.Load(),
 		Draining:           s.draining.Load(),

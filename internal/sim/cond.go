@@ -8,10 +8,14 @@ import "strconv"
 // the sense that the waiter should re-check its predicate after waking, as
 // with sync.Cond.
 type Cond struct {
-	eng     *Engine
-	name    string
-	idx     int   // >= 0: the name is name+idx, formatted lazily
-	of      *Proc // a Proc's done condition: the name is "done:"+of.Name()
+	eng  *Engine
+	name string
+	idx  int   // >= 0: the name is name+idx, formatted lazily
+	of   *Proc // a Proc's done condition: the name is "done:"+of.Name()
+	// first is the earliest waiter and waiters the rest, in wait order.
+	// The inline slot lets a condition with one waiter - a join on a
+	// Proc's done condition, most often - park it without allocating.
+	first   *Proc
 	waiters []*Proc
 }
 
@@ -47,7 +51,11 @@ func (c *Cond) Name() string {
 // virtual time of the broadcast (plus any delay the broadcaster added).
 func (p *Proc) WaitCond(c *Cond) {
 	p.mustBeRunning()
-	c.waiters = append(c.waiters, p)
+	if c.first == nil {
+		c.first = p
+	} else {
+		c.waiters = append(c.waiters, p)
+	}
 	p.state = stateBlocked
 	p.blockedOn = c
 	p.eng.blocked++
@@ -62,9 +70,21 @@ func (c *Cond) Broadcast() { c.BroadcastAfter(0) }
 // observer noticing it.
 func (c *Cond) BroadcastAfter(d Time) {
 	t := c.eng.now + d
+	if c.first == nil {
+		return
+	}
+	c.first.unblock(t)
+	c.first = nil
 	for _, p := range c.waiters {
 		p.unblock(t)
 	}
+	c.waiters = c.waiters[:0]
+}
+
+// drop forgets every waiter without waking it (a teardown unwinds them).
+func (c *Cond) drop() {
+	c.first = nil
+	clear(c.waiters)
 	c.waiters = c.waiters[:0]
 }
 

@@ -330,8 +330,7 @@ func (e *Engine) teardown() {
 			p.state, p.finished = stateDone, true
 		case stateWaiting, stateBlocked:
 			if c := p.blockedOn; c != nil {
-				clear(c.waiters) // every waiter is parked here too
-				c.waiters = c.waiters[:0]
+				c.drop() // every waiter is parked here too
 				p.blockedOn = nil
 			}
 			p.unwinding = true

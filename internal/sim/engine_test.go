@@ -534,8 +534,8 @@ func TestEngineResetUnwindsParkedProcs(t *testing.T) {
 	if !late.Finished() {
 		t.Error("a never-started proc is not finished after Reset")
 	}
-	if len(c.waiters) != 0 {
-		t.Errorf("Reset left %d waiters on the cond", len(c.waiters))
+	if c.first != nil || len(c.waiters) != 0 {
+		t.Errorf("Reset left waiters on the cond: first %v, %d more", c.first != nil, len(c.waiters))
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run after Reset: %v", err)

@@ -202,6 +202,48 @@ func TestSpawnAllocs(t *testing.T) {
 	}
 }
 
+// TestJoinAllocs: on a warm engine, joining a proc that has not finished
+// allocates nothing - the joiner parks in its done condition's inline
+// waiter slot. A round that joins allocates exactly what the same round
+// waiting the same time instead does (its two Proc records).
+func TestJoinAllocs(t *testing.T) {
+	e := NewEngine()
+	kernel := func(p *Proc) { p.Wait(10) }
+	round := func(join bool) func() {
+		host := func(p *Proc) {
+			k := e.Spawn("kernel", kernel)
+			p.Wait(1)
+			if k.Finished() {
+				t.Fatal("the kernel finished before the join")
+			}
+			if join {
+				p.Join(k)
+			} else {
+				p.Wait(9)
+			}
+		}
+		return func() {
+			e.Spawn("host", host)
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if e.Now() != 10 {
+				t.Fatalf("round ended at %v, want 10", e.Now())
+			}
+			if err := e.Reset(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	joins, waits := round(true), round(false)
+	joins() // warm the pool, the heap and the proc table
+	waits()
+	j, w := testing.AllocsPerRun(20, joins), testing.AllocsPerRun(20, waits)
+	if j != w {
+		t.Errorf("a round that joins allocates %v times, one that waits %v: the join allocates %v", j, w, j-w)
+	}
+}
+
 // BenchmarkSpawnJoin times one round of the §III host pattern on a
 // warm engine: a host proc spawns 64 kernels, joins them, and the
 // engine is Reset.

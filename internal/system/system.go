@@ -71,8 +71,8 @@ func (s *System) NewWorkgroup(originRow, originCol, rows, cols int) (*sdk.Workgr
 
 // Reset restores a used System to a pristine board - virtual time zero,
 // memories zeroed, every statistic and link occupancy cleared - so the
-// board state (about 2.4 MB for an e64, plus the DRAM pages its runs
-// wrote) can be recycled across experiments instead of reallocated. A
+// board, with the SRAM blocks and DRAM pages its runs wrote, can be
+// recycled across experiments instead of reallocated. A
 // recycled System is bit-deterministic with a fresh one: the same
 // workload produces byte-identical Metrics either way (the conformance
 // harness pins this). That holds after a failed run too: a deadlocked
@@ -89,6 +89,30 @@ func (s *System) Reset() error {
 	s.used = false
 	return nil
 }
+
+// Footprint estimates the heap bytes the board holds between runs: the
+// SRAM blocks and DRAM pages its runs have written, which Reset zeroes
+// but keeps, plus its fixed cost - boardBytes, and coreBytes per core.
+func (s *System) Footprint() int {
+	fab := s.chip.Fabric()
+	n := boardBytes + coreBytes*len(fab.SRAMs) + fab.DRAM.AllocatedBytes()
+	for _, m := range fab.SRAMs {
+		n += m.AllocatedBytes()
+	}
+	return n
+}
+
+// boardBytes and coreBytes estimate what a board holds besides its SRAM
+// blocks and DRAM pages: the page tables and chip structures, and per
+// core the core's structures and the stacks of the kernel coroutines
+// its engine keeps idle for the next run. Measured as the growth of the
+// Go heap and stacks per board over pooled boards that ran the built-in
+// kernels, less their blocks and pages: 123 KB for an e16, 392 KB for
+// an e64, 5.2 MB for a 1024-core board.
+const (
+	boardBytes = 32 << 10
+	coreBytes  = 6 << 10
+)
 
 // Acquire reserves the System for one experiment. Workload
 // implementations must call it before touching the board so that a

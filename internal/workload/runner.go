@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"epiphany/internal/system"
 )
@@ -62,25 +63,69 @@ func (b *BatchResult) Err() error {
 // clocks and statistics). Either way each simulation stays
 // bit-deterministic: a batch produces byte-identical Metrics to running
 // the same jobs sequentially, in any interleaving, on fresh boards.
+//
+// Idle boards wait in one pool that RunBatch workers and RunJob calls
+// share, keyed by topology: it keeps at most Workers boards of each
+// topology, so a mixed stream (a daemon serving several board shapes)
+// rebuilds a board only when more jobs of one shape run at once than
+// before. Across topologies the pool is bounded by what the boards
+// hold (System.Footprint: the SRAM blocks and DRAM pages they have
+// written plus their fixed cost). While the idle boards hold more than
+// Workers times poolBytesPerWorker, the pool evicts down to Workers
+// boards: the least recently returned first, but a board whose
+// topology a newer idle board shares before any other. Boards too large
+// for the budget thus recycle as in a pool of Workers boards, and the
+// budget decides how many more stay. An evicted board is only dropped:
+// its pooled coroutines stop once it is garbage collected. Boards
+// reports how many boards the pool built and reused.
 type Runner struct {
-	// Workers caps the number of concurrent simulations; <= 0 means
-	// GOMAXPROCS.
+	// Workers caps the number of concurrent simulations, and the idle
+	// boards kept per topology; <= 0 means GOMAXPROCS.
 	Workers int
 	// Options are applied to every job, before the job's own options.
 	Options []Option
 
-	// idle is the board pool RunBatch workers and RunJob calls share,
-	// oldest first. A board is in it only while no job holds it, and
-	// only after System.Reset certified it pristine. The match is
-	// whole-Topology equality, so every board-identity axis (C2C
-	// overrides, power model and DVFS point) pools separately.
-	mu   sync.Mutex
-	idle []idleBoard
+	// idle is the board pool, least recently returned first. A board
+	// is in it only while no job holds it, and only after System.Reset
+	// certified it pristine. The match is whole-Topology equality, so
+	// every board-identity axis (C2C overrides, power model and DVFS
+	// point) pools separately. idleBytes is the sum of the idle boards'
+	// footprints.
+	mu        sync.Mutex
+	idle      []idleBoard
+	idleBytes int
+
+	built, reused atomic.Int64
 }
 
+// poolBytesPerWorker is the pool's byte budget per worker. Past
+// Workers times this the pool keeps only Workers boards, so its idle
+// boards hold at most that many bytes or Workers boards, whichever is
+// more. Pooled after running serve-mixed's kernels, an e16 holds about
+// 0.6 MB, an e64 1.3 MB and a 2x2 cluster 1.7 MB, so a worker's share
+// keeps a few chip-sized boards; a 1024-core board holds 12 MB, more
+// than one share.
+const poolBytesPerWorker = 8 << 20
+
 type idleBoard struct {
-	topo system.Topology
-	sys  *system.System
+	topo  system.Topology
+	sys   *system.System
+	bytes int // sys.Footprint() when it was returned
+}
+
+// BoardStats counts how a Runner's jobs got their boards.
+type BoardStats struct {
+	// Built is the boards built fresh, when the pool held none of the
+	// job's topology.
+	Built int64
+	// Reused is the boards taken from the idle pool.
+	Reused int64
+}
+
+// Boards reports the boards the Runner has built and reused so far. It
+// is safe for concurrent use and allocates nothing.
+func (r *Runner) Boards() BoardStats {
+	return BoardStats{Built: r.built.Load(), Reused: r.reused.Load()}
 }
 
 // RunBatch executes jobs across the worker pool and returns the
@@ -169,46 +214,55 @@ func (r *Runner) RunWorkloads(ctx context.Context, ws ...Workload) (*BatchResult
 	return r.RunBatch(ctx, jobs)
 }
 
-// get takes the most recently pooled board of topology topo, or builds
-// a fresh one.
+// get takes the most recently returned idle board of topology topo, or
+// builds a fresh one.
 func (r *Runner) get(topo system.Topology) *system.System {
 	r.mu.Lock()
 	for i := len(r.idle) - 1; i >= 0; i-- {
 		if r.idle[i].topo == topo {
 			sys := r.idle[i].sys
-			r.idle = slices.Delete(r.idle, i, i+1)
+			r.remove(i)
 			r.mu.Unlock()
+			r.reused.Add(1)
 			return sys
 		}
 	}
 	r.mu.Unlock()
+	r.built.Add(1)
 	return system.NewTopology(topo)
 }
 
 // put returns a board after its job, keeping it only if System.Reset
-// certifies it pristine. At most one board per worker slot stays idle;
-// beyond that one is evicted, as it would only hold memory (its pooled
-// coroutines stop once it is garbage collected): the oldest
-// whose topology a newer idle board shares, else the oldest. Keeping
-// distinct topologies means a mixed stream (a daemon serving several
-// board shapes) rebuilds fewer boards when concurrent jobs happen to
-// return two of the same shape.
+// certifies it pristine. Beyond Workers idle boards of its topology the
+// least recently returned of them is evicted; then, while the idle
+// boards hold more than the budget, the pool evicts (evictable) down to
+// Workers boards.
 func (r *Runner) put(topo system.Topology, sys *system.System) {
 	if sys.Reset() != nil {
 		return
 	}
+	b := idleBoard{topo, sys, sys.Footprint()}
 	limit := r.workers()
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.idle = append(r.idle, idleBoard{topo, sys})
-	for len(r.idle) > limit {
-		i := r.evictable()
-		r.idle = slices.Delete(r.idle, i, i+1)
+	r.idle = append(r.idle, b)
+	r.idleBytes += b.bytes
+	same := 0
+	for i := len(r.idle) - 1; i >= 0; i-- {
+		if r.idle[i].topo == topo {
+			if same++; same > limit {
+				r.remove(i)
+			}
+		}
+	}
+	for r.idleBytes > limit*poolBytesPerWorker && len(r.idle) > limit {
+		r.remove(r.evictable())
 	}
 }
 
-// evictable returns the index of the idle board put should evict. The
-// caller holds r.mu.
+// evictable returns the index of the idle board to evict over budget:
+// the least recently returned whose topology a newer idle board shares,
+// else the least recently returned. The caller holds r.mu.
 func (r *Runner) evictable() int {
 	for i, b := range r.idle {
 		for _, newer := range r.idle[i+1:] {
@@ -218,6 +272,12 @@ func (r *Runner) evictable() int {
 		}
 	}
 	return 0
+}
+
+// remove drops idle board i from the pool. The caller holds r.mu.
+func (r *Runner) remove(i int) {
+	r.idleBytes -= r.idle[i].bytes
+	r.idle = slices.Delete(r.idle, i, i+1)
 }
 
 // runJob executes one job on a pristine System from the pool,

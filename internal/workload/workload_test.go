@@ -476,19 +476,24 @@ func TestRunnerPoolsSystems(t *testing.T) {
 }
 
 // TestRunnerPoolEvictsDuplicateTopologyFirst: when concurrent jobs
-// return two boards of one topology to a full pool, the older duplicate
-// is evicted rather than the only board of another topology.
+// return more than Workers boards of one topology, the oldest of that
+// topology is evicted rather than the only board of another topology.
 func TestRunnerPoolEvictsDuplicateTopologyFirst(t *testing.T) {
 	r := &Runner{Workers: 2}
-	e64, e16a, e16b := system.NewTopology(system.E64), system.NewTopology(system.E16), system.NewTopology(system.E16)
+	e64 := system.NewTopology(system.E64)
+	e16a, e16b, e16c := system.NewTopology(system.E16), system.NewTopology(system.E16), system.NewTopology(system.E16)
 	r.put(system.E64, e64)
 	r.put(system.E16, e16a)
 	r.put(system.E16, e16b)
+	r.put(system.E16, e16c)
 	if got := r.get(system.E64); got != e64 {
-		t.Error("the only idle E64 board was evicted in favour of a second E16")
+		t.Error("the only idle E64 board was evicted in favour of a third E16")
+	}
+	if got := r.get(system.E16); got != e16c {
+		t.Error("the newest E16 board was not the one kept")
 	}
 	if got := r.get(system.E16); got != e16b {
-		t.Error("the newer E16 board was not the one kept")
+		t.Error("the second E16 board was evicted instead of the oldest")
 	}
 }
 
@@ -537,8 +542,10 @@ func TestRunnerPoolSharedConcurrently(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := len(r.idle); n > r.Workers {
-		t.Fatalf("%d idle boards pooled, want at most Workers=%d", n, r.Workers)
+	for topo, n := range idleCounts(r) {
+		if n > r.Workers {
+			t.Fatalf("%d idle %s boards pooled, want at most Workers=%d", n, topo.Name, r.Workers)
+		}
 	}
 }
 
@@ -725,14 +732,19 @@ func TestResetZeroesEverySRAM(t *testing.T) {
 				t.Fatalf("%s on %s: %v", w.Name(), spec, err)
 			}
 			srams := sys.Chip().Fabric().SRAMs
-			if !slices.ContainsFunc(srams, func(s *mem.SRAM) bool { return !bytes.Equal(s.View(0, mem.SRAMSize), zero) }) {
+			image := func(s *mem.SRAM) []byte {
+				b := make([]byte, mem.SRAMSize)
+				s.Read(0, b)
+				return b
+			}
+			if !slices.ContainsFunc(srams, func(s *mem.SRAM) bool { return !bytes.Equal(image(s), zero) }) {
 				t.Fatalf("%s on %s wrote no SRAM", w.Name(), spec)
 			}
 			if err := sys.Reset(); err != nil {
 				t.Fatalf("%s on %s: %v", w.Name(), spec, err)
 			}
 			for i, s := range srams {
-				if !bytes.Equal(s.View(0, mem.SRAMSize), zero) {
+				if !bytes.Equal(image(s), zero) {
 					t.Fatalf("%s on %s: core %d's SRAM is not zero after Reset", w.Name(), spec, i)
 				}
 			}

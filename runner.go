@@ -17,4 +17,7 @@ type (
 	JobResult = workload.JobResult
 	// BatchResult aggregates a batch in submission order.
 	BatchResult = workload.BatchResult
+	// BoardStats counts the boards a Runner's pool built and reused
+	// (Runner.Boards).
+	BoardStats = workload.BoardStats
 )
