@@ -97,27 +97,46 @@ func (cfg *MatmulConfig) blockDims() (m, n, k int, err error) {
 	return m, n, k, nil
 }
 
-// Validate checks the configuration without running it.
+// Validate checks the configuration without running it: it builds the
+// scratchpad plan a run would use.
 func (cfg *MatmulConfig) Validate() error {
-	_, _, _, err := cfg.stepBlock()
+	_, err := cfg.plan()
 	return err
 }
 
+// plan returns the scratchpad placement of the block one core
+// multiplies per step, after every check a run makes before launching
+// it.
+func (cfg *MatmulConfig) plan() (*matmulPlan, error) {
+	m, n, k, err := cfg.stepBlock()
+	if err != nil {
+		return nil, err
+	}
+	g := cfg.G
+	if cfg.Algorithm == "summa" {
+		// SUMMA needs the panel workspace even on one core, which
+		// broadcasts nothing; the plan stays uniform.
+		g = max(g, 2)
+		if halfBuffered(m, n, k, g) {
+			return nil, fmt.Errorf("core: SUMMA needs panel workspace; %dx%dx%d per-core blocks leave no room (Cannon's half-buffer trick does not apply)", m, n, k)
+		}
+	}
+	return planMatmul(m, n, k, g)
+}
+
 // stepBlock returns the block one core multiplies per step - its
-// operand block on chip, its paged tile off chip - after every check a
-// run makes before placing it in the scratchpad.
+// operand block on chip, its paged tile off chip - after every check
+// plan makes before placing it in the scratchpad.
 func (cfg *MatmulConfig) stepBlock() (m, n, k int, err error) {
 	if m, n, k, err = cfg.blockDims(); err != nil {
 		return 0, 0, 0, err
 	}
-	summa := false
 	switch cfg.Algorithm {
 	case "", "cannon":
 	case "summa":
 		if cfg.OffChip {
 			return 0, 0, 0, fmt.Errorf("core: the off-chip pager is built on Cannon; SUMMA is on-chip only")
 		}
-		summa = true
 	default:
 		return 0, 0, 0, fmt.Errorf("core: unknown algorithm %q (want cannon or summa)", cfg.Algorithm)
 	}
@@ -136,11 +155,6 @@ func (cfg *MatmulConfig) stepBlock() (m, n, k int, err error) {
 	if cfg.G > 1 && (4*m*n%8 != 0 || 4*n*k%8 != 0) {
 		return 0, 0, 0, fmt.Errorf("core: %dx%dx%d per-core blocks (%d-byte A, %d-byte B) are not whole 8-byte DMA beats",
 			m, n, k, 4*m*n, 4*n*k)
-	}
-	// SUMMA needs the panel workspace even on one core, which
-	// broadcasts nothing; the plan stays uniform.
-	if summa && halfBuffered(m, n, k, max(cfg.G, 2)) {
-		return 0, 0, 0, fmt.Errorf("core: SUMMA needs panel workspace; %dx%dx%d per-core blocks leave no room (Cannon's half-buffer trick does not apply)", m, n, k)
 	}
 	return m, n, k, nil
 }
@@ -190,11 +204,12 @@ const (
 	schemeHalf                       // the paper's 2 KB half-buffer rotation
 )
 
-// matmulRegions computes the scratchpad placement for a block size,
-// returning the scheme and the A/B/C base offsets (A and B are the
-// current-buffer bases; for schemeDouble, the second buffers sit
-// abBufStride above).
+// matmulPlan is the scratchpad placement of an m x n x k per-core
+// block: the scheme and the A/B/C base offsets (a0 and b0 are the
+// current-buffer bases; for schemeDouble, a1 and b1 the second
+// buffers).
 type matmulPlan struct {
+	m, n, k           int
 	scheme            matmulScheme
 	a0, a1, b0, b1, c mem.Addr
 }
@@ -227,7 +242,7 @@ func planMatmul(m, n, k, g int) (*matmulPlan, error) {
 				return nil, err
 			}
 		}
-		return &matmulPlan{scheme: schemeHalf, a0: matmulA32, b0: matmulB32, c: matmulC32}, nil
+		return &matmulPlan{m: m, n: n, k: k, scheme: schemeHalf, a0: matmulA32, b0: matmulB32, c: matmulC32}, nil
 	}
 	// Adaptive plan: the macro-expanded code size tracks the block shape.
 	codeSz := matmulCodeBytes(n, k) + 3*1024
@@ -248,12 +263,13 @@ func planMatmul(m, n, k, g int) (*matmulPlan, error) {
 		}
 		return r.Off
 	}
-	place("stack", 1024)
-	// Flags live at a fixed, globally known offset: neighbours post to it.
-	if _, e := l.PlaceAt("flags", matmulFlagsOff, matmulFlagsSize); e != nil && err == nil {
-		err = e
+	// Flags live at a fixed, globally known offset: neighbours post to
+	// it. It is reserved first, so the stack never lands on it.
+	if _, e := l.PlaceAt("flags", matmulFlagsOff, matmulFlagsSize); e != nil {
+		return nil, e
 	}
-	p := &matmulPlan{scheme: schemeDouble}
+	place("stack", 1024)
+	p := &matmulPlan{m: m, n: n, k: k, scheme: schemeDouble}
 	p.a0 = place("A0", aSz)
 	p.b0 = place("B0", bSz)
 	if g > 1 {
@@ -330,25 +346,17 @@ func MaxAbsDiff(x, y []float32) float64 {
 // SUMMA's broadcasts on chip (§VII level 2, Table V; §VIII), or Cannon
 // over tiles paged through shared DRAM (§VII level 3, Table VI).
 func RunMatmul(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
-	m, n, k, err := cfg.stepBlock()
+	plan, err := cfg.plan()
 	if err != nil {
 		return nil, err
 	}
 	g := cfg.G
 	r := &matmulRun{cfg: cfg, cores: make([]*blockCore, g*g), res: &MatmulResult{}}
-	planG := g
-	switch {
-	case cfg.OffChip:
-		r.tileEdge = g * m
+	if cfg.OffChip {
+		r.tileEdge = g * plan.m
 		r.aOff, r.bOff, r.cOff = matmulDRAMOffsets(&cfg)
-	case r.summa():
-		planG = max(g, 2) // the panel workspace, see stepBlock
 	}
-	plan, err := planMatmul(m, n, k, planG)
-	if err != nil {
-		return nil, err
-	}
-	r.m, r.n, r.k, r.plan = m, n, k, plan
+	r.m, r.n, r.k, r.plan = plan.m, plan.n, plan.k, plan
 	r.a, r.b = makeMatmulInput(&cfg)
 	name := "matmul"
 	if r.summa() {

@@ -124,7 +124,7 @@ var mulScratch = sync.Pool{New: func() any { return new([]float32) }}
 // word-by-word loop - then charges the SRAM traffic that loop makes
 // beyond the bulk decode and store: a C load, a B load and a C store per
 // multiply-add against one pass over B and two over C.
-func mulBlock(sram *mem.SRAM, a, b, c mem.Addr, m, n, k int) {
+func mulBlock(sram *mem.Memory, a, b, c mem.Addr, m, n, k int) {
 	buf := mulScratch.Get().(*[]float32)
 	need := m*n + n*k + m*k
 	if cap(*buf) < need {

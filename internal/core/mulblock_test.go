@@ -13,7 +13,7 @@ import (
 // kernels ran before mulBlock: three scalar accessor calls per
 // multiply-add. It is the reference mulBlock must match in every result
 // bit and every charged SRAM byte.
-func mulBlockWordLoop(sram *mem.SRAM, a, b, c mem.Addr, m, n, k int) {
+func mulBlockWordLoop(sram *mem.Memory, a, b, c mem.Addr, m, n, k int) {
 	for i := 0; i < m; i++ {
 		for l := 0; l < n; l++ {
 			av := sram.LoadF32(a + mem.Addr(4*(i*n+l)))
@@ -34,7 +34,7 @@ const (
 
 // mulBlockSRAM returns a scratchpad holding seeded random A, B and C
 // blocks; equal seeds give equal bytes and equal access counters.
-func mulBlockSRAM(seed int64, m, n, k int) *mem.SRAM {
+func mulBlockSRAM(seed int64, m, n, k int) *mem.Memory {
 	rng := rand.New(rand.NewSource(seed))
 	s := mem.NewSRAM()
 	fill := func(off mem.Addr, count int) {
@@ -100,7 +100,7 @@ func TestTimingModelLookupAllocsZero(t *testing.T) {
 func BenchmarkMulBlock(b *testing.B) {
 	for _, bc := range []struct {
 		name string
-		f    func(*mem.SRAM, mem.Addr, mem.Addr, mem.Addr, int, int, int)
+		f    func(*mem.Memory, mem.Addr, mem.Addr, mem.Addr, int, int, int)
 	}{{"bulk", mulBlock}, {"words", mulBlockWordLoop}} {
 		b.Run(bc.name, func(b *testing.B) {
 			s := mulBlockSRAM(1, 32, 32, 32)

@@ -49,7 +49,7 @@ func seededFabric(seed int64) *Fabric {
 }
 
 // sramImage returns a copy of a scratchpad's 32 KB.
-func sramImage(s *mem.SRAM) []byte {
+func sramImage(s *mem.Memory) []byte {
 	b := make([]byte, mem.SRAMSize)
 	s.Read(0, b)
 	return b
@@ -139,6 +139,23 @@ func TestCopyDescDRAMBytesMatchBeatOrder(t *testing.T) {
 	NewEngine(want, 2).copyDescBeats(d, src, dst)
 	if !bytes.Equal(dramPrefix(got, 2*dramSpan), dramPrefix(want, 2*dramSpan)) {
 		t.Fatal("DRAM bytes differ from beat order")
+	}
+}
+
+// TestCopyDescAliasedOverlapMatchesBeatOrder: a core's local alias and
+// its own global window name one scratchpad, so a forward-overlapping
+// copy from one onto the other keeps beat order, each beat reading
+// bytes an earlier beat wrote, as a copy within the local alias does.
+func TestCopyDescAliasedOverlapMatchesBeatOrder(t *testing.T) {
+	for _, core := range []int{0, 5} {
+		got, want := seededFabric(11), seededFabric(11)
+		d := Desc1D(0x1000, got.Map.GlobalOf(core, 0x1008), 64, 8)
+		src, dst := got.Map.Decode(core, d.Src), got.Map.Decode(core, d.Dst)
+		NewEngine(got, core).copyDesc(d, src, dst)
+		NewEngine(want, core).copyDescBeats(d, src, dst)
+		if !bytes.Equal(sramImage(got.SRAMs[core]), sramImage(want.SRAMs[core])) {
+			t.Fatalf("core %d: local-to-global overlapping copy differs from beat order", core)
+		}
 	}
 }
 

@@ -31,17 +31,20 @@ import (
 
 // Fabric bundles the board-level facilities a DMA engine needs. The
 // ecore package constructs one per board and shares it among all
-// engines. Post, with PostFrom its form that reads the bytes from a
-// scratchpad, is the one posted write, the entry point for the ecore
-// package's remote stores.
+// engines. Its memories, the per-core scratchpads and the DRAM window,
+// are one type; a decoded address resolves to its memory in one place
+// (memory), and only the timing of the path to it, mesh or eLink,
+// depends on its kind. Post, with PostFrom its form that reads the
+// bytes from a scratchpad, is the one posted write, the entry point for
+// the ecore package's remote stores.
 type Fabric struct {
 	Eng       *sim.Engine
 	Map       *mem.Map
 	Mesh      *noc.Mesh
 	ELink     *noc.ELink
 	ELinkRead *sim.Resource // read direction of the off-chip link
-	SRAMs     []*mem.SRAM
-	DRAM      *mem.DRAM
+	SRAMs     []*mem.Memory
+	DRAM      *mem.Memory
 	// Notify, when non-nil, is invoked whenever a transfer deposits data
 	// into a core's SRAM, so pollers of that memory can be re-evaluated.
 	Notify func(core int)
@@ -121,15 +124,20 @@ func (f *Fabric) send(src int, p *post, minT sim.Time) {
 // destination's pollers are notified, and the record is recycled.
 func (p *post) deposit() {
 	f := p.fab
-	if p.dst.Kind == mem.KindDRAM {
-		f.DRAM.Write(p.dst.Off, p.data)
-	} else {
-		f.SRAMs[p.dst.Core].Write(p.dst.Off, p.data)
-		if f.Notify != nil {
-			f.Notify(p.dst.Core)
-		}
+	f.memory(p.dst).Write(p.dst.Off, p.data)
+	if p.dst.Kind != mem.KindDRAM && f.Notify != nil {
+		f.Notify(p.dst.Core)
 	}
 	f.posts = append(f.posts, p)
+}
+
+// memory resolves a decoded target to the memory it names: the shared
+// window, or the scratchpad of the core it names.
+func (f *Fabric) memory(t mem.Target) *mem.Memory {
+	if t.Kind == mem.KindDRAM {
+		return f.DRAM
+	}
+	return f.SRAMs[t.Core]
 }
 
 // ELinkReadTime books n bytes on the read direction of the off-chip link
@@ -382,74 +390,44 @@ func (e *Engine) Wait(p *sim.Proc, c Chan) {
 	p.WaitFor(ch.done, func() bool { return !ch.active })
 }
 
-// read/write helpers for the functional copy.
+// readBeat and writeBeat move one beat of a transfer, a word or a
+// doubleword, at off in t's memory.
 
 func (e *Engine) readBeat(t mem.Target, off mem.Addr, beat int) uint64 {
-	switch t.Kind {
-	case mem.KindDRAM:
-		if beat == 8 {
-			lo := uint64(e.fab.DRAM.Load32(off))
-			hi := uint64(e.fab.DRAM.Load32(off + 4))
-			return lo | hi<<32
-		}
-		return uint64(e.fab.DRAM.Load32(off))
-	default:
-		s := e.fab.SRAMs[t.Core]
-		if beat == 8 {
-			return s.Load64(off)
-		}
-		return uint64(s.Load32(off))
+	m := e.fab.memory(t)
+	if beat == 8 {
+		return m.Load64(off)
 	}
+	return uint64(m.Load32(off))
 }
 
 func (e *Engine) writeBeat(t mem.Target, off mem.Addr, beat int, v uint64) {
-	switch t.Kind {
-	case mem.KindDRAM:
-		e.fab.DRAM.Store32(off, uint32(v))
-		if beat == 8 {
-			e.fab.DRAM.Store32(off+4, uint32(v>>32))
-		}
-	default:
-		s := e.fab.SRAMs[t.Core]
-		if beat == 8 {
-			s.Store64(off, v)
-		} else {
-			s.Store32(off, uint32(v))
-		}
-	}
-}
-
-// copyRange moves n contiguous bytes from src's memory at so to dst's
-// at do, charging the byte counters as the beats covering them would.
-// The bytes move block by block between the memories, with no staging
-// copy; the caller has already refused DRAM-to-DRAM transfers.
-func (e *Engine) copyRange(dst mem.Target, do mem.Addr, src mem.Target, so mem.Addr, n int) {
-	switch {
-	case dst.Kind == mem.KindDRAM:
-		mem.CopyToDRAM(e.fab.DRAM, do, e.fab.SRAMs[src.Core], so, n)
-	case src.Kind == mem.KindDRAM:
-		mem.CopyFromDRAM(e.fab.SRAMs[dst.Core], do, e.fab.DRAM, so, n)
-	default:
-		mem.Copy(e.fab.SRAMs[dst.Core], do, e.fab.SRAMs[src.Core], so, n)
+	m := e.fab.memory(t)
+	if beat == 8 {
+		m.Store64(off, v)
+	} else {
+		m.Store32(off, uint32(v))
 	}
 }
 
 // copyDesc performs the functional data movement for one descriptor.
 //
-// A row whose beats are contiguous on both sides moves as one range,
-// charging the byte counters exactly as its beats do. The exception is
-// a row copied forward onto itself within one memory - the destination
-// starting inside the source range - where each beat reads bytes an
-// earlier beat wrote; that row keeps beat order, which a memmove would
-// not reproduce.
+// A row whose beats are contiguous on both sides moves as one range
+// (mem.Copy, block by block with no staging copy), charging the byte
+// counters exactly as its beats do. The exception is a row copied
+// forward onto itself within one memory - the destination starting
+// inside the source range - where each beat reads bytes an earlier beat
+// wrote; that row keeps beat order, which a memmove would not
+// reproduce. A core's local alias and its global window name one
+// memory, so the two ends are compared as memories, not as targets.
 func (e *Engine) copyDesc(d *Desc, src, dst mem.Target) {
 	n := d.Beat * d.InnerCount
 	contiguous := d.SrcInnerStride == d.Beat && d.DstInnerStride == d.Beat
-	sameMem := src.Kind == dst.Kind && src.Core == dst.Core
+	sm, dm := e.fab.memory(src), e.fab.memory(dst)
 	so, do := src.Off, dst.Off
 	for row := 0; row < d.OuterCount; row++ {
-		if contiguous && !(sameMem && so < do && do < so+mem.Addr(n)) {
-			e.copyRange(dst, do, src, so, n)
+		if contiguous && !(sm == dm && so < do && do < so+mem.Addr(n)) {
+			mem.Copy(dm, do, sm, so, n)
 		} else {
 			rs, rd := so, do
 			for i := 0; i < d.InnerCount; i++ {

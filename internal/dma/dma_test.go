@@ -17,7 +17,7 @@ func newFabric() *Fabric {
 		Mesh:      noc.NewMesh(eng, amap),
 		ELink:     noc.NewELink(eng, 8, 8),
 		ELinkRead: sim.NewResource("elink-read"),
-		SRAMs:     make([]*mem.SRAM, amap.NumCores()),
+		SRAMs:     make([]*mem.Memory, amap.NumCores()),
 		DRAM:      mem.NewDRAM(),
 	}
 	for i := range f.SRAMs {

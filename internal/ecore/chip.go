@@ -77,7 +77,7 @@ func (ch *Chip) Fabric() *dma.Fabric { return ch.fab }
 func (ch *Chip) Map() *mem.Map { return ch.fab.Map }
 
 // DRAM returns the shared off-chip memory window.
-func (ch *Chip) DRAM() *mem.DRAM { return ch.fab.DRAM }
+func (ch *Chip) DRAM() *mem.Memory { return ch.fab.DRAM }
 
 // NumCores returns the core count.
 func (ch *Chip) NumCores() int { return len(ch.cores) }

@@ -21,7 +21,7 @@ const PollDetectCost = 2 * sim.Cycle
 type Core struct {
 	chip   *Chip
 	idx    int
-	sram   *mem.SRAM
+	sram   *mem.Memory
 	dma    *dma.Engine
 	proc   *sim.Proc
 	kernel func(*Core)     // the launched kernel, until it ends
@@ -101,7 +101,7 @@ func (c *Core) Now() sim.Time {
 // arithmetic reads and writes it directly; the time for that work is
 // charged separately through Compute with cycle counts from the isa
 // package's pipeline model.
-func (c *Core) Local() *mem.SRAM { return c.sram }
+func (c *Core) Local() *mem.Memory { return c.sram }
 
 // Global returns the global address of local offset off on this core.
 func (c *Core) Global(off mem.Addr) mem.Addr { return c.chip.fab.Map.GlobalOf(c.idx, off) }

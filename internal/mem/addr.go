@@ -9,9 +9,10 @@
 // the accounting that makes the paper's memory-pressure arguments (code vs
 // data vs stack in 4 banks) checkable.
 //
-// The scratchpads are flat arrays. The 32 MB DRAM window is a table of
-// 64 KB pages allocated on first write, so a board costs the memory its
-// programs touch; bytes cross into and out of it only by copying.
+// A scratchpad and the 32 MB DRAM window are one type, Memory: a table
+// of 4 KB blocks, each allocated on its first write, so a board costs the
+// memory its programs touch. Bytes cross into and out of a memory only by
+// copying.
 package mem
 
 import "fmt"

@@ -1,8 +1,9 @@
 package mem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Region is a named reservation in a core's 32 KB scratchpad.
@@ -14,11 +15,6 @@ type Region struct {
 
 // End returns the first offset past the region.
 func (r Region) End() Addr { return r.Off + Addr(r.Size) }
-
-// Banks returns the inclusive range of banks the region touches.
-func (r Region) Banks() (first, last int) {
-	return BankOf(r.Off), BankOf(r.End() - 1)
-}
 
 // Layout is a static allocation plan for one core's scratchpad. It is how
 // the simulator enforces the constraint at the heart of the paper: 32 KB
@@ -33,8 +29,9 @@ type Layout struct {
 	regions []Region
 }
 
-// NewLayout returns an empty plan.
-func NewLayout() *Layout { return &Layout{} }
+// NewLayout returns an empty plan, with room for the handful of regions
+// a kernel places.
+func NewLayout() *Layout { return &Layout{regions: make([]Region, 0, 8)} }
 
 // PlaceAt reserves [off, off+size) under name. It fails if the range
 // leaves the 32 KB scratchpad or collides with an earlier reservation.
@@ -53,8 +50,8 @@ func (l *Layout) PlaceAt(name string, off Addr, size int) (Region, error) {
 				name, r.Off, r.End(), o.Name, o.Off, o.End())
 		}
 	}
-	l.regions = append(l.regions, r)
-	sort.Slice(l.regions, func(i, j int) bool { return l.regions[i].Off < l.regions[j].Off })
+	i, _ := slices.BinarySearchFunc(l.regions, r.Off, func(o Region, off Addr) int { return cmp.Compare(o.Off, off) })
+	l.regions = slices.Insert(l.regions, i, r)
 	return r, nil
 }
 
@@ -116,15 +113,4 @@ func (l *Layout) BankUse() [NumBanks]int {
 func (l *Layout) describeUse() string {
 	use := l.BankUse()
 	return fmt.Sprintf("bank use %v of %d each", use, BankSize)
-}
-
-// String renders the plan, one region per line, for diagnostics and docs.
-func (l *Layout) String() string {
-	s := ""
-	for _, r := range l.regions {
-		s += fmt.Sprintf("%-12s [%#06x,%#06x) %5d B  banks %d-%d\n",
-			r.Name, r.Off, r.End(), r.Size, func() int { f, _ := r.Banks(); return f }(),
-			func() int { _, la := r.Banks(); return la }())
-	}
-	return s
 }

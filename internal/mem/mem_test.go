@@ -179,7 +179,7 @@ func TestSRAMBulkF32MatchesPerElement(t *testing.T) {
 					tc.off, tc.n, i, math.Float32bits(got[i]), math.Float32bits(w))
 			}
 		}
-		if !bytes.Equal(sramImage(bulk), sramImage(elem)) {
+		if !bytes.Equal(image(bulk), image(elem)) {
 			t.Fatalf("off %#x n %d: scratchpad bytes differ", tc.off, tc.n)
 		}
 		if b, e := bulk.AccessedBytes(), elem.AccessedBytes(); b != e || b != uint64(8*tc.n) {
@@ -189,9 +189,9 @@ func TestSRAMBulkF32MatchesPerElement(t *testing.T) {
 }
 
 func TestSRAMBulkF32BoundsPanic(t *testing.T) {
-	for name, f := range map[string]func(s *SRAM){
-		"LoadF32s":  func(s *SRAM) { s.LoadF32s(SRAMSize-8, make([]float32, 3)) },
-		"StoreF32s": func(s *SRAM) { s.StoreF32s(SRAMSize-8, make([]float32, 3)) },
+	for name, f := range map[string]func(s *Memory){
+		"LoadF32s":  func(s *Memory) { s.LoadF32s(SRAMSize-8, make([]float32, 3)) },
+		"StoreF32s": func(s *Memory) { s.StoreF32s(SRAMSize-8, make([]float32, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -231,9 +231,6 @@ func TestCopyBetweenSRAMs(t *testing.T) {
 
 func TestDRAMAccessors(t *testing.T) {
 	d := NewDRAM()
-	if d.Size() != DRAMSize {
-		t.Fatalf("DRAM size = %d", d.Size())
-	}
 	d.StoreF32(0x1000, -2.25)
 	if got := d.LoadF32(0x1000); got != -2.25 {
 		t.Fatalf("DRAM float = %v", got)
@@ -363,9 +360,6 @@ func TestLayoutAccounting(t *testing.T) {
 	if use != [NumBanks]int{0x100, 0x100} {
 		t.Fatalf("bank use = %v, want 256 in banks 0 and 1", use)
 	}
-	if s := l.String(); !strings.Contains(s, "x") {
-		t.Fatalf("String() = %q", s)
-	}
 }
 
 func TestLayoutAlignment(t *testing.T) {
@@ -412,7 +406,7 @@ func TestNewSRAMsAreIndependent(t *testing.T) {
 	}
 }
 
-// TestDRAMResetUsesWatermark: Reset zeroes every page written since the
+// TestDRAMResetUsesWatermark: Reset zeroes every block written since the
 // last Reset - through the word accessors and through Write - and keeps
 // clearing across repeated cycles.
 func TestDRAMResetUsesWatermark(t *testing.T) {
@@ -429,20 +423,20 @@ func TestDRAMResetUsesWatermark(t *testing.T) {
 	if d.Load32(64) != 0 {
 		t.Fatal("second Reset left dirty bytes")
 	}
-	// A bulk write straddling a page boundary dirties both pages.
-	d.Write(dramPageSize-4, []byte{1, 2, 3, 4, 5, 6, 7, 8})
+	// A bulk write straddling a block boundary dirties both blocks.
+	d.Write(blockSize-4, []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	d.Reset()
 	got := make([]byte, 8)
-	d.Read(dramPageSize-4, got)
+	d.Read(blockSize-4, got)
 	if !bytes.Equal(got, make([]byte, 8)) {
-		t.Fatalf("bytes %v survived Reset across a page boundary", got)
+		t.Fatalf("bytes %v survived Reset across a block boundary", got)
 	}
-	// A page written in an earlier cycle and only read since is clear.
+	// A block written in an earlier cycle and only read since is clear.
 	d.Store32(4096, 0xAA)
 	d.Reset()
 	_ = d.Load32(4096)
 	d.Reset()
 	if d.Load32(4096) != 0 || d.AccessedBytes() != 4 {
-		t.Fatal("re-Reset page not zero, or AccessedBytes not cleared")
+		t.Fatal("re-Reset block not zero, or AccessedBytes not cleared")
 	}
 }

@@ -32,8 +32,6 @@ const (
 	// captures - the paper's own code is an unrolled sequence of
 	// "*dst_i = *src_i" statements.)
 	DirectWriteWordPeriod sim.Time = 33
-	// DMABeatBytes is the DMA doubleword beat size.
-	DMABeatBytes = 8
 	// DMABeatPeriod is the sustained DMA service time per 8-byte beat:
 	// 2.4 cycles = 12 units, i.e. 2.0 GB/s, matching Figure 2's large-
 	// message plateau ("around 2GB/s"; the 2.4 GB/s single-word and
@@ -61,10 +59,6 @@ const (
 	// 150MB/sec, exactly one quarter of the theoretical maximum of the
 	// 600MB/sec eLink").
 	ELinkBytePeriod sim.Time = 20
-	// ELinkRawBytePeriod is the theoretical 600 MB/s rate: 1 byte per
-	// 5 units (one per core cycle). Used by the host-side model for the
-	// read direction and reported in docs.
-	ELinkRawBytePeriod sim.Time = 5
 	// HostBytePeriod is the effective host<->device staging rate through
 	// the eLink/AXI path, matched to the paper's off-chip matmul analysis
 	// (512 KB block in ~3.4 ms => 150 MB/s).

@@ -143,12 +143,6 @@ func (m *Mesh) Reset() {
 // recorder on Reset.
 func (m *Mesh) SetRecorder(r Recorder) { m.rec = r }
 
-// Rows returns the mesh height.
-func (m *Mesh) Rows() int { return m.rows }
-
-// Cols returns the mesh width.
-func (m *Mesh) Cols() int { return m.cols }
-
 // Map returns the address map the mesh serves.
 func (m *Mesh) Map() *mem.Map { return m.amap }
 

@@ -9,7 +9,6 @@ import (
 
 	"epiphany/internal/ecore"
 	"epiphany/internal/mem"
-	"epiphany/internal/noc"
 	"epiphany/internal/sim"
 )
 
@@ -62,15 +61,6 @@ func NewWorkgroup(ch *ecore.Chip, originRow, originCol, rows, cols int) (*Workgr
 			rows, cols, originRow, originCol, m.Rows, m.Cols)
 	}
 	return &Workgroup{Chip: ch, Rows: rows, Cols: cols, OriginRow: originRow, OriginCol: originCol}, nil
-}
-
-// MustWorkgroup is NewWorkgroup for statically valid groups.
-func MustWorkgroup(ch *ecore.Chip, originRow, originCol, rows, cols int) *Workgroup {
-	w, err := NewWorkgroup(ch, originRow, originCol, rows, cols)
-	if err != nil {
-		panic(err)
-	}
-	return w
 }
 
 // Size returns the number of cores in the group.
@@ -236,10 +226,3 @@ func (m *Mutex) Unlock(c *ecore.Core) {
 
 // Acquisitions returns how many times the mutex has been taken.
 func (m *Mutex) Acquisitions() uint64 { return m.acquisitions }
-
-// HoldCost is exported for tests: the minimum cost of an uncontended
-// lock/unlock pair (one round trip plus a posted store).
-func HoldCost(ch *ecore.Chip, from, home int) sim.Time {
-	hops := sim.Time(ch.Fabric().Mesh.Distance(from, home))
-	return noc.ReadWordRoundTrip + 2*hops*noc.HopLatency + sim.Cycle
-}

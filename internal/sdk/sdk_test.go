@@ -5,12 +5,23 @@ import (
 
 	"epiphany/internal/ecore"
 	"epiphany/internal/mem"
+	"epiphany/internal/noc"
 	"epiphany/internal/sim"
 )
 
 func newChip() (*sim.Engine, *ecore.Chip) {
 	eng := sim.NewEngine()
 	return eng, ecore.NewChip(eng, 8, 8)
+}
+
+// mustWorkgroup is NewWorkgroup for groups the test knows are valid.
+func mustWorkgroup(t *testing.T, ch *ecore.Chip, originRow, originCol, rows, cols int) *Workgroup {
+	t.Helper()
+	w, err := NewWorkgroup(ch, originRow, originCol, rows, cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
 
 func TestWorkgroupValidation(t *testing.T) {
@@ -27,7 +38,7 @@ func TestWorkgroupValidation(t *testing.T) {
 
 func TestWorkgroupMapping(t *testing.T) {
 	_, ch := newChip()
-	w := MustWorkgroup(ch, 2, 3, 4, 4)
+	w := mustWorkgroup(t, ch, 2, 3, 4, 4)
 	if w.Size() != 16 {
 		t.Fatalf("size = %d", w.Size())
 	}
@@ -49,7 +60,7 @@ func TestWorkgroupMapping(t *testing.T) {
 
 func TestNeighbourClampAndWrap(t *testing.T) {
 	_, ch := newChip()
-	w := MustWorkgroup(ch, 0, 0, 4, 4)
+	w := mustWorkgroup(t, ch, 0, 0, 4, 4)
 	if _, ok := w.Neighbour(0, 0, -1, 0, Clamp); ok {
 		t.Fatal("clamped neighbour above top row should not exist")
 	}
@@ -78,7 +89,7 @@ func TestReserveSDKConflicts(t *testing.T) {
 
 func TestBarrierSynchronizes(t *testing.T) {
 	eng, ch := newChip()
-	w := MustWorkgroup(ch, 0, 0, 2, 4)
+	w := mustWorkgroup(t, ch, 0, 0, 2, 4)
 	arrive := make([]sim.Time, w.Size())
 	depart := make([]sim.Time, w.Size())
 	w.Launch("k", func(c *ecore.Core, gr, gc int) {
@@ -108,7 +119,7 @@ func TestBarrierSynchronizes(t *testing.T) {
 
 func TestBarrierReusable(t *testing.T) {
 	eng, ch := newChip()
-	w := MustWorkgroup(ch, 0, 0, 2, 2)
+	w := mustWorkgroup(t, ch, 0, 0, 2, 2)
 	counts := make([]int, w.Size())
 	w.Launch("k", func(c *ecore.Core, gr, gc int) {
 		b := NewBarrier(w, gr, gc)
@@ -130,7 +141,7 @@ func TestBarrierReusable(t *testing.T) {
 
 func TestBarrierSingleCore(t *testing.T) {
 	eng, ch := newChip()
-	w := MustWorkgroup(ch, 0, 0, 1, 1)
+	w := mustWorkgroup(t, ch, 0, 0, 1, 1)
 	w.Launch("k", func(c *ecore.Core, gr, gc int) {
 		b := NewBarrier(w, gr, gc)
 		b.Wait(c)
@@ -144,7 +155,7 @@ func TestBarrierSingleCore(t *testing.T) {
 func TestMutexMutualExclusion(t *testing.T) {
 	eng, ch := newChip()
 	mu := NewMutex(ch, 0, 0x7F00)
-	w := MustWorkgroup(ch, 0, 0, 2, 2)
+	w := mustWorkgroup(t, ch, 0, 0, 2, 2)
 	inside := 0
 	maxInside := 0
 	total := 0
@@ -202,14 +213,16 @@ func TestMutexUncontendedCost(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := HoldCost(ch, 63, 0); elapsed != want {
+	// One round trip plus a posted store, over the hops between them.
+	hops := sim.Time(ch.Fabric().Mesh.Distance(63, 0))
+	if want := noc.ReadWordRoundTrip + 2*hops*noc.HopLatency + sim.Cycle; elapsed != want {
 		t.Fatalf("uncontended lock/unlock = %v, want %v", elapsed, want)
 	}
 }
 
 func TestLaunchNamesAndProcs(t *testing.T) {
 	eng, ch := newChip()
-	w := MustWorkgroup(ch, 4, 4, 2, 2)
+	w := mustWorkgroup(t, ch, 4, 4, 2, 2)
 	procs := w.Launch("kern", func(c *ecore.Core, gr, gc int) {})
 	if len(procs) != 4 {
 		t.Fatalf("procs = %d", len(procs))

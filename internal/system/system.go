@@ -71,7 +71,7 @@ func (s *System) NewWorkgroup(originRow, originCol, rows, cols int) (*sdk.Workgr
 
 // Reset restores a used System to a pristine board - virtual time zero,
 // memories zeroed, every statistic and link occupancy cleared - so the
-// board, with the SRAM blocks and DRAM pages its runs wrote, can be
+// board, with the SRAM and DRAM blocks its runs wrote, can be
 // recycled across experiments instead of reallocated. A
 // recycled System is bit-deterministic with a fresh one: the same
 // workload produces byte-identical Metrics either way (the conformance
@@ -91,8 +91,8 @@ func (s *System) Reset() error {
 }
 
 // Footprint estimates the heap bytes the board holds between runs: the
-// SRAM blocks and DRAM pages its runs have written, which Reset zeroes
-// but keeps, plus its fixed cost - boardBytes, and coreBytes per core.
+// SRAM and DRAM blocks its runs have written, which Reset zeroes but
+// keeps, plus its fixed cost - boardBytes, and coreBytes per core.
 func (s *System) Footprint() int {
 	fab := s.chip.Fabric()
 	n := boardBytes + coreBytes*len(fab.SRAMs) + fab.DRAM.AllocatedBytes()
@@ -102,15 +102,15 @@ func (s *System) Footprint() int {
 	return n
 }
 
-// boardBytes and coreBytes estimate what a board holds besides its SRAM
-// blocks and DRAM pages: the page tables and chip structures, and per
-// core the core's structures and the stacks of the kernel coroutines
-// its engine keeps idle for the next run. Measured as the growth of the
-// Go heap and stacks per board over pooled boards that ran the built-in
-// kernels, less their blocks and pages: 123 KB for an e16, 392 KB for
-// an e64, 5.2 MB for a 1024-core board.
+// boardBytes and coreBytes estimate what a board holds besides the
+// blocks its memories have allocated: the block tables (64 KB of them
+// the DRAM window's) and chip structures, and per core the core's
+// structures and the stacks of the kernel coroutines its engine keeps
+// idle for the next run. Measured as the growth of the Go heap and
+// stacks per board over pooled boards that ran every built-in kernel,
+// less their blocks: 200 KB for an e16, 475 KB for an e64.
 const (
-	boardBytes = 32 << 10
+	boardBytes = 96 << 10
 	coreBytes  = 6 << 10
 )
 

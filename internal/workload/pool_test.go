@@ -107,12 +107,12 @@ func TestRunnerPoolKeepsBoardsPerTopology(t *testing.T) {
 }
 
 // boardHolding returns a board of topo that has allocated mb MB of DRAM
-// pages, Reset so it can be pooled.
+// blocks (one word stored per 4 KB block), Reset so it can be pooled.
 func boardHolding(t *testing.T, topo system.Topology, mb int) *system.System {
 	t.Helper()
 	sys := system.NewTopology(topo)
 	dram := sys.Chip().DRAM()
-	for off := 0; off < mb<<20; off += 64 << 10 {
+	for off := 0; off < mb<<20; off += 4 << 10 {
 		dram.Store32(mem.Addr(off), 1)
 	}
 	if err := sys.Reset(); err != nil {

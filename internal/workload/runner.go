@@ -69,7 +69,7 @@ func (b *BatchResult) Err() error {
 // topology, so a mixed stream (a daemon serving several board shapes)
 // rebuilds a board only when more jobs of one shape run at once than
 // before. Across topologies the pool is bounded by what the boards
-// hold (System.Footprint: the SRAM blocks and DRAM pages they have
+// hold (System.Footprint: the SRAM and DRAM blocks they have
 // written plus their fixed cost). While the idle boards hold more than
 // Workers times poolBytesPerWorker, the pool evicts down to Workers
 // boards: the least recently returned first, but a board whose

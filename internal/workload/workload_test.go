@@ -732,12 +732,12 @@ func TestResetZeroesEverySRAM(t *testing.T) {
 				t.Fatalf("%s on %s: %v", w.Name(), spec, err)
 			}
 			srams := sys.Chip().Fabric().SRAMs
-			image := func(s *mem.SRAM) []byte {
+			image := func(s *mem.Memory) []byte {
 				b := make([]byte, mem.SRAMSize)
 				s.Read(0, b)
 				return b
 			}
-			if !slices.ContainsFunc(srams, func(s *mem.SRAM) bool { return !bytes.Equal(image(s), zero) }) {
+			if !slices.ContainsFunc(srams, func(s *mem.Memory) bool { return !bytes.Equal(image(s), zero) }) {
 				t.Fatalf("%s on %s wrote no SRAM", w.Name(), spec)
 			}
 			if err := sys.Reset(); err != nil {

@@ -133,9 +133,11 @@ func TestOffChipTileChecksInValidate(t *testing.T) {
 // fail Validate, not the run. Blocks whose byte size is not whole
 // 8-byte DMA beats (5x5 floats are 100 bytes) would panic in the
 // rotation's sends; a SUMMA shape with 32^3 per-core blocks has no room
-// for the panel workspace. Off chip on e16, fitting steps past the
-// unmovable 5-wide tiles of G=4 and G=2 to G=1, which rotates nothing
-// and runs.
+// for the panel workspace; a 32x64x32 block on one core does not fit
+// the scratchpad beside its code, its stack and the fixed flag words
+// (the plan reserves the flags before it places the stack). Off chip
+// on e16, fitting steps past the unmovable 5-wide tiles of G=4 and G=2
+// to G=1, which rotates nothing and runs.
 func TestMatmulBlockChecksInValidate(t *testing.T) {
 	const beats = "are not whole 8-byte DMA beats"
 	for _, c := range []struct{ spec, want string }{
@@ -143,6 +145,7 @@ func TestMatmulBlockChecksInValidate(t *testing.T) {
 		{"matmul-summa/m=20/n=20/k=20/g=4", "core: 5x5x5 per-core blocks (100-byte A, 100-byte B) " + beats},
 		{"matmul-offchip/m=40/n=40/k=40/g=8/edge=5", "core: 5x5x5 per-core blocks (100-byte A, 100-byte B) " + beats},
 		{"matmul-summa/m=128/n=128/k=128/g=4", "core: SUMMA needs panel workspace; 32x32x32 per-core blocks leave no room (Cannon's half-buffer trick does not apply)"},
+		{"matmul-cannon/m=32/n=64/k=32/g=1", `core: 32x64x32 per-core block does not fit the 32 KB scratchpad: mem: no room for "B0" (8192 bytes) in scratchpad: bank use [8192 8076 8192 1024] of 8192 each`},
 	} {
 		w, err := ParseWorkload(c.spec)
 		if err != nil {
