@@ -351,7 +351,12 @@ func RunMatmul(h *host.Host, cfg MatmulConfig) (*MatmulResult, error) {
 		return nil, err
 	}
 	g := cfg.G
-	r := &matmulRun{cfg: cfg, cores: make([]*blockCore, g*g), res: &MatmulResult{}}
+	r := &matmulRun{cfg: cfg, res: &MatmulResult{}}
+	if r.summa() {
+		r.summas = make([]summa, g*g)
+	} else {
+		r.cannons = make([]cannon, g*g)
+	}
 	if cfg.OffChip {
 		r.tileEdge = g * plan.m
 		r.aOff, r.bOff, r.cOff = matmulDRAMOffsets(&cfg)

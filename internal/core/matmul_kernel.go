@@ -77,8 +77,8 @@ type cannon struct {
 	cur        int    // double-buffer scheme current buffer
 }
 
-func newCannon(b blockCore) *cannon {
-	ca := &cannon{blockCore: b}
+func newCannon(b blockCore) cannon {
+	ca := cannon{blockCore: b}
 	ca.left, _ = b.w.Neighbour(b.gr, b.gc, 0, -1, sdk.Wrap)
 	ca.right, _ = b.w.Neighbour(b.gr, b.gc, 0, 1, sdk.Wrap)
 	ca.up, _ = b.w.Neighbour(b.gr, b.gc, -1, 0, sdk.Wrap)
@@ -119,11 +119,16 @@ var mulScratch = sync.Pool{New: func() any { return new([]float32) }}
 
 // mulBlock performs C += A*B on the row-major float32 blocks at a (m x n),
 // b (n x k) and c (m x k) in sram. It decodes the three blocks once, runs
-// the multiply-adds in the modelled kernel's i, l, j order with its float
-// expression, and stores C once - so the result is bit-identical to the
-// word-by-word loop - then charges the SRAM traffic that loop makes
-// beyond the bulk decode and store: a C load, a B load and a C store per
-// multiply-add against one pass over B and two over C.
+// the multiply-adds in the modelled kernel's i, l, j order - every
+// C[i][j] takes its updates in increasing l - with each product and sum
+// rounded to float32, and stores C once, so the result is bit-identical
+// to the word-by-word loop. It then charges the SRAM traffic that loop
+// makes beyond the bulk decode and store: a C load, a B load and a C
+// store per multiply-add against one pass over B and two over C.
+//
+// The l loop is unrolled by four, so C[i][j] stays in a register across
+// four updates. The explicit float32 conversions round each product, so
+// no compiler fuses a multiply-add.
 func mulBlock(sram *mem.Memory, a, b, c mem.Addr, m, n, k int) {
 	buf := mulScratch.Get().(*[]float32)
 	need := m*n + n*k + m*k
@@ -136,11 +141,28 @@ func mulBlock(sram *mem.Memory, a, b, c mem.Addr, m, n, k int) {
 	sram.LoadF32s(c, cv)
 	for i := 0; i < m; i++ {
 		ci := cv[i*k : (i+1)*k]
-		for l := 0; l < n; l++ {
-			x := av[i*n+l]
-			bl := bv[l*k : (l+1)*k]
+		ai := av[i*n : (i+1)*n]
+		l := 0
+		for ; l+4 <= n; l += 4 {
+			x0, x1, x2, x3 := ai[l], ai[l+1], ai[l+2], ai[l+3]
+			b0 := bv[l*k:][:len(ci)]
+			b1 := bv[(l+1)*k:][:len(ci)]
+			b2 := bv[(l+2)*k:][:len(ci)]
+			b3 := bv[(l+3)*k:][:len(ci)]
 			for j := range ci {
-				ci[j] = ci[j] + x*bl[j]
+				v := ci[j]
+				v = v + float32(x0*b0[j])
+				v = v + float32(x1*b1[j])
+				v = v + float32(x2*b2[j])
+				v = v + float32(x3*b3[j])
+				ci[j] = v
+			}
+		}
+		for ; l < n; l++ {
+			x := ai[l]
+			bl := bv[l*k:][:len(ci)]
+			for j := range ci {
+				ci[j] = ci[j] + float32(x*bl[j])
 			}
 		}
 	}
@@ -268,9 +290,11 @@ type matmulRun struct {
 	a, b     []float32
 	// aOff, bOff and cOff stage the off-chip operands in DRAM.
 	aOff, bOff, cOff mem.Addr
-	// cores holds one slot per core, in group order.
-	cores []*blockCore
-	res   *MatmulResult
+	// cannons or, for SUMMA, summas holds one slot per core, in group
+	// order.
+	cannons []cannon
+	summas  []summa
+	res     *MatmulResult
 }
 
 func (r *matmulRun) summa() bool { return r.cfg.Algorithm == "summa" }
@@ -301,15 +325,16 @@ func (r *matmulRun) stage(hp *host.Proc, w *sdk.Workgroup) {
 
 func (r *matmulRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
 	b := blockCore{c: c, w: w, gr: gr, gc: gc, m: r.m, n: r.n, k: r.k, plan: r.plan, tuned: r.cfg.Tuned}
+	i := gr*w.Cols + gc
 	if r.summa() {
-		su := &summa{blockCore: b}
-		r.cores[gr*w.Cols+gc] = &su.blockCore
+		su := &r.summas[i]
+		*su = summa{blockCore: b}
 		su.zeroC()
 		su.multiply()
 		return
 	}
-	ca := newCannon(b)
-	r.cores[gr*w.Cols+gc] = &ca.blockCore
+	ca := &r.cannons[i]
+	*ca = newCannon(b)
 	if r.cfg.OffChip {
 		r.offChipKernel(ca)
 		return
@@ -321,9 +346,13 @@ func (r *matmulRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
 // gather sums the cores' compute/transfer times and reads C back.
 func (r *matmulRun) gather(hp *host.Proc, w *sdk.Workgroup) {
 	res := r.res
-	for _, b := range r.cores {
-		res.ComputeTime += b.compute
-		res.TransferTime += b.transfer
+	for i := range r.cannons {
+		res.ComputeTime += r.cannons[i].compute
+		res.TransferTime += r.cannons[i].transfer
+	}
+	for i := range r.summas {
+		res.ComputeTime += r.summas[i].compute
+		res.TransferTime += r.summas[i].transfer
 	}
 	if r.cfg.OffChip {
 		res.C = hp.ReadDRAMF32(r.cOff, r.cfg.M*r.cfg.K)

@@ -11,15 +11,16 @@ import (
 
 // mulBlockWordLoop is the word-at-a-time loop the Cannon and SUMMA
 // kernels ran before mulBlock: three scalar accessor calls per
-// multiply-add. It is the reference mulBlock must match in every result
-// bit and every charged SRAM byte.
+// multiply-add, each product rounded to float32 before its sum. It is
+// the reference mulBlock must match in every result bit and every
+// charged SRAM byte.
 func mulBlockWordLoop(sram *mem.Memory, a, b, c mem.Addr, m, n, k int) {
 	for i := 0; i < m; i++ {
 		for l := 0; l < n; l++ {
 			av := sram.LoadF32(a + mem.Addr(4*(i*n+l)))
 			for j := 0; j < k; j++ {
 				off := c + mem.Addr(4*(i*k+j))
-				sram.StoreF32(off, sram.LoadF32(off)+av*sram.LoadF32(b+mem.Addr(4*(l*k+j))))
+				sram.StoreF32(off, sram.LoadF32(off)+float32(av*sram.LoadF32(b+mem.Addr(4*(l*k+j)))))
 			}
 		}
 	}
@@ -49,7 +50,7 @@ func mulBlockSRAM(seed int64, m, n, k int) *mem.Memory {
 }
 
 func TestMulBlockMatchesWordLoop(t *testing.T) {
-	for i, dims := range [][3]int{{1, 1, 1}, {3, 5, 7}, {32, 32, 32}} {
+	for i, dims := range [][3]int{{1, 1, 1}, {3, 5, 7}, {32, 32, 32}, {5, 6, 9}, {32, 7, 13}, {16, 33, 20}, {4, 4, 4}, {2, 8, 3}} {
 		m, n, k := dims[0], dims[1], dims[2]
 		t.Run(fmt.Sprintf("%dx%dx%d", m, n, k), func(t *testing.T) {
 			seed := int64(100 + i)

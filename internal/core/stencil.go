@@ -152,8 +152,12 @@ type StencilResult struct {
 	Global [][]float32
 }
 
-// stencilKernel is the device-side program for one core.
-func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConfig) {
+// stencilKernel is the device-side program for one core. desc holds
+// its boundary-exchange descriptors, one slot per direction, and rowBuf
+// its sweep's four row buffers: state the paper's kernel keeps in the
+// core's own scratchpad, which the run keeps per core.
+func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConfig,
+	desc *[numDirs]dma.Desc, rowBuf []float32) {
 	pitch := cfg.Cols + 2
 	rows := cfg.Rows
 	gridAt := func(r, col int) mem.Addr {
@@ -175,62 +179,66 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 	// Build the boundary-exchange descriptor chains once, exactly as
 	// Listing 2 does: DMA0 chains bottom+top edge rows as doubleword
 	// transfers; DMA1 chains right+left edge columns as 2D word
-	// transfers.
+	// transfers. Each direction's descriptor is written in its slot.
 	var chain0, chain1 *dma.Desc
 	if cfg.Comm && !cfg.DirectComm {
-		mkRow := func(srcRow, dstRow, dstCore int) *dma.Desc {
-			d := dma.Desc1D(gridAt(srcRow, 1),
-				c.Chip().Map().GlobalOf(dstCore, gridAt(dstRow, 1)), 4*cfg.Cols, 8)
+		mkRow := func(dir, srcRow, dstRow int) *dma.Desc {
+			d := &desc[dir]
+			d.Set1D(gridAt(srcRow, 1),
+				c.Chip().Map().GlobalOf(nbr[dir], gridAt(dstRow, 1)), 4*cfg.Cols, 8)
 			return c.DMASetDesc(d)
 		}
-		mkCol := func(srcCol, dstCol, dstCore int) *dma.Desc {
-			d := &dma.Desc{
+		mkCol := func(dir, srcCol, dstCol int) *dma.Desc {
+			d := &desc[dir]
+			*d = dma.Desc{
 				Beat: 4, InnerCount: 1, OuterCount: rows,
 				SrcOuterStride: 4 * pitch, DstOuterStride: 4 * pitch,
 				Src: gridAt(1, srcCol),
-				Dst: c.Chip().Map().GlobalOf(dstCore, gridAt(1, dstCol)),
+				Dst: c.Chip().Map().GlobalOf(nbr[dir], gridAt(1, dstCol)),
 			}
 			return c.DMASetDesc(d)
 		}
 		if has[dirBottom] {
-			chain0 = mkRow(rows, 0, nbr[dirBottom]) // my last row -> their halo row 0
+			chain0 = mkRow(dirBottom, rows, 0) // my last row -> their halo row 0
 		}
 		if has[dirTop] {
-			d := mkRow(1, rows+1, nbr[dirTop]) // my first row -> their halo row R+1
+			d := mkRow(dirTop, 1, rows+1) // my first row -> their halo row R+1
 			d.Chain, chain0 = chain0, d
 		}
 		if has[dirRight] {
-			chain1 = mkCol(cfg.Cols, 0, nbr[dirRight])
+			chain1 = mkCol(dirRight, cfg.Cols, 0)
 		}
 		if has[dirLeft] {
-			d := mkCol(1, cfg.Cols+1, nbr[dirLeft])
+			d := mkCol(dirLeft, 1, cfg.Cols+1)
 			d.Chain, chain1 = chain1, d
 		}
 		if cfg.Shape == Cross {
 			// Diagonal stencils need corner halo values: widen the row
 			// transfers to span the halo columns (filled by the column
-			// exchange, which therefore must run first).
-			mkWideRow := func(srcRow, dstRow, dstCore int) *dma.Desc {
-				return c.DMASetDesc(dma.Desc1D(gridAt(srcRow, 0),
-					c.Chip().Map().GlobalOf(dstCore, gridAt(dstRow, 0)), 4*pitch, 8))
+			// exchange, which therefore must run first). The widened
+			// rows are rebuilt in the row slots.
+			mkWideRow := func(dir, srcRow, dstRow int) *dma.Desc {
+				d := &desc[dir]
+				d.Set1D(gridAt(srcRow, 0),
+					c.Chip().Map().GlobalOf(nbr[dir], gridAt(dstRow, 0)), 4*pitch, 8)
+				return c.DMASetDesc(d)
 			}
 			chain0 = nil
 			if has[dirBottom] {
-				chain0 = mkWideRow(rows, 0, nbr[dirBottom])
+				chain0 = mkWideRow(dirBottom, rows, 0)
 			}
 			if has[dirTop] {
-				d := mkWideRow(1, rows+1, nbr[dirTop])
+				d := mkWideRow(dirTop, 1, rows+1)
 				d.Chain, chain0 = chain0, d
 			}
 		}
 	}
 
 	sram := c.Local()
-	// The sweep's row buffers, from one allocation: prev is the rolling
-	// copy of the pre-update row above, cur the pre-update row, next the
-	// inputs read from the row below and out the updated row.
-	rowBuf := make([]float32, 4*pitch)
-	prev, cur, next, out := rowBuf[:pitch], rowBuf[pitch:2*pitch], rowBuf[2*pitch:3*pitch], rowBuf[3*pitch:]
+	// The sweep's row buffers: prev is the rolling copy of the
+	// pre-update row above, cur the pre-update row, next the inputs
+	// read from the row below and out the updated row.
+	prev, cur, next, out := rowBuf[:pitch], rowBuf[pitch:2*pitch], rowBuf[2*pitch:3*pitch], rowBuf[3*pitch:4*pitch]
 	signal := func(base mem.Addr, iter uint32) {
 		for d := 0; d < numDirs; d++ {
 			if has[d] {
@@ -366,7 +374,15 @@ func RunStencil(h *host.Host, cfg StencilConfig) (*StencilResult, error) {
 	if _, err := stencilLayout(&cfg); err != nil {
 		return nil, err
 	}
-	r := &stencilRun{cfg: cfg, global: makeStencilInput(&cfg), res: &StencilResult{}}
+	global, _ := makeStencilInput(&cfg)
+	cores := cfg.GroupRows * cfg.GroupCols
+	r := &stencilRun{
+		cfg:     cfg,
+		global:  global,
+		descs:   make([][numDirs]dma.Desc, cores),
+		rowBufs: make([]float32, cores*4*(cfg.Cols+2)),
+		res:     &StencilResult{},
+	}
 	flops := uint64(cfg.GroupRows*cfg.GroupCols) * uint64(cfg.Rows) * uint64(cfg.Cols) * 10 * uint64(cfg.Iters)
 	if err := r.res.run(h, launch{"stencil", cfg.GroupRows, cfg.GroupCols, stencilCodeSize, flops}, r); err != nil {
 		return nil, err
@@ -378,7 +394,11 @@ func RunStencil(h *host.Host, cfg StencilConfig) (*StencilResult, error) {
 type stencilRun struct {
 	cfg    StencilConfig
 	global [][]float32
-	res    *StencilResult
+	// descs and rowBufs hold each core's kernel state, in group order:
+	// its descriptors and its four row buffers of Cols+2 floats.
+	descs   [][numDirs]dma.Desc
+	rowBufs []float32
+	res     *StencilResult
 }
 
 // stage writes each core's grid block, interior plus halo, directly
@@ -402,7 +422,8 @@ func (r *stencilRun) stage(hp *host.Proc, w *sdk.Workgroup) {
 }
 
 func (r *stencilRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
-	stencilKernel(c, w, gr, gc, &r.cfg)
+	i, n := gr*w.Cols+gc, 4*(r.cfg.Cols+2)
+	stencilKernel(c, w, gr, gc, &r.cfg, &r.descs[i], r.rowBufs[i*n:(i+1)*n])
 }
 
 // gather reads back the global interior, or core (0,0)'s for a
@@ -413,7 +434,7 @@ func (r *stencilRun) gather(hp *host.Proc, w *sdk.Workgroup) {
 	res := r.res
 	blk := make([]float32, (cfg.Rows+2)*pitch) // reused for every core
 	if cfg.Comm {
-		res.Global = grid(cfg.GroupRows*cfg.Rows, cfg.GroupCols*cfg.Cols)
+		res.Global, _ = grid(cfg.GroupRows*cfg.Rows, cfg.GroupCols*cfg.Cols)
 		for gr := 0; gr < cfg.GroupRows; gr++ {
 			for gc := 0; gc < cfg.GroupCols; gc++ {
 				hp.ReadCoreF32(w.CoreIndex(gr, gc), stencilGridOff, blk)
@@ -425,27 +446,29 @@ func (r *stencilRun) gather(hp *host.Proc, w *sdk.Workgroup) {
 		return
 	}
 	hp.ReadCoreF32(w.CoreIndex(0, 0), stencilGridOff, blk)
-	res.Global = grid(cfg.Rows, cfg.Cols)
+	res.Global, _ = grid(cfg.Rows, cfg.Cols)
 	for row := 1; row <= cfg.Rows; row++ {
 		copy(res.Global[row-1], blk[row*pitch+1:row*pitch+1+cfg.Cols])
 	}
 }
 
 // grid returns a zeroed rows x cols field whose rows share one backing
-// array; each row's capacity ends at its own last element.
-func grid(rows, cols int) [][]float32 {
+// array, and that array, the rows end to end; each row's capacity ends
+// at its own last element.
+func grid(rows, cols int) ([][]float32, []float32) {
 	backing := make([]float32, rows*cols)
 	g := make([][]float32, rows)
 	for r := range g {
 		g[r] = backing[r*cols : (r+1)*cols : (r+1)*cols]
 	}
-	return g
+	return g, backing
 }
 
 // makeStencilInput builds the deterministic global temperature field,
 // including the fixed boundary ring (and inter-block halo seams, which
-// are simply interior values of the neighbouring block).
-func makeStencilInput(cfg *StencilConfig) [][]float32 {
+// are simply interior values of the neighbouring block). The rows are a
+// fresh copy sharing one backing array, which it returns as flat.
+func makeStencilInput(cfg *StencilConfig) (rows [][]float32, flat []float32) {
 	gRows := cfg.GroupRows*cfg.Rows + 2
 	gCols := cfg.GroupCols*cfg.Cols + 2
 	if cfg.Initial != nil {
@@ -453,20 +476,21 @@ func makeStencilInput(cfg *StencilConfig) [][]float32 {
 			panic(fmt.Sprintf("core: Initial field is %dx%d, want %dx%d (interior plus boundary ring)",
 				len(cfg.Initial), len(cfg.Initial[0]), gRows, gCols))
 		}
-		g := make([][]float32, gRows)
+		g, flat := grid(gRows, gCols)
 		for r := range g {
-			g[r] = append([]float32(nil), cfg.Initial[r]...)
+			if len(cfg.Initial[r]) != gCols {
+				panic(fmt.Sprintf("core: Initial field row %d has %d values, want %d", r, len(cfg.Initial[r]), gCols))
+			}
+			copy(g[r], cfg.Initial[r])
 		}
-		return g
+		return g, flat
 	}
 	rng := sim.NewRand(cfg.Seed + 1)
-	g := grid(gRows, gCols)
-	for r := range g {
-		for c := range g[r] {
-			g[r][c] = rng.Float32() * 100
-		}
+	g, flat := grid(gRows, gCols)
+	for i := range flat {
+		flat[i] = rng.Float32() * 100
 	}
-	return g
+	return g, flat
 }
 
 // StencilReference runs the same Jacobi iteration on the host for
@@ -478,7 +502,7 @@ func StencilReference(cfg StencilConfig) [][]float32 {
 	if cfg.Coefs == ([5]float32{}) {
 		cfg.Coefs = DefaultCoefs
 	}
-	g := makeStencilInput(&cfg)
+	g, _ := makeStencilInput(&cfg)
 	rows := cfg.GroupRows * cfg.Rows
 	cols := cfg.GroupCols * cfg.Cols
 	if !cfg.Comm {

@@ -113,13 +113,15 @@ func RunStreamStencil(h *host.Host, cfg StreamStencilConfig) (*StreamStencilResu
 		return nil, err
 	}
 	sc := cfg.stencil()
+	_, field := makeStencilInput(&sc)
 	r := &streamRun{
 		cfg:    cfg,
-		field:  makeStencilInput(&sc),
+		field:  field,
 		dstOff: mem.Addr(4 * (cfg.GlobalRows + 2) * (cfg.GlobalCols + 2)),
-		stats:  make([]streamStats, cfg.GroupRows*cfg.GroupCols),
+		cores:  make([]streamCore, cfg.GroupRows*cfg.GroupCols),
 		res:    &StreamStencilResult{},
 	}
+	r.rowBufs = make([]float32, len(r.cores)*r.rowBufLen())
 	flops := uint64(cfg.GlobalRows) * uint64(cfg.GlobalCols) * 10 * uint64(cfg.Iters)
 	// No image load is modelled for the streamed run.
 	if err := r.res.run(h, launch{"stream-stencil", cfg.GroupRows, cfg.GroupCols, 0, flops}, r); err != nil {
@@ -132,28 +134,31 @@ func RunStreamStencil(h *host.Host, cfg StreamStencilConfig) (*StreamStencilResu
 // field, with its boundary ring, ping-pongs between two DRAM arrays,
 // at offset 0 and at dstOff.
 type streamRun struct {
-	cfg    StreamStencilConfig
-	field  [][]float32
+	cfg StreamStencilConfig
+	// field is the initial field, ring included, row after row.
+	field  []float32
 	dstOff mem.Addr
-	// stats holds one slot per core, in group order.
-	stats []streamStats
-	res   *StreamStencilResult
+	// cores and rowBufs hold each core's kernel state, in group order:
+	// rowBufs has rowBufLen floats per core.
+	cores   []streamCore
+	rowBufs []float32
+	res     *StreamStencilResult
 }
+
+// rowBufLen is the floats of a core's four row buffers, each as wide as
+// a block with its halo.
+func (r *streamRun) rowBufLen() int { return 4 * (r.cfg.BlockCols + 2*r.cfg.TBlock) }
 
 // stage writes the field into both ping-pong arrays (the ring must be
 // present in each; interiors get overwritten).
 func (r *streamRun) stage(hp *host.Proc, _ *sdk.Workgroup) {
-	gC := r.cfg.GlobalCols + 2
-	flat := make([]float32, len(r.field)*gC)
-	for row, vals := range r.field {
-		copy(flat[row*gC:], vals)
-	}
-	hp.WriteDRAMF32(0, flat)
-	hp.WriteDRAMF32(r.dstOff, flat)
+	hp.WriteDRAMF32(0, r.field)
+	hp.WriteDRAMF32(r.dstOff, r.field)
 }
 
 func (r *streamRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
-	streamKernel(c, w, gr, gc, &r.cfg, r.cfg.GlobalCols+2, 0, r.dstOff, &r.stats[gr*w.Cols+gc])
+	i, n := gr*w.Cols+gc, r.rowBufLen()
+	streamKernel(c, w, gr, gc, &r.cfg, r.cfg.GlobalCols+2, 0, r.dstOff, &r.cores[i], r.rowBufs[i*n:(i+1)*n])
 }
 
 // gather sums the per-core traffic and reads the interior back from
@@ -161,9 +166,9 @@ func (r *streamRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
 func (r *streamRun) gather(hp *host.Proc, _ *sdk.Workgroup) {
 	cfg := &r.cfg
 	res := r.res
-	for _, st := range r.stats {
-		res.DRAMBytes += st.dramBytes
-		res.RedundantFlops += st.redundantFlops
+	for i := range r.cores {
+		res.DRAMBytes += r.cores[i].dramBytes
+		res.RedundantFlops += r.cores[i].redundantFlops
 	}
 	chunks := (cfg.Iters + cfg.TBlock - 1) / cfg.TBlock
 	final := mem.Addr(0)
@@ -181,28 +186,29 @@ func (r *streamRun) gather(hp *host.Proc, _ *sdk.Workgroup) {
 	}
 }
 
-// streamStats are one core's private traffic counters; the host sums
-// them after Join.
-type streamStats struct {
+// streamCore is one core's kernel state that the run keeps: its
+// private traffic counters, which the host sums after Join, and the one
+// DMA0 descriptor it rewrites for every tile in and out.
+type streamCore struct {
 	dramBytes      uint64
 	redundantFlops uint64
+	tile           dma.Desc
 }
 
-// streamKernel is the per-core device program.
+// streamKernel is the per-core device program; st is the core's state
+// and rowBuf its four row buffers.
 func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
-	cfg *StreamStencilConfig, pitch int, srcOff, dstOff mem.Addr, stats *streamStats) {
+	cfg *StreamStencilConfig, pitch int, srcOff, dstOff mem.Addr, st *streamCore, rowBuf []float32) {
 
 	b := sdk.NewBarrier(w, gr, gc)
 	superR := cfg.GlobalRows / (cfg.GroupRows * cfg.BlockRows)
 	superC := cfg.GlobalCols / (cfg.GroupCols * cfg.BlockCols)
 	sram := c.Local()
 	maxExt := cfg.BlockCols + 2*cfg.TBlock
-	// Row buffers, from one allocation: the pre-update rows above and at
-	// r, the inputs read from row r+1 and the updated row r.
-	rowBuf := make([]float32, 4*maxExt)
-	prev, cur, next, out := rowBuf[:maxExt], rowBuf[maxExt:2*maxExt], rowBuf[2*maxExt:3*maxExt], rowBuf[3*maxExt:]
-	// The one DMA0 descriptor, rewritten for every tile in and out.
-	tile := new(dma.Desc)
+	// Row buffers: the pre-update rows above and at r, the inputs read
+	// from row r+1 and the updated row r.
+	prev, cur, next, out := rowBuf[:maxExt], rowBuf[maxExt:2*maxExt], rowBuf[2*maxExt:3*maxExt], rowBuf[3*maxExt:4*maxExt]
+	tile := &st.tile
 
 	for done := 0; done < cfg.Iters; done += cfg.TBlock {
 		T := cfg.TBlock
@@ -229,7 +235,7 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 				mem.DRAMBase+srcOff+mem.Addr(4*(wr0*pitch+wc0)), c.Global(stencilGridOff),
 				rows, cols, pitch, cols)))
 			c.DMAWait(dma.DMA0)
-			stats.dramBytes += uint64(4 * rows * cols)
+			st.dramBytes += uint64(4 * rows * cols)
 
 			// T local Jacobi iterations; the updatable window shrinks by
 			// one ring per iteration, except along edges clamped at the
@@ -265,7 +271,7 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 				}
 			}
 			c.Compute(streamComputeCycles(points), uint64(points)*10)
-			stats.redundantFlops += uint64(points)*10 - uint64(cfg.BlockRows*cfg.BlockCols*T*10)
+			st.redundantFlops += uint64(points)*10 - uint64(cfg.BlockRows*cfg.BlockCols*T*10)
 
 			// Write the interior block back to the destination array.
 			ir, ic := br0-wr0, bc0-wc0
@@ -273,7 +279,7 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 				c.Global(at(ir, ic)), mem.DRAMBase+dstOff+mem.Addr(4*(br0*pitch+bc0)),
 				cfg.BlockRows, cfg.BlockCols, cols, pitch)))
 			c.DMAWait(dma.DMA0)
-			stats.dramBytes += uint64(4 * cfg.BlockRows * cfg.BlockCols)
+			st.dramBytes += uint64(4 * cfg.BlockRows * cfg.BlockCols)
 		}
 		// Chip-wide barrier before the ping-pong arrays swap roles.
 		b.Wait(c)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"epiphany/internal/ecore"
@@ -293,4 +294,49 @@ func TestStencilCrossCostsMoreComm(t *testing.T) {
 	if xres.Elapsed > plus.Elapsed*3/2 {
 		t.Fatalf("cross (%v) over 1.5x plus (%v): exchange model off", xres.Elapsed, plus.Elapsed)
 	}
+}
+
+// TestStencilInitialField: both stencil drivers run a supplied field to
+// their references without writing to it, and a field with a row of
+// the wrong width is refused.
+func TestStencilInitialField(t *testing.T) {
+	field := make([][]float32, 2*8+2)
+	for r := range field {
+		field[r] = make([]float32, 2*20+2)
+		for c := range field[r] {
+			field[r][c] = float32((r*7+c*3)%11) * 10
+		}
+	}
+	orig := field[1][1]
+	cfg := StencilConfig{
+		Rows: 8, Cols: 20, Iters: 4, GroupRows: 2, GroupCols: 2,
+		Comm: true, Tuned: true, Initial: field,
+	}
+	res, err := RunStencil(newHost(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	almostEqualGrid(t, res.Global, StencilReference(cfg), 1e-3)
+	scfg := StreamStencilConfig{
+		GlobalRows: 16, GlobalCols: 40, BlockRows: 8, BlockCols: 20,
+		Iters: 4, TBlock: 2, GroupRows: 2, GroupCols: 2, Initial: field,
+	}
+	sres, err := RunStreamStencil(newHost(), scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	almostEqualGrid(t, sres.Global, StreamStencilReference(scfg), 1e-3)
+	if field[1][1] != orig {
+		t.Fatal("a run wrote to the supplied field")
+	}
+
+	ragged := append([][]float32(nil), field...)
+	ragged[3] = ragged[3][:len(ragged[3])-1]
+	cfg.Initial = ragged
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "row 3 has 41 values, want 42") {
+			t.Fatalf("ragged field: panic %q", msg)
+		}
+	}()
+	_, _ = RunStencil(newHost(), cfg)
 }

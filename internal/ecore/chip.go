@@ -98,7 +98,8 @@ func (ch *Chip) notifyWrite(core int) {
 
 // Launch starts kernel on core i as a simulation process. The kernel
 // begins at the current virtual time (the host model adds program-load
-// costs before calling Launch). It returns the process for joining.
+// costs before calling Launch). It returns the process for joining,
+// valid until the engine's next Reset recycles it.
 func (ch *Chip) Launch(i int, name string, kernel func(*Core)) *sim.Proc {
 	c := ch.loading(i, kernel)
 	c.proc = ch.eng.Spawn(name, c.run)

@@ -103,7 +103,8 @@ func (w *Workgroup) Neighbour(gr, gc, dr, dc int, mode NeighbourMode) (idx int, 
 }
 
 // Launch starts kernel on every core of the group and returns the procs
-// in rank order. The kernel receives its core and group position.
+// in rank order, for joining within the run: the engine's next Reset
+// recycles them. The kernel receives its core and group position.
 func (w *Workgroup) Launch(name string, kernel func(c *ecore.Core, gr, gc int)) []*sim.Proc {
 	run := func(c *ecore.Core) {
 		gr, gc, _ := w.GroupCoords(c)

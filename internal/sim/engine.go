@@ -18,14 +18,23 @@ const (
 
 // event is one scheduled occurrence, keyed by (t, seq): its virtual
 // time, then the engine's scheduling sequence number, so events at the
-// same time run in creation order. The kind byte sits at the end so an
-// event packs into 40 bytes: the heap moves events by value.
+// same time run in creation order. The heap moves events by value, so
+// an event holds no pointer: the proc or callback it runs waits in the
+// engine's payload table at slot. A sift then moves 24 plain bytes,
+// which the garbage collector's write barrier never slows while it
+// marks.
 type event struct {
 	t    Time
 	seq  uint64
+	slot uint32
+	kind eventKind
+}
+
+// payload is what a scheduled event runs: the proc it starts or
+// resumes, or the callback it calls.
+type payload struct {
 	proc *Proc
 	fn   func()
-	kind eventKind
 }
 
 // key is the deterministic total order over events: virtual time first,
@@ -70,7 +79,6 @@ func (h *eventHeap) pop() event {
 	q := *h
 	n := len(q) - 1
 	top, last := q[0], q[n]
-	q[n] = event{} // drop the proc and closure references
 	q = q[:n]
 	*h = q
 	if n == 0 {
@@ -110,12 +118,17 @@ func (h *eventHeap) pop() event {
 // once the engine is unreachable, so no goroutine outlives its engine.
 // The zero value is not usable; create engines with NewEngine.
 type Engine struct {
-	heap    eventHeap
-	now     Time
-	seq     uint64
-	procs   []*Proc
-	blocked int // procs waiting on a Cond (not in the heap)
-	pool    *coroPool
+	heap eventHeap
+	// slots holds the payload of every pending event, at the event's
+	// slot; freeSlots lists the unused slots.
+	slots     []payload
+	freeSlots []uint32
+	now       Time
+	seq       uint64
+	procs     []*Proc
+	freeProcs []*Proc // records of procs a Reset retired, for spawn to reuse
+	blocked   int     // procs waiting on a Cond (not in the heap)
+	pool      *coroPool
 
 	// curProc is the proc of the event being dispatched (nil for
 	// callback events); it backs Proc.mustBeRunning.
@@ -162,12 +175,20 @@ func (e *Engine) Send(to *Engine, t Time, fn func()) { to.At(t, fn) }
 // processed, or after a run the time of the last one.
 func (e *Engine) Now() Time { return e.now }
 
-// schedule enqueues an event, stamping it with the next sequence
-// number.
-func (e *Engine) schedule(ev event) {
-	ev.seq = e.seq
+// schedule enqueues an event of the given kind at time t, running
+// proc or fn, stamped with the next sequence number.
+func (e *Engine) schedule(t Time, kind eventKind, proc *Proc, fn func()) {
+	var slot uint32
+	if n := len(e.freeSlots); n > 0 {
+		slot = e.freeSlots[n-1]
+		e.freeSlots = e.freeSlots[:n-1]
+	} else {
+		slot = uint32(len(e.slots))
+		e.slots = append(e.slots, payload{})
+	}
+	e.slots[slot] = payload{proc: proc, fn: fn}
+	e.heap.push(event{t: t, seq: e.seq, slot: slot, kind: kind})
 	e.seq++
-	e.heap.push(ev)
 	if n := len(e.heap); n > e.heapPeak {
 		e.heapPeak = n
 	}
@@ -179,7 +200,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.schedule(event{t: t, kind: evCall, fn: fn})
+	e.schedule(t, evCall, nil, fn)
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -187,7 +208,9 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.now+d, fn) }
 
 // Spawn creates a process named name running fn and schedules it to
 // start at the current virtual time. It may be called before Run or
-// from inside a running Proc or callback.
+// from inside a running Proc or callback. The returned *Proc is valid
+// until the engine's next Reset, which recycles its record for a later
+// spawn.
 func (e *Engine) Spawn(name string, fn func(p *Proc)) *Proc {
 	return e.SpawnAt(e.now, name, fn)
 }
@@ -211,7 +234,16 @@ func (e *Engine) spawn(t Time, name string, row, col int, fn func(p *Proc)) *Pro
 	if t < e.now {
 		t = e.now
 	}
-	p := &Proc{
+	var p *Proc
+	if n := len(e.freeProcs); n > 0 {
+		p = e.freeProcs[n-1]
+		e.freeProcs = e.freeProcs[:n-1]
+	} else {
+		p = new(Proc)
+	}
+	// The whole record is rewritten; only the done condition's waiter
+	// slice keeps its capacity.
+	*p = Proc{
 		eng:   e,
 		fn:    fn,
 		name:  name,
@@ -219,10 +251,10 @@ func (e *Engine) spawn(t Time, name string, row, col int, fn func(p *Proc)) *Pro
 		col:   col,
 		id:    len(e.procs),
 		state: stateNew,
+		done:  Cond{eng: e, idx: -1, of: p, waiters: p.done.waiters[:0]},
 	}
-	p.done = Cond{eng: e, idx: -1, of: p}
 	e.procs = append(e.procs, p)
-	e.schedule(event{t: t, kind: evStart, proc: p})
+	e.schedule(t, evStart, p, nil)
 	return p
 }
 
@@ -266,19 +298,23 @@ func (e *Engine) RunUntil(limit Time) error {
 	return e.err
 }
 
-// dispatch runs one event. A proc event switches to the proc's
-// coroutine, which runs until it parks again.
+// dispatch runs one event, freeing its payload slot first. A proc
+// event switches to the proc's coroutine, which runs until it parks
+// again.
 func (e *Engine) dispatch(ev event) {
+	pl := e.slots[ev.slot]
+	e.slots[ev.slot] = payload{}
+	e.freeSlots = append(e.freeSlots, ev.slot)
 	e.nEvents++
 	e.now = ev.t
-	e.curProc = ev.proc
+	e.curProc = pl.proc
 	switch ev.kind {
 	case evCall:
-		ev.fn()
+		pl.fn()
 	case evStart:
-		ev.proc.start()
+		pl.proc.start()
 	case evResume:
-		p := ev.proc
+		p := pl.proc
 		if p.state == stateDone {
 			break // stale wake-up after proc ended
 		}
@@ -300,12 +336,19 @@ func (e *Engine) Stop() { e.stopped = true }
 // around it can be recycled instead of reconstructed. Procs that a
 // Stopped or RunUntil-limited run left parked are unwound first, their
 // coroutines going back to the pool, and pending events are dropped.
-// Reset fails only when called from inside a run.
+// The run's Proc records go on a free list, dropping their functions,
+// and later spawns reuse them: every *Proc the engine handed out is
+// invalid once Reset returns. Reset fails only when called from inside
+// a run.
 func (e *Engine) Reset() error {
 	if e.running {
 		return errors.New("sim: Reset during a run")
 	}
 	e.teardown()
+	for _, p := range e.procs {
+		p.fn = nil
+	}
+	e.freeProcs = append(e.freeProcs, e.procs...)
 	clear(e.procs)
 	e.procs = e.procs[:0]
 	e.now, e.seq = 0, 0
@@ -339,8 +382,9 @@ func (e *Engine) teardown() {
 		}
 	}
 	e.curProc = nil
-	clear(e.heap)
 	e.heap = e.heap[:0]
+	clear(e.slots)
+	e.slots, e.freeSlots = e.slots[:0], e.freeSlots[:0]
 	e.blocked = 0
 	e.heapPeak, e.seq = peak, seq
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -178,9 +179,10 @@ func TestLeakDroppedEngines(t *testing.T) {
 	settleGoroutines(t, base)
 }
 
-// TestSpawnAllocs budgets spawning on a warm engine at one allocation
-// per proc, its Proc record: the coroutine comes from the pool, the
-// done condition is part of the record, and the name is not formatted.
+// TestSpawnAllocs pins spawning on a warm engine at no allocation: the
+// Proc record comes from the free list the last Reset filled, the
+// coroutine from the pool, the done condition is part of the record,
+// and the name is not formatted.
 func TestSpawnAllocs(t *testing.T) {
 	const n = 64
 	e := NewEngine()
@@ -197,15 +199,54 @@ func TestSpawnAllocs(t *testing.T) {
 		}
 	}
 	round() // warm the pool, the heap and the proc table
-	if per := testing.AllocsPerRun(20, round) / n; per > 1 {
-		t.Errorf("%.2f allocs per spawned proc, want <= 1", per)
+	if per := testing.AllocsPerRun(20, round) / n; per != 0 {
+		t.Errorf("%.2f allocs per spawned proc, want 0", per)
+	}
+}
+
+// TestResetRecyclesProcs: Reset moves a run's Proc records onto the
+// free list without their functions, and the next run's spawns take
+// them back as fresh, unfinished procs with no waiters.
+func TestResetRecyclesProcs(t *testing.T) {
+	e := NewEngine()
+	var old []*Proc
+	for i := range 4 {
+		old = append(old, e.SpawnIdx("k", 0, i, func(p *Proc) { p.Wait(1) }))
+	}
+	old = append(old, e.Spawn("joiner", func(p *Proc) { p.Join(old[0]) }))
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.procs) != 0 || len(e.freeProcs) != 5 {
+		t.Fatalf("after Reset: %d procs, %d free records, want 0 and 5", len(e.procs), len(e.freeProcs))
+	}
+	for _, p := range e.freeProcs {
+		if p.fn != nil {
+			t.Fatalf("recycled record %q keeps its function", p.Name())
+		}
+	}
+	p := e.Spawn("fresh", func(p *Proc) { p.Wait(2) })
+	if !slices.Contains(old, p) {
+		t.Fatal("spawn did not reuse a recycled record")
+	}
+	if p.Finished() || p.ID() != 0 || p.Name() != "fresh" || p.done.first != nil || len(p.done.waiters) != 0 {
+		t.Fatalf("reused record is stale: finished %v, id %d, name %q", p.Finished(), p.ID(), p.Name())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !p.Finished() || e.Now() != 2 {
+		t.Fatalf("reused record ran to %v, finished %v", e.Now(), p.Finished())
 	}
 }
 
 // TestJoinAllocs: on a warm engine, joining a proc that has not finished
 // allocates nothing - the joiner parks in its done condition's inline
 // waiter slot. A round that joins allocates exactly what the same round
-// waiting the same time instead does (its two Proc records).
+// waiting the same time instead does.
 func TestJoinAllocs(t *testing.T) {
 	e := NewEngine()
 	kernel := func(p *Proc) { p.Wait(10) }

@@ -27,6 +27,10 @@ const (
 // panic), or when the engine is Reset, is unwound: its function
 // returns through its deferred calls without simulating anything
 // more, and its coroutine goes back to the pool.
+//
+// Reset also recycles the record itself: a later spawn on the same
+// engine reuses it, so a *Proc must not be kept or used past its
+// engine's Reset.
 type Proc struct {
 	eng *Engine
 	co  *coro // the coroutine running fn; nil before start and after fn ends
@@ -146,7 +150,7 @@ func (p *Proc) WaitUntil(t Time) {
 		t = p.now
 	}
 	p.state = stateWaiting
-	p.eng.schedule(event{t: t, kind: evResume, proc: p})
+	p.eng.schedule(t, evResume, p, nil)
 	p.park()
 }
 
@@ -161,7 +165,7 @@ func (p *Proc) unblock(t Time) {
 	p.state = stateWaiting
 	p.blockedOn = nil
 	p.eng.blocked--
-	p.eng.schedule(event{t: t, kind: evResume, proc: p})
+	p.eng.schedule(t, evResume, p, nil)
 }
 
 // Done returns a Cond broadcast when the Proc's function returns. Other
