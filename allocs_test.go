@@ -48,16 +48,16 @@ func TestWarmJobAllocs(t *testing.T) {
 		t.Skip("the race detector allocates on its own")
 	}
 	pins := map[string]float64{
-		"matmul-cannon":       21,
-		"matmul-offchip":      19,
-		"matmul-single":       21,
-		"matmul-summa":        21,
-		"stencil-cross":       22,
-		"stencil-direct":      22,
-		"stencil-naive":       22,
-		"stencil-replicated":  22,
-		"stencil-single":      22,
-		"stencil-tuned":       22,
+		"matmul-cannon":       19,
+		"matmul-offchip":      17,
+		"matmul-single":       19,
+		"matmul-summa":        19,
+		"stencil-cross":       20,
+		"stencil-direct":      20,
+		"stencil-naive":       20,
+		"stencil-replicated":  20,
+		"stencil-single":      20,
+		"stencil-tuned":       20,
 		"stream-stencil":      17,
 		"stream-stencil-deep": 17,
 	}
@@ -76,8 +76,8 @@ func TestWarmJobAllocs(t *testing.T) {
 
 	const board = "grid=4x4/chip=8x8"
 	stencil := warmJobAllocs(t, board, board1024Stencil)
-	if stencil > 22 {
-		t.Errorf("768-core stencil on %s: %.1f allocations per warm job, pinned at 22", board, stencil)
+	if stencil > 20 {
+		t.Errorf("768-core stencil on %s: %.1f allocations per warm job, pinned at 20", board, stencil)
 	}
 	if small := got["stencil-tuned"]; stencil > small+4 {
 		t.Errorf("768-core stencil allocates %.1f times per warm job, the 4-core stencil-tuned %.1f: the count grows with the workgroup", stencil, small)
@@ -85,7 +85,7 @@ func TestWarmJobAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		pin  float64
-	}{{"matmul-offchip", 19}, {"stream-stencil", 17}} {
+	}{{"matmul-offchip", 17}, {"stream-stencil", 17}} {
 		w, _ := WorkloadByName(c.name)
 		if n := warmJobAllocs(t, board, w); n > c.pin {
 			t.Errorf("%s on %s: %.1f allocations per warm job, pinned at %v", c.name, board, n, c.pin)

@@ -223,7 +223,7 @@ func runRemotePull(t *testing.T, sys *epiphany.System) remotePull {
 		n                       = 256
 	)
 	for i, rc := range [][2]int{{0, 4}, {5, 5}, {1, 2}} {
-		sram := chip.CoreAt(rc[0], rc[1]).Local()
+		sram := chip.Core(chip.Map().CoreIndex(rc[0], rc[1])).Local()
 		for w := mem.Addr(0); w < n; w += 4 {
 			sram.Store32(src+w, uint32(i+1)<<24|uint32(w))
 		}
@@ -261,7 +261,7 @@ func runRemotePull(t *testing.T, sys *epiphany.System) remotePull {
 			size = 2 * n // both pulled blocks
 		}
 		b := make([]byte, size)
-		chip.CoreAt(rc[0], rc[1]).Local().Read(dst, b)
+		chip.Core(chip.Map().CoreIndex(rc[0], rc[1])).Local().Read(dst, b)
 		out.data = append(out.data, b...)
 	}
 	mesh := chip.Fabric().Mesh

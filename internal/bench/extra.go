@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"epiphany/internal/core"
-	"epiphany/internal/ecore"
 	"epiphany/internal/sim"
 	"epiphany/internal/system"
 	"epiphany/internal/workload"
@@ -92,33 +91,17 @@ func AblationELinkFairness() *Table {
 // elinkFairnessRun saturates the eLink from all 64 cores under the given
 // arbitration and summarizes the outcome.
 func elinkFairnessRun(fair bool, window sim.Time) (starved int, top4Share, mbps float64) {
-	eng, ch := newChip()
-	if fair {
-		ch.Fabric().ELink.SetUniformWeights()
+	cores := make([]int, 64)
+	for i := range cores {
+		cores[i] = i
 	}
-	for idx := 0; idx < 64; idx++ {
-		idx := idx
-		ch.Launch(idx, fmt.Sprintf("writer%d", idx), func(c *ecore.Core) {
-			for {
-				c.BlockWriteDRAM(0, 0, 2048)
-				if c.Now() >= window {
-					return
-				}
-			}
-		})
-	}
-	eng.At(window, func() { eng.Stop() })
-	if err := eng.RunUntil(window); err != nil {
-		panic(err)
-	}
-	// Unwind the writers the window cut off, so their coroutines stop
-	// with the chip; the eLink keeps its counters.
-	if err := eng.Reset(); err != nil {
+	ch, err := elinkExperiment(cores, window, fair)
+	if err != nil {
 		panic(err)
 	}
 	el := ch.Fabric().ELink
 	var total uint64
-	for i := 0; i < 64; i++ {
+	for _, i := range cores {
 		total += el.ServedBytes(i)
 		if el.Served(i) == 0 {
 			starved++
@@ -163,7 +146,7 @@ func ExtTopologyScaling() *Table {
 				panic(err)
 			}
 			m := r.Metrics()
-			cores := fmt.Sprint(usedCores(w, topo))
+			cores := fmt.Sprint(workload.UsedCores(w, topo.Rows(), topo.Cols()))
 			xh, xt := "-", "-"
 			if m.ELinkCrossings > 0 {
 				xh = fmt.Sprint(m.ELinkCrossings)
@@ -175,12 +158,6 @@ func ExtTopologyScaling() *Table {
 	t.AddNote("workgroups clamp themselves to the board (TopologyFitter); E16 results use fewer cores, not a different kernel")
 	t.AddNote("the cluster's E64-sized groups span all four chips: the x-chip columns are the price of gluing E16s into an 8x8 mesh")
 	return t
-}
-
-// usedCores reports how many cores the workload's (topology-fitted)
-// workgroup occupies on the given board.
-func usedCores(w workload.Workload, topo system.Topology) int {
-	return workload.UsedCores(w, topo.Rows(), topo.Cols())
 }
 
 // AblationCannonVsSumma compares the paper's Cannon implementation with

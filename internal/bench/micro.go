@@ -178,8 +178,12 @@ func pingPongPerWord(tr, tc int) float64 {
 
 // elinkExperiment saturates the off-chip link from the given cores for a
 // window of simulated time, returning iteration counts and utilization.
-func elinkExperiment(cores []int, window sim.Time) (*ecore.Chip, error) {
+// fair replaces the calibrated arbitration with an ideal fair arbiter.
+func elinkExperiment(cores []int, window sim.Time, fair bool) (*ecore.Chip, error) {
 	eng, ch := newChip()
+	if fair {
+		ch.Fabric().ELink.SetUniformWeights()
+	}
 	for _, idx := range cores {
 		idx := idx
 		ch.Launch(idx, fmt.Sprintf("writer%d", idx), func(c *ecore.Core) {
@@ -237,7 +241,7 @@ func elinkTable(id, title string, nodes []struct{ r, c int }, window sim.Time, n
 	for _, n := range nodes {
 		cores = append(cores, amap.CoreIndex(n.r, n.c))
 	}
-	ch2, err := elinkExperiment(cores, window)
+	ch2, err := elinkExperiment(cores, window, false)
 	if err != nil {
 		panic(err)
 	}

@@ -32,10 +32,10 @@ type Metrics struct {
 	ELinkCrossTime  sim.Time
 
 	// The energy domain, filled only when the run carried a power model
-	// (WithPowerModel / Topology.Power) and zero otherwise. Energy is
-	// derived from the run's activity counters after the fact, so these
-	// fields are purely additive: every time-domain field above is
-	// bit-identical with or without them.
+	// (WithPowerModel) and zero otherwise. Energy is derived from the
+	// run's activity counters after the fact, so these fields are purely
+	// additive: every time-domain field above is bit-identical with or
+	// without them.
 
 	// PowerModel and DVFS identify the model preset and canonical
 	// operating-point label the energy figures were derived under.

@@ -92,12 +92,9 @@ type StencilConfig struct {
 var DefaultCoefs = [5]float32{0.125, 0.125, 0.5, 0.125, 0.125}
 
 // Validate checks the configuration without running it (Coefs are not
-// inspected; RunStencil substitutes DefaultCoefs for a zero value).
+// inspected; RunStencil substitutes DefaultCoefs for a zero value): it
+// builds the scratchpad plan a run would use.
 func (cfg *StencilConfig) Validate() error {
-	return cfg.validate()
-}
-
-func (cfg *StencilConfig) validate() error {
 	if cfg.Rows <= 0 || cfg.Cols <= 0 || cfg.Iters <= 0 {
 		return fmt.Errorf("core: non-positive stencil dimensions %+v", cfg)
 	}
@@ -105,9 +102,9 @@ func (cfg *StencilConfig) validate() error {
 		return fmt.Errorf("core: bad workgroup %dx%d", cfg.GroupRows, cfg.GroupCols)
 	}
 	gridBytes := 4 * (cfg.Rows + 2) * (cfg.Cols + 2)
-	if stencilGridOff+mem.Addr(gridBytes) > stencilFlagsOff {
-		return fmt.Errorf("core: %dx%d grid (%d B + halo) does not fit the scratchpad plan",
-			cfg.Rows, cfg.Cols, gridBytes)
+	if err := stencilLayout(gridBytes); err != nil {
+		return fmt.Errorf("core: %dx%d grid with halo (%d B) does not fit the scratchpad plan: %w",
+			cfg.Rows, cfg.Cols, gridBytes, err)
 	}
 	if cfg.Tuned && cfg.Cols%20 != 0 {
 		return fmt.Errorf("core: tuned stencil requires cols %% 20 == 0, got %d", cfg.Cols)
@@ -118,10 +115,10 @@ func (cfg *StencilConfig) validate() error {
 	return nil
 }
 
-// stencilLayout builds and checks the scratchpad plan for a config.
-func stencilLayout(cfg *StencilConfig) (*mem.Layout, error) {
+// stencilLayout builds and checks the scratchpad plan of a stencil
+// kernel whose grid, halo included, takes gridBytes bytes.
+func stencilLayout(gridBytes int) error {
 	l := mem.NewLayout()
-	gridBytes := 4 * (cfg.Rows + 2) * (cfg.Cols + 2)
 	steps := []struct {
 		name string
 		off  mem.Addr
@@ -134,13 +131,10 @@ func stencilLayout(cfg *StencilConfig) (*mem.Layout, error) {
 	}
 	for _, s := range steps {
 		if _, err := l.PlaceAt(s.name, s.off, s.size); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := sdk.ReserveSDK(l); err != nil {
-		return nil, err
-	}
-	return l, nil
+	return sdk.ReserveSDK(l)
 }
 
 // StencilResult reports a run.
@@ -368,10 +362,7 @@ func RunStencil(h *host.Host, cfg StencilConfig) (*StencilResult, error) {
 	if cfg.Coefs == ([5]float32{}) {
 		cfg.Coefs = DefaultCoefs
 	}
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if _, err := stencilLayout(&cfg); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	global, _ := makeStencilInput(&cfg)

@@ -47,12 +47,9 @@ type StreamStencilConfig struct {
 
 // Validate checks the configuration without running it (Coefs are not
 // inspected; RunStreamStencil substitutes DefaultCoefs for a zero
-// value).
+// value): it builds the stencil's scratchpad plan with the run's
+// halo-extended block.
 func (cfg *StreamStencilConfig) Validate() error {
-	return cfg.validate()
-}
-
-func (cfg *StreamStencilConfig) validate() error {
 	if cfg.GlobalRows <= 0 || cfg.GlobalCols <= 0 || cfg.Iters <= 0 {
 		return fmt.Errorf("core: non-positive stream stencil dimensions")
 	}
@@ -69,9 +66,9 @@ func (cfg *StreamStencilConfig) validate() error {
 			cfg.GlobalRows, cfg.GlobalCols, sr, sc)
 	}
 	ext := 4 * (cfg.BlockRows + 2*cfg.TBlock) * (cfg.BlockCols + 2*cfg.TBlock)
-	if stencilGridOff+mem.Addr(ext) > stencilFlagsOff {
-		return fmt.Errorf("core: %dx%d block with T=%d halo needs %d B and does not fit the scratchpad",
-			cfg.BlockRows, cfg.BlockCols, cfg.TBlock, ext)
+	if err := stencilLayout(ext); err != nil {
+		return fmt.Errorf("core: %dx%d block with T=%d halo (%d B) does not fit the scratchpad plan: %w",
+			cfg.BlockRows, cfg.BlockCols, cfg.TBlock, ext, err)
 	}
 	gridBytes := 4 * (cfg.GlobalRows + 2) * (cfg.GlobalCols + 2)
 	if 2*gridBytes > mem.DRAMSize {
@@ -109,7 +106,7 @@ func RunStreamStencil(h *host.Host, cfg StreamStencilConfig) (*StreamStencilResu
 	if cfg.Coefs == ([5]float32{}) {
 		cfg.Coefs = DefaultCoefs
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	sc := cfg.stencil()

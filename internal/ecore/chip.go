@@ -85,11 +85,6 @@ func (ch *Chip) NumCores() int { return len(ch.cores) }
 // Core returns the core with chip-relative linear index i.
 func (ch *Chip) Core(i int) *Core { return ch.cores[i] }
 
-// CoreAt returns the core at chip-relative (row, col).
-func (ch *Chip) CoreAt(row, col int) *Core {
-	return ch.cores[ch.fab.Map.CoreIndex(row, col)]
-}
-
 // notifyWrite wakes any core polling its local memory. The wake carries
 // no data; pollers re-check their predicate, as on hardware.
 func (ch *Chip) notifyWrite(core int) {

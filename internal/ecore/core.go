@@ -265,9 +265,3 @@ func (c *Core) CtimerStart(i int) {
 func (c *Core) CtimerElapsed(i int) sim.Time {
 	return c.Now() - c.timers[i]
 }
-
-// CtimerElapsedCycles returns elapsed core clock cycles, as the paper's
-// benchmarks report.
-func (c *Core) CtimerElapsedCycles(i int) float64 {
-	return c.CtimerElapsed(i).CoreCycles()
-}

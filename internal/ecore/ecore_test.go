@@ -20,7 +20,7 @@ func TestChipGeometry(t *testing.T) {
 	if ch.NumCores() != 64 {
 		t.Fatalf("cores = %d", ch.NumCores())
 	}
-	c := ch.CoreAt(3, 4)
+	c := ch.Core(ch.Map().CoreIndex(3, 4))
 	if r, col := c.Coords(); r != 3 || col != 4 {
 		t.Fatalf("coords = (%d,%d)", r, col)
 	}
@@ -154,7 +154,7 @@ func TestDMAThroughCoreAPI(t *testing.T) {
 	if elapsed < noc.DMADescriptorBuildCost+noc.DMAStartCost {
 		t.Fatalf("elapsed %v too fast", elapsed)
 	}
-	if ch.Core(0).CtimerElapsedCycles(0) != elapsed.CoreCycles() {
+	if ch.Core(0).CtimerElapsed(0).CoreCycles() != elapsed.CoreCycles() {
 		t.Fatal("cycle conversion mismatch")
 	}
 }

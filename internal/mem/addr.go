@@ -118,8 +118,7 @@ type Target struct {
 // every chip on the board.
 type Map struct {
 	Rows, Cols int
-	// ChipRows, ChipCols are the per-chip core dimensions. Zero values
-	// (a Map literal from before boards existed) mean single-chip.
+	// ChipRows, ChipCols are the per-chip core dimensions.
 	ChipRows, ChipCols int
 }
 
@@ -147,14 +146,8 @@ func NewBoardMap(chipRows, chipCols, coreRows, coreCols int) *Map {
 // NumCores returns the number of cores in the map.
 func (m *Map) NumCores() int { return m.Rows * m.Cols }
 
-// ChipDims returns the per-chip core dimensions, treating legacy
-// zero-valued fields as single-chip.
-func (m *Map) ChipDims() (rows, cols int) {
-	if m.ChipRows <= 0 || m.ChipCols <= 0 {
-		return m.Rows, m.Cols
-	}
-	return m.ChipRows, m.ChipCols
-}
+// ChipDims returns the per-chip core dimensions.
+func (m *Map) ChipDims() (rows, cols int) { return m.ChipRows, m.ChipCols }
 
 // ChipGrid returns how many chips the board has in each dimension.
 func (m *Map) ChipGrid() (rows, cols int) {

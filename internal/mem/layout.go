@@ -26,15 +26,21 @@ func (r Region) End() Addr { return r.Off + Addr(r.Size) }
 // returns an error, which is exactly the feedback a programmer gets from
 // the real linker scripts (or from a crash).
 type Layout struct {
-	regions []Region
+	regions [maxRegions]Region // sorted by offset; the first n are placed
+	n       int
 }
 
-// NewLayout returns an empty plan, with room for the handful of regions
-// a kernel places.
-func NewLayout() *Layout { return &Layout{regions: make([]Region, 0, 8)} }
+// maxRegions bounds a plan: a kernel places a handful of regions. They
+// are held inline, so a plan checked and dropped by its builder costs
+// no allocation.
+const maxRegions = 16
+
+// NewLayout returns an empty plan.
+func NewLayout() *Layout { return &Layout{} }
 
 // PlaceAt reserves [off, off+size) under name. It fails if the range
-// leaves the 32 KB scratchpad or collides with an earlier reservation.
+// leaves the 32 KB scratchpad, collides with an earlier reservation or
+// would be the plan's 17th region.
 func (l *Layout) PlaceAt(name string, off Addr, size int) (Region, error) {
 	if size <= 0 {
 		return Region{}, fmt.Errorf("mem: region %q has non-positive size %d", name, size)
@@ -43,15 +49,21 @@ func (l *Layout) PlaceAt(name string, off Addr, size int) (Region, error) {
 		return Region{}, fmt.Errorf("mem: region %q [%#x,%#x) exceeds 32 KB scratchpad",
 			name, off, int(off)+size)
 	}
+	if l.n == maxRegions {
+		return Region{}, fmt.Errorf("mem: region %q exceeds the plan's %d regions", name, maxRegions)
+	}
 	r := Region{Name: name, Off: off, Size: size}
-	for _, o := range l.regions {
+	placed := l.regions[:l.n]
+	for _, o := range placed {
 		if r.Off < o.End() && o.Off < r.End() {
 			return Region{}, fmt.Errorf("mem: region %q [%#x,%#x) overlaps %q [%#x,%#x)",
 				name, r.Off, r.End(), o.Name, o.Off, o.End())
 		}
 	}
-	i, _ := slices.BinarySearchFunc(l.regions, r.Off, func(o Region, off Addr) int { return cmp.Compare(o.Off, off) })
-	l.regions = slices.Insert(l.regions, i, r)
+	i, _ := slices.BinarySearchFunc(placed, r.Off, func(o Region, off Addr) int { return cmp.Compare(o.Off, off) })
+	copy(l.regions[i+1:l.n+1], placed[i:])
+	l.regions[i] = r
+	l.n++
 	return r, nil
 }
 
@@ -73,7 +85,7 @@ func (l *Layout) Alloc(name string, size int, bank int, align Addr) (Region, err
 		lo, hi = Addr(bank)*BankSize, Addr(bank+1)*BankSize
 	}
 	cursor := (lo + align - 1) &^ (align - 1)
-	for _, o := range l.regions {
+	for _, o := range l.regions[:l.n] {
 		if o.End() <= cursor {
 			continue
 		}
@@ -96,7 +108,7 @@ func (l *Layout) Alloc(name string, size int, bank int, align Addr) (Region, err
 // BankUse returns the reserved byte count per bank.
 func (l *Layout) BankUse() [NumBanks]int {
 	var use [NumBanks]int
-	for _, r := range l.regions {
+	for _, r := range l.regions[:l.n] {
 		for off := r.Off; off < r.End(); {
 			b := BankOf(off)
 			end := Addr(b+1) * BankSize

@@ -268,6 +268,14 @@ func TestLayoutPlaceAtAndOverlap(t *testing.T) {
 	if _, err := l.PlaceAt("empty", 0x3000, 0); err == nil {
 		t.Fatal("zero-size region not rejected")
 	}
+	for n := 1; n < maxRegions; n++ {
+		if _, err := l.PlaceAt("word", 0x2000+Addr(4*n), 4); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := l.PlaceAt("extra", 0x4000, 4); err == nil {
+		t.Fatalf("a region past the plan's %d not rejected", maxRegions)
+	}
 }
 
 func TestLayoutPaperMatmulPlan(t *testing.T) {

@@ -49,11 +49,11 @@ func TestWorkgroupMapping(t *testing.T) {
 	if w.Rank(1, 2) != 6 {
 		t.Fatalf("rank = %d", w.Rank(1, 2))
 	}
-	gr, gc, ok := w.GroupCoords(ch.CoreAt(3, 5))
+	gr, gc, ok := w.GroupCoords(ch.Core(ch.Map().CoreIndex(3, 5)))
 	if !ok || gr != 1 || gc != 2 {
 		t.Fatalf("GroupCoords = (%d,%d,%v)", gr, gc, ok)
 	}
-	if _, _, ok := w.GroupCoords(ch.CoreAt(0, 0)); ok {
+	if _, _, ok := w.GroupCoords(ch.Core(ch.Map().CoreIndex(0, 0))); ok {
 		t.Fatal("core outside group reported as member")
 	}
 }

@@ -57,7 +57,7 @@ func TestSingleProcAdvancesTime(t *testing.T) {
 		at = append(at, p.Now())
 		p.Wait(10)
 		at = append(at, p.Now())
-		p.WaitCycles(2)
+		p.Wait(Cycles(2))
 		at = append(at, p.Now())
 	})
 	if err := e.Run(); err != nil {

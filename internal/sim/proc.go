@@ -139,9 +139,6 @@ func (p *Proc) park() {
 // (events already queued at the same time run before the Proc resumes).
 func (p *Proc) Wait(d Time) { p.WaitUntil(p.now + d) }
 
-// WaitCycles advances the Proc's clock by n core clock cycles.
-func (p *Proc) WaitCycles(n uint64) { p.Wait(Cycles(n)) }
-
 // WaitUntil advances the Proc's clock to absolute time t (no-op if t is
 // not in the future, other than yielding).
 func (p *Proc) WaitUntil(t Time) {

@@ -177,8 +177,7 @@ func gridTopology(gridRows, gridCols, chipRows, chipCols int) Topology {
 // it has one (presets and every ParseTopologySpec product), otherwise
 // the geometry ("RxC" single-chip, "grid=RxC/chip=RxC" boards), plus
 // the /c2c= suffix when the link timing is overridden. For topologies
-// expressible in the grammar, ParseTopologySpec(t.Spec()) reproduces t
-// (minus the Power/DVFS energy axes, which are spelled separately).
+// expressible in the grammar, ParseTopologySpec(t.Spec()) reproduces t.
 func (t Topology) Spec() string {
 	base := t.Name
 	if base == "" {

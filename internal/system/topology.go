@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"epiphany/internal/mem"
-	"epiphany/internal/power"
 	"epiphany/internal/sim"
 )
 
@@ -34,20 +33,6 @@ type Topology struct {
 	// experiment axis. They have no effect on a single-chip board.
 	C2CBytePeriod sim.Time
 	C2CHopLatency sim.Time
-	// Power names the power-model preset (power.ModelByName) used to
-	// derive energy metrics from the run's activity counters; empty
-	// means no energy accounting. DVFS selects the operating point the
-	// derivation is evaluated at - "FREQ[MHz]@VOLT[V]" or "nominal";
-	// empty means the model's nominal point; it requires Power. Like
-	// the C2C overrides, both are part of the topology's identity (a
-	// board metered under a different model or clocked at a different
-	// point is a different experiment axis value, pooled separately by
-	// Runner) - but neither perturbs the simulation itself: the
-	// time-domain metrics of a run are bit-identical with any Power and
-	// DVFS setting, because energy is derived from counters after the
-	// fact.
-	Power string
-	DVFS  string
 }
 
 // Preset topologies. E64 is the paper's device and the default
@@ -110,14 +95,6 @@ func (t Topology) WithC2C(bytePeriod, hopLatency sim.Time) Topology {
 // deletes this shim.
 func (t Topology) WithShards(int) Topology { return t }
 
-// WithPower returns a copy of t carrying the named power-model preset
-// and DVFS operating point ("" = the model's nominal). The copy is a
-// distinct experiment-axis identity; see the field documentation.
-func (t Topology) WithPower(model, dvfs string) Topology {
-	t.Power, t.DVFS = model, dvfs
-	return t
-}
-
 // String renders the geometry for listings.
 func (t Topology) String() string {
 	name := t.Name
@@ -125,7 +102,7 @@ func (t Topology) String() string {
 		name = "custom"
 	}
 	if !t.MultiChip() {
-		return fmt.Sprintf("%s: 1 chip, %dx%d cores", name, t.CoreRows, t.CoreCols) + t.powerSuffix()
+		return fmt.Sprintf("%s: 1 chip, %dx%d cores", name, t.CoreRows, t.CoreCols)
 	}
 	s := fmt.Sprintf("%s: %dx%d chips of %dx%d cores (%dx%d mesh)",
 		name, t.ChipGridRows, t.ChipGridCols, t.CoreRows, t.CoreCols, t.Rows(), t.Cols())
@@ -139,18 +116,7 @@ func (t Topology) String() string {
 	case t.C2CHopLatency > 0:
 		s += fmt.Sprintf(" [c2c hop=%d]", t.C2CHopLatency)
 	}
-	return s + t.powerSuffix()
-}
-
-// powerSuffix renders the energy-axis identity for String.
-func (t Topology) powerSuffix() string {
-	switch {
-	case t.Power != "" && t.DVFS != "":
-		return fmt.Sprintf(" [power=%s dvfs=%s]", t.Power, t.DVFS)
-	case t.Power != "":
-		return fmt.Sprintf(" [power=%s]", t.Power)
-	}
-	return ""
+	return s
 }
 
 // Validate checks the geometry without building a board.
@@ -176,18 +142,6 @@ func (t Topology) Validate() error {
 	if t.C2CBytePeriod > sim.Second || t.C2CHopLatency > sim.Second {
 		return fmt.Errorf("epiphany: chip-to-chip override out of range (byte=%d hop=%d units; max %d)",
 			t.C2CBytePeriod, t.C2CHopLatency, sim.Second)
-	}
-	if t.DVFS != "" && t.Power == "" {
-		return fmt.Errorf("epiphany: DVFS point %q requires a power model", t.DVFS)
-	}
-	if t.Power != "" {
-		m, err := power.ResolveModel(t.Power)
-		if err != nil {
-			return err
-		}
-		if _, err := m.Point(t.DVFS); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -62,18 +63,26 @@ func (s *scribbler) Run(ctx context.Context, sys *system.System) (Result, error)
 }
 
 // TestRunnerPoolKeepsBoardsPerTopology: a Workers=2 Runner serving a
-// seeded stream that mixes e16, e64 and cluster-2x2 jobs builds each
+// seeded stream that mixes e16, e64 and cluster-2x2 jobs, unmetered and
+// metered at the nominal and at a lower DVFS point, builds each
 // topology at most twice - once per job of that topology in flight at
-// once - and never holds more than Workers idle boards of a topology.
+// once, whatever the jobs' power settings - and never holds more than
+// Workers idle boards of a topology.
 func TestRunnerPoolKeepsBoardsPerTopology(t *testing.T) {
 	r := &Runner{Workers: 2}
 	var errs []string
 	w := &scribbler{r: r, mu: new(sync.Mutex), seen: map[string]map[*system.System]bool{}, errs: &errs}
 	topos := system.Topologies()
+	meters := [][]Option{
+		nil,
+		{WithPowerModel("epiphany-iv-28nm", "")},
+		{WithPowerModel("epiphany-iv-28nm", "300@0.85")},
+	}
 	rng := rand.New(rand.NewPCG(30, 0))
 	jobs := make([]Job, 60)
 	for i := range jobs {
-		jobs[i] = Job{Workload: w, Options: []Option{WithTopology(topos[rng.IntN(len(topos))])}}
+		opts := []Option{WithTopology(topos[rng.IntN(len(topos))])}
+		jobs[i] = Job{Workload: w, Options: append(opts, meters[rng.IntN(len(meters))]...)}
 	}
 	br, err := r.RunBatch(context.Background(), jobs)
 	if err != nil {
@@ -103,6 +112,43 @@ func TestRunnerPoolKeepsBoardsPerTopology(t *testing.T) {
 		if n > r.Workers {
 			t.Errorf("%d idle %s boards after the stream, want at most %d", n, topo.Name, r.Workers)
 		}
+	}
+}
+
+// TestRunnerSharesBoardsAcrossPowerSettings: a power model and DVFS
+// point only price a run's counters, so one workload run unmetered, at
+// the nominal point and at two other points reuses one pooled board,
+// and each metered run reports the energy of a run on a fresh board.
+func TestRunnerSharesBoardsAcrossPowerSettings(t *testing.T) {
+	w, ok := ByName("stencil-tuned")
+	if !ok {
+		t.Fatal("stencil-tuned not registered")
+	}
+	ctx := context.Background()
+	r := &Runner{Workers: 1}
+	for _, dvfs := range []string{"", "nominal", "300@0.85", "600@1.0"} {
+		var opts []Option
+		if dvfs != "" {
+			opts = []Option{WithPowerModel("epiphany-iv-28nm", dvfs)}
+		}
+		jr := r.RunJob(ctx, Job{Workload: w, Options: opts})
+		if jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+		fresh, err := Run(ctx, w, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := jr.Result.Metrics(), fresh.Metrics()
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("dvfs %q: pooled-board metrics %+v, want the fresh board's %+v", dvfs, got, want)
+		}
+		if metered := dvfs != ""; metered != (got.EnergyJ > 0) {
+			t.Errorf("dvfs %q: EnergyJ %g", dvfs, got.EnergyJ)
+		}
+	}
+	if st := r.Boards(); st != (BoardStats{Built: 1, Reused: 3}) {
+		t.Errorf("Boards() = %+v, want 1 built and 3 reused", st)
 	}
 }
 

@@ -1,9 +1,6 @@
 package workload
 
-import (
-	"epiphany/internal/power"
-	"epiphany/internal/system"
-)
+import "epiphany/internal/system"
 
 // decorated is a workload's Result with the metrics derived from the
 // board after the run filled in: the energy domain (WithPowerModel)
@@ -40,25 +37,17 @@ func Unwrap(res Result) Result {
 // once with them; it returns res itself when rc asks for none. It must
 // run before the System is reset or recycled (the activity and
 // scheduler counters are board state).
-func decorate(res Result, sys *system.System, rc *runConfig) (Result, error) {
-	if rc.topo.Power == "" && !rc.engineStats {
-		return res, nil
+func decorate(res Result, sys *system.System, rc *runConfig) Result {
+	if rc.model == nil && !rc.engineStats {
+		return res
 	}
 	m := res.Metrics()
-	if rc.topo.Power != "" {
-		model, err := power.ResolveModel(rc.topo.Power)
-		if err != nil {
-			return nil, err
-		}
-		op, err := model.Point(rc.topo.DVFS)
-		if err != nil {
-			return nil, err
-		}
-		m.AttachEnergy(model.Energy(sys.EnergyCounters(m.Elapsed), op))
+	if rc.model != nil {
+		m.AttachEnergy(rc.model.Energy(sys.EnergyCounters(m.Elapsed), rc.point))
 	}
 	if rc.engineStats {
 		st := sys.Engine().Stats()
 		m.Engine = &st
 	}
-	return &decorated{Result: res, metrics: m}, nil
+	return &decorated{Result: res, metrics: m}
 }

@@ -58,19 +58,22 @@ func (b *BatchResult) Err() error {
 
 // Runner executes batches of workloads concurrently. Every job gets its
 // own pristine System - built fresh, or recycled through System.Reset
-// from an earlier job of the same topology (a System is single-use
+// from an earlier job on the same board (a System is single-use
 // between resets; sharing a live one across jobs would blend virtual
 // clocks and statistics). Either way each simulation stays
 // bit-deterministic: a batch produces byte-identical Metrics to running
 // the same jobs sequentially, in any interleaving, on fresh boards.
 //
 // Idle boards wait in one pool that RunBatch workers and RunJob calls
-// share, keyed by topology: it keeps at most Workers boards of each
-// topology, so a mixed stream (a daemon serving several board shapes)
-// rebuilds a board only when more jobs of one shape run at once than
-// before. Across topologies the pool is bounded by what the boards
-// hold (System.Footprint: the SRAM and DRAM blocks they have
-// written plus their fixed cost). While the idle boards hold more than
+// share, keyed by topology - the board's geometry, C2C overrides and
+// name. A power model and DVFS point only price a run's counters
+// afterwards, so runs under any of them share the same boards. The
+// pool keeps at most Workers boards of each topology, so a mixed
+// stream (a daemon serving several board shapes) rebuilds a board only
+// when more jobs of one shape run at once than before. Across
+// topologies the pool is bounded by what the boards hold
+// (System.Footprint: the SRAM and DRAM blocks they have written plus
+// their fixed cost). While the idle boards hold more than
 // Workers times poolBytesPerWorker, the pool evicts down to Workers
 // boards: the least recently returned first, but a board whose
 // topology a newer idle board shares before any other. Boards too large
@@ -88,9 +91,8 @@ type Runner struct {
 	// idle is the board pool, least recently returned first. A board
 	// is in it only while no job holds it, and only after System.Reset
 	// certified it pristine. The match is whole-Topology equality, so
-	// every board-identity axis (C2C overrides, power model and DVFS
-	// point) pools separately. idleBytes is the sum of the idle boards'
-	// footprints.
+	// boards with different C2C overrides pool separately. idleBytes is
+	// the sum of the idle boards' footprints.
 	mu        sync.Mutex
 	idle      []idleBoard
 	idleBytes int

@@ -17,6 +17,7 @@ import (
 	"sync"
 
 	"epiphany/internal/core"
+	"epiphany/internal/power"
 	"epiphany/internal/system"
 	"epiphany/internal/trace"
 )
@@ -69,9 +70,9 @@ type TopologyFitter interface {
 }
 
 // runConfig collects the option-settable knobs for one run. The power
-// model and DVFS point are kept beside the topology until prepare folds
-// them into it, so WithPowerModel composes with WithTopology in either
-// order.
+// model and DVFS point are per-run settings, not part of the board:
+// options set their names, and prepare resolves them once into model
+// and point, which decorate prices the run's counters with.
 type runConfig struct {
 	topo        system.Topology
 	seed        *uint64
@@ -79,6 +80,8 @@ type runConfig struct {
 	engineStats bool
 	power       string
 	dvfs        string
+	model       *power.Model // nil when the run is not metered
+	point       power.OperatingPoint
 }
 
 // Option configures how Run (and Runner) executes a workload.
@@ -132,9 +135,9 @@ func WithEngineStats() Option {
 // simulation completes, its activity counters are priced into the
 // Metrics' energy fields (EnergyJ, AvgPowerW, GFLOPSPerWatt, EDPJs and
 // the per-component breakdown). The model is derivation-only - the
-// time-domain metrics are bit-identical with or without it - but it is
-// part of the run's experiment identity: Runner pools boards per
-// (topology, model, point), exactly as it pools per C2C override.
+// time-domain metrics are bit-identical with or without it - so it is
+// not part of the board: Runner reuses one pooled board for runs under
+// any model and point.
 func WithPowerModel(model, dvfs string) Option {
 	return func(rc *runConfig) { rc.power, rc.dvfs = model, dvfs }
 }
@@ -161,9 +164,10 @@ func Run(ctx context.Context, w Workload, opts ...Option) (Result, error) {
 }
 
 // prepare applies the options and readies w for execution: topology
-// validation, reseeding, topology fitting, config validation. It
-// returns the workload to actually run (possibly a rebased or refitted
-// copy) and the resolved run configuration.
+// validation, power-model and DVFS resolution, reseeding, topology
+// fitting, config validation. It returns the workload to actually run
+// (possibly a rebased or refitted copy) and the resolved run
+// configuration.
 func prepare(w Workload, opts []Option) (Workload, runConfig, error) {
 	rc := runConfig{topo: system.E64}
 	if w == nil {
@@ -172,11 +176,21 @@ func prepare(w Workload, opts []Option) (Workload, runConfig, error) {
 	for _, o := range opts {
 		o(&rc)
 	}
-	if rc.power != "" || rc.dvfs != "" {
-		rc.topo = rc.topo.WithPower(rc.power, rc.dvfs)
-	}
 	if err := rc.topo.Validate(); err != nil {
 		return nil, rc, err
+	}
+	if rc.dvfs != "" && rc.power == "" {
+		return nil, rc, fmt.Errorf("epiphany: DVFS point %q requires a power model", rc.dvfs)
+	}
+	if rc.power != "" {
+		m, err := power.ResolveModel(rc.power)
+		if err != nil {
+			return nil, rc, err
+		}
+		if rc.point, err = m.Point(rc.dvfs); err != nil {
+			return nil, rc, err
+		}
+		rc.model = m
 	}
 	if rc.seed != nil {
 		r, ok := w.(Reseeder)
@@ -212,9 +226,7 @@ func runOn(ctx context.Context, w Workload, sys *system.System, rc *runConfig) (
 	if err != nil {
 		return nil, err
 	}
-	if res, err = decorate(res, sys, rc); err != nil {
-		return nil, fmt.Errorf("epiphany: energy accounting for %q: %w", w.Name(), err)
-	}
+	res = decorate(res, sys, rc)
 	if tl != nil {
 		if err := tl.Export(rc.timeline); err != nil {
 			return nil, fmt.Errorf("epiphany: writing timeline for %q: %w", w.Name(), err)

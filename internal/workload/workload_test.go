@@ -158,6 +158,27 @@ func TestRunOptionPlumbing(t *testing.T) {
 	}
 }
 
+// TestRunPowerErrors: Run refuses a DVFS point without a power model, a
+// misspelled model (suggesting the preset meant) and a malformed point,
+// before any board is built.
+func TestRunPowerErrors(t *testing.T) {
+	cases := []struct {
+		label, model, dvfs, want string
+	}{
+		{"dvfs without model", "", "600@1.0", `epiphany: DVFS point "600@1.0" requires a power model`},
+		{"misspelled model", "epiphany-iv-28mn", "", `epiphany: unknown power model "epiphany-iv-28mn" (did you mean "epiphany-iv-28nm"?`},
+		{"malformed point", "epiphany-iv-28nm", "fast", `epiphany: operating point "fast" must be FREQ[MHz]@VOLT[V]`},
+		{"bad frequency", "epiphany-iv-28nm", "x@1.0", `epiphany: operating point "x@1.0": bad frequency`},
+		{"non-positive voltage", "epiphany-iv-28nm", "600@0", `epiphany: operating point "600@0": frequency and voltage must be positive`},
+	}
+	for _, c := range cases {
+		_, err := Run(context.Background(), &probe{name: "power-probe"}, WithPowerModel(c.model, c.dvfs))
+		if err == nil || !strings.HasPrefix(err.Error(), c.want) {
+			t.Errorf("%s: Run error %v, want prefix %q", c.label, err, c.want)
+		}
+	}
+}
+
 type seedProbe struct {
 	probe
 	got chan uint64

@@ -48,9 +48,8 @@ func ParseDVFSPoint(s string) (OperatingPoint, error) { return power.ParsePoint(
 // the per-component EnergyBreakdown, derived from the run's activity
 // counters after the simulation completes. Energy accounting is purely
 // additive - the time-domain metrics are bit-identical with or without
-// it - but the model is part of the run's experiment identity: Runner
-// pools boards per (topology, model, point), like it pools per C2C
-// override.
+// it - so the model and point are per-run settings, not part of the
+// board: Runner reuses one pooled board for runs under any of them.
 func WithPowerModel(model, dvfs string) Option { return workload.WithPowerModel(model, dvfs) }
 
 // UnwrapResult peels the decoration off a Result, returning the

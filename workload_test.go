@@ -175,6 +175,29 @@ func TestMatmulBlockChecksInValidate(t *testing.T) {
 	}
 }
 
+// TestStencilPlanChecksInValidate: a stencil grid or streamed block that
+// does not fit the kernel's scratchpad plan fails Validate with the
+// plan's own reason, and Run refuses it the same way before a board is
+// taken: past the 32 KB scratchpad, or over the flag words.
+func TestStencilPlanChecksInValidate(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{"stencil-tuned/rows=100/cols=100", `core: 100x100 grid with halo (41616 B) does not fit the scratchpad plan: mem: region "grid" [0x2000,0xc290) exceeds 32 KB scratchpad`},
+		{"stencil-naive/rows=76/cols=76", `core: 76x76 grid with halo (24336 B) does not fit the scratchpad plan: mem: region "flags" [0x7d00,0x7d40) overlaps "grid" [0x2000,0x7f10)`},
+		{"stream-stencil/grid=512x512/block=64x64/group=8x8/t=8", `core: 64x64 block with T=8 halo (25600 B) does not fit the scratchpad plan: mem: region "grid" [0x2000,0x8400) exceeds 32 KB scratchpad`},
+	} {
+		w, err := ParseWorkload(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Validate = %v, want %q", c.spec, err, c.want)
+		}
+		if _, err := Run(context.Background(), w); err == nil || err.Error() != c.want {
+			t.Errorf("%s: Run on e64 = %v, want %q", c.spec, err, c.want)
+		}
+	}
+}
+
 func TestRunWithSeed(t *testing.T) {
 	w := &StencilWorkload{Config: StencilConfig{
 		Rows: 20, Cols: 20, Iters: 2, GroupRows: 1, GroupCols: 1, Tuned: true, Seed: 1,
