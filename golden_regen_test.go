@@ -1,8 +1,9 @@
 package epiphany_test
 
 // The golden-table regenerator. `EPIPHANY_REGEN=1 go test -run
-// TestRegenGoldens -v .` prints the three frozen tables - the
-// single-chip golden map, the cluster map, and the e64 energy map - in
+// TestRegenGoldens -v .` prints the four frozen tables - the
+// single-chip golden map, the cluster map, the e64 energy map and the
+// timeline digests - in
 // exactly the form the conformance files paste them, so a legitimate
 // metric shift (a kernel fix, a recalibration) is a copy-paste plus a
 // commit-message explanation instead of an error-prone retyping of
@@ -64,5 +65,9 @@ func TestRegenGoldens(t *testing.T) {
 			b(m.Energy.CoreActiveJ), b(m.Energy.CoreIdleJ), b(m.Energy.FPUJ),
 			b(m.Energy.SRAMJ), b(m.Energy.DRAMJ), b(m.Energy.MeshJ),
 			b(m.Energy.ELinkJ), b(m.Energy.C2CJ), b(m.Energy.LeakageJ))
+	}
+	fmt.Println("// timeline_golden_test.go: timelineGolden")
+	for _, d := range timelineDigests(t) {
+		fmt.Printf("\t{%q, %q}: %q,\n", d.topo, d.workload, d.sha)
 	}
 }

@@ -257,7 +257,7 @@ func planMatmul(m, n, k, g int) (*matmulPlan, error) {
 		if err != nil {
 			return 0
 		}
-		r, e := l.Alloc(name, sz, -1, 8)
+		r, e := l.Alloc(name, sz)
 		if e != nil {
 			err = fmt.Errorf("core: %dx%dx%d per-core block does not fit the 32 KB scratchpad: %w", m, n, k, e)
 		}

@@ -13,8 +13,8 @@ import (
 
 // blockCore is the per-core state both on-chip algorithms share: the
 // core's place in the group, its m x n x k block and scratchpad plan,
-// one DMA descriptor per channel, and its Table VI decomposition - the
-// time it spent in block compute and in transfers.
+// its flag words, one DMA descriptor per channel, and its Table VI
+// decomposition - the time it spent in block compute and in transfers.
 type blockCore struct {
 	c        *ecore.Core
 	w        *sdk.Workgroup
@@ -22,28 +22,18 @@ type blockCore struct {
 	m, n, k  int
 	plan     *matmulPlan
 	tuned    bool
+	flags    sdk.Flags   // the slots at matmulFlagsOff
 	desc     [2]dma.Desc // one descriptor per channel: block sends and off-chip tiles
 	compute  sim.Time
 	transfer sim.Time
 }
 
-// postAt stores a flag value into the flag slot of the core at chip
-// coordinates (row, col).
-func (b *blockCore) postAt(row, col, slot int, v uint32) {
-	b.c.StoreGlobal32(b.c.GlobalOn(row, col, matmulFlagsOff+mem.Addr(4*slot)), v)
-}
-
-// await blocks until the local flag slot reaches v.
-func (b *blockCore) await(slot int, v uint32) {
-	b.c.WaitLocal32GE(matmulFlagsOff+mem.Addr(4*slot), v)
-}
-
-// sendAt DMA-transfers sz bytes from a local offset to an offset on the
-// core at chip coordinates (row, col), rewriting the channel's
-// descriptor as each send's addresses require.
-func (b *blockCore) sendAt(ch dma.Chan, row, col int, src, dst mem.Addr, sz int) {
+// send DMA-transfers sz bytes from a local offset to an offset on chip
+// core index core, rewriting the channel's descriptor as each send's
+// addresses require.
+func (b *blockCore) send(ch dma.Chan, core int, src, dst mem.Addr, sz int) {
 	d := &b.desc[ch]
-	d.Set1D(src, b.c.GlobalOn(row, col, dst), sz, 8)
+	d.Set1D(src, b.c.Chip().Map().GlobalOf(core, dst), sz, 8)
 	b.c.DMAStart(ch, b.c.DMASetDesc(d))
 	b.c.DMAWait(ch)
 }
@@ -86,31 +76,16 @@ func newCannon(b blockCore) cannon {
 	return ca
 }
 
-// aBase and bBase return the current operand bases.
-func (ca *cannon) aBase() mem.Addr {
-	if ca.plan.scheme == schemeHalf {
-		return ca.plan.a0 + mem.Addr(ca.parity)*matmulHalfSz
+// bases returns the current A and B operand bases.
+func (ca *cannon) bases() (a, b mem.Addr) {
+	switch {
+	case ca.plan.scheme == schemeHalf:
+		h := mem.Addr(ca.parity) * matmulHalfSz
+		return ca.plan.a0 + h, ca.plan.b0 + h
+	case ca.cur == 0:
+		return ca.plan.a0, ca.plan.b0
 	}
-	if ca.cur == 0 {
-		return ca.plan.a0
-	}
-	return ca.plan.a1
-}
-
-func (ca *cannon) bBase() mem.Addr {
-	if ca.plan.scheme == schemeHalf {
-		return ca.plan.b0 + mem.Addr(ca.parity)*matmulHalfSz
-	}
-	if ca.cur == 0 {
-		return ca.plan.b0
-	}
-	return ca.plan.b1
-}
-
-// post stores a flag value into a neighbour's flag slot.
-func (ca *cannon) post(target int, slot int, v uint32) {
-	r, c := ca.c.Chip().Map().CoreCoords(target)
-	ca.postAt(r, c, slot, v)
+	return ca.plan.a1, ca.plan.b1
 }
 
 // mulScratch recycles mulBlock's operand buffers across blocks, cores
@@ -171,13 +146,6 @@ func mulBlock(sram *mem.Memory, a, b, c mem.Addr, m, n, k int) {
 	mulScratch.Put(buf)
 }
 
-// sendBlock DMA-transfers sz bytes from a local offset to a neighbour's
-// offset.
-func (ca *cannon) sendBlock(ch dma.Chan, target int, src, dst mem.Addr, sz int) {
-	r, c := ca.c.Chip().Map().CoreCoords(target)
-	ca.sendAt(ch, r, c, src, dst, sz)
-}
-
 // rotate performs one Cannon rotation (A one step left, B one step up)
 // after compute round r, using the plan's buffering scheme.
 func (ca *cannon) rotate() {
@@ -195,23 +163,24 @@ func (ca *cannon) rotate() {
 		// whole DMA lengths - blocks until the target's forwards have
 		// drained instead of racing them.
 		if r >= 2 {
-			ca.await(flagFwdFromLeft, r-1)
-			ca.await(flagFwdFromUp, r-1)
+			ca.flags.Await(flagFwdFromLeft, r-1)
+			ca.flags.Await(flagFwdFromUp, r-1)
 		}
 		spareA, spareB := ca.plan.a1, ca.plan.b1
 		if ca.cur == 1 {
 			spareA, spareB = ca.plan.a0, ca.plan.b0
 		}
-		ca.sendBlock(dma.DMA0, ca.left, ca.aBase(), spareA, aSz)
-		ca.sendBlock(dma.DMA1, ca.up, ca.bBase(), spareB, bSz)
+		a, b := ca.bases()
+		ca.send(dma.DMA0, ca.left, a, spareA, aSz)
+		ca.send(dma.DMA1, ca.up, b, spareB, bSz)
 		// Send credit: both forwards out of our current buffers are
 		// complete, so the cores that DMA into us may overwrite them.
-		ca.post(ca.right, flagFwdFromLeft, r)
-		ca.post(ca.dwn, flagFwdFromUp, r)
-		ca.post(ca.left, flagArrAFromRight, r)
-		ca.post(ca.up, flagArrBFromBelow, r)
-		ca.await(flagArrAFromRight, r)
-		ca.await(flagArrBFromBelow, r)
+		ca.flags.Post(ca.right, flagFwdFromLeft, r)
+		ca.flags.Post(ca.dwn, flagFwdFromUp, r)
+		ca.flags.Post(ca.left, flagArrAFromRight, r)
+		ca.flags.Post(ca.up, flagArrBFromBelow, r)
+		ca.flags.Await(flagArrAFromRight, r)
+		ca.flags.Await(flagArrBFromBelow, r)
 		ca.cur ^= 1
 	case schemeHalf:
 		// The paper's §VII alternate buffering scheme (Figures 10-13):
@@ -219,9 +188,9 @@ func (ca *cannon) rotate() {
 		// the base pointer sliding by 2 KB each round. Phase 1 may begin
 		// only once the target has finished this round's compute (its
 		// buffer geometry must agree with ours).
-		ca.await(flagCDFromLeft, r)
-		ca.await(flagCDFromUp, r)
-		a := ca.aBase()
+		ca.flags.Await(flagCDFromLeft, r)
+		ca.flags.Await(flagCDFromUp, r)
+		a, _ := ca.bases()
 		var a1src, a1dst, a2src, a2dst mem.Addr
 		if ca.parity == 0 {
 			a1src, a1dst = a+matmulHalfSz, a+2*matmulHalfSz // lower half -> buffer
@@ -232,19 +201,19 @@ func (ca *cannon) rotate() {
 		}
 		off := ca.plan.b0 - ca.plan.a0 // B region uses the same geometry
 		// Phase 1: halves into the neighbours' free 2 KB regions.
-		ca.sendBlock(dma.DMA0, ca.left, a1src, a1dst, matmulHalfSz)
-		ca.sendBlock(dma.DMA1, ca.up, a1src+off, a1dst+off, matmulHalfSz)
-		ca.post(ca.right, flagP1AFromLeft, r)
-		ca.post(ca.dwn, flagP1BFromUp, r)
+		ca.send(dma.DMA0, ca.left, a1src, a1dst, matmulHalfSz)
+		ca.send(dma.DMA1, ca.up, a1src+off, a1dst+off, matmulHalfSz)
+		ca.flags.Post(ca.right, flagP1AFromLeft, r)
+		ca.flags.Post(ca.dwn, flagP1BFromUp, r)
 		// Phase 2 may only overwrite the halves our targets have vacated.
-		ca.await(flagP1AFromLeft, r)
-		ca.await(flagP1BFromUp, r)
-		ca.sendBlock(dma.DMA0, ca.left, a2src, a2dst, matmulHalfSz)
-		ca.sendBlock(dma.DMA1, ca.up, a2src+off, a2dst+off, matmulHalfSz)
-		ca.post(ca.left, flagArrAFromRight, r)
-		ca.post(ca.up, flagArrBFromBelow, r)
-		ca.await(flagArrAFromRight, r)
-		ca.await(flagArrBFromBelow, r)
+		ca.flags.Await(flagP1AFromLeft, r)
+		ca.flags.Await(flagP1BFromUp, r)
+		ca.send(dma.DMA0, ca.left, a2src, a2dst, matmulHalfSz)
+		ca.send(dma.DMA1, ca.up, a2src+off, a2dst+off, matmulHalfSz)
+		ca.flags.Post(ca.left, flagArrAFromRight, r)
+		ca.flags.Post(ca.up, flagArrBFromBelow, r)
+		ca.flags.Await(flagArrAFromRight, r)
+		ca.flags.Await(flagArrBFromBelow, r)
 		ca.parity ^= 1
 	}
 	ca.transfer += ca.c.Now() - start
@@ -263,16 +232,16 @@ func (ca *cannon) multiply() {
 	g := ca.w.Rows
 	for step := 0; step < g; step++ {
 		ca.round++
-		ca.multiplyAdd(ca.aBase(), ca.bBase())
+		ca.multiplyAdd(ca.bases())
 		if g > 1 && ca.plan.scheme == schemeHalf {
-			ca.post(ca.right, flagCDFromLeft, ca.round)
-			ca.post(ca.dwn, flagCDFromUp, ca.round)
+			ca.flags.Post(ca.right, flagCDFromLeft, ca.round)
+			ca.flags.Post(ca.dwn, flagCDFromUp, ca.round)
 		}
 		if step < g-1 {
 			ca.rotate()
 		} else if g > 1 && ca.plan.scheme == schemeDouble {
-			ca.post(ca.right, flagFwdFromLeft, ca.round)
-			ca.post(ca.dwn, flagFwdFromUp, ca.round)
+			ca.flags.Post(ca.right, flagFwdFromLeft, ca.round)
+			ca.flags.Post(ca.dwn, flagFwdFromUp, ca.round)
 		}
 	}
 }
@@ -324,7 +293,8 @@ func (r *matmulRun) stage(hp *host.Proc, w *sdk.Workgroup) {
 }
 
 func (r *matmulRun) kernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int) {
-	b := blockCore{c: c, w: w, gr: gr, gc: gc, m: r.m, n: r.n, k: r.k, plan: r.plan, tuned: r.cfg.Tuned}
+	b := blockCore{c: c, w: w, gr: gr, gc: gc, m: r.m, n: r.n, k: r.k, plan: r.plan, tuned: r.cfg.Tuned,
+		flags: sdk.NewFlags(c, matmulFlagsOff)}
 	i := gr*w.Cols + gc
 	if r.summa() {
 		su := &r.summas[i]
@@ -397,8 +367,9 @@ func (r *matmulRun) offChipKernel(ca *cannon) {
 			ca.zeroC()
 			for bk := 0; bk < Q; bk++ {
 				s := (i + j) % g
-				page(dma.DMA0, r.aOff, bi*S+i*n, bk*S+s*n, ca.aBase(), false)
-				page(dma.DMA1, r.bOff, bk*S+s*n, bj*S+j*n, ca.bBase(), false)
+				a, b := ca.bases()
+				page(dma.DMA0, r.aOff, bi*S+i*n, bk*S+s*n, a, false)
+				page(dma.DMA1, r.bOff, bk*S+s*n, bj*S+j*n, b, false)
 				ca.multiply()
 			}
 			page(dma.DMA0, r.cOff, bi*S+i*n, bj*S+j*n, ca.plan.c, true)

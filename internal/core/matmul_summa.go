@@ -33,152 +33,108 @@ type summa struct {
 	step uint32
 }
 
-// post stores a flag value into workgroup position (row, col)'s slot.
-func (s *summa) post(row, col, slot int, v uint32) {
-	s.postAt(s.w.OriginRow+row, s.w.OriginCol+col, slot, v)
+// line is one broadcast direction of SUMMA: A panels travel along the
+// core's group row, B panels along its group column. A position on the
+// line is a group column or row; lo and hi name the neighbours at the
+// lower and higher position.
+type line struct {
+	ch            dma.Chan
+	pos, n        int // this core's position, and the line's length
+	first, stride int // chip core index of position 0, and per position
+	own, panel    mem.Addr
+	sz            int
+	// The flag slots: a panel arrived from lo or from hi, and the lo
+	// or hi neighbour's computed-steps counter.
+	fromLo, fromHi, cdLo, cdHi int
 }
 
-// send DMA-copies sz bytes to workgroup position (row, col).
-func (s *summa) send(ch dma.Chan, row, col int, src, dst mem.Addr, sz int) {
-	s.sendAt(ch, s.w.OriginRow+row, s.w.OriginCol+col, src, dst, sz)
+// core returns the chip core index of position p.
+func (ln *line) core(p int) int { return ln.first + p*ln.stride }
+
+// lines returns the core's A line (its group row) and B line (its
+// group column).
+func (s *summa) lines() (a, b line) {
+	a = line{ch: dma.DMA0, pos: s.gc, n: s.w.Cols, first: s.w.CoreIndex(s.gr, 0), stride: 1,
+		own: s.plan.a0, panel: s.plan.a1, sz: 4 * s.m * s.n,
+		fromLo: flagSummaAFromWest, fromHi: flagSummaAFromEast, cdLo: flagSummaCDW, cdHi: flagSummaCDE}
+	b = line{ch: dma.DMA1, pos: s.gr, n: s.w.Rows, first: s.w.CoreIndex(0, s.gc), stride: s.c.Chip().Map().Cols,
+		own: s.plan.b0, panel: s.plan.b1, sz: 4 * s.n * s.k,
+		fromLo: flagSummaBFromN, fromHi: flagSummaBFromS, cdLo: flagSummaCDN, cdHi: flagSummaCDS}
+	return a, b
 }
 
-// awaitCD waits until the neighbour at (row, col) has computed at least
-// `need` steps, so its panel workspace is free for overwriting. Unlike
-// the old Cannon schemeDouble gate (which raced: its counter was
-// posted before the round's forwards), this compute-done gate is
-// send-safe as-is: postCD runs after the step's multiplyAdd, and a
-// SUMMA step's forwards out of the panel workspace all happen *before*
-// that step's compute, so a step-N counter proves the workspace's
-// sends drained.
-func (s *summa) awaitCD(row, col int, need uint32) {
-	if need == 0 {
-		return
-	}
-	var slot int
-	switch {
-	case row < s.gr:
-		slot = flagSummaCDN
-	case row > s.gr:
-		slot = flagSummaCDS
-	case col < s.gc:
-		slot = flagSummaCDW
-	default:
-		slot = flagSummaCDE
-	}
-	s.await(slot, need)
-}
-
-// broadcastA distributes step l's A panel along this core's row via a
-// store-and-forward pipeline away from the owner column l. It returns
-// the base of the panel for this core's compute.
-func (s *summa) broadcastA(l int) mem.Addr {
-	g := s.w.Cols
-	sz := 4 * s.m * s.n
+// broadcast distributes step l's panel along ln via a store-and-forward
+// pipeline away from the owner at position l. It returns the base of
+// the panel for this core's compute.
+func (s *summa) broadcast(ln *line, l int) mem.Addr {
 	t0 := s.c.Now()
 	defer func() { s.transfer += s.c.Now() - t0 }()
 	switch {
-	case s.gc == l: // owner: seed both directions
+	case ln.pos == l: // owner: seed both directions
 		if l > 0 {
-			s.awaitCD(s.gr, s.gc-1, s.step-1)
-			s.send(dma.DMA0, s.gr, s.gc-1, s.plan.a0, s.plan.a1, sz)
-			s.post(s.gr, s.gc-1, flagSummaAFromEast, s.step)
+			s.forward(ln, ln.pos-1, ln.own)
 		}
-		if l < g-1 {
-			s.awaitCD(s.gr, s.gc+1, s.step-1)
-			s.send(dma.DMA0, s.gr, s.gc+1, s.plan.a0, s.plan.a1, sz)
-			s.post(s.gr, s.gc+1, flagSummaAFromWest, s.step)
+		if l < ln.n-1 {
+			s.forward(ln, ln.pos+1, ln.own)
 		}
-		return s.plan.a0
-	case s.gc > l: // receive from the west, forward east
-		s.await(flagSummaAFromWest, s.step)
-		if s.gc+1 < g {
-			s.awaitCD(s.gr, s.gc+1, s.step-1)
-			s.send(dma.DMA0, s.gr, s.gc+1, s.plan.a1, s.plan.a1, sz)
-			s.post(s.gr, s.gc+1, flagSummaAFromWest, s.step)
+		return ln.own
+	case ln.pos > l: // receive from lo, forward to hi
+		s.flags.Await(ln.fromLo, s.step)
+		if ln.pos+1 < ln.n {
+			s.forward(ln, ln.pos+1, ln.panel)
 		}
-		return s.plan.a1
-	default: // receive from the east, forward west
-		s.await(flagSummaAFromEast, s.step)
-		if s.gc-1 >= 0 {
-			s.awaitCD(s.gr, s.gc-1, s.step-1)
-			s.send(dma.DMA0, s.gr, s.gc-1, s.plan.a1, s.plan.a1, sz)
-			s.post(s.gr, s.gc-1, flagSummaAFromEast, s.step)
+	default: // receive from hi, forward to lo
+		s.flags.Await(ln.fromHi, s.step)
+		if ln.pos > 0 {
+			s.forward(ln, ln.pos-1, ln.panel)
 		}
-		return s.plan.a1
 	}
+	return ln.panel
 }
 
-// broadcastB distributes step l's B panel along this core's column.
-func (s *summa) broadcastB(l int) mem.Addr {
-	g := s.w.Rows
-	sz := 4 * s.n * s.k
-	t0 := s.c.Now()
-	defer func() { s.transfer += s.c.Now() - t0 }()
-	switch {
-	case s.gr == l:
-		if l > 0 {
-			s.awaitCD(s.gr-1, s.gc, s.step-1)
-			s.send(dma.DMA1, s.gr-1, s.gc, s.plan.b0, s.plan.b1, sz)
-			s.post(s.gr-1, s.gc, flagSummaBFromS, s.step)
-		}
-		if l < g-1 {
-			s.awaitCD(s.gr+1, s.gc, s.step-1)
-			s.send(dma.DMA1, s.gr+1, s.gc, s.plan.b0, s.plan.b1, sz)
-			s.post(s.gr+1, s.gc, flagSummaBFromN, s.step)
-		}
-		return s.plan.b0
-	case s.gr > l:
-		s.await(flagSummaBFromN, s.step)
-		if s.gr+1 < g {
-			s.awaitCD(s.gr+1, s.gc, s.step-1)
-			s.send(dma.DMA1, s.gr+1, s.gc, s.plan.b1, s.plan.b1, sz)
-			s.post(s.gr+1, s.gc, flagSummaBFromN, s.step)
-		}
-		return s.plan.b1
-	default:
-		s.await(flagSummaBFromS, s.step)
-		if s.gr-1 >= 0 {
-			s.awaitCD(s.gr-1, s.gc, s.step-1)
-			s.send(dma.DMA1, s.gr-1, s.gc, s.plan.b1, s.plan.b1, sz)
-			s.post(s.gr-1, s.gc, flagSummaBFromS, s.step)
-		}
-		return s.plan.b1
+// forward sends the panel at src into the panel workspace of position
+// to, a neighbour, and posts its arrival there. It first waits until
+// that neighbour has computed the previous step, so its workspace is
+// free for overwriting. Unlike the old Cannon schemeDouble gate (which
+// raced: its counter was posted before the round's forwards), this
+// compute-done gate is send-safe as-is: the counter is posted after the
+// step's multiplyAdd, and a SUMMA step's forwards out of the panel
+// workspace all happen *before* that step's compute, so a step-N
+// counter proves the workspace's sends drained.
+func (s *summa) forward(ln *line, to int, src mem.Addr) {
+	cd, arrived := ln.cdHi, ln.fromLo
+	if to < ln.pos {
+		cd, arrived = ln.cdLo, ln.fromHi
 	}
-}
-
-// postCD tells every neighbour this core finished another step.
-func (s *summa) postCD() {
-	g := s.w.Rows
-	if s.gr > 0 {
-		s.post(s.gr-1, s.gc, flagSummaCDS, s.step)
+	if s.step > 1 {
+		s.flags.Await(cd, s.step-1)
 	}
-	if s.gr < g-1 {
-		s.post(s.gr+1, s.gc, flagSummaCDN, s.step)
-	}
-	if s.gc > 0 {
-		s.post(s.gr, s.gc-1, flagSummaCDE, s.step)
-	}
-	if s.gc < s.w.Cols-1 {
-		s.post(s.gr, s.gc+1, flagSummaCDW, s.step)
-	}
+	s.send(ln.ch, ln.core(to), src, ln.panel, ln.sz)
+	s.flags.Post(ln.core(to), arrived, s.step)
 }
 
 // multiply runs the g SUMMA steps.
 func (s *summa) multiply() {
 	g := s.w.Rows
+	a, b := s.lines()
 	for l := 0; l < g; l++ {
 		s.step++
-		var aBase, bBase mem.Addr
 		if g == 1 {
-			aBase, bBase = s.plan.a0, s.plan.b0
-		} else {
-			aBase = s.broadcastA(l)
-			bBase = s.broadcastB(l)
+			s.multiplyAdd(s.plan.a0, s.plan.b0)
+			continue
 		}
+		aBase := s.broadcast(&a, l)
+		bBase := s.broadcast(&b, l)
 		s.multiplyAdd(aBase, bBase)
-		if g > 1 {
-			s.postCD()
+		// Tell every neighbour this core finished another step: north,
+		// south, west, east.
+		for _, ln := range [...]*line{&b, &a} {
+			if ln.pos > 0 {
+				s.flags.Post(ln.core(ln.pos-1), ln.cdHi, s.step)
+			}
+			if ln.pos < ln.n-1 {
+				s.flags.Post(ln.core(ln.pos+1), ln.cdLo, s.step)
+			}
 		}
 	}
 }

@@ -158,6 +158,7 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 		return stencilGridOff + mem.Addr(4*(r*pitch+col))
 	}
 	cycles, flops := StencilComputeModel(rows, cfg.Cols, cfg.Tuned)
+	amap := c.Chip().Map()
 
 	// Neighbour discovery (SDK e_neighbor_id, Clamp mode: grid edges have
 	// no neighbour).
@@ -176,11 +177,22 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 	// transfers. Each direction's descriptor is written in its slot.
 	var chain0, chain1 *dma.Desc
 	if cfg.Comm && !cfg.DirectComm {
-		mkRow := func(dir, srcRow, dstRow int) *dma.Desc {
-			d := &desc[dir]
-			d.Set1D(gridAt(srcRow, 1),
-				c.Chip().Map().GlobalOf(nbr[dir], gridAt(dstRow, 1)), 4*cfg.Cols, 8)
-			return c.DMASetDesc(d)
+		// rowChain builds the bottom+top chain, each row moving words
+		// values from column col0 on.
+		rowChain := func(col0, words int) (chain *dma.Desc) {
+			row := func(dir, srcRow, dstRow int) *dma.Desc {
+				d := &desc[dir]
+				d.Set1D(gridAt(srcRow, col0), amap.GlobalOf(nbr[dir], gridAt(dstRow, col0)), 4*words, 8)
+				return c.DMASetDesc(d)
+			}
+			if has[dirBottom] {
+				chain = row(dirBottom, rows, 0) // my last row -> their halo row 0
+			}
+			if has[dirTop] {
+				d := row(dirTop, 1, rows+1) // my first row -> their halo row R+1
+				d.Chain, chain = chain, d
+			}
+			return chain
 		}
 		mkCol := func(dir, srcCol, dstCol int) *dma.Desc {
 			d := &desc[dir]
@@ -188,17 +200,11 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 				Beat: 4, InnerCount: 1, OuterCount: rows,
 				SrcOuterStride: 4 * pitch, DstOuterStride: 4 * pitch,
 				Src: gridAt(1, srcCol),
-				Dst: c.Chip().Map().GlobalOf(nbr[dir], gridAt(1, dstCol)),
+				Dst: amap.GlobalOf(nbr[dir], gridAt(1, dstCol)),
 			}
 			return c.DMASetDesc(d)
 		}
-		if has[dirBottom] {
-			chain0 = mkRow(dirBottom, rows, 0) // my last row -> their halo row 0
-		}
-		if has[dirTop] {
-			d := mkRow(dirTop, 1, rows+1) // my first row -> their halo row R+1
-			d.Chain, chain0 = chain0, d
-		}
+		chain0 = rowChain(1, cfg.Cols)
 		if has[dirRight] {
 			chain1 = mkCol(dirRight, cfg.Cols, 0)
 		}
@@ -210,81 +216,31 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 			// Diagonal stencils need corner halo values: widen the row
 			// transfers to span the halo columns (filled by the column
 			// exchange, which therefore must run first). The widened
-			// rows are rebuilt in the row slots.
-			mkWideRow := func(dir, srcRow, dstRow int) *dma.Desc {
-				d := &desc[dir]
-				d.Set1D(gridAt(srcRow, 0),
-					c.Chip().Map().GlobalOf(nbr[dir], gridAt(dstRow, 0)), 4*pitch, 8)
-				return c.DMASetDesc(d)
+			// rows are rebuilt in the row slots; the narrow builds above
+			// are then unused, but their cycles are in the goldens.
+			chain0 = rowChain(0, pitch)
+		}
+	}
+
+	// handshake posts iter to the neighbours in directions from on,
+	// each in its slot base+d for the direction d it sees this core in,
+	// then waits for the same neighbours' posts in this core's slots.
+	flags := sdk.NewFlags(c, stencilFlagsOff)
+	handshake := func(base, from int, iter uint32) {
+		for d := from; d < numDirs; d++ {
+			if has[d] {
+				flags.Post(nbr[d], base+opposite[d], iter)
 			}
-			chain0 = nil
-			if has[dirBottom] {
-				chain0 = mkWideRow(dirBottom, rows, 0)
-			}
-			if has[dirTop] {
-				d := mkWideRow(dirTop, 1, rows+1)
-				d.Chain, chain0 = chain0, d
+		}
+		for d := from; d < numDirs; d++ {
+			if has[d] {
+				flags.Await(base+d, iter)
 			}
 		}
 	}
 
-	sram := c.Local()
-	// The sweep's row buffers: prev is the rolling copy of the
-	// pre-update row above, cur the pre-update row, next the inputs
-	// read from the row below and out the updated row.
-	prev, cur, next, out := rowBuf[:pitch], rowBuf[pitch:2*pitch], rowBuf[2*pitch:3*pitch], rowBuf[3*pitch:4*pitch]
-	signal := func(base mem.Addr, iter uint32) {
-		for d := 0; d < numDirs; d++ {
-			if has[d] {
-				nr, nc := c.Chip().Map().CoreCoords(nbr[d])
-				c.StoreGlobal32(c.GlobalOn(nr, nc, base+mem.Addr(4*opposite[d])), iter)
-			}
-		}
-	}
-	await := func(base mem.Addr, iter uint32) {
-		for d := 0; d < numDirs; d++ {
-			if has[d] {
-				c.WaitLocal32GE(base+mem.Addr(4*d), iter)
-			}
-		}
-	}
-
-	for iter := 1; iter <= cfg.Iters; iter++ {
-		// Functional sweep: the register-buffered in-place kernel has
-		// Jacobi semantics (all five inputs are pre-update values; the
-		// already-updated row above survives in registers), so the sweep
-		// keeps a one-row rolling buffer of pre-update values.
-		// Rows move through the bulk accessors, which charge what the
-		// per-point loads and stores of the modelled kernel cost.
-		sram.LoadF32s(gridAt(0, 0), prev)
-		for r := 1; r <= rows; r++ {
-			sram.LoadF32s(gridAt(r, 0), cur)
-			if cfg.Shape == Cross {
-				// Each point loads its lower-left and lower-right
-				// neighbours: two reads of the row below, which land on
-				// the same values where they overlap.
-				sram.LoadF32s(gridAt(r+1, 0), next[:cfg.Cols])
-				sram.LoadF32s(gridAt(r+1, 2), next[2:cfg.Cols+2])
-				for col := 1; col <= cfg.Cols; col++ {
-					out[col] = cfg.Coefs[0]*prev[col-1] +
-						cfg.Coefs[1]*prev[col+1] +
-						cfg.Coefs[2]*cur[col] +
-						cfg.Coefs[3]*next[col-1] +
-						cfg.Coefs[4]*next[col+1]
-				}
-			} else {
-				sram.LoadF32s(gridAt(r+1, 1), next[1:cfg.Cols+1])
-				for col := 1; col <= cfg.Cols; col++ {
-					out[col] = cfg.Coefs[0]*prev[col] +
-						cfg.Coefs[1]*cur[col-1] +
-						cfg.Coefs[2]*cur[col] +
-						cfg.Coefs[3]*cur[col+1] +
-						cfg.Coefs[4]*next[col]
-				}
-			}
-			sram.StoreF32s(gridAt(r, 1), out[1:cfg.Cols+1])
-			prev, cur = cur, prev
-		}
+	for iter := uint32(1); iter <= uint32(cfg.Iters); iter++ {
+		jacobiRows(c.Local(), pitch, 1, rows+1, 1, cfg.Cols+1, cfg.Shape, cfg.Coefs, rowBuf)
 		c.Compute(cycles, flops)
 
 		if !cfg.Comm {
@@ -292,14 +248,10 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 		}
 		// Listing 2: synchronize with the four neighbours, move the edge
 		// data, then synchronize on transfer completion.
-		signal(stencilFlagsOff, uint32(iter))
-		await(stencilFlagsOff, uint32(iter))
+		handshake(0, dirTop, iter)
 		if cfg.DirectComm {
 			// Ablation path: the CPU copies every edge word itself.
-			remote := func(d int, off mem.Addr) mem.Addr {
-				nr, nc := c.Chip().Map().CoreCoords(nbr[d])
-				return c.GlobalOn(nr, nc, off)
-			}
+			remote := func(d int, off mem.Addr) mem.Addr { return amap.GlobalOf(nbr[d], off) }
 			if has[dirBottom] {
 				c.CopyWordsTo(remote(dirBottom, gridAt(0, 1)), gridAt(rows, 1), cfg.Cols)
 			}
@@ -323,17 +275,7 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 				c.DMAStart(dma.DMA1, chain1)
 				c.DMAWait(dma.DMA1)
 			}
-			for _, d := range []int{dirLeft, dirRight} {
-				if has[d] {
-					nr, nc := c.Chip().Map().CoreCoords(nbr[d])
-					c.StoreGlobal32(c.GlobalOn(nr, nc, stencilFlagsOff+32+mem.Addr(4*opposite[d])), uint32(iter))
-				}
-			}
-			for _, d := range []int{dirLeft, dirRight} {
-				if has[d] {
-					c.WaitLocal32GE(stencilFlagsOff+32+mem.Addr(4*d), uint32(iter))
-				}
-			}
+			handshake(8, dirLeft, iter)
 			if chain0 != nil {
 				c.DMAStart(dma.DMA0, chain0)
 				c.DMAWait(dma.DMA0)
@@ -352,8 +294,52 @@ func stencilKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int, cfg *StencilConf
 				c.DMAWait(dma.DMA1)
 			}
 		}
-		signal(stencilFlagsOff+16, uint32(iter))
-		await(stencilFlagsOff+16, uint32(iter))
+		handshake(4, dirTop, iter)
+	}
+}
+
+// jacobiRows applies one Jacobi sweep of the stencil to rows [r0, r1)
+// and columns [c0, c1) of the row-major field at stencilGridOff, whose
+// rows are pitch floats apart. rowBuf holds four equal row buffers: the
+// rolling copy of the pre-update row above, the pre-update row, the
+// inputs read from the row below and the updated row. The
+// register-buffered in-place kernel has Jacobi semantics (all five
+// inputs are pre-update values; the already-updated row above survives
+// in registers), so the sweep keeps a one-row rolling buffer of
+// pre-update values. Rows move through the bulk accessors, which charge
+// what the per-point loads and stores of the modelled kernel cost.
+func jacobiRows(sram *mem.Memory, pitch, r0, r1, c0, c1 int, shape Shape, coefs [5]float32, rowBuf []float32) {
+	at := func(r, col int) mem.Addr { return stencilGridOff + mem.Addr(4*(r*pitch+col)) }
+	n := len(rowBuf) / 4
+	prev, cur, next, out := rowBuf[:n], rowBuf[n:2*n], rowBuf[2*n:3*n], rowBuf[3*n:]
+	sram.LoadF32s(at(r0-1, c0-1), prev[c0-1:c1+1])
+	for r := r0; r < r1; r++ {
+		sram.LoadF32s(at(r, c0-1), cur[c0-1:c1+1])
+		if shape == Cross {
+			// Each point loads its lower-left and lower-right
+			// neighbours: two reads of the row below, which land on
+			// the same values where they overlap.
+			sram.LoadF32s(at(r+1, c0-1), next[c0-1:c1-1])
+			sram.LoadF32s(at(r+1, c0+1), next[c0+1:c1+1])
+			for col := c0; col < c1; col++ {
+				out[col] = coefs[0]*prev[col-1] +
+					coefs[1]*prev[col+1] +
+					coefs[2]*cur[col] +
+					coefs[3]*next[col-1] +
+					coefs[4]*next[col+1]
+			}
+		} else {
+			sram.LoadF32s(at(r+1, c0), next[c0:c1])
+			for col := c0; col < c1; col++ {
+				out[col] = coefs[0]*prev[col] +
+					coefs[1]*cur[col-1] +
+					coefs[2]*cur[col] +
+					coefs[3]*cur[col+1] +
+					coefs[4]*next[col]
+			}
+		}
+		sram.StoreF32s(at(r, c0), out[c0:c1])
+		prev, cur = cur, prev
 	}
 }
 

@@ -201,10 +201,6 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 	superR := cfg.GlobalRows / (cfg.GroupRows * cfg.BlockRows)
 	superC := cfg.GlobalCols / (cfg.GroupCols * cfg.BlockCols)
 	sram := c.Local()
-	maxExt := cfg.BlockCols + 2*cfg.TBlock
-	// Row buffers: the pre-update rows above and at r, the inputs read
-	// from row r+1 and the updated row r.
-	prev, cur, next, out := rowBuf[:maxExt], rowBuf[maxExt:2*maxExt], rowBuf[2*maxExt:3*maxExt], rowBuf[3*maxExt:4*maxExt]
 	tile := &st.tile
 
 	for done := 0; done < cfg.Iters; done += cfg.TBlock {
@@ -237,7 +233,6 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 			// T local Jacobi iterations; the updatable window shrinks by
 			// one ring per iteration, except along edges clamped at the
 			// physical boundary ring, whose values are constant in time.
-			at := func(r, col int) mem.Addr { return stencilGridOff + mem.Addr(4*(r*cols+col)) }
 			edge := func(w, ring, k int) int {
 				if w == ring {
 					return 0 // physical boundary: no shrink
@@ -251,21 +246,8 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 				c0 := wc0 + max(edge(wc0, 0, k), 1)
 				c1 := wc1 - max(edge(wc1, cfg.GlobalCols+2, k), 1)
 				r0, r1, c0, c1 = r0-wr0, r1-wr0, c0-wc0, c1-wc0
-				sram.LoadF32s(at(r0-1, c0-1), prev[c0-1:c1+1])
-				for r := r0; r < r1; r++ {
-					sram.LoadF32s(at(r, c0-1), cur[c0-1:c1+1])
-					sram.LoadF32s(at(r+1, c0), next[c0:c1])
-					for col := c0; col < c1; col++ {
-						out[col] = cfg.Coefs[0]*prev[col] +
-							cfg.Coefs[1]*cur[col-1] +
-							cfg.Coefs[2]*cur[col] +
-							cfg.Coefs[3]*cur[col+1] +
-							cfg.Coefs[4]*next[col]
-					}
-					sram.StoreF32s(at(r, c0), out[c0:c1])
-					prev, cur = cur, prev
-					points += c1 - c0
-				}
+				jacobiRows(sram, cols, r0, r1, c0, c1, Plus, cfg.Coefs, rowBuf)
+				points += (r1 - r0) * (c1 - c0)
 			}
 			c.Compute(streamComputeCycles(points), uint64(points)*10)
 			st.redundantFlops += uint64(points)*10 - uint64(cfg.BlockRows*cfg.BlockCols*T*10)
@@ -273,7 +255,7 @@ func streamKernel(c *ecore.Core, w *sdk.Workgroup, gr, gc int,
 			// Write the interior block back to the destination array.
 			ir, ic := br0-wr0, bc0-wc0
 			c.DMAStart(dma.DMA0, c.DMASetDesc(tileDesc(tile,
-				c.Global(at(ir, ic)), mem.DRAMBase+dstOff+mem.Addr(4*(br0*pitch+bc0)),
+				c.Global(stencilGridOff+mem.Addr(4*(ir*cols+ic))), mem.DRAMBase+dstOff+mem.Addr(4*(br0*pitch+bc0)),
 				cfg.BlockRows, cfg.BlockCols, cols, pitch)))
 			c.DMAWait(dma.DMA0)
 			st.dramBytes += uint64(4 * cfg.BlockRows * cfg.BlockCols)

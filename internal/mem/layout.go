@@ -67,24 +67,13 @@ func (l *Layout) PlaceAt(name string, off Addr, size int) (Region, error) {
 	return r, nil
 }
 
-// Alloc reserves size bytes in the lowest free gap that starts in bank
-// bank (or any bank if bank < 0), aligned to align (a power of two; 0 or 1
-// means byte-aligned).
-func (l *Layout) Alloc(name string, size int, bank int, align Addr) (Region, error) {
-	if align == 0 {
-		align = 1
-	}
-	if align&(align-1) != 0 {
-		return Region{}, fmt.Errorf("mem: alignment %d not a power of two", align)
-	}
-	lo, hi := Addr(0), Addr(SRAMSize)
-	if bank >= 0 {
-		if bank >= NumBanks {
-			return Region{}, fmt.Errorf("mem: bank %d out of range", bank)
-		}
-		lo, hi = Addr(bank)*BankSize, Addr(bank+1)*BankSize
-	}
-	cursor := (lo + align - 1) &^ (align - 1)
+// allocAlign is the alignment of every Alloc'd region: the doubleword
+// a DMA beat moves.
+const allocAlign Addr = 8
+
+// Alloc reserves size bytes in the lowest free 8-byte-aligned gap.
+func (l *Layout) Alloc(name string, size int) (Region, error) {
+	cursor := Addr(0)
 	for _, o := range l.regions[:l.n] {
 		if o.End() <= cursor {
 			continue
@@ -92,15 +81,11 @@ func (l *Layout) Alloc(name string, size int, bank int, align Addr) (Region, err
 		if o.Off >= cursor+Addr(size) {
 			break // gap before o fits
 		}
-		cursor = (o.End() + align - 1) &^ (align - 1)
+		cursor = (o.End() + allocAlign - 1) &^ (allocAlign - 1)
 	}
-	if cursor+Addr(size) > hi || cursor < lo {
-		where := "scratchpad"
-		if bank >= 0 {
-			where = fmt.Sprintf("bank %d", bank)
-		}
-		return Region{}, fmt.Errorf("mem: no room for %q (%d bytes) in %s: %s",
-			name, size, where, l.describeUse())
+	if cursor+Addr(size) > SRAMSize {
+		return Region{}, fmt.Errorf("mem: no room for %q (%d bytes) in scratchpad: %s",
+			name, size, l.describeUse())
 	}
 	return l.PlaceAt(name, cursor, size)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -307,7 +306,7 @@ func TestLayoutPaperMatmulPlan(t *testing.T) {
 	need := []int{4096, 4096, 4096, 4096, 4096} // A, A', B, B', C
 	var err error
 	for i, sz := range need {
-		if _, err = l2.Alloc("buf", sz, -1, 8); err != nil {
+		if _, err = l2.Alloc("buf", sz); err != nil {
 			if i < 4 {
 				t.Fatalf("only %d of 5 buffers placed before overflow; paper implies 4 fit (code 13KB + 16KB + stack impossible)", i)
 			}
@@ -319,38 +318,19 @@ func TestLayoutPaperMatmulPlan(t *testing.T) {
 	}
 }
 
-func TestLayoutAllocBankAffinity(t *testing.T) {
-	l := NewLayout()
-	r, err := l.Alloc("d1", 1024, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b := BankOf(r.Off); b != 2 {
-		t.Fatalf("allocated in bank %d, want 2", b)
-	}
-	// Fill bank 2 and confirm refusal.
-	if _, err := l.Alloc("d2", BankSize-1024, 2, 1); err != nil {
-		t.Fatal(err)
-	}
-	_, err = l.Alloc("d3", 64, 2, 1)
-	if err == nil || !strings.Contains(err.Error(), "bank 2") {
-		t.Fatalf("err = %v, want bank-2 overflow", err)
-	}
-}
-
 func TestLayoutAllocSkipsReservations(t *testing.T) {
 	l := NewLayout()
 	if _, err := l.PlaceAt("hole", 0x100, 0x100); err != nil {
 		t.Fatal(err)
 	}
-	r, err := l.Alloc("a", 0x100, 0, 1)
+	r, err := l.Alloc("a", 0x100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Off != 0 {
 		t.Fatalf("first gap at %#x, want 0", r.Off)
 	}
-	r2, err := l.Alloc("b", 0x200, 0, 1)
+	r2, err := l.Alloc("b", 0x200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,15 +355,12 @@ func TestLayoutAlignment(t *testing.T) {
 	if _, err := l.PlaceAt("pad", 0, 3); err != nil {
 		t.Fatal(err)
 	}
-	r, err := l.Alloc("aligned", 16, 0, 8)
+	r, err := l.Alloc("aligned", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Off != 8 {
 		t.Fatalf("aligned alloc at %#x, want 8", r.Off)
-	}
-	if _, err := l.Alloc("bad", 8, 0, 3); err == nil {
-		t.Fatal("non-power-of-two alignment accepted")
 	}
 }
 

@@ -22,10 +22,10 @@ const (
 	// SDKSize covers 64 per-core barrier arrival words (4 B each being
 	// generous for an 8x8 chip), the release word, and spare.
 	SDKSize = 0x200
-	// barrierArrivalBase holds one arrival counter per group member.
-	barrierArrivalBase = SDKBase
-	// barrierReleaseOff is the per-core release counter.
-	barrierReleaseOff = SDKBase + 0x100
+	// The barrier's flag words start at SDKBase: slot r holds group
+	// member r's arrival counter, and barrierRelease the per-core
+	// release counter, at SDKBase+0x100.
+	barrierRelease = 0x100 / 4
 )
 
 // ReserveSDK marks the SDK region in a core's layout plan.
@@ -119,6 +119,31 @@ func (w *Workgroup) Launch(name string, kernel func(c *ecore.Core, gr, gc int)) 
 	return procs
 }
 
+// Flags is a block of 32-bit flag words at one scratchpad offset, the
+// same on every core: the low-level handshake the Epiphany's kernels
+// build their synchronisation from. A core posts a counter into
+// another core's slot with one remote store through the mesh and spins
+// on its own slots until a counter reaches a value (the paper's
+// `while (*flag < loopcount);` idiom). Flags is a value holding its
+// core; building one allocates nothing.
+type Flags struct {
+	c    *ecore.Core
+	base mem.Addr
+}
+
+// NewFlags returns core c's view of the flag words at offset base.
+func NewFlags(c *ecore.Core, base mem.Addr) Flags { return Flags{c: c, base: base} }
+
+// Post stores v into flag slot slot of chip core index core.
+func (f Flags) Post(core, slot int, v uint32) {
+	f.c.StoreGlobal32(f.c.Chip().Map().GlobalOf(core, f.base+mem.Addr(4*slot)), v)
+}
+
+// Await blocks until the calling core's own flag slot reaches v.
+func (f Flags) Await(slot int, v uint32) {
+	f.c.WaitLocal32GE(f.base+mem.Addr(4*slot), v)
+}
+
 // Barrier is a group-wide barrier, the e_barrier equivalent. Each member
 // core creates its own Barrier (matching e_barrier_init's per-core
 // arrays) and calls Wait each time. The implementation is the SDK's:
@@ -142,31 +167,20 @@ func NewBarrier(w *Workgroup, gr, gc int) *Barrier {
 func (b *Barrier) Wait(c *ecore.Core) {
 	b.epoch++
 	w := b.w
-	rank := w.Rank(b.gr, b.gc)
-	arrivalOff := barrierArrivalBase + mem.Addr(4*rank)
-	if rank == 0 {
-		// Root: note own arrival, wait for everyone, then release them.
-		c.Local().Store32(arrivalOff, b.epoch)
-		for r := 0; r < w.Rows; r++ {
-			for col := 0; col < w.Cols; col++ {
-				if r == 0 && col == 0 {
-					continue
-				}
-				c.WaitLocal32GE(barrierArrivalBase+mem.Addr(4*w.Rank(r, col)), b.epoch)
-			}
-		}
-		for r := 0; r < w.Rows; r++ {
-			for col := 0; col < w.Cols; col++ {
-				if r == 0 && col == 0 {
-					continue
-				}
-				c.StoreGlobal32(c.GlobalOn(w.OriginRow+r, w.OriginCol+col, barrierReleaseOff), b.epoch)
-			}
-		}
+	f := NewFlags(c, SDKBase)
+	if rank := w.Rank(b.gr, b.gc); rank != 0 {
+		f.Post(w.CoreIndex(0, 0), rank, b.epoch)
+		f.Await(barrierRelease, b.epoch)
 		return
 	}
-	c.StoreGlobal32(c.GlobalOn(w.OriginRow, w.OriginCol, arrivalOff), b.epoch)
-	c.WaitLocal32GE(barrierReleaseOff, b.epoch)
+	// Root: note own arrival, wait for everyone, then release them.
+	c.Local().Store32(SDKBase, b.epoch)
+	for rank := 1; rank < w.Size(); rank++ {
+		f.Await(rank, b.epoch)
+	}
+	for rank := 1; rank < w.Size(); rank++ {
+		f.Post(w.CoreIndex(rank/w.Cols, rank%w.Cols), barrierRelease, b.epoch)
+	}
 }
 
 // Mutex is the SDK's hardware mutex: a memory word on a designated core
@@ -219,8 +233,7 @@ func (m *Mutex) Unlock(c *ecore.Core) {
 		panic(fmt.Sprintf("sdk: core %d unlocking mutex it does not hold", c.Index()))
 	}
 	// The release is a posted remote store of zero.
-	hr, hc := m.chip.Map().CoreCoords(m.home)
-	c.StoreGlobal32(c.GlobalOn(hr, hc, m.off), 0)
+	c.StoreGlobal32(m.chip.Map().GlobalOf(m.home, m.off), 0)
 	m.locked = false
 	m.queue.Broadcast()
 }

@@ -48,7 +48,7 @@ func (c *Cond) Name() string {
 }
 
 // WaitCond parks the Proc until c is broadcast. The Proc resumes at the
-// virtual time of the broadcast (plus any delay the broadcaster added).
+// virtual time of the broadcast.
 func (p *Proc) WaitCond(c *Cond) {
 	p.mustBeRunning()
 	if c.first == nil {
@@ -63,16 +63,11 @@ func (p *Proc) WaitCond(c *Cond) {
 }
 
 // Broadcast wakes every waiter at the current virtual time.
-func (c *Cond) Broadcast() { c.BroadcastAfter(0) }
-
-// BroadcastAfter wakes every waiter d after the current virtual time,
-// modelling a propagation delay between the signalling event and the
-// observer noticing it.
-func (c *Cond) BroadcastAfter(d Time) {
-	t := c.eng.now + d
+func (c *Cond) Broadcast() {
 	if c.first == nil {
 		return
 	}
+	t := c.eng.now
 	c.first.unblock(t)
 	c.first = nil
 	for _, p := range c.waiters {

@@ -149,26 +149,6 @@ func TestCondBroadcastWakesAll(t *testing.T) {
 	}
 }
 
-func TestCondBroadcastAfterAddsDelay(t *testing.T) {
-	e := NewEngine()
-	c := NewCond(e, "go")
-	var woke Time
-	e.Spawn("w", func(p *Proc) {
-		p.WaitCond(c)
-		woke = p.Now()
-	})
-	e.Spawn("sig", func(p *Proc) {
-		p.Wait(10)
-		c.BroadcastAfter(5)
-	})
-	if err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if woke != 15 {
-		t.Fatalf("woke at %v, want 15", woke)
-	}
-}
-
 func TestWaitForPredicate(t *testing.T) {
 	e := NewEngine()
 	c := NewCond(e, "counter")
