@@ -1,7 +1,7 @@
 // Command epiphany-bench regenerates the paper's evaluation tables and
-// figures on the simulated Epiphany system. Batch runs of workloads
-// over topologies, power models and DVFS points are epiphany-sweep's
-// job.
+// figures on the simulated Epiphany system, and nothing else: batch
+// runs of workloads over topologies, power models and DVFS points are
+// epiphany-sweep's job, and any other flag is rejected with the usage.
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,45 +21,18 @@ import (
 	"epiphany/internal/bench"
 )
 
-// moved lists the batch-mode flags that epiphany-sweep took over, by
-// their epiphany-sweep names. Each stays registered only to refuse its
-// use with the sweep spelling of the same run.
-var moved = []struct {
-	name, sweep string
-	isBool      bool
-}{
-	{"workloads", "workloads", false},
-	{"j", "workers", false},
-	{"topo", "topos", false},
-	{"power", "power", false},
-	{"dvfs", "dvfs", false},
-	{"timeline", "timeline", false},
-	{"engine-stats", "engine-stats", true},
-}
-
 func main() {
 	all := flag.Bool("all", false, "run every paper experiment")
 	run := flag.String("run", "", "run one experiment by name")
 	list := flag.Bool("list", false, "list experiment names")
 	large := flag.Bool("large", false, "include long-running rows (Table VI 1536x1536)")
 	extras := flag.Bool("extras", false, "also run the extension and ablation studies")
-	for _, m := range moved {
-		refuse := func(v string) error {
-			spelling := "epiphany-sweep -" + m.sweep
-			switch {
-			case m.isBool:
-			case m.name == "workloads":
-				spelling += " " + v + " -topos e64" // the board the bench batch ran on
-			default:
-				spelling += " " + v
-			}
-			return errors.New("moved to epiphany-sweep: " + spelling)
-		}
-		if m.isBool {
-			flag.BoolFunc(m.name, "moved to epiphany-sweep -"+m.sweep, refuse)
-		} else {
-			flag.Func(m.name, "moved to epiphany-sweep -"+m.sweep, refuse)
-		}
+	flag.Usage = func() {
+		out := flag.CommandLine.Output()
+		fmt.Fprintln(out, "usage: epiphany-bench -all [-extras] [-large] | -run NAME [-large] | -list")
+		fmt.Fprintln(out, "regenerates the paper's tables and figures; for batch runs of workloads over")
+		fmt.Fprintln(out, "topologies, power models and DVFS points use epiphany-sweep (epiphany-sweep -h)")
+		flag.PrintDefaults()
 	}
 	flag.Parse()
 	if flag.NArg() != 0 {
@@ -69,6 +41,7 @@ func main() {
 		os.Exit(2)
 	}
 
+	var runs []bench.Experiment
 	switch {
 	case *list:
 		fmt.Println("experiments:")
@@ -78,32 +51,28 @@ func main() {
 		for _, e := range bench.Extras {
 			fmt.Printf("  %s (extra)\n", e.Name)
 		}
+		return
 	case *run != "":
 		e, ok := bench.ByName(*run)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q (try -list)\n", *run)
 			os.Exit(1)
 		}
-		if *run == "table6" && *large {
-			show(bench.Experiment{Name: "table6", Run: func() *bench.Table { return bench.Table6(true) }})
-			return
-		}
-		show(e)
+		runs = []bench.Experiment{e}
 	case *all:
-		for _, e := range bench.Experiments {
-			if e.Name == "table6" && *large {
-				e = bench.Experiment{Name: "table6", Run: func() *bench.Table { return bench.Table6(true) }}
-			}
-			show(e)
-		}
+		runs = bench.Experiments
 		if *extras {
-			for _, e := range bench.Extras {
-				show(e)
-			}
+			runs = append(runs[:len(runs):len(runs)], bench.Extras...)
 		}
 	default:
 		flag.Usage()
 		os.Exit(2)
+	}
+	for _, e := range runs {
+		if e.Name == "table6" && *large {
+			e.Run = func() *bench.Table { return bench.Table6(true) }
+		}
+		show(e)
 	}
 }
 

@@ -1,10 +1,10 @@
 package epiphany_test
 
 // The golden-table regenerator. `EPIPHANY_REGEN=1 go test -run
-// TestRegenGoldens -v .` prints the four frozen tables - the
-// single-chip golden map, the cluster map, the e64 energy map and the
-// timeline digests - in
-// exactly the form the conformance files paste them, so a legitimate
+// TestRegenGoldens -v .` prints the frozen tables - the single-chip
+// golden map, the cluster map, the e64 energy map, the timeline digests
+// and the paper tables of testdata/bench_golden.txt - in exactly the
+// form their files paste them, so a legitimate
 // metric shift (a kernel fix, a recalibration) is a copy-paste plus a
 // commit-message explanation instead of an error-prone retyping of
 // float bits. The CSV goldens have their own regenerators (the
@@ -70,4 +70,6 @@ func TestRegenGoldens(t *testing.T) {
 	for _, d := range timelineDigests(t) {
 		fmt.Printf("\t{%q, %q}: %q,\n", d.topo, d.workload, d.sha)
 	}
+	fmt.Println("// testdata/bench_golden.txt")
+	fmt.Print(benchTables())
 }

@@ -191,33 +191,13 @@ func TestExperimentRegistry(t *testing.T) {
 }
 
 func TestExtrasRegistry(t *testing.T) {
-	if len(Extras) != 5 {
-		t.Fatalf("extras = %d, want 5", len(Extras))
+	if len(Extras) != 4 {
+		t.Fatalf("extras = %d, want 4", len(Extras))
 	}
-	for _, name := range []string{"ext-stream", "ext-topo", "abl-summa"} {
+	for _, name := range []string{"ext-stream", "abl-summa"} {
 		if _, ok := ByName(name); !ok {
 			t.Fatalf("%s not resolvable", name)
 		}
-	}
-}
-
-func TestTopologyScalingTable(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the registry across three topologies")
-	}
-	tab := ExtTopologyScaling()
-	if len(tab.Rows) != 12 {
-		t.Fatalf("topology table has %d rows, want 3 topologies x 4 workloads", len(tab.Rows))
-	}
-	// Cluster rows whose groups span chips must show x-chip costs.
-	crossed := 0
-	for _, r := range tab.Rows {
-		if r[0] == "cluster-2x2" && r[5] != "-" {
-			crossed++
-		}
-	}
-	if crossed == 0 {
-		t.Fatal("no cluster row reports chip-boundary traffic")
 	}
 }
 

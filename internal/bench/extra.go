@@ -6,7 +6,6 @@ import (
 
 	"epiphany/internal/core"
 	"epiphany/internal/sim"
-	"epiphany/internal/system"
 	"epiphany/internal/workload"
 )
 
@@ -116,48 +115,9 @@ func elinkFairnessRun(fair bool, window sim.Time) (starved int, top4Share, mbps 
 // Extras lists the beyond-the-paper experiments.
 var Extras = []Experiment{
 	{"ext-stream", ExtStreamStencil},
-	{"ext-topo", ExtTopologyScaling},
 	{"abl-comm", AblationStencilComm},
 	{"abl-fair", AblationELinkFairness},
 	{"abl-summa", AblationCannonVsSumma},
-}
-
-// ExtTopologyScaling runs representative workloads across the preset
-// fabric topologies: the 16-core E16, the paper's 64-core E64, and the
-// 2x2 Parallella cluster whose four E16 chips form an 8x8 mesh glued by
-// chip-to-chip eLinks. Workgroups spanning a chip boundary pay the
-// boundary's bandwidth and arbitration costs, reported in the x-chip
-// columns.
-func ExtTopologyScaling() *Table {
-	t := &Table{
-		ID:     "Extension (multi-chip)",
-		Title:  "Fabric topology scaling: same workloads, E16 vs E64 vs 2x2 Parallella cluster",
-		Header: []string{"topology", "workload", "cores used", "GFLOPS", "% peak", "x-chip hops", "x-chip time (ms)"},
-	}
-	names := []string{"stencil-tuned", "matmul-cannon", "matmul-offchip", "stream-stencil"}
-	for _, topo := range system.Topologies() {
-		for _, name := range names {
-			w, ok := workload.ByName(name)
-			if !ok {
-				panic("bench: workload " + name + " not registered")
-			}
-			r, err := workload.Run(context.Background(), w, workload.WithTopology(topo))
-			if err != nil {
-				panic(err)
-			}
-			m := r.Metrics()
-			cores := fmt.Sprint(workload.UsedCores(w, topo.Rows(), topo.Cols()))
-			xh, xt := "-", "-"
-			if m.ELinkCrossings > 0 {
-				xh = fmt.Sprint(m.ELinkCrossings)
-				xt = f3(m.ELinkCrossTime.Seconds() * 1e3)
-			}
-			t.AddRow(topo.Name, name, cores, f2(m.GFLOPS), f1(m.PctPeak), xh, xt)
-		}
-	}
-	t.AddNote("workgroups clamp themselves to the board (TopologyFitter); E16 results use fewer cores, not a different kernel")
-	t.AddNote("the cluster's E64-sized groups span all four chips: the x-chip columns are the price of gluing E16s into an 8x8 mesh")
-	return t
 }
 
 // AblationCannonVsSumma compares the paper's Cannon implementation with

@@ -15,6 +15,22 @@ func newChip() (*sim.Engine, *ecore.Chip) {
 	return eng, ecore.NewChip(eng, 8, 8)
 }
 
+// timeSender runs body as a "sender" on core (0,0) of a fresh chip and
+// returns ctimer 0 as the body left it: the body starts the timer where
+// its timed region begins.
+func timeSender(body func(c *ecore.Core)) sim.Time {
+	eng, ch := newChip()
+	var elapsed sim.Time
+	ch.Launch(0, "sender", func(c *ecore.Core) {
+		body(c)
+		elapsed = c.CtimerElapsed(0)
+	})
+	if err := eng.Run(); err != nil {
+		panic(err)
+	}
+	return elapsed
+}
+
 // Fig2 reproduces Figure 2: DMA vs direct-write bandwidth between
 // adjacent eCores as a function of message size. The DMA series reuses
 // its descriptor across transfers, as a bandwidth benchmark does.
@@ -33,38 +49,25 @@ func Fig2() *Table {
 }
 
 func dmaBandwidth(n, reps int) float64 {
-	eng, ch := newChip()
-	var elapsed sim.Time
-	ch.Launch(0, "sender", func(c *ecore.Core) {
-		dst := c.GlobalOn(0, 1, 0x4000)
-		d := c.DMASetDesc(dma.Desc1D(0x4000, dst, n, 8))
+	elapsed := timeSender(func(c *ecore.Core) {
+		d := c.DMASetDesc(dma.Desc1D(0x4000, c.GlobalOn(0, 1, 0x4000), n, 8))
 		c.CtimerStart(0)
 		for i := 0; i < reps; i++ {
 			c.DMAStart(dma.DMA0, d)
 			c.DMAWait(dma.DMA0)
 		}
-		elapsed = c.CtimerElapsed(0)
 	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
 	return float64(n*reps) / elapsed.Nanoseconds()
 }
 
 func directBandwidth(n, reps int) float64 {
-	eng, ch := newChip()
-	var elapsed sim.Time
-	ch.Launch(0, "sender", func(c *ecore.Core) {
+	elapsed := timeSender(func(c *ecore.Core) {
 		dst := c.GlobalOn(0, 1, 0x4000)
 		c.CtimerStart(0)
 		for i := 0; i < reps; i++ {
 			c.CopyWordsTo(dst, 0x4000, n/4)
 		}
-		elapsed = c.CtimerElapsed(0)
 	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
 	return float64(n*reps) / elapsed.Nanoseconds()
 }
 
@@ -95,33 +98,19 @@ func Fig3() *Table {
 }
 
 func oneShotDMALatency(n int) sim.Time {
-	eng, ch := newChip()
-	var elapsed sim.Time
-	ch.Launch(0, "sender", func(c *ecore.Core) {
+	return timeSender(func(c *ecore.Core) {
 		c.CtimerStart(0)
 		d := c.DMASetDesc(dma.Desc1D(0x4000, c.GlobalOn(0, 1, 0x4000), n, 8))
 		c.DMAStart(dma.DMA0, d)
 		c.DMAWait(dma.DMA0)
-		elapsed = c.CtimerElapsed(0)
 	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	return elapsed
 }
 
 func oneShotDirectLatency(n int) sim.Time {
-	eng, ch := newChip()
-	var elapsed sim.Time
-	ch.Launch(0, "sender", func(c *ecore.Core) {
+	return timeSender(func(c *ecore.Core) {
 		c.CtimerStart(0)
 		c.CopyWordsTo(c.GlobalOn(0, 1, 0x4000), 0x4000, n/4)
-		elapsed = c.CtimerElapsed(0)
 	})
-	if err := eng.Run(); err != nil {
-		panic(err)
-	}
-	return elapsed
 }
 
 // Table1 reproduces Table I: the per-word time of an 80-byte direct-write
@@ -185,7 +174,6 @@ func elinkExperiment(cores []int, window sim.Time, fair bool) (*ecore.Chip, erro
 		ch.Fabric().ELink.SetUniformWeights()
 	}
 	for _, idx := range cores {
-		idx := idx
 		ch.Launch(idx, fmt.Sprintf("writer%d", idx), func(c *ecore.Core) {
 			for off := mem.Addr(0); ; off = (off + 2048) % (1 << 20) {
 				c.BlockWriteDRAM(off, 0, 2048)

@@ -59,6 +59,10 @@ func (cfg *StreamStencilConfig) Validate() error {
 	if cfg.GroupRows <= 0 || cfg.GroupCols <= 0 || cfg.BlockRows <= 0 || cfg.BlockCols <= 0 {
 		return fmt.Errorf("core: bad group/block shape")
 	}
+	if n := cfg.GroupRows * cfg.GroupCols; n > sdk.MaxBarrierGroup {
+		return fmt.Errorf("core: %dx%d group (%d cores) exceeds the %d-core SDK barrier",
+			cfg.GroupRows, cfg.GroupCols, n, sdk.MaxBarrierGroup)
+	}
 	sr := cfg.GroupRows * cfg.BlockRows
 	sc := cfg.GroupCols * cfg.BlockCols
 	if cfg.GlobalRows%sr != 0 || cfg.GlobalCols%sc != 0 {

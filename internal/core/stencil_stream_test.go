@@ -109,9 +109,10 @@ func TestStreamStencilValidation(t *testing.T) {
 		{GlobalRows: 60, GlobalCols: 64, BlockRows: 16, BlockCols: 16, Iters: 1, TBlock: 1, GroupRows: 2, GroupCols: 2}, // not tileable
 		{GlobalRows: 64, GlobalCols: 64, BlockRows: 16, BlockCols: 16, Iters: 1, TBlock: 0, GroupRows: 2, GroupCols: 2},
 		{GlobalRows: 4096, GlobalCols: 4096, BlockRows: 64, BlockCols: 64, Iters: 1, TBlock: 4, GroupRows: 8, GroupCols: 8}, // block too big
+		{GlobalRows: 256, GlobalCols: 256, BlockRows: 8, BlockCols: 8, Iters: 4, TBlock: 2, GroupRows: 16, GroupCols: 16},   // past the barrier's arrival words
 	}
 	for i, cfg := range bad {
-		if _, err := RunStreamStencil(newHost(), cfg); err == nil {
+		if err := cfg.Validate(); err == nil {
 			t.Errorf("config %d accepted", i)
 		}
 	}

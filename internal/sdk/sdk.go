@@ -19,8 +19,8 @@ import (
 const (
 	// SDKBase is the first byte of the reserved region.
 	SDKBase mem.Addr = 0x7E00
-	// SDKSize covers 64 per-core barrier arrival words (4 B each being
-	// generous for an 8x8 chip), the release word, and spare.
+	// SDKSize covers the barrier's per-member arrival words and its
+	// release word.
 	SDKSize = 0x200
 	// The barrier's flag words start at SDKBase: slot r holds group
 	// member r's arrival counter, and barrierRelease the per-core
@@ -151,12 +151,19 @@ func (f Flags) Await(slot int, v uint32) {
 // direct remote store, member 0 spins on its arrival vector and then
 // posts release counters back - so barrier cost emerges from real mesh
 // traffic rather than being a magic constant.
+//
+// Member r's arrival word is SDKBase+4*r, so a group holds at most
+// MaxBarrierGroup cores: a larger one would post past the scratchpad.
 type Barrier struct {
 	w     *Workgroup
 	gr    int
 	gc    int
 	epoch uint32
 }
+
+// MaxBarrierGroup is the largest group whose arrival words fit the SDK
+// region.
+const MaxBarrierGroup = SDKSize / 4
 
 // NewBarrier creates the calling core's barrier handle.
 func NewBarrier(w *Workgroup, gr, gc int) *Barrier {

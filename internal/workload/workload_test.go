@@ -241,6 +241,26 @@ func TestFitTopologyClampsBuiltins(t *testing.T) {
 	}
 }
 
+// A torus that fits no board edge is shrunk to the board anyway, so
+// Validate refuses it before launch instead of the SDK failing mid-run.
+func TestMatmulFitNeverWiderThanBoard(t *testing.T) {
+	w, err := Parse("matmul-cannon/m=256/n=256/k=256/g=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	topo, err := system.ParseTopologySpec("4x8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := UsedCores(w, 4, 8); n > 32 {
+		t.Errorf("UsedCores = %d on a 32-core board", n)
+	}
+	_, err = Run(context.Background(), w, WithTopology(topo))
+	if err == nil || strings.Contains(err.Error(), "sdk:") {
+		t.Fatalf("err = %v, want a Validate refusal", err)
+	}
+}
+
 // Every registered workload must run on every preset topology - the
 // contract the conformance harness pins numerically at the repo root.
 func TestBuiltinsRunOnEveryTopology(t *testing.T) {

@@ -78,23 +78,29 @@ func (m *Matmul) Reseed(seed uint64) Workload {
 
 // FitTopology implements TopologyFitter: the square Cannon/SUMMA torus
 // is shrunk to the largest valid workgroup edge that fits the board
-// (the problem size is unchanged; per-core blocks grow instead).
+// (the problem size is unchanged; per-core blocks grow instead). When
+// no edge validates, the largest one that fits is returned for
+// Validate to refuse, so the torus is never wider than the board.
 func (m *Matmul) FitTopology(rows, cols int) Workload {
 	edge := min(rows, cols)
 	if m.Config.G <= edge {
 		return m
 	}
-	c := *m
+	var largest *Matmul
 	for _, g := range []int{8, 4, 2, 1} {
 		if g > edge {
 			continue
 		}
+		c := *m
 		c.Config.G = g
 		if c.Config.Validate() == nil {
 			return &c
 		}
+		if largest == nil {
+			largest = &c
+		}
 	}
-	return m // nothing fits; let Validate report the original error
+	return largest
 }
 
 // Run implements Workload.
